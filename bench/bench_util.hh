@@ -22,8 +22,8 @@
 #include "common/table.hh"
 #include "core/sweep.hh"
 #include "obs/export.hh"
+#include "prof/simspeed.hh"
 #include "report/report.hh"
-#include "selfprof/simspeed.hh"
 
 namespace ascoma::bench {
 
@@ -107,7 +107,7 @@ class BenchJson {
 
       // Sim-rate telemetry rides along: one BENCH_simspeed.json row per
       // sweep job (simulated work, host wall time, RSS, allocations).
-      selfprof::SimspeedRow sp;
+      prof::SimspeedRow sp;
       sp.label = r.job.label;
       sp.workload = workload;
       sp.arch = to_string(r.job.config.arch);
@@ -136,18 +136,18 @@ class BenchJson {
       os << (i ? ",\n" : "\n") << rows_[i];
     os << "\n]}\n";
     // The simspeed document is written per process (last bench binary into a
-    // shared dir wins) — ascoma_simspeed_diff joins rows by
+    // shared dir wins) — ascoma_baseline_diff joins rows by
     // (label, workload, arch), and CI runs exactly one smoke bench.
     simspeed_.bench = name_;
     std::ofstream ss(dir + "/BENCH_simspeed.json", std::ios::trunc);
     if (!ss) return;
-    selfprof::write_simspeed(ss, simspeed_);
+    prof::write_simspeed(ss, simspeed_);
   }
 
  private:
   std::string name_;
   std::vector<std::string> rows_;
-  selfprof::SimspeedDoc simspeed_;
+  prof::SimspeedDoc simspeed_;
 };
 
 /// The bar sets shown in Figures 2 and 3, per application.  S-COMA is only

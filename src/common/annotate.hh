@@ -20,12 +20,13 @@
 // over everything the function calls:
 //
 // ASCOMA_HOT_PATH
-//   Runs once per simulated operation (the selfprof host sites: sched_pick,
-//   proto_access, dir_lookup, net_deliver, obs_emit, vm_fault, vm_kernel,
-//   table_walk).  No heap allocation may be reachable: no new/malloc, no
-//   allocating-container growth, no string building.  Reasoned exemptions
-//   live in HOT_ALLOC_BOUNDARY in tools/lint_hotpath.py; [[noreturn]]
-//   functions are cold by declaration and exempt.
+//   Runs once per simulated operation (scheduler pick, protocol access,
+//   directory lookup, network delivery, event emission, VM fault and
+//   kernel paths, table walks).  No heap allocation may be reachable: no
+//   new/malloc, no allocating-container growth, no string building.
+//   Reasoned exemptions live in HOT_ALLOC_BOUNDARY in
+//   tools/lint_hotpath.py; [[noreturn]] functions are cold by declaration
+//   and exempt.
 //
 // ASCOMA_SIGNAL_SAFE
 //   Runs in async-signal context (the PR 7 shutdown handler).  Only

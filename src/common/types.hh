@@ -182,6 +182,9 @@ struct LineTag {
 struct FrameTag {
   using rep = std::uint32_t;
 };
+struct HostNsTag {
+  using rep = std::uint64_t;
+};
 }  // namespace dim
 
 /// Simulated clock cycle count (processor and bus share one clock domain).
@@ -210,6 +213,11 @@ using LineId = LineAddr;  // historical spelling, same strong type
 
 /// Physical frame index local to one node.
 using FrameId = StrongId<dim::FrameTag>;
+
+/// Host wall-clock nanoseconds: the simulator's own execution time (sweep
+/// job walls, store and serve overheads), never simulated time, so
+/// `Cycle + HostNs` does not compile.
+using HostNs = StrongQuantity<dim::HostNsTag>;
 
 // Address arithmetic: an address offset by a byte span is an address, and
 // the difference of two addresses is a byte span.  This is the entire

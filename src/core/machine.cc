@@ -168,7 +168,6 @@ void Machine::install_profiler(prof::Profiler* profiler) {
 }
 
 void Machine::take_samples(Cycle cycle) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kObsEmit);
   for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
     obs::Sample s;
     s.cycle = cycle;
@@ -202,7 +201,6 @@ arch::PolicyEnv Machine::env(std::uint32_t proc, Cycle now) {
 }
 
 VPageId Machine::force_select_victim(NodeId node) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kTableWalk);
   vm::PageCache& cache = *page_caches_[node];
   vm::PageTable& pt = *page_tables_[node];
   ASCOMA_CHECK_MSG(cache.active_pages() > 0, "no S-COMA page to evict");
@@ -223,7 +221,6 @@ VPageId Machine::force_select_victim(NodeId node) {
 
 Cycle Machine::evict_scoma_page(std::uint32_t proc, VPageId victim,
                                 Cycle now) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kVmKernel);
   const NodeId node = node_of(proc);
   vm::PageTable& pt = *page_tables_[node];
   vm::PageCache& cache = *page_caches_[node];
@@ -255,7 +252,6 @@ Cycle Machine::evict_scoma_page(std::uint32_t proc, VPageId victim,
 
 std::pair<Cycle, Cycle> Machine::handle_fault(std::uint32_t proc,
                                               VPageId page, Cycle now) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kVmFault);
   const NodeId node = node_of(proc);
   vm::PageTable& pt = *page_tables_[node];
   vm::PageCache& cache = *page_caches_[node];
@@ -292,7 +288,6 @@ std::pair<Cycle, Cycle> Machine::handle_fault(std::uint32_t proc,
 }
 
 Cycle Machine::run_daemon(std::uint32_t proc, Cycle now) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kVmKernel);
   const NodeId node = node_of(proc);
   if (!policies_[node]->runs_daemon()) return Cycle{0};
   vm::PageCache& cache = *page_caches_[node];
@@ -330,7 +325,6 @@ Cycle Machine::maybe_run_daemon(std::uint32_t proc, Cycle now) {
 
 Cycle Machine::handle_relocation(std::uint32_t proc, VPageId page,
                                  Cycle now) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kVmKernel);
   const NodeId node = node_of(proc);
   vm::PageTable& pt = *page_tables_[node];
   vm::PageCache& cache = *page_caches_[node];
@@ -588,10 +582,7 @@ RunResult Machine::run() {
   }
 
   while (!sched_.all_done()) {
-    const std::uint32_t p = [this] {
-      const selfprof::SelfScope sps(selfprof::HostSite::kSchedPick);
-      return sched_.pick();
-    }();
+    const std::uint32_t p = sched_.pick();
     const Cycle now = sched_.ready_at(p);
 
     // Gauge sampling: the global clock (min ready cycle) just crossed a
@@ -680,7 +671,6 @@ RunResult Machine::run() {
 }
 
 fault::InvariantReport Machine::invariant_report() const {
-  const selfprof::SelfScope sps(selfprof::HostSite::kTableWalk);
   std::vector<const vm::PageTable*> tables;
   std::vector<const vm::PageCache*> caches;
   for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {

@@ -31,7 +31,6 @@
 #include "obs/sink.hh"
 #include "prof/profiler.hh"
 #include "proto/coherent_memory.hh"
-#include "selfprof/collector.hh"
 #include "sim/barrier.hh"
 #include "sim/lock.hh"
 #include "sim/scheduler.hh"
@@ -179,10 +178,7 @@ class Machine {
   ASCOMA_HOT_PATH void note(obs::EventKind kind, Cycle cycle, NodeId node,
                             VPageId page = kInvalidPage, std::uint64_t a = 0,
                             std::uint64_t b = 0, std::uint64_t c = 0) {
-    if (sink_) {
-      const selfprof::SelfScope sps(selfprof::HostSite::kObsEmit);
-      sink_->emit(kind, cycle, node, page, a, b, c);
-    }
+    if (sink_) sink_->emit(kind, cycle, node, page, a, b, c);
   }
 
   /// Record one gauge sample per node, stamped `cycle`.

@@ -16,7 +16,6 @@
 #include "obs/metrics.hh"
 #include "obs/tail.hh"
 #include "obsd/server.hh"
-#include "selfprof/host.hh"
 #include "store/store.hh"
 #include "workload/workload.hh"
 
@@ -32,13 +31,13 @@ std::string fmt_rate(double v) {
 }
 
 /// Median wall time over the sweep (mean of the middle two when even).
-selfprof::HostNs median_wall(const std::vector<SweepResult>& results) {
-  std::vector<selfprof::HostNs> walls;
+HostNs median_wall(const std::vector<SweepResult>& results) {
+  std::vector<HostNs> walls;
   walls.reserve(results.size());
   for (const SweepResult& r : results) walls.push_back(r.timing.wall);
   std::sort(walls.begin(), walls.end());
   const std::size_t n = walls.size();
-  if (n == 0) return selfprof::HostNs{0};
+  if (n == 0) return HostNs{0};
   if (n % 2 == 1) return walls[n / 2];
   return (walls[n / 2 - 1] + walls[n / 2]) / 2;
 }
@@ -134,19 +133,6 @@ void fold_event_counts(obs::Registry& reg, const obs::EventSink& sink) {
   }
 }
 
-/// Fold a finished job's selfprof site totals into ascoma_selfprof_ns_total.
-void fold_selfprof(obs::Registry& reg, const selfprof::Collector& col) {
-  for (int s = 0; s < selfprof::kNumHostSites; ++s) {
-    const auto site = static_cast<selfprof::HostSite>(s);
-    if (col.count(site) == 0) continue;
-    reg.counter("ascoma_selfprof_ns_total",
-                "Self-profiled host wall time by site, summed over sweep "
-                "jobs, in nanoseconds",
-                {{"site", selfprof::to_string(site)}})
-        .inc(col.total(site));
-  }
-}
-
 }  // namespace
 
 std::uint64_t SweepResult::accesses() const {
@@ -160,7 +146,7 @@ double SweepResult::sim_rate_hz() const {
 }
 
 std::string progress_line(std::size_t done, std::size_t total,
-                          selfprof::HostNs wall, Cycle cycles_done,
+                          HostNs wall, Cycle cycles_done,
                           std::size_t cached, std::uint64_t seq) {
   const double wall_s = static_cast<double>(wall.value()) * 1e-9;
   const double rate =
@@ -193,9 +179,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
   threads = std::min<unsigned>(threads, jobs.size() == 0 ? 1
                                         : static_cast<unsigned>(jobs.size()));
 
-  selfprof::HostClock* clock =
-      opts.clock != nullptr ? opts.clock : selfprof::default_clock();
-  const bool collect = opts.collect && selfprof::runtime_enabled();
+  HostClock* clock = opts.clock != nullptr ? opts.clock : default_clock();
 
   // Durable mode: open (and scan) the result store once, up front, so
   // corruption is quarantined and reported before any worker consults it.
@@ -307,7 +291,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
     Mutex mu;
     std::exception_ptr first ASCOMA_GUARDED_BY(mu);
   } err;
-  const selfprof::HostNs sweep_t0 = clock->now();
+  const HostNs sweep_t0 = clock->now();
 
   auto worker = [&] {
     for (;;) {
@@ -337,9 +321,9 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         // Cache lookup: a verified record with this job's content hash is
         // the job's result — restore it and skip the simulation.
         std::string key;
-        selfprof::HostNs store_ns{0};
+        HostNs store_ns{0};
         if (rs) {
-          const selfprof::HostNs s0 = clock->now();
+          const HostNs s0 = clock->now();
           key = job_fingerprint(jobs[i]).hex();
           bool hit = false;
           if (const auto payload = rs->load(key)) {
@@ -365,7 +349,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                 std::memory_order_relaxed);
             done.fetch_add(1, std::memory_order_relaxed);
             if (serving) {
-              const selfprof::HostNs v0 = clock->now();
+              const HostNs v0 = clock->now();
               sm.jobs_cached->inc();
               sm.sim_cycles->inc(results[i].result.stats.parallel_cycles);
               obs::Event e;
@@ -402,33 +386,21 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
           marked_running = true;
         }
 
-        std::shared_ptr<selfprof::Collector> col;
-        if (collect) col = std::make_shared<selfprof::Collector>(clock);
-        const std::uint64_t allocs0 = selfprof::thread_alloc_count();
-        const selfprof::HostNs t0 = clock->now();
-        {
-          const selfprof::ScopedInstall install(col.get());
-          results[i].result = simulate(mcfg, *wl);
-        }
-        const selfprof::HostNs t1 = clock->now();
+        const std::uint64_t allocs0 = thread_alloc_count();
+        const HostNs t0 = clock->now();
+        results[i].result = simulate(mcfg, *wl);
+        const HostNs t1 = clock->now();
         results[i].timing.wall = t1 - t0;
-        results[i].timing.allocs = selfprof::thread_alloc_count() - allocs0;
-        results[i].timing.peak_rss_bytes = selfprof::peak_rss_bytes();
+        results[i].timing.allocs = thread_alloc_count() - allocs0;
+        results[i].timing.peak_rss_bytes = peak_rss_bytes();
         // The result carries the config it ran with; restore the caller's so
         // serve-plane pointers never leak into results (or the store).
         if (serving) results[i].result.config = jobs[i].config;
-        if (col) {
-          col->set_meta(jobs[i].workload, to_string(jobs[i].config.arch),
-                        jobs[i].config.memory_pressure);
-          col->set_sim(results[i].result.stats.parallel_cycles,
-                       results[i].accesses());
-          results[i].selfprof = std::move(col);
-        }
 
         // Persist the miss before it counts as done: after a kill, every
         // journaled job has a verified record on disk.
         if (rs) {
-          const selfprof::HostNs s1 = clock->now();
+          const HostNs s1 = clock->now();
           store::Encoder e;
           encode_sweep_result(e, results[i]);
           rs->save(key, e.bytes(), static_cast<std::uint64_t>(i));
@@ -442,7 +414,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
             std::memory_order_relaxed);
         done.fetch_add(1, std::memory_order_relaxed);
         if (serving) {
-          const selfprof::HostNs v0 = clock->now();
+          const HostNs v0 = clock->now();
           sm.jobs_done->inc();
           sm.jobs_running->sub(1.0);
           sm.sim_cycles->inc(results[i].result.stats.parallel_cycles);
@@ -451,7 +423,6 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
             fold_event_counts(*reg, *job_sink);
             tail->push_sink_tail(*job_sink, kServeJobTailEvents);
           }
-          if (results[i].selfprof) fold_selfprof(*reg, *results[i].selfprof);
           results[i].timing.serve = clock->now() - v0;
           board->mark_finished(i, JobStatus::State::kDone, results[i],
                                clock->now() - sweep_t0);
@@ -573,7 +544,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
   // multiple of the sweep median — the load-imbalance signal the sweep
   // daemon (ROADMAP item 4) will act on.
   if (opts.straggler_factor > 0.0 && results.size() >= 2) {
-    const selfprof::HostNs median = median_wall(results);
+    const HostNs median = median_wall(results);
     for (std::size_t i = 0; i < results.size(); ++i) {
       SweepResult& r = results[i];
       if (static_cast<double>(r.timing.wall.value()) <=

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,8 +33,7 @@
 #include "common/config.hh"
 #include "core/machine.hh"
 #include "obs/sink.hh"
-#include "selfprof/clock.hh"
-#include "selfprof/collector.hh"
+#include "core/host.hh"
 
 namespace ascoma::obs {
 class Registry;  // live-metrics registry (src/obs/metrics.hh)
@@ -51,30 +49,27 @@ struct SweepJob {
 };
 
 /// Host-side execution envelope of one job (always recorded: two clock reads
-/// and one /proc lookup per job, independent of the selfprof kill switch).
+/// and one /proc lookup per job).
 struct SweepTiming {
-  selfprof::HostNs wall{0};        ///< host wall time of the simulate() call
+  HostNs wall{0};                  ///< host wall time of the simulate() call
   std::uint64_t peak_rss_bytes = 0;///< process high-water RSS after the job
   std::uint64_t allocs = 0;        ///< heap allocations on the job's thread
   bool straggler = false;          ///< wall > straggler_factor × sweep median
   /// Host time spent in the result store for this job (lookup + decode on a
   /// hit; encode + atomic write + manifest append on a miss).  Always 0 when
   /// SweepOptions::store_dir is empty — the store is zero-cost when off.
-  selfprof::HostNs store{0};
+  HostNs store{0};
   bool cached = false;             ///< satisfied from the result store
   /// Host time this job spent publishing to the live observability plane
   /// (status board, metrics registry, event tail).  Always 0 when
   /// SweepOptions::serve_port is unset — serving is zero-cost when off.
-  selfprof::HostNs serve{0};
+  HostNs serve{0};
 };
 
 struct SweepResult {
   SweepJob job;
   RunResult result;
   SweepTiming timing;
-  /// Per-job attribution tree; non-null only when SweepOptions::collect was
-  /// set and the selfprof layer is enabled.
-  std::shared_ptr<selfprof::Collector> selfprof;
 
   /// Simulated shared-memory accesses of the run (sim-rate denominator).
   std::uint64_t accesses() const;
@@ -91,9 +86,7 @@ struct SweepOptions {
   /// sweep median (needs >= 2 jobs); 0 disables the check.
   double straggler_factor = 3.0;
   obs::EventSink* sink = nullptr;  ///< kSweepStraggler / kSweepCacheHit
-  /// Install a selfprof::Collector around every job (SweepResult::selfprof).
-  bool collect = false;
-  selfprof::HostClock* clock = nullptr;  ///< injectable for tests
+  HostClock* clock = nullptr;      ///< injectable for tests
   /// Non-empty = durable sweep: open a store::ResultStore here, satisfy
   /// jobs from it when possible, persist misses, journal completions to the
   /// manifest.  The directory is created if missing; corrupt records found
@@ -129,7 +122,7 @@ struct SweepOptions {
 std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                                    const SweepOptions& opts);
 
-/// Back-compat entry point: no progress, no straggler sink, no collectors.
+/// Back-compat entry point: no progress, no straggler sink.
 std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                                    unsigned threads = 0);
 
@@ -142,7 +135,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
 /// number (0-based) so a polling consumer can tell a fresh beat from a
 /// re-read.
 std::string progress_line(std::size_t done, std::size_t total,
-                          selfprof::HostNs wall, Cycle cycles_done,
+                          HostNs wall, Cycle cycles_done,
                           std::size_t cached = 0, std::uint64_t seq = 0);
 
 /// Convenience builder: the full paper grid for one workload — every

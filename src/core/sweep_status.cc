@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "obs/export.hh"
-#include "selfprof/collector.hh"
 
 namespace ascoma::core {
 
@@ -56,7 +55,7 @@ void SweepStatusBoard::reset(const std::vector<SweepJob>& jobs,
 }
 
 void SweepStatusBoard::mark_running(std::size_t i,
-                                    selfprof::HostNs since_sweep_start) {
+                                    HostNs since_sweep_start) {
   const LockGuard g(mu_);
   if (i >= jobs_.size()) return;
   jobs_[i].state = JobStatus::State::kRunning;
@@ -65,7 +64,7 @@ void SweepStatusBoard::mark_running(std::size_t i,
 
 void SweepStatusBoard::mark_finished(std::size_t i, JobStatus::State state,
                                      const SweepResult& r,
-                                     selfprof::HostNs since_sweep_start) {
+                                     HostNs since_sweep_start) {
   const LockGuard g(mu_);
   if (i >= jobs_.size()) return;
   JobStatus& j = jobs_[i];
@@ -74,15 +73,6 @@ void SweepStatusBoard::mark_finished(std::size_t i, JobStatus::State state,
   j.timing = r.timing;
   j.sim_cycles = r.result.stats.parallel_cycles.value();
   j.accesses = r.accesses();
-  j.selfprof_ns.clear();
-  if (r.selfprof) {
-    for (int s = 0; s < selfprof::kNumHostSites; ++s) {
-      const auto site = static_cast<selfprof::HostSite>(s);
-      if (r.selfprof->count(site) == 0) continue;
-      j.selfprof_ns.emplace_back(selfprof::to_string(site),
-                                 r.selfprof->total(site).value());
-    }
-  }
 }
 
 void SweepStatusBoard::mark_straggler(std::size_t i) {
@@ -183,12 +173,7 @@ std::string SweepStatusBoard::job_json(std::string_view key) const {
   os << ",\"sim_rate_hz\":"
      << fmt_double(wall_s > 0.0 ? static_cast<double>(j.sim_cycles) / wall_s
                                 : 0.0);
-  os << ",\"selfprof_ns\":{";
-  for (std::size_t s = 0; s < j.selfprof_ns.size(); ++s) {
-    if (s != 0) os << ',';
-    os << quoted(j.selfprof_ns[s].first) << ':' << j.selfprof_ns[s].second;
-  }
-  os << "}}\n";
+  os << "}\n";
   return os.str();
 }
 

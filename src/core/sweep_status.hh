@@ -39,14 +39,11 @@ struct JobStatus {
   std::string arch;
   double pressure = 0.0;
   std::string fingerprint;          ///< content-hash hex (store identity)
-  selfprof::HostNs started{0};      ///< sweep-relative claim time
-  selfprof::HostNs finished{0};     ///< sweep-relative completion time
+  HostNs started{0};                ///< sweep-relative claim time
+  HostNs finished{0};               ///< sweep-relative completion time
   SweepTiming timing;               ///< valid once finished
   std::uint64_t sim_cycles = 0;
   std::uint64_t accesses = 0;
-  /// Selfprof attribution summary (site name -> inclusive ns), present only
-  /// when the sweep collected and the job simulated.
-  std::vector<std::pair<std::string, std::uint64_t>> selfprof_ns;
 };
 
 const char* to_string(JobStatus::State s);
@@ -59,12 +56,12 @@ class SweepStatusBoard {
              const std::vector<std::string>& fingerprints)
       ASCOMA_EXCLUDES(mu_);
 
-  void mark_running(std::size_t i, selfprof::HostNs since_sweep_start)
+  void mark_running(std::size_t i, HostNs since_sweep_start)
       ASCOMA_EXCLUDES(mu_);
   /// `state` is kDone, kCached, or kFailed.
   void mark_finished(std::size_t i, JobStatus::State state,
                      const SweepResult& r,
-                     selfprof::HostNs since_sweep_start)
+                     HostNs since_sweep_start)
       ASCOMA_EXCLUDES(mu_);
   /// Post-hoc straggler flag (the straggler pass runs after all jobs join).
   void mark_straggler(std::size_t i) ASCOMA_EXCLUDES(mu_);

@@ -295,7 +295,7 @@ void decode_sweep_result(store::Decoder& d, SweepResult* sr) {
   if (d.u32() != kStoreFormatVersion)
     throw store::CodecError("sweep result format version mismatch");
   decode_run_result(d, &sr->result);
-  sr->timing.wall = selfprof::HostNs{d.u64()};
+  sr->timing.wall = HostNs{d.u64()};
   sr->timing.peak_rss_bytes = d.u64();
   sr->timing.allocs = d.u64();
   sr->timing.straggler = d.b();

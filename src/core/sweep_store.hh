@@ -43,8 +43,7 @@ void encode_run_result(store::Encoder& e, const RunResult& r);
 void decode_run_result(store::Decoder& d, RunResult* r);
 
 void encode_sweep_result(store::Encoder& e, const SweepResult& sr);
-/// Restores result + timing; `job` and `selfprof` are not stored (the caller
-/// owns the job, and collector trees are observability, not results).
+/// Restores result + timing; `job` is not stored (the caller owns it).
 void decode_sweep_result(store::Decoder& d, SweepResult* sr);
 
 // ---- content addressing -----------------------------------------------------

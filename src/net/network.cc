@@ -1,7 +1,6 @@
 #include "net/network.hh"
 
 #include "common/check.hh"
-#include "selfprof/collector.hh"
 
 namespace ascoma::net {
 
@@ -19,7 +18,6 @@ Network::Network(const MachineConfig& cfg)
 }
 
 Network::Attempt Network::try_deliver(Cycle now, NodeId src, NodeId dst) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kNetDeliver);
   ASCOMA_CHECK(src.value() < ports_.size() && dst.value() < ports_.size());
   ++messages_;
   if (src == dst) return {now, false};  // loopback: NI shortcut, no fabric

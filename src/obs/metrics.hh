@@ -3,10 +3,10 @@
 // Unified live-metrics registry (ARCHITECTURE.md §16).
 //
 // Everything the repo previously counted in ad-hoc per-subsystem structs
-// (sweep progress, protocol/fault event tallies, store hits, selfprof wall
-// time, the adaptive policy's back-off level and pool occupancy) can be
-// published here under one name+label scheme and scraped while the sweep is
-// still running — this registry is the data source behind obsd's
+// (sweep progress, protocol/fault event tallies, store hits, the adaptive
+// policy's back-off level and pool occupancy) can be published here under
+// one name+label scheme and scraped while the sweep is still running — this
+// registry is the data source behind obsd's
 // `GET /metrics` Prometheus endpoint.
 //
 // Concurrency model: registration (find-or-create of a metric) takes a
@@ -21,7 +21,7 @@
 // log2 buckets (bucket i holds values of bit width i), so `/metrics`
 // percentile math lines up with the `--profile` dumps; the typed observe()/
 // inc()/set() overloads accept any strong quantity with a .value() accessor
-// (Cycle, ByteCount, selfprof::HostNs) without a cast at the call site.
+// (Cycle, ByteCount, HostNs) without a cast at the call site.
 //
 // Cost when unused: nothing in the simulator references a Registry unless
 // one is attached (MachineConfig::registry / SweepOptions::serve_port), so

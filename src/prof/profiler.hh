@@ -34,7 +34,7 @@
 // simulate() calls.
 //
 // write_profile(dir) dumps the whole profile as machine-readable artifacts
-// (latency.csv/json, heat.csv/json, summary.json); tools/ascoma_prof_diff
+// (latency.csv/json, heat.csv/json, summary.json); tools/ascoma_baseline_diff
 // compares two such dumps and flags latency/percentile regressions.
 
 #include <array>

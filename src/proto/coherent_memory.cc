@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/check.hh"
-#include "selfprof/collector.hh"
 
 namespace ascoma::proto {
 
@@ -294,7 +293,6 @@ void CoherentMemory::victim_writeback(std::uint32_t proc, LineId victim_line,
 CoherentMemory::Outcome CoherentMemory::access(std::uint32_t proc, Addr addr,
                                                bool is_store, Cycle now,
                                                bool background) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kProtoAccess);
   background_ = background;
   cur_retries_ = 0;
   cur_nacks_ = 0;

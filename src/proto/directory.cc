@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "selfprof/collector.hh"
 
 namespace ascoma::proto {
 
@@ -18,7 +17,6 @@ Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes,
 const Transition& Directory::apply(BlockId b, ProtoMsg msg, NodeId requester,
                                    NodeId* dirty_owner,
                                    NodeMask* invalidate) {
-  const selfprof::SelfScope sps(selfprof::HostSite::kDirLookup);
   Entry& e = entries_[b];
   const Transition& t = table_->lookup(state_of(e), msg, rel_of(e, requester));
   ASCOMA_CHECK_MSG(!t.fatal(), "protocol table row declared unreachable was "

@@ -17,7 +17,6 @@
 
 #include "common/types.hh"
 #include "prof/histogram.hh"
-#include "selfprof/clock.hh"
 
 namespace ascoma::obs {
 namespace {
@@ -69,7 +68,7 @@ TEST(Metrics, TypedOverloadsTakeStrongQuantities) {
   Registry reg;
   Counter& c = reg.counter("ascoma_typed_total", "help");
   c.inc(Cycle{41});
-  c.inc(selfprof::HostNs{1});
+  c.inc(HostNs{1});
   EXPECT_EQ(c.value(), 42u);
 
   Gauge& g = reg.gauge("ascoma_typed_gauge", "help");

@@ -1,8 +1,9 @@
 // Latency-attribution profiler: histogram bucketing edge cases, the
 // attribution-sums-to-end-to-end invariant on real runs, heat-map counts
 // against the aggregated kernel statistics (exact even under event-buffer
-// overflow), profile-dump round trips, regression detection in the diff
-// gate, and the obs exporter escaping audit the profiler's labels rely on.
+// overflow), profile-dump round trips, the BENCH_simspeed.json schema,
+// regression detection in the baseline diff for both input kinds, and the
+// obs exporter escaping audit the profiler's labels rely on.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "prof/diff.hh"
 #include "prof/histogram.hh"
 #include "prof/profiler.hh"
+#include "prof/simspeed.hh"
 #include "report/report.hh"
 #include "workload/synthetic.hh"
 
@@ -274,7 +276,7 @@ TEST(ProfDiff, FlagsSeededP99Regression) {
   const std::vector<LatencyRow> base = {row("all", "total", 1000, 80, 200)};
   // +25% p99 (and +50 cycles absolute): both gates trip.
   const std::vector<LatencyRow> cand = {row("all", "total", 1000, 80, 250)};
-  const DiffReport rep = diff_rows(base, cand, {});
+  const DiffReport rep = diff_baselines(base, cand, {});
   EXPECT_EQ(rep.regressions(), 1u);
   ASSERT_EQ(rep.findings.size(), 1u);
   EXPECT_EQ(rep.findings[0].kind, DiffFinding::Kind::kP99Regression);
@@ -285,20 +287,21 @@ TEST(ProfDiff, FlagsSeededP99Regression) {
 TEST(ProfDiff, SmallRelativeGrowthPasses) {
   const std::vector<LatencyRow> base = {row("all", "total", 1000, 80, 200)};
   const std::vector<LatencyRow> cand = {row("all", "total", 1000, 80, 210)};
-  EXPECT_EQ(diff_rows(base, cand, {}).regressions(), 0u);  // +5% < 10% tol
+  // +5% < 10% tol
+  EXPECT_EQ(diff_baselines(base, cand, {}).regressions(), 0u);
 }
 
 TEST(ProfDiff, AbsoluteFloorShieldsTinyHistograms) {
   // 2 -> 4 cycles is +100% but only +2 absolute: under the 16-cycle floor.
   const std::vector<LatencyRow> base = {row("l1_hit", "l1", 5000, 2, 2)};
   const std::vector<LatencyRow> cand = {row("l1_hit", "l1", 5000, 4, 4)};
-  EXPECT_EQ(diff_rows(base, cand, {}).regressions(), 0u);
+  EXPECT_EQ(diff_baselines(base, cand, {}).regressions(), 0u);
 }
 
 TEST(ProfDiff, UnderMinCountRowsAreSkipped) {
   const std::vector<LatencyRow> base = {row("rac_hit", "total", 8, 50, 100)};
   const std::vector<LatencyRow> cand = {row("rac_hit", "total", 8, 500, 1000)};
-  const DiffReport rep = diff_rows(base, cand, {});
+  const DiffReport rep = diff_baselines(base, cand, {});
   EXPECT_EQ(rep.regressions(), 0u);
   EXPECT_EQ(rep.rows_compared, 0u);
 }
@@ -307,7 +310,7 @@ TEST(ProfDiff, MeanRegressionIsCaughtIndependently) {
   // p99 steady, mean up 50%: the mean gate alone must fire.
   const std::vector<LatencyRow> base = {row("all", "total", 1000, 100, 400)};
   const std::vector<LatencyRow> cand = {row("all", "total", 1000, 150, 400)};
-  const DiffReport rep = diff_rows(base, cand, {});
+  const DiffReport rep = diff_baselines(base, cand, {});
   EXPECT_EQ(rep.regressions(), 1u);
   EXPECT_EQ(rep.findings[0].kind, DiffFinding::Kind::kMeanRegression);
 }
@@ -317,7 +320,7 @@ TEST(ProfDiff, NewAndVanishedRowsAreInformational) {
                                         row("scoma_hit", "dram", 500, 30, 60)};
   const std::vector<LatencyRow> cand = {row("all", "total", 1000, 80, 200),
                                         row("rac_hit", "rac", 500, 10, 20)};
-  const DiffReport rep = diff_rows(base, cand, {});
+  const DiffReport rep = diff_baselines(base, cand, {});
   EXPECT_EQ(rep.regressions(), 0u);
   ASSERT_EQ(rep.findings.size(), 2u);
   EXPECT_FALSE(rep.findings[0].is_regression());
@@ -326,7 +329,7 @@ TEST(ProfDiff, NewAndVanishedRowsAreInformational) {
 
 TEST(ProfDiff, EndToEndDirectoryComparisonDetectsRegression) {
   namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "ascoma_prof_diff_test";
+  const fs::path root = fs::temp_directory_path() / "ascoma_diff_test";
   fs::remove_all(root);
   fs::create_directories(root / "base");
   fs::create_directories(root / "cand");
@@ -339,13 +342,13 @@ TEST(ProfDiff, EndToEndDirectoryComparisonDetectsRegression) {
     std::ofstream os(root / "cand" / "latency.csv");
     os << header << "\nall,total,1000,80000,10,60,120,300,600\n";
   }
-  const DiffReport rep = diff_profiles((root / "base").string(),
+  const DiffReport rep = diff_baselines((root / "base").string(),
                                        (root / "cand").string(), {});
   EXPECT_TRUE(rep.ok()) << rep.error;
   EXPECT_EQ(rep.regressions(), 1u);
 
   const DiffReport missing =
-      diff_profiles((root / "base").string(), (root / "nope").string(), {});
+      diff_baselines((root / "base").string(), (root / "nope").string(), {});
   EXPECT_FALSE(missing.ok());
   fs::remove_all(root);
 }
@@ -359,6 +362,218 @@ TEST(ProfDiff, MalformedCsvIsRejected) {
   EXPECT_FALSE(parse_latency_csv(
       Profiler::latency_csv_header() + "\nall,total,1,2,3\n", rows, error));
   EXPECT_FALSE(error.empty());
+}
+
+// ---- BENCH_simspeed.json schema ---------------------------------------------
+
+SimspeedDoc sample_doc() {
+  SimspeedDoc doc;
+  doc.bench = "table1_overhead";
+  SimspeedRow a;
+  a.label = "ASCOMA(70%)";
+  a.workload = "em3d";
+  a.arch = "ASCOMA";
+  a.cycles = 1'000'000;
+  a.accesses = 80'000;
+  a.wall_ns = 200'000'000;  // 200 ms
+  a.peak_rss_bytes = 16 << 20;
+  a.allocs = 1000;
+  a.store_ns = 12'345;
+  SimspeedRow b = a;
+  b.label = "CCNUMA";
+  b.arch = "CCNUMA";
+  b.cycles = 1'600'000;
+  doc.rows = {a, b};
+  return doc;
+}
+
+TEST(Simspeed, WriteParseRoundTrip) {
+  const SimspeedDoc doc = sample_doc();
+  std::ostringstream os;
+  write_simspeed(os, doc);
+  EXPECT_NE(os.str().find("\"schema\":\"ascoma.simspeed/1\""),
+            std::string::npos);
+
+  SimspeedDoc back;
+  std::string error;
+  ASSERT_TRUE(parse_simspeed(os.str(), back, error)) << error;
+  EXPECT_EQ(back.bench, doc.bench);
+  ASSERT_EQ(back.rows.size(), doc.rows.size());
+  for (std::size_t i = 0; i < doc.rows.size(); ++i) {
+    EXPECT_EQ(back.rows[i].label, doc.rows[i].label);
+    EXPECT_EQ(back.rows[i].workload, doc.rows[i].workload);
+    EXPECT_EQ(back.rows[i].arch, doc.rows[i].arch);
+    EXPECT_EQ(back.rows[i].cycles, doc.rows[i].cycles);
+    EXPECT_EQ(back.rows[i].accesses, doc.rows[i].accesses);
+    EXPECT_EQ(back.rows[i].wall_ns, doc.rows[i].wall_ns);
+    EXPECT_EQ(back.rows[i].peak_rss_bytes, doc.rows[i].peak_rss_bytes);
+    EXPECT_EQ(back.rows[i].allocs, doc.rows[i].allocs);
+    EXPECT_EQ(back.rows[i].store_ns, doc.rows[i].store_ns);
+  }
+}
+
+TEST(Simspeed, EscapedStringsRoundTrip) {
+  SimspeedDoc doc = sample_doc();
+  doc.bench = "quote\"back\\slash";
+  doc.rows[0].label = "line\nbreak\ttab";
+  std::ostringstream os;
+  write_simspeed(os, doc);
+  SimspeedDoc back;
+  std::string error;
+  ASSERT_TRUE(parse_simspeed(os.str(), back, error)) << error;
+  EXPECT_EQ(back.bench, doc.bench);
+  EXPECT_EQ(back.rows[0].label, doc.rows[0].label);
+}
+
+TEST(Simspeed, ParseRejectsGarbage) {
+  SimspeedDoc doc;
+  std::string error;
+  EXPECT_FALSE(parse_simspeed("garbage{", doc, error));
+  EXPECT_NE(error, "");
+  EXPECT_FALSE(parse_simspeed("{\"schema\":\"ascoma.simspeed/1\"", doc,
+                              error));
+}
+
+/// A one-row document whose wall_ns field is the raw text `wall`.
+std::string doc_with_wall(const std::string& wall) {
+  return "{\"schema\":\"ascoma.simspeed/1\",\"bench\":\"b\",\"rows\":["
+         "{\"label\":\"l\",\"workload\":\"w\",\"arch\":\"a\",\"cycles\":1,"
+         "\"wall_ns\":" + wall + "}]}";
+}
+
+TEST(Simspeed, ParseRejectsTrailingGarbageInCounter) {
+  SimspeedDoc doc;
+  std::string error;
+  ASSERT_TRUE(parse_simspeed(doc_with_wall("12"), doc, error)) << error;
+  EXPECT_EQ(doc.rows[0].wall_ns, 12u);
+  EXPECT_FALSE(parse_simspeed(doc_with_wall("1-2"), doc, error));
+  EXPECT_NE(error, "");
+}
+
+TEST(Simspeed, ParseRejectsNegativeCounter) {
+  SimspeedDoc doc;
+  std::string error;
+  EXPECT_FALSE(parse_simspeed(doc_with_wall("-900000000"), doc, error));
+  EXPECT_NE(error, "");
+}
+
+TEST(Simspeed, ParseRejectsOutOfRangeCounter) {
+  SimspeedDoc doc;
+  std::string error;
+  EXPECT_FALSE(parse_simspeed(doc_with_wall("9e99"), doc, error));
+  EXPECT_NE(error, "");
+  EXPECT_FALSE(
+      parse_simspeed(doc_with_wall("18446744073709551616"), doc, error));
+}
+
+// ---- simspeed rules of the baseline diff (exit 0 / 1 / 2 in the tool) -------
+
+TEST(SimspeedDiff, IdenticalDocsPass) {
+  const SimspeedDoc doc = sample_doc();
+  const DiffReport rep = diff_baselines(doc, doc, {});
+  EXPECT_TRUE(rep.ok());
+  EXPECT_EQ(rep.regressions(), 0u);  // -> tool exit 0
+  EXPECT_EQ(rep.rows_compared, 2u);
+}
+
+TEST(SimspeedDiff, RateDropRegresses) {
+  const SimspeedDoc base = sample_doc();
+  SimspeedDoc cand = base;
+  cand.rows[0].wall_ns *= 2;  // sim-rate halves: beyond the 25% tolerance
+  const DiffReport rep = diff_baselines(base, cand, {});
+  EXPECT_TRUE(rep.ok());
+  ASSERT_EQ(rep.regressions(), 1u);  // -> tool exit 1
+  const DiffFinding* f = nullptr;
+  for (const DiffFinding& x : rep.findings)
+    if (x.is_regression()) f = &x;
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->kind, DiffFinding::Kind::kRateRegression);
+  EXPECT_EQ(f->row, "ASCOMA(70%)/em3d/ASCOMA");
+  EXPECT_NEAR(f->ratio, 0.5, 1e-9);
+}
+
+TEST(SimspeedDiff, RateGrowthNeverFails) {
+  const SimspeedDoc base = sample_doc();
+  SimspeedDoc cand = base;
+  cand.rows[0].wall_ns /= 10;  // 10x faster
+  const DiffReport rep = diff_baselines(base, cand, {});
+  EXPECT_EQ(rep.regressions(), 0u);
+}
+
+TEST(SimspeedDiff, ShortRowsAreSkippedAsNoise) {
+  SimspeedDoc base = sample_doc();
+  base.rows[0].wall_ns = 1'000'000;  // 1 ms: below the 50 ms floor
+  SimspeedDoc cand = base;
+  cand.rows[0].wall_ns = 10'000'000;  // 10x slower but still sub-threshold
+  const DiffReport rep = diff_baselines(base, cand, {});
+  EXPECT_EQ(rep.regressions(), 0u);
+}
+
+TEST(SimspeedDiff, RssAndAllocGrowthRegress) {
+  const SimspeedDoc base = sample_doc();
+  SimspeedDoc cand = base;
+  cand.rows[0].peak_rss_bytes *= 2;  // +100% > 50% tolerance
+  cand.rows[1].allocs *= 2;          // +100% > 25% tolerance
+  const DiffReport rep = diff_baselines(base, cand, {});
+  EXPECT_EQ(rep.regressions(), 2u);
+  bool saw_rss = false, saw_allocs = false;
+  for (const DiffFinding& f : rep.findings) {
+    saw_rss |= f.kind == DiffFinding::Kind::kRssRegression;
+    saw_allocs |= f.kind == DiffFinding::Kind::kAllocRegression;
+  }
+  EXPECT_TRUE(saw_rss);
+  EXPECT_TRUE(saw_allocs);
+}
+
+TEST(SimspeedDiff, CyclesChangeIsInformationalOnly) {
+  const SimspeedDoc base = sample_doc();
+  SimspeedDoc cand = base;
+  cand.rows[0].cycles += 12345;
+  const DiffReport rep = diff_baselines(base, cand, {});
+  EXPECT_EQ(rep.regressions(), 0u);
+  bool saw = false;
+  for (const DiffFinding& f : rep.findings)
+    saw |= f.kind == DiffFinding::Kind::kCyclesChanged;
+  EXPECT_TRUE(saw);
+}
+
+TEST(SimspeedDiff, VanishedAndAppearedRowsAreReported) {
+  const SimspeedDoc base = sample_doc();
+  SimspeedDoc cand = base;
+  cand.rows[0].label = "renamed";  // old key vanishes, new key appears
+  const DiffReport rep = diff_baselines(base, cand, {});
+  EXPECT_EQ(rep.regressions(), 0u);
+  EXPECT_EQ(rep.rows_compared, 1u);
+  bool vanished = false, appeared = false;
+  for (const DiffFinding& f : rep.findings) {
+    vanished |= f.kind == DiffFinding::Kind::kRowVanished;
+    appeared |= f.kind == DiffFinding::Kind::kRowAppeared;
+  }
+  EXPECT_TRUE(vanished);
+  EXPECT_TRUE(appeared);
+}
+
+TEST(SimspeedDiff, UnreadableFileFailsTheGate) {
+  const DiffReport rep = diff_baselines(
+      "/nonexistent/base.json", "/nonexistent/cand.json", {});
+  EXPECT_FALSE(rep.ok());  // -> tool exit 2
+  EXPECT_NE(rep.error, "");
+}
+
+TEST(SimspeedDiff, FileRoundTrip) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "ascoma_simspeed_test";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "base.json").string();
+  {
+    std::ofstream os(path);
+    write_simspeed(os, sample_doc());
+  }
+  const DiffReport rep = diff_baselines(path, path, {});
+  EXPECT_TRUE(rep.ok());
+  EXPECT_EQ(rep.regressions(), 0u);
+  EXPECT_EQ(rep.rows_compared, 2u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- report latency columns ------------------------------------------------

@@ -306,7 +306,7 @@ TEST(DurableSweep, StorelessSweepChargesZeroStoreTime) {
   const auto res = core::run_sweep({tiny_job("a")}, opts);
   ASSERT_EQ(res.size(), 1u);
   EXPECT_FALSE(res[0].timing.cached);
-  EXPECT_EQ(res[0].timing.store, selfprof::HostNs{0});
+  EXPECT_EQ(res[0].timing.store, HostNs{0});
 }
 
 TEST(Shutdown, TestHookSetsAndClearsTheFlag) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/host.hh"
+#include "obs/sink.hh"
 
 namespace ascoma::core {
 namespace {
@@ -74,6 +80,130 @@ TEST(PaperGrid, LabelsEncodeArchAndPressure) {
   for (const auto& j : jobs)
     if (j.label == "ASCOMA(70%)") found = true;
   EXPECT_TRUE(found);
+}
+
+// ---- host telemetry --------------------------------------------------------
+
+/// Scripted clock: now() replays a fixed value sequence (sticky on the last
+/// entry), making multi-call consumers like run_sweep deterministic.
+class ScriptedClock final : public HostClock {
+ public:
+  explicit ScriptedClock(std::vector<std::uint64_t> values)
+      : values_(std::move(values)) {}
+  HostNs now() override {
+    const std::size_t i = pos_ < values_.size() ? pos_++ : values_.size() - 1;
+    return HostNs{values_[i]};
+  }
+
+ private:
+  std::vector<std::uint64_t> values_;
+  std::size_t pos_ = 0;
+};
+
+TEST(SelfProfHost, AllocCounterAndPeakRss) {
+  EXPECT_GT(peak_rss_bytes(), 0u);
+  if (!alloc_hook_active()) GTEST_SKIP() << "alloc hook compiled out";
+  // A plain new-expression here could legally be elided at -O2; the direct
+  // operator-new call cannot, so it reliably reaches the counting hook.
+  const std::uint64_t before = thread_alloc_count();
+  void* p = ::operator new(64);
+  const std::uint64_t after = thread_alloc_count();
+  ::operator delete(p);
+  EXPECT_GT(after, before);
+}
+
+std::vector<SweepJob> tiny_jobs(std::size_t n) {
+  std::vector<SweepJob> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    SweepJob j;
+    j.config.arch = ArchModel::kAsComa;
+    j.config.memory_pressure = 0.5;
+    j.workload = "fft";
+    j.workload_scale = 0.2;
+    j.label = "job" + std::to_string(i);
+    jobs.push_back(j);
+  }
+  return jobs;
+}
+
+TEST(SweepTelemetry, RecordsWallTimeAndRss) {
+  const auto res = run_sweep(tiny_jobs(2), 1);
+  ASSERT_EQ(res.size(), 2u);
+  for (const SweepResult& r : res) {
+    EXPECT_GT(r.timing.wall.value(), 0u);
+    EXPECT_GT(r.timing.peak_rss_bytes, 0u);
+    EXPECT_FALSE(r.timing.straggler);  // legacy overload disables the check
+    EXPECT_GT(r.accesses(), 0u);
+    EXPECT_GT(r.sim_rate_hz(), 0.0);
+    if (alloc_hook_active()) {
+      EXPECT_GT(r.timing.allocs, 0u);
+    }
+  }
+}
+
+TEST(SweepTelemetry, StragglerFlaggedAgainstMedian) {
+  // Scripted clock: with one worker and no progress thread the sweep reads
+  // the clock exactly once up front and twice per job, so the job walls are
+  // 10, 10 and 80 ns -> job 2 exceeds 3x the 10 ns median.
+  ScriptedClock clk({0, 0, 10, 10, 20, 20, 100});
+  obs::EventSink sink;
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.clock = &clk;
+  opts.sink = &sink;
+  const auto res = run_sweep(tiny_jobs(3), opts);
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(res[0].timing.wall, HostNs{10});
+  EXPECT_EQ(res[1].timing.wall, HostNs{10});
+  EXPECT_EQ(res[2].timing.wall, HostNs{80});
+  EXPECT_FALSE(res[0].timing.straggler);
+  EXPECT_FALSE(res[1].timing.straggler);
+  EXPECT_TRUE(res[2].timing.straggler);
+  EXPECT_EQ(sink.count(obs::EventKind::kSweepStraggler), 1u);
+}
+
+TEST(SweepTelemetry, ProgressLineFormat) {
+  const std::string line =
+      progress_line(3, 10, HostNs{2'000'000'000}, Cycle{500});
+  EXPECT_EQ(line.front(), '{');
+  EXPECT_EQ(line.back(), '}');
+  EXPECT_NE(line.find("\"sweep\":\"progress\""), std::string::npos);
+  // `seq` follows the line tag so pollers can spot a re-read (default 0).
+  EXPECT_NE(line.find("\"sweep\":\"progress\",\"seq\":0,"), std::string::npos);
+  EXPECT_NE(line.find("\"done\":3"), std::string::npos);
+  EXPECT_NE(line.find("\"total\":10"), std::string::npos);
+  EXPECT_NE(line.find("\"cached\":0"), std::string::npos);
+  EXPECT_NE(line.find("\"wall_ms\":2000"), std::string::npos);
+  EXPECT_NE(line.find("\"sim_cycles\":500"), std::string::npos);
+  EXPECT_NE(line.find("\"sim_rate_hz\":250"), std::string::npos);
+  // Mean-job ETA: 2 s / 3 done * 7 remaining = 4666 ms.
+  EXPECT_NE(line.find("\"eta_ms\":4666"), std::string::npos);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+
+  const std::string hit_line =
+      progress_line(3, 10, HostNs{2'000'000'000}, Cycle{500}, 2);
+  EXPECT_NE(hit_line.find("\"cached\":2"), std::string::npos);
+
+  const std::string seq_line =
+      progress_line(3, 10, HostNs{2'000'000'000}, Cycle{500}, 2, 41);
+  EXPECT_NE(seq_line.find("\"seq\":41"), std::string::npos);
+}
+
+TEST(SweepTelemetry, ProgressHeartbeatAlwaysEndsComplete) {
+  std::ostringstream out;
+  SweepOptions opts;
+  opts.threads = 2;
+  opts.progress = true;
+  opts.progress_interval_ms = 1;
+  opts.progress_out = &out;
+  const auto res = run_sweep(tiny_jobs(2), opts);
+  ASSERT_EQ(res.size(), 2u);
+  const std::string text = out.str();
+  ASSERT_NE(text, "");
+  // The final heartbeat (emitted after the pool joins) reports completion.
+  const std::size_t last = text.rfind("{\"sweep\"");
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_NE(text.find("\"done\":2,\"total\":2", last), std::string::npos);
 }
 
 }  // namespace

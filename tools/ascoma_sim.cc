@@ -27,13 +27,9 @@
 //   --profile DIR       attribute every demand access's latency to hardware
 //                       components and dump histograms + per-page heat map
 //                       into DIR (latency.csv/json, heat.csv/json,
-//                       summary.json); compare dumps with ascoma_prof_diff
+//                       summary.json); compare dumps with ascoma_baseline_diff
 //
-// Self-profiling & sweep telemetry (ARCHITECTURE.md §14):
-//   --selfprof DIR      attribute the *host's* wall time to the simulator's
-//                       own hot paths and dump the timer tree into DIR
-//                       (selfprof.json, selfprof.csv); single arch/pressure,
-//                       generated workloads only
+// Sweep telemetry (ARCHITECTURE.md §14):
 //   --progress          single-line JSON heartbeat on stderr while the
 //                       sweep runs (jobs done/total, sim-rate, ETA)
 //   --progress-interval-ms N   heartbeat period (default 1000)
@@ -117,7 +113,6 @@ struct Options {
   std::string perfetto_path;
   std::string metrics_path;
   std::string profile_dir;
-  std::string selfprof_dir;
   bool progress = false;
   std::uint32_t progress_interval_ms = 1000;
   std::optional<std::uint16_t> serve_port;
@@ -142,7 +137,6 @@ struct Options {
            !metrics_path.empty();
   }
   bool profiling() const { return !profile_dir.empty(); }
-  bool selfprofiling() const { return !selfprof_dir.empty(); }
 };
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -163,8 +157,8 @@ std::vector<std::string> split(const std::string& s, char sep) {
       "                  [--store-buffer N] [--threads N] [--csv PATH]\n"
       "                  [--events PATH] [--perfetto PATH] [--metrics PATH]\n"
       "                  [--profile DIR] [--sample-every N] [--verbose]\n"
-      "                  [--selfprof DIR] [--progress]\n"
-      "                  [--progress-interval-ms N] [--serve PORT]\n"
+      "                  [--progress] [--progress-interval-ms N]\n"
+      "                  [--serve PORT]\n"
       "                  [--fault-drop P] [--fault-dup P] [--fault-jitter P]\n"
       "                  [--fault-jitter-cycles N] [--fault-seed N]\n"
       "                  [--watchdog-cycles N] [--nack-busy N]\n"
@@ -263,8 +257,6 @@ Options parse(int argc, char** argv) {
       o.metrics_path = need_value(i);
     } else if (a == "--profile") {
       o.profile_dir = need_value(i);
-    } else if (a == "--selfprof") {
-      o.selfprof_dir = need_value(i);
     } else if (a == "--progress") {
       o.progress = true;
     } else if (a == "--serve") {
@@ -371,13 +363,13 @@ int main(int argc, char** argv) {
     std::cerr << "resuming campaign from " << dir << '\n';
   }
 
-  if ((opt.observing() || opt.profiling() || opt.selfprofiling()) &&
+  if ((opt.observing() || opt.profiling()) &&
       (opt.archs.size() > 1 || opt.pressures.size() > 1))
     usage(
-        "--events/--perfetto/--metrics/--profile/--selfprof need a single "
-        "arch and pressure");
-  if (!opt.trace_path.empty() && (opt.selfprofiling() || opt.progress))
-    usage("--selfprof/--progress need a generated workload, not --trace");
+        "--events/--perfetto/--metrics/--profile need a single arch and "
+        "pressure");
+  if (!opt.trace_path.empty() && opt.progress)
+    usage("--progress needs a generated workload, not --trace");
 
   const bool direct_run =
       opt.checkpoint_every > Cycle{0} || !opt.restore_path.empty();
@@ -510,8 +502,7 @@ int main(int argc, char** argv) {
   } else {
     // Generated workloads go through the sweep runner: same job order (and
     // thus byte-identical CSV) as the old serial loop, but with per-job
-    // wall-time telemetry, optional --progress heartbeat, and --selfprof
-    // attribution for free.
+    // wall-time telemetry and an optional --progress heartbeat for free.
     std::vector<core::SweepJob> jobs;
     for (ArchModel arch : opt.archs) {
       for (double pressure : opt.pressures) {
@@ -534,7 +525,6 @@ int main(int argc, char** argv) {
     sopts.progress = opt.progress;
     sopts.progress_interval_ms = opt.progress_interval_ms;
     sopts.sink = sink ? &*sink : nullptr;
-    sopts.collect = opt.selfprofiling();
     sopts.store_dir = opt.store_dir;
     sopts.stop = store::shutdown_flag();
     sopts.serve_port = opt.serve_port;
@@ -578,24 +568,6 @@ int main(int argc, char** argv) {
         std::cerr << "resume with: " << argv[0] << " --resume "
                   << opt.store_dir << '\n';
       return 128 + store::shutdown_signal();
-    }
-    if (opt.selfprofiling()) {
-      // Single job (enforced above), so the sweep has exactly one collector.
-      const auto& col = sweep.front().selfprof;
-      if (col) {
-        if (!col->write_dir(opt.selfprof_dir)) {
-          std::cerr << "cannot write self-profile into " << opt.selfprof_dir
-                    << '\n';
-          return 1;
-        }
-        std::cout << "self-profile written to " << opt.selfprof_dir
-                  << " (wall " << col->wall().value() / 1'000'000 << " ms, "
-                  << col->allocs() << " allocs, peak RSS "
-                  << col->peak_rss() / (1024 * 1024) << " MiB)\n";
-      } else {
-        std::cerr << "warning: self-profiler disabled (compiled out or "
-                     "ASCOMA_SELFPROF=0), no dump written\n";
-      }
     }
     rows.reserve(sweep.size());
     for (auto& r : sweep)

@@ -97,8 +97,7 @@ DETERMINISM_BOUNDARY = {
 # the host-side telemetry that never feeds simulated state.
 RNG_BOUNDARY_FILES = {
     "src/common/rng.hh",      # the seeded RNG implementation itself
-    "src/selfprof/clock.hh",  # self-profiler wall clock (host telemetry)
-    "src/selfprof/clock.cc",  # TSC-tick -> nanosecond calibration
+    "src/core/host.cc",       # SteadyClock: sweep wall-time telemetry
     "src/core/sweep.cc",      # wall-time ETA / sim-rate telemetry
 }
 

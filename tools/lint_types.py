@@ -55,7 +55,7 @@ DIMENSIONS = {
     "node": "NodeId",
     "addr": "Addr (or LineAddr)",
     "bytes": "ByteCount",
-    "ns": "selfprof::HostNs",
+    "ns": "HostNs",
 }
 
 # Raw integer spellings that count as "bare" for rule 1.
@@ -76,8 +76,6 @@ CAST_BOUNDARY_FILES = {
     "src/report/report.cc",        # CSV/latency-table exporter
     "src/sim/resource.cc",         # utilization ratio
     "src/trace/trace.cc",          # fixed-width binary trace header I/O
-    "src/selfprof/clock.cc",       # TSC-tick -> nanosecond calibration
-    "src/selfprof/collector.cc",   # sim-rate ratios, JSON/CSV exporter
     "src/core/sweep.cc",           # per-job sim-rate / ETA / median math
     "src/core/sweep_status.cc",    # status-board JSON exporter (sim-rate ratio)
 }
