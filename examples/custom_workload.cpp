@@ -28,7 +28,14 @@ class PipelineWorkload final : public workload::Workload {
 
   std::unique_ptr<workload::OpStream> stream(
       std::uint32_t proc, std::uint64_t /*seed*/) const override {
-    workload::StreamBuilder b(page_bytes(), line_bytes());
+    return std::make_unique<workload::GeneratorStream>(generate(proc));
+  }
+
+ private:
+  // A coroutine: each co_yield hands the machine one op, generated only
+  // when the simulated processor asks for it.
+  workload::GeneratorStream generate(std::uint32_t proc) const {
+    workload::OpFactory b(page_bytes(), line_bytes());
     const VPageId buffer_base{0};        // node 0's partition
     const std::uint64_t buffer_pages = 48;
     for (std::uint32_t iter = 0; iter < 8; ++iter) {
@@ -36,26 +43,25 @@ class PipelineWorkload final : public workload::Workload {
         // Produce: write the buffer.
         for (std::uint64_t p = 0; p < buffer_pages; ++p)
           for (std::uint32_t l = 0; l < 16; ++l)
-            b.store(buffer_base + p, l * 8);
-        b.compute(Cycle{500});
+            co_yield b.store(buffer_base + p, l * 8);
+        co_yield b.compute(Cycle{500});
       } else {
         // Consumers do private work while the producer writes.
-        b.compute(Cycle{2000});
-        b.private_ops(200);
+        co_yield b.compute(Cycle{2000});
+        co_yield b.private_ops(200);
       }
-      b.barrier();
+      co_yield b.barrier();
       if (proc != 0) {
         // Consume: read the whole buffer, twice (temporal reuse).
         for (std::uint32_t sweep = 0; sweep < 2; ++sweep)
           for (std::uint64_t p = 0; p < buffer_pages; ++p)
             for (std::uint32_t l = 0; l < 16; ++l)
-              b.load(buffer_base + p, l * 8);
+              co_yield b.load(buffer_base + p, l * 8);
       } else {
-        b.compute(Cycle{3000});
+        co_yield b.compute(Cycle{3000});
       }
-      b.barrier();
+      co_yield b.barrier();
     }
-    return std::make_unique<workload::VectorStream>(b.take());
   }
 };
 

@@ -28,7 +28,8 @@ namespace ascoma::core {
 namespace {
 
 /// Bumped on any layout change below; restore refuses other versions.
-constexpr std::uint32_t kSnapshotVersion = 1;
+/// v2: the cmem coherence shadow is one stale-copy mask per block.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 }  // namespace
 

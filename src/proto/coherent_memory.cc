@@ -45,31 +45,27 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
     remote_page_seen_.emplace_back(pages, 0);
   }
   remote_pages_touched_.assign(cfg.nodes, 0);
-  if (cfg.check_invariants) {
-    global_version_.assign(blocks, 0);
-    local_version_.assign(cfg.nodes,
-                          IdVector<BlockId, std::uint32_t>(blocks, 0));
-  }
+  if (cfg.check_invariants) stale_copies_.assign(blocks, 0);
 }
 
 void CoherentMemory::shadow_commit_store(NodeId node, BlockId b) {
-  if (global_version_.empty()) return;
-  local_version_[node][b] = ++global_version_[b];
+  if (stale_copies_.empty()) return;
+  const std::uint64_t all_nodes = ~std::uint64_t{0} >> (64 - cfg_.nodes);
+  stale_copies_[b] = all_nodes & ~(std::uint64_t{1} << node.value());
 }
 
 void CoherentMemory::shadow_fetch(NodeId node, BlockId b) {
-  if (global_version_.empty()) return;
-  local_version_[node][b] = global_version_[b];
+  if (stale_copies_.empty()) return;
+  stale_copies_[b] &= ~(std::uint64_t{1} << node.value());
 }
 
 void CoherentMemory::shadow_check_local(NodeId node, BlockId b,
                                         const char* where) const {
-  if (global_version_.empty()) return;
-  ASCOMA_CHECK_MSG(local_version_[node][b] == global_version_[b],
+  ASCOMA_CHECK_MSG(!shadow_stale(node, b),
                    "coherence violation: stale local copy served at "
                        << where << " (node " << node << ", block " << b
-                       << ", local v" << local_version_[node][b]
-                       << ", global v" << global_version_[b] << ")");
+                       << ", written by another node since this node's "
+                          "last fetch)");
 }
 
 void CoherentMemory::set_page_tables(
@@ -709,9 +705,7 @@ void CoherentMemory::encode(store::Encoder& e) const {
   e.u64(sibling_transfers_);
   e.u64(net_retries_);
   e.u64(nacks_);
-  for (const std::uint32_t v : global_version_) e.u32(v);
-  for (const auto& per_node : local_version_)
-    for (const std::uint32_t v : per_node) e.u32(v);
+  for (const std::uint64_t v : stale_copies_) e.u64(v);
   e.end_section();
 }
 
@@ -742,9 +736,7 @@ void CoherentMemory::decode(store::Decoder& d) {
   sibling_transfers_ = d.u64();
   net_retries_ = d.u64();
   nacks_ = d.u64();
-  for (std::uint32_t& v : global_version_) v = d.u32();
-  for (auto& per_node : local_version_)
-    for (std::uint32_t& v : per_node) v = d.u32();
+  for (std::uint64_t& v : stale_copies_) v = d.u64();
   d.end_section();
 }
 

@@ -149,6 +149,14 @@ class CoherentMemory {
   /// CheckFailure on violation.  O(blocks * nodes) — test/diagnostic use.
   void audit() const;
 
+  /// The coherence shadow (check_invariants) holds `node`'s copy of `b`
+  /// stale: another node stored to `b` since `node` last fetched it.
+  /// Always false with the shadow off.
+  bool shadow_stale(NodeId node, BlockId b) const {
+    return !stale_copies_.empty() &&
+           ((stale_copies_[b] >> node.value()) & 1u) != 0;
+  }
+
   // Checkpoint serialization (defined adjacently in coherent_memory.cc —
   // pairing check).  Covers every mutable hardware table: caches, resources,
   // directory, refetch counters, fault plan, watchdog, requester-side block
@@ -276,15 +284,15 @@ class CoherentMemory {
   std::uint32_t cur_nacks_ = 0;    ///< scratch: NACKs of the access in flight
 
   // ---- functional coherence shadow (check_invariants) ----------------------
-  // Every committed store bumps the block's global version; every fetch
-  // stamps the receiving node with the version it obtained.  Any access
-  // satisfied from node-local state must then observe the latest version —
-  // a missed invalidation anywhere shows up as a stale hit immediately.
+  // One mask per block of the nodes whose copy is stale: a committed store
+  // by node X marks every other node stale, and a fetch by node Y clears
+  // Y's bit.  Any access satisfied from node-local state must find its
+  // node's bit clear — a missed invalidation anywhere shows up as a stale
+  // hit immediately.
   void shadow_commit_store(NodeId node, BlockId b);
   void shadow_fetch(NodeId node, BlockId b);
   void shadow_check_local(NodeId node, BlockId b, const char* where) const;
-  IdVector<BlockId, std::uint32_t> global_version_;
-  IdVector<NodeId, IdVector<BlockId, std::uint32_t>> local_version_;
+  IdVector<BlockId, std::uint64_t> stale_copies_;
 };
 
 }  // namespace ascoma::proto

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <span>
 
 #include "common/check.hh"
 
@@ -24,6 +25,21 @@ T get(std::ifstream& is) {
   ASCOMA_CHECK_MSG(is.good(), "truncated trace file");
   return v;
 }
+
+/// Replays one loaded process stream in place: a view, not a copy, of the
+/// TraceWorkload's vector (kEnd-terminated), which outlives the stream.
+class VectorStream final : public workload::OpStream {
+ public:
+  explicit VectorStream(std::span<const Op> ops) : ops_(ops) {}
+  Op next() override {
+    if (pos_ >= ops_.size()) return Op{OpKind::kEnd, 0};
+    return ops_[pos_++];
+  }
+
+ private:
+  std::span<const Op> ops_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
@@ -98,7 +114,7 @@ TraceWorkload::TraceWorkload(const std::string& path) {
 std::unique_ptr<workload::OpStream> TraceWorkload::stream(
     std::uint32_t proc, std::uint64_t /*seed*/) const {
   ASCOMA_CHECK(proc < streams_.size());
-  return std::make_unique<workload::VectorStream>(streams_[proc]);
+  return std::make_unique<VectorStream>(streams_[proc]);
 }
 
 std::uint64_t TraceWorkload::total_ops() const {

@@ -10,9 +10,9 @@ namespace ascoma::workload {
 // is identical across iterations, so remote pages stay hot for the whole
 // run — the behaviour that rewards S-COMA-style replication and punishes
 // page-cache churn at high memory pressure.
-std::unique_ptr<OpStream> BarnesWorkload::stream(std::uint32_t proc,
-                                                 std::uint64_t seed) const {
-  StreamBuilder b(page_bytes(), line_bytes());
+GeneratorStream BarnesWorkload::generate(std::uint32_t proc,
+                                         std::uint64_t seed) const {
+  OpFactory b(page_bytes(), line_bytes());
   Rng rng(seed, mix64(0xBA27E5, proc));
 
   const std::uint64_t H = home_pages_;
@@ -24,16 +24,16 @@ std::unique_ptr<OpStream> BarnesWorkload::stream(std::uint32_t proc,
     // --- tree build: local partition, read-modify-write with cell locks ---
     for (std::uint64_t p = 0; p < H; ++p) {
       const VPageId page = my_base + p;
-      b.compute(Cycle{20});
-      for (std::uint32_t l = 0; l < 16; ++l) b.load(page, l * 8);
+      co_yield b.compute(Cycle{20});
+      for (std::uint32_t l = 0; l < 16; ++l) co_yield b.load(page, l * 8);
       const std::uint64_t lock_id = (proc * 37 + p) % 32;
-      b.lock(lock_id);
-      b.store(page, (p * 8) % 128);
-      b.store(page, (p * 8 + 4) % 128);
-      b.unlock(lock_id);
-      b.private_ops(8);
+      co_yield b.lock(lock_id);
+      co_yield b.store(page, (p * 8) % 128);
+      co_yield b.store(page, (p * 8 + 4) % 128);
+      co_yield b.unlock(lock_id);
+      co_yield b.private_ops(8);
     }
-    b.barrier();
+    co_yield b.barrier();
 
     // --- force computation: dense remote regions, two passes -------------
     for (std::uint32_t pass = 0; pass < 2; ++pass) {
@@ -45,24 +45,23 @@ std::unique_ptr<OpStream> BarnesWorkload::stream(std::uint32_t proc,
         const std::uint64_t off = mix64(proc, q) % (H - remote_pages);
         for (std::uint64_t p = 0; p < remote_pages; ++p) {
           const VPageId page = q_base + off + p;
-          b.compute(Cycle{30});  // barnes is compute-heavy
-          for (std::uint32_t l = 0; l < 32; ++l) b.load(page, l * 4);
-          b.private_ops(12);
+          co_yield b.compute(Cycle{30});  // barnes is compute-heavy
+          for (std::uint32_t l = 0; l < 32; ++l) co_yield b.load(page, l * 4);
+          co_yield b.private_ops(12);
         }
       }
-      b.barrier();
+      co_yield b.barrier();
     }
 
     // --- body update: local stores ---------------------------------------
     for (std::uint64_t p = 0; p < H; ++p) {
       const VPageId page = my_base + p;
-      for (std::uint32_t l = 0; l < 8; ++l) b.store(page, l * 16);
-      b.compute(Cycle{10});
+      for (std::uint32_t l = 0; l < 8; ++l) co_yield b.store(page, l * 16);
+      co_yield b.compute(Cycle{10});
     }
-    b.barrier();
+    co_yield b.barrier();
     (void)rng;
   }
-  return std::make_unique<VectorStream>(b.take());
 }
 
 }  // namespace ascoma::workload

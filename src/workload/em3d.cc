@@ -12,9 +12,9 @@ namespace ascoma::workload {
 // whole remote neighbour set — all remote pages are hot all the time, so
 // above the ideal pressure (~76%) the page cache cannot hold the working set
 // and thrash handling dominates (the paper's flagship high-pressure case).
-std::unique_ptr<OpStream> Em3dWorkload::stream(std::uint32_t proc,
-                                               std::uint64_t seed) const {
-  StreamBuilder b(page_bytes(), line_bytes());
+GeneratorStream Em3dWorkload::generate(std::uint32_t proc,
+                                       std::uint64_t seed) const {
+  OpFactory b(page_bytes(), line_bytes());
   Rng rng(seed, mix64(0xE3D, proc));
 
   const std::uint64_t H = home_pages_;
@@ -25,13 +25,15 @@ std::unique_ptr<OpStream> Em3dWorkload::stream(std::uint32_t proc,
   // nodes' partitions (deterministic per (seed, proc)).
   std::vector<VPageId> neighbours;
   neighbours.reserve(remote_count);
-  std::vector<std::uint8_t> chosen(total_pages(), 0);
-  while (neighbours.size() < remote_count) {
-    const VPageId cand{rng.below(total_pages())};
-    if (cand >= my_base && cand < my_base + H) continue;
-    if (chosen[cand.value()]) continue;
-    chosen[cand.value()] = 1;
-    neighbours.push_back(cand);
+  {
+    std::vector<std::uint8_t> chosen(total_pages(), 0);
+    while (neighbours.size() < remote_count) {
+      const VPageId cand{rng.below(total_pages())};
+      if (cand >= my_base && cand < my_base + H) continue;
+      if (chosen[cand.value()]) continue;
+      chosen[cand.value()] = 1;
+      neighbours.push_back(cand);
+    }
   }
   std::sort(neighbours.begin(), neighbours.end());
 
@@ -40,23 +42,22 @@ std::unique_ptr<OpStream> Em3dWorkload::stream(std::uint32_t proc,
     // Local half-step: update owned nodes.
     for (std::uint64_t p = 0; p < H; ++p) {
       const VPageId page = my_base + p;
-      for (std::uint32_t l = 0; l < 8; ++l) b.load(page, l * 16);
-      b.store(page, (it * 4 + p) % 128);
-      b.store(page, (it * 4 + p + 64) % 128);
-      b.compute(Cycle{10});
-      b.private_ops(4);
+      for (std::uint32_t l = 0; l < 8; ++l) co_yield b.load(page, l * 16);
+      co_yield b.store(page, (it * 4 + p) % 128);
+      co_yield b.store(page, (it * 4 + p + 64) % 128);
+      co_yield b.compute(Cycle{10});
+      co_yield b.private_ops(4);
     }
-    b.barrier();
+    co_yield b.barrier();
     // Remote gather: read every neighbour page, two sweeps over 16 blocks.
     for (std::uint32_t sweep = 0; sweep < 2; ++sweep) {
       for (const VPageId page : neighbours) {
-        for (std::uint32_t l = 0; l < 16; ++l) b.load(page, l * 8);
-        b.compute(Cycle{6});
+        for (std::uint32_t l = 0; l < 16; ++l) co_yield b.load(page, l * 8);
+        co_yield b.compute(Cycle{6});
       }
     }
-    b.barrier();
+    co_yield b.barrier();
   }
-  return std::make_unique<VectorStream>(b.take());
 }
 
 }  // namespace ascoma::workload

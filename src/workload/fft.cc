@@ -8,10 +8,10 @@ namespace ascoma::workload {
 // never refetched within a pass, so (a) almost no page accumulates enough
 // refetches to relocate (Table 6: <1%) and (b) the one-block RAC satisfies
 // three of every four remote line misses ("the RAC plays a major role").
-std::unique_ptr<OpStream> FftWorkload::stream(std::uint32_t proc,
-                                              std::uint64_t seed) const {
+GeneratorStream FftWorkload::generate(std::uint32_t proc,
+                                      std::uint64_t seed) const {
   (void)seed;  // fft's access pattern is fully deterministic
-  StreamBuilder b(page_bytes(), line_bytes());
+  OpFactory b(page_bytes(), line_bytes());
 
   const std::uint64_t H = home_pages_;
   const std::uint64_t chunk = H / nodes_;  // pages each peer reads from me
@@ -22,12 +22,12 @@ std::unique_ptr<OpStream> FftWorkload::stream(std::uint32_t proc,
     // Local butterfly pass over the owned partition.
     for (std::uint64_t p = 0; p < H; ++p) {
       const VPageId page = my_base + p;
-      for (std::uint32_t l = 0; l < 32; ++l) b.load(page, l * 4);
-      for (std::uint32_t l = 0; l < 8; ++l) b.store(page, l * 16 + 1);
-      b.compute(Cycle{15});
-      b.private_ops(6);
+      for (std::uint32_t l = 0; l < 32; ++l) co_yield b.load(page, l * 4);
+      for (std::uint32_t l = 0; l < 8; ++l) co_yield b.store(page, l * 16 + 1);
+      co_yield b.compute(Cycle{15});
+      co_yield b.private_ops(6);
     }
-    b.barrier();
+    co_yield b.barrier();
 
     // Transpose: stream my chunk out of every peer, fully sequentially.
     for (std::uint32_t q = 0; q < nodes_; ++q) {
@@ -37,15 +37,14 @@ std::unique_ptr<OpStream> FftWorkload::stream(std::uint32_t proc,
         const VPageId src = src_base + p;
         const VPageId dst = my_base + (q * chunk + p) % H;
         for (std::uint32_t l = 0; l < 128; ++l) {
-          b.load(src, l);
-          if (l % 4 == 3) b.store(dst, l);
+          co_yield b.load(src, l);
+          if (l % 4 == 3) co_yield b.store(dst, l);
         }
-        b.compute(Cycle{8});
+        co_yield b.compute(Cycle{8});
       }
     }
-    b.barrier();
+    co_yield b.barrier();
   }
-  return std::make_unique<VectorStream>(b.take());
 }
 
 }  // namespace ascoma::workload

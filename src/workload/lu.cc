@@ -12,10 +12,10 @@ namespace ascoma::workload {
 // CC-NUMA by a wide, pressure-independent margin here.  Phases are long
 // relative to the pageout-daemon period, so dead windows are reclaimed in
 // time to serve the next one.
-std::unique_ptr<OpStream> LuWorkload::stream(std::uint32_t proc,
-                                             std::uint64_t seed) const {
+GeneratorStream LuWorkload::generate(std::uint32_t proc,
+                                     std::uint64_t seed) const {
   (void)seed;  // deterministic blocked access pattern
-  StreamBuilder b(page_bytes(), line_bytes());
+  OpFactory b(page_bytes(), line_bytes());
 
   const std::uint64_t H = home_pages_;
   constexpr std::uint64_t kWindow = 48;  // pages per pivot block column
@@ -35,8 +35,9 @@ std::unique_ptr<OpStream> LuWorkload::stream(std::uint32_t proc,
     // every block, so the refetch counter crosses the threshold by sweep 3.
     for (std::uint32_t sweep = 0; sweep < kSweeps; ++sweep) {
       for (std::uint64_t p = 0; p < kWindow; ++p) {
-        for (std::uint32_t l = 0; l < 32; ++l) b.load(win_base + p, l * 4);
-        b.compute(Cycle{12});
+        for (std::uint32_t l = 0; l < 32; ++l)
+          co_yield b.load(win_base + p, l * 4);
+        co_yield b.compute(Cycle{12});
       }
     }
 
@@ -44,15 +45,14 @@ std::unique_ptr<OpStream> LuWorkload::stream(std::uint32_t proc,
     for (std::uint64_t p = 0; p < H / 8; ++p) {
       const VPageId page = my_base + (k * (H / 8) + p) % H;
       for (std::uint32_t l = 0; l < 8; ++l) {
-        b.load(page, l * 16);
-        b.store(page, l * 16 + 2);
+        co_yield b.load(page, l * 16);
+        co_yield b.store(page, l * 16 + 2);
       }
-      b.compute(Cycle{10});
-      b.private_ops(4);
+      co_yield b.compute(Cycle{10});
+      co_yield b.private_ops(4);
     }
-    b.barrier();
+    co_yield b.barrier();
   }
-  return std::make_unique<VectorStream>(b.take());
 }
 
 }  // namespace ascoma::workload

@@ -8,10 +8,10 @@ namespace ascoma::workload {
 // architectures only differ at extreme pressure, and even then only
 // slightly — the paper's "everything within a few % of each other" case
 // (pure S-COMA excepted, since its mandatory replication thrashes at 90%).
-std::unique_ptr<OpStream> OceanWorkload::stream(std::uint32_t proc,
-                                                std::uint64_t seed) const {
+GeneratorStream OceanWorkload::generate(std::uint32_t proc,
+                                        std::uint64_t seed) const {
   (void)seed;  // deterministic stencil pattern
-  StreamBuilder b(page_bytes(), line_bytes());
+  OpFactory b(page_bytes(), line_bytes());
 
   const std::uint64_t H = home_pages_;
   constexpr std::uint64_t kBoundary = 32;  // pages shared with each neighbour
@@ -24,12 +24,12 @@ std::unique_ptr<OpStream> OceanWorkload::stream(std::uint32_t proc,
     // Interior update: read the 5-point stencil, write the new value.
     for (std::uint64_t p = 0; p < H; ++p) {
       const VPageId page = my_base + p;
-      for (std::uint32_t l = 0; l < 8; ++l) b.load(page, l * 16);
-      for (std::uint32_t l = 0; l < 4; ++l) b.store(page, l * 32 + 3);
-      b.compute(Cycle{8});
-      b.private_ops(3);
+      for (std::uint32_t l = 0; l < 8; ++l) co_yield b.load(page, l * 16);
+      for (std::uint32_t l = 0; l < 4; ++l) co_yield b.store(page, l * 32 + 3);
+      co_yield b.compute(Cycle{8});
+      co_yield b.private_ops(3);
     }
-    b.barrier();
+    co_yield b.barrier();
 
     // Boundary exchange: read the neighbours' edge pages (two sweeps — the
     // stencil touches each halo row twice), which the neighbours rewrote
@@ -40,15 +40,14 @@ std::unique_ptr<OpStream> OceanWorkload::stream(std::uint32_t proc,
         const VPageId from_prev = partition_base(NodeId{prev}) + (H - kBoundary + p);
         const VPageId from_next = partition_base(NodeId{next}) + p;
         for (std::uint32_t l = 0; l < 16; ++l) {
-          b.load(from_prev, l * 8);
-          b.load(from_next, l * 8);
+          co_yield b.load(from_prev, l * 8);
+          co_yield b.load(from_next, l * 8);
         }
-        b.compute(Cycle{6});
+        co_yield b.compute(Cycle{6});
       }
     }
-    b.barrier();
+    co_yield b.barrier();
   }
-  return std::make_unique<VectorStream>(b.take());
 }
 
 }  // namespace ascoma::workload

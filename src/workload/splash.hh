@@ -24,7 +24,16 @@ class SplashWorkload : public Workload {
     return VPageId{n.value() * home_pages_};
   }
 
+  std::unique_ptr<OpStream> stream(std::uint32_t proc,
+                                   std::uint64_t seed) const final {
+    return std::make_unique<GeneratorStream>(generate(proc, seed));
+  }
+
  protected:
+  /// Process `proc`'s generator coroutine (see GeneratorStream).
+  virtual GeneratorStream generate(std::uint32_t proc,
+                                   std::uint64_t seed) const = 0;
+
   std::uint32_t scaled(std::uint32_t iters) const {
     const auto s = static_cast<std::uint32_t>(iters * scale_);
     return s == 0 ? 1 : s;
@@ -43,8 +52,10 @@ class BarnesWorkload final : public SplashWorkload {
   explicit BarnesWorkload(double scale = 1.0)
       : SplashWorkload(8, 256, scale) {}
   std::string name() const override { return "barnes"; }
-  std::unique_ptr<OpStream> stream(std::uint32_t proc,
-                                   std::uint64_t seed) const override;
+
+ private:
+  GeneratorStream generate(std::uint32_t proc,
+                           std::uint64_t seed) const override;
 };
 
 /// em3d: bipartite graph relaxation.  Each process owns its nodes and reads
@@ -56,8 +67,10 @@ class Em3dWorkload final : public SplashWorkload {
   explicit Em3dWorkload(double scale = 1.0)
       : SplashWorkload(8, 512, scale) {}
   std::string name() const override { return "em3d"; }
-  std::unique_ptr<OpStream> stream(std::uint32_t proc,
-                                   std::uint64_t seed) const override;
+
+ private:
+  GeneratorStream generate(std::uint32_t proc,
+                           std::uint64_t seed) const override;
 };
 
 /// fft: all-to-all transpose.  Remote data is streamed sequentially with
@@ -67,8 +80,10 @@ class FftWorkload final : public SplashWorkload {
  public:
   explicit FftWorkload(double scale = 1.0) : SplashWorkload(8, 352, scale) {}
   std::string name() const override { return "fft"; }
-  std::unique_ptr<OpStream> stream(std::uint32_t proc,
-                                   std::uint64_t seed) const override;
+
+ private:
+  GeneratorStream generate(std::uint32_t proc,
+                           std::uint64_t seed) const override;
 };
 
 /// lu: blocked dense factorization (4 nodes, as in the paper).  Every
@@ -79,8 +94,10 @@ class LuWorkload final : public SplashWorkload {
  public:
   explicit LuWorkload(double scale = 1.0) : SplashWorkload(4, 480, scale) {}
   std::string name() const override { return "lu"; }
-  std::unique_ptr<OpStream> stream(std::uint32_t proc,
-                                   std::uint64_t seed) const override;
+
+ private:
+  GeneratorStream generate(std::uint32_t proc,
+                           std::uint64_t seed) const override;
 };
 
 /// ocean: nearest-neighbour grid relaxation.  Overwhelmingly local; only
@@ -91,8 +108,10 @@ class OceanWorkload final : public SplashWorkload {
   explicit OceanWorkload(double scale = 1.0)
       : SplashWorkload(8, 512, scale) {}
   std::string name() const override { return "ocean"; }
-  std::unique_ptr<OpStream> stream(std::uint32_t proc,
-                                   std::uint64_t seed) const override;
+
+ private:
+  GeneratorStream generate(std::uint32_t proc,
+                           std::uint64_t seed) const override;
 };
 
 /// radix: radix sort scatter.  Almost no spatial locality — every node
@@ -103,8 +122,10 @@ class RadixWorkload final : public SplashWorkload {
   explicit RadixWorkload(double scale = 1.0)
       : SplashWorkload(8, 256, scale) {}
   std::string name() const override { return "radix"; }
-  std::unique_ptr<OpStream> stream(std::uint32_t proc,
-                                   std::uint64_t seed) const override;
+
+ private:
+  GeneratorStream generate(std::uint32_t proc,
+                           std::uint64_t seed) const override;
 };
 
 }  // namespace ascoma::workload

@@ -21,8 +21,13 @@ SyntheticWorkload::SyntheticWorkload(SyntheticParams params)
 
 std::unique_ptr<OpStream> SyntheticWorkload::stream(std::uint32_t proc,
                                                     std::uint64_t seed) const {
+  return std::make_unique<GeneratorStream>(generate(proc, seed));
+}
+
+GeneratorStream SyntheticWorkload::generate(std::uint32_t proc,
+                                            std::uint64_t seed) const {
   const SyntheticParams& p = params_;
-  StreamBuilder b(page_bytes(), line_bytes());
+  OpFactory b(page_bytes(), line_bytes());
   Rng rng(seed, mix64(0x5D17, proc));
 
   const std::uint64_t H = p.home_pages;
@@ -47,44 +52,49 @@ std::unique_ptr<OpStream> SyntheticWorkload::stream(std::uint32_t proc,
   }
 
   const std::uint64_t lines = b.lines_per_page();
-  const std::uint64_t stride = lines / std::max(1u, p.loads_per_page);
+  const std::uint64_t stride =
+      std::max<std::uint64_t>(1, lines / std::max(1u, p.loads_per_page));
 
-  auto visit = [&](VPageId page) {
-    for (std::uint32_t l = 0; l < p.loads_per_page; ++l) {
-      const std::uint64_t line = static_cast<std::uint64_t>(l) *
-                                 std::max<std::uint64_t>(1, stride);
-      if (rng.chance(p.write_fraction))
-        b.store(page, line);
-      else
-        b.load(page, line);
-    }
-    b.compute(p.compute_per_page);
-    b.private_ops(p.private_per_page);
-  };
-
+  // A page visit is written out at both of its call sites: a lambda cannot
+  // co_yield for this coroutine.  Each visit draws one write/read coin per
+  // load, in order.
   for (std::uint32_t it = 0; it < p.iterations; ++it) {
     // Local phase.
-    for (std::uint64_t pg = 0; pg < H; ++pg) visit(my_base + pg);
+    for (std::uint64_t pg = 0; pg < H; ++pg) {
+      const VPageId page = my_base + pg;
+      for (std::uint32_t l = 0; l < p.loads_per_page; ++l) {
+        const std::uint64_t line = l * stride;
+        co_yield rng.chance(p.write_fraction) ? b.store(page, line)
+                                              : b.load(page, line);
+      }
+      co_yield b.compute(p.compute_per_page);
+      co_yield b.private_ops(p.private_per_page);
+    }
     if (p.locks > 0) {
       const std::uint64_t id = rng.below(p.locks);
-      b.lock(id);
-      b.store(VPageId{id % all}, id % lines);
-      b.unlock(id);
+      co_yield b.lock(id);
+      co_yield b.store(VPageId{id % all}, id % lines);
+      co_yield b.unlock(id);
     }
-    if (p.barriers) b.barrier();
+    if (p.barriers) co_yield b.barrier();
 
     // Remote phase: sweeps over the hot set plus optional random traffic.
     for (std::uint32_t s = 0; s < p.sweeps_per_iteration; ++s) {
-      for (const VPageId page : hot) {
-        if (rng.chance(p.random_fraction))
-          visit(VPageId{rng.below(all)});
-        else
-          visit(page);
+      for (const VPageId hot_page : hot) {
+        const VPageId page = rng.chance(p.random_fraction)
+                                 ? VPageId{rng.below(all)}
+                                 : hot_page;
+        for (std::uint32_t l = 0; l < p.loads_per_page; ++l) {
+          const std::uint64_t line = l * stride;
+          co_yield rng.chance(p.write_fraction) ? b.store(page, line)
+                                                : b.load(page, line);
+        }
+        co_yield b.compute(p.compute_per_page);
+        co_yield b.private_ops(p.private_per_page);
       }
     }
-    if (p.barriers) b.barrier();
+    if (p.barriers) co_yield b.barrier();
   }
-  return std::make_unique<VectorStream>(b.take());
 }
 
 }  // namespace ascoma::workload

@@ -45,6 +45,8 @@ class SyntheticWorkload final : public Workload {
   const SyntheticParams& params() const { return params_; }
 
  private:
+  GeneratorStream generate(std::uint32_t proc, std::uint64_t seed) const;
+
   SyntheticParams params_;
 };
 

@@ -1,11 +1,35 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hh"
 #include "workload/splash.hh"
 
 namespace ascoma::workload {
+
+Op GeneratorStream::next() {
+  promise_type& p = h_.promise();
+  if (pos_ == p.size) {
+    if (h_.done()) return Op{};
+    p.size = 0;
+    pos_ = 0;
+    h_.resume();
+    if (p.error) std::rethrow_exception(std::exchange(p.error, nullptr));
+    if (p.size == 0) return Op{};
+  }
+  return p.batch[pos_++];
+}
+
+OpFactory::OpFactory(ByteCount page_bytes, ByteCount line_bytes)
+    : page_bytes_(page_bytes),
+      line_bytes_(line_bytes),
+      line_mask_(page_bytes / line_bytes - 1) {
+  ASCOMA_CHECK_MSG(std::has_single_bit(page_bytes.value()) &&
+                       std::has_single_bit(line_bytes.value()) &&
+                       line_bytes <= page_bytes,
+                   "op generator page/line sizes must be powers of two");
+}
 
 NodeId Workload::home_of(VPageId page) const {
   const std::uint64_t per = pages_per_node();

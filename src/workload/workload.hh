@@ -12,9 +12,13 @@
 // fraction reproduce the SPLASH-2 / Split-C behaviours the paper's analysis
 // attributes its results to.
 
+#include <array>
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -22,25 +26,123 @@
 
 namespace ascoma::workload {
 
-/// A lazily-consumed operation stream (kEnd-terminated).
+/// A lazily-consumed operation stream (kEnd-terminated; kEnd forever after).
 class OpStream {
  public:
   virtual ~OpStream() = default;
   virtual Op next() = 0;
 };
 
-/// Materialized stream over a pre-built op vector.
-class VectorStream final : public OpStream {
+/// The coroutine return type of every op generator, and the OpStream that
+/// reads it.  A generator `co_yield`s one op at a time; it runs at most
+/// kBatch ops ahead of the reader, so a stream holds O(1) memory however
+/// long the run is.  Consecutive kCompute yields (and consecutive kPrivate
+/// yields) merge into one op and zero-length ones are dropped, so a
+/// generator yields each burst where it occurs without looking at its
+/// neighbours.
+///
+/// Take coroutine parameters by value: a reference parameter dangles after
+/// the first suspension.  A member coroutine keeps `this`, so its workload
+/// must outlive the stream.
+class GeneratorStream final : public OpStream {
  public:
-  explicit VectorStream(std::vector<Op> ops) : ops_(std::move(ops)) {}
-  Op next() override {
-    if (pos_ >= ops_.size()) return Op{OpKind::kEnd, 0};
-    return ops_[pos_++];
+  static constexpr std::uint32_t kBatch = 128;
+
+  struct promise_type;
+  using Handle = std::coroutine_handle<promise_type>;
+
+  struct promise_type {
+    std::array<Op, kBatch> batch;  ///< ops yielded since the last refill
+    std::uint32_t size = 0;
+    std::exception_ptr error;
+
+    /// Adds `op` to the batch; false when it needs a slot and none is left.
+    bool append(Op op) noexcept {
+      if (op.kind == OpKind::kCompute || op.kind == OpKind::kPrivate) {
+        if (op.arg == 0) return true;
+        if (size > 0 && batch[size - 1].kind == op.kind) {
+          batch[size - 1].arg += op.arg;
+          return true;
+        }
+      }
+      if (size == kBatch) return false;
+      batch[size++] = op;
+      return true;
+    }
+
+    /// Suspends the generator only when `op` finds the batch full; the
+    /// reader empties the batch and `op` opens the next one.
+    struct Yield {
+      promise_type& p;
+      Op op;
+      bool appended = false;
+      bool await_ready() noexcept { return appended = p.append(op); }
+      void await_suspend(Handle) noexcept {}
+      void await_resume() noexcept {
+        if (!appended) p.batch[p.size++] = op;
+      }
+    };
+
+    GeneratorStream get_return_object() {
+      return GeneratorStream{Handle::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    Yield yield_value(Op op) noexcept { return Yield{*this, op}; }
+    void return_void() noexcept {}
+    void unhandled_exception() { error = std::current_exception(); }
+  };
+
+  GeneratorStream(GeneratorStream&& other) noexcept
+      : h_(std::exchange(other.h_, {})), pos_(other.pos_) {}
+  GeneratorStream& operator=(GeneratorStream&&) = delete;
+  ~GeneratorStream() override {
+    if (h_) h_.destroy();
   }
 
+  Op next() override;
+
  private:
-  std::vector<Op> ops_;
-  std::size_t pos_ = 0;
+  explicit GeneratorStream(Handle h) : h_(h) {}
+
+  Handle h_;
+  std::uint32_t pos_ = 0;  ///< next unread op of the batch
+};
+
+/// Makes the ops a generator yields: shared addresses from (page, line
+/// index) over one page/line geometry, and sequential barrier ids.
+class OpFactory {
+ public:
+  /// Both sizes must be powers of two (as MachineConfig requires).
+  OpFactory(ByteCount page_bytes, ByteCount line_bytes);
+
+  static Op compute(Cycle cycles) { return {OpKind::kCompute, cycles.value()}; }
+  static Op private_ops(std::uint64_t count) {
+    return {OpKind::kPrivate, count};
+  }
+  Op load(VPageId page, std::uint64_t line_idx) const {
+    return {OpKind::kLoad, addr(page, line_idx).value()};
+  }
+  Op store(VPageId page, std::uint64_t line_idx) const {
+    return {OpKind::kStore, addr(page, line_idx).value()};
+  }
+  Op barrier() { return {OpKind::kBarrier, barrier_seq_++}; }
+  static Op lock(std::uint64_t id) { return {OpKind::kLock, id}; }
+  static Op unlock(std::uint64_t id) { return {OpKind::kUnlock, id}; }
+
+  std::uint64_t lines_per_page() const { return line_mask_ + 1; }
+
+ private:
+  /// Line `line_idx` modulo lines_per_page() of `page`.
+  Addr addr(VPageId page, std::uint64_t line_idx) const {
+    return Addr{page.value() * page_bytes_.value() +
+                (line_idx & line_mask_) * line_bytes_.value()};
+  }
+
+  ByteCount page_bytes_;
+  ByteCount line_bytes_;
+  std::uint64_t line_mask_;
+  std::uint64_t barrier_seq_ = 0;
 };
 
 class Workload {
@@ -58,7 +160,9 @@ class Workload {
   /// Home node of a page.  Default: contiguous equal partitions (the layout
   /// the paper's capped first-touch produces for these SPMD programs).
   virtual NodeId home_of(VPageId page) const;
-  /// Build process `proc`'s operation stream (deterministic in `seed`).
+  /// Process `proc`'s operation stream (deterministic in `seed`).  The
+  /// stream may refer to the workload: keep the workload alive while the
+  /// stream is read.
   virtual std::unique_ptr<OpStream> stream(std::uint32_t proc,
                                            std::uint64_t seed) const = 0;
 
@@ -68,56 +172,6 @@ class Workload {
   virtual ByteCount line_bytes() const { return ByteCount{32}; }
 
   std::uint64_t pages_per_node() const { return total_pages() / nodes(); }
-};
-
-/// Helper used by the concrete generators: ops appended into a vector with
-/// address arithmetic over a given page size.
-class StreamBuilder {
- public:
-  explicit StreamBuilder(ByteCount page_bytes, ByteCount line_bytes)
-      : page_bytes_(page_bytes), line_bytes_(line_bytes) {}
-
-  void compute(Cycle cycles) {
-    if (cycles == Cycle{0}) return;
-    if (!ops_.empty() && ops_.back().kind == OpKind::kCompute)
-      ops_.back().arg += cycles.value();
-    else
-      ops_.push_back({OpKind::kCompute, cycles.value()});
-  }
-  void private_ops(std::uint64_t count) {
-    if (count == 0) return;
-    if (!ops_.empty() && ops_.back().kind == OpKind::kPrivate)
-      ops_.back().arg += count;
-    else
-      ops_.push_back({OpKind::kPrivate, count});
-  }
-  void load(VPageId page, std::uint64_t line_idx) {
-    ops_.push_back({OpKind::kLoad, addr(page, line_idx).value()});
-  }
-  void store(VPageId page, std::uint64_t line_idx) {
-    ops_.push_back({OpKind::kStore, addr(page, line_idx).value()});
-  }
-  void barrier() { ops_.push_back({OpKind::kBarrier, barrier_seq_++}); }
-  void lock(std::uint64_t id) { ops_.push_back({OpKind::kLock, id}); }
-  void unlock(std::uint64_t id) { ops_.push_back({OpKind::kUnlock, id}); }
-
-  std::uint64_t lines_per_page() const { return page_bytes_ / line_bytes_; }
-
-  std::vector<Op> take() {
-    ops_.push_back({OpKind::kEnd, 0});
-    return std::move(ops_);
-  }
-
- private:
-  Addr addr(VPageId page, std::uint64_t line_idx) const {
-    return Addr{page.value() * page_bytes_.value() +
-                (line_idx % lines_per_page()) * line_bytes_.value()};
-  }
-
-  ByteCount page_bytes_;
-  ByteCount line_bytes_;
-  std::vector<Op> ops_;
-  std::uint64_t barrier_seq_ = 0;
 };
 
 /// Factory over the six paper workloads: "barnes", "em3d", "fft", "lu",

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hh"
+#include "store/codec.hh"
 
 namespace ascoma::proto {
 namespace {
@@ -310,6 +311,51 @@ TEST_F(CoherentMemoryTest, CoherenceShadowAcceptsCurrentCopies) {
   cm_->access(0, addr(VPageId{4}, 0), false, Cycle{1000});  // refetch: current again
   const auto o = cm_->access(0, addr(VPageId{4}, 0), false, Cycle{2000});  // L1 hit, fresh
   EXPECT_TRUE(o.l1_hit);
+}
+
+TEST_F(CoherentMemoryTest, CoherenceShadowMarksNeverHeldCopyStale) {
+  const BlockId b = cfg_.block_of(addr(VPageId{4}, 0));
+  pts_[2]->map_numa(VPageId{4});
+  EXPECT_FALSE(cm_->shadow_stale(NodeId{2}, b));
+  cm_->access(1, addr(VPageId{4}, 0), true, Cycle{0});  // home writes
+  // Node 2 never held the block; a later fill would have missed the store.
+  EXPECT_TRUE(cm_->shadow_stale(NodeId{2}, b));
+  cm_->access(2, addr(VPageId{4}, 0), false, Cycle{500});  // its own fetch
+  EXPECT_FALSE(cm_->shadow_stale(NodeId{2}, b));
+}
+
+TEST_F(CoherentMemoryTest, CoherenceShadowKeepsWritersCopyCurrent) {
+  const BlockId b = cfg_.block_of(addr(VPageId{4}, 0));
+  pts_[0]->map_numa(VPageId{4});
+  cm_->access(0, addr(VPageId{4}, 0), true, Cycle{0});
+  EXPECT_FALSE(cm_->shadow_stale(NodeId{0}, b));
+  const auto o = cm_->access(0, addr(VPageId{4}, 0), true, Cycle{500});
+  EXPECT_TRUE(o.l1_hit);  // served from the writer's own L1: still current
+  EXPECT_FALSE(cm_->shadow_stale(NodeId{0}, b));
+  for (NodeId n{1}; n.value() < 4; ++n)
+    EXPECT_TRUE(cm_->shadow_stale(n, b)) << "node " << n;
+}
+
+TEST_F(CoherentMemoryTest, CoherenceShadowSurvivesCheckpoint) {
+  pts_[0]->map_numa(VPageId{4});
+  cm_->access(0, addr(VPageId{4}, 0), false, Cycle{0});
+  cm_->access(1, addr(VPageId{4}, 0), true, Cycle{500});
+  store::Encoder e;
+  cm_->encode(e);
+
+  CoherentMemory restored(cfg_, homes_);
+  std::vector<const vm::PageTable*> ptrs;
+  for (auto& pt : pts_) ptrs.push_back(pt.get());
+  restored.set_page_tables(ptrs);
+  store::Decoder d(e.bytes());
+  restored.decode(d);
+  EXPECT_TRUE(d.done());
+
+  // The same tamper as CoherenceShadowCatchesStaleCopies, after the round
+  // trip: the restored mask must still know node 0's copy is stale.
+  restored.l1(0).fill(cfg_.line_of(addr(VPageId{4}, 0)), false);
+  EXPECT_THROW(restored.access(0, addr(VPageId{4}, 0), false, Cycle{1000}),
+               ascoma::CheckFailure);
 }
 
 TEST_F(CoherentMemoryTest, AccessToUnmappedPageThrows) {

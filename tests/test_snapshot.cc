@@ -121,6 +121,27 @@ TEST(Snapshot, RestoreRefusesTamperedBytes) {
   EXPECT_THROW(b.restore(truncated), store::CodecError);
 }
 
+// Version 2 changed the cmem section's coherence shadow to one stale-copy
+// mask per block.  A snapshot tagged version 1 must be refused with a typed
+// error, never misread or crashed on.
+TEST(Snapshot, RestoreRefusesVersion1) {
+  const auto wl = workload::make_workload("fft", kScale);
+  Machine a(config_for(ArchModel::kAsComa), *wl);
+  store::Snapshot snap;
+  a.save(&snap);
+
+  // The version is the first field of the "meta" section: after the u64 tag
+  // length, the tag, and the u64 section length, as a little-endian u32.
+  store::Decoder d(snap.bytes);
+  d.begin_section("meta");
+  ASSERT_EQ(d.u32(), 2u);
+  constexpr std::size_t kVersionAt = 8 + 4 + 8;
+  snap.bytes[kVersionAt] = 1;
+
+  Machine b(config_for(ArchModel::kAsComa), *wl);
+  EXPECT_THROW(b.restore(snap), store::CodecError);
+}
+
 TEST(Snapshot, RestoreRefusesAfterRun) {
   const auto wl = workload::make_workload("fft", kScale);
   Machine a(config_for(ArchModel::kCcNuma), *wl);

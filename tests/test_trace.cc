@@ -40,9 +40,10 @@ struct TempFile {
 };
 int TempFile::counter = 0;
 
-TEST(Trace, RoundTripPreservesStreams) {
+// Record → replay must hand the machine the generator's streams op for op.
+void expect_round_trip(const workload::Workload& wl) {
+  SCOPED_TRACE(wl.name());
   TempFile f;
-  auto wl = tiny_workload();
   const std::uint64_t written = record(wl, 42, f.path);
   EXPECT_GT(written, 0u);
 
@@ -57,10 +58,16 @@ TEST(Trace, RoundTripPreservesStreams) {
     const auto back = drain(*replay.stream(p, 999));  // seed irrelevant
     ASSERT_EQ(orig.size(), back.size());
     for (std::size_t i = 0; i < orig.size(); ++i) {
-      ASSERT_EQ(orig[i].kind, back[i].kind);
-      ASSERT_EQ(orig[i].arg, back[i].arg);
+      ASSERT_EQ(orig[i].kind, back[i].kind) << "proc " << p << " op " << i;
+      ASSERT_EQ(orig[i].arg, back[i].arg) << "proc " << p << " op " << i;
     }
   }
+}
+
+TEST(Trace, RoundTripPreservesStreams) {
+  expect_round_trip(tiny_workload());
+  for (const auto& name : workload::workload_names())
+    expect_round_trip(*workload::make_workload(name, 0.1));
 }
 
 TEST(Trace, MissingFileThrows) {

@@ -4,8 +4,11 @@
 
 #include <map>
 #include <set>
+#include <string>
 
+#include "core/host.hh"
 #include "workload/splash.hh"
+#include "workload/synthetic.hh"
 
 namespace ascoma::workload {
 namespace {
@@ -167,34 +170,177 @@ TEST(Workload, ScaleShrinksStreams) {
   EXPECT_GT(ns, 0u);
 }
 
-TEST(StreamBuilder, CoalescesComputeAndPrivate) {
-  StreamBuilder b(ByteCount{4096}, ByteCount{32});
-  b.compute(Cycle{10});
-  b.compute(Cycle{20});
-  b.private_ops(3);
-  b.private_ops(4);
-  b.load(VPageId{0}, 0);
-  const auto ops = b.take();
-  ASSERT_EQ(ops.size(), 4u);  // compute, private, load, end
+// ---- the lazy stream adapter ------------------------------------------------
+
+// A generator that yields `ops` verbatim (taken by value: the coroutine
+// frame keeps its own copy).
+GeneratorStream yield_all(std::vector<Op> ops) {
+  for (const Op op : ops) co_yield op;
+}
+
+TEST(GeneratorStream, CoalescesComputeAndPrivate) {
+  const OpFactory b(ByteCount{4096}, ByteCount{32});
+  GeneratorStream s = yield_all({b.compute(Cycle{10}), b.compute(Cycle{20}),
+                                 b.private_ops(3), b.private_ops(4),
+                                 b.load(VPageId{0}, 0)});
+  const auto ops = drain(s);
+  ASSERT_EQ(ops.size(), 3u);  // compute, private, load
   EXPECT_EQ(ops[0].kind, OpKind::kCompute);
   EXPECT_EQ(ops[0].arg, 30u);
   EXPECT_EQ(ops[1].kind, OpKind::kPrivate);
   EXPECT_EQ(ops[1].arg, 7u);
-  EXPECT_EQ(ops[3].kind, OpKind::kEnd);
+  EXPECT_EQ(ops[2].kind, OpKind::kLoad);
+  EXPECT_EQ(s.next().kind, OpKind::kEnd);
 }
 
-TEST(StreamBuilder, LineWrapsWithinPage) {
-  StreamBuilder b(ByteCount{4096}, ByteCount{32});
-  b.load(VPageId{2}, 130);  // 130 % 128 = line 2 of page 2
-  const auto ops = b.take();
-  EXPECT_EQ(ops[0].arg, 2u * 4096 + 2 * 32);
+TEST(GeneratorStream, ZeroLengthBurstDoesNotSplitAMerge) {
+  GeneratorStream s = yield_all({OpFactory::compute(Cycle{5}),
+                                 OpFactory::compute(Cycle{0}),
+                                 OpFactory::compute(Cycle{3})});
+  const auto ops = drain(s);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].kind, OpKind::kCompute);
+  EXPECT_EQ(ops[0].arg, 8u);
 }
 
-TEST(VectorStream, ReturnsEndForever) {
-  VectorStream s({{OpKind::kCompute, 5}, {OpKind::kEnd, 0}});
+// The generator runs a batch ahead of the reader: a burst that ends a full
+// batch must still absorb the bursts yielded after it.
+TEST(GeneratorStream, MergesAcrossBatchBoundary) {
+  const OpFactory b(ByteCount{4096}, ByteCount{32});
+  std::vector<Op> in(GeneratorStream::kBatch - 1, b.load(VPageId{0}, 1));
+  in.insert(in.end(), {b.compute(Cycle{5}), b.compute(Cycle{3}),
+                       b.store(VPageId{0}, 2), b.private_ops(0),
+                       b.private_ops(2)});
+  GeneratorStream s = yield_all(in);
+  const auto ops = drain(s);
+  ASSERT_EQ(ops.size(), GeneratorStream::kBatch + 2);
+  const Op& burst = ops[GeneratorStream::kBatch - 1];
+  EXPECT_EQ(burst.kind, OpKind::kCompute);
+  EXPECT_EQ(burst.arg, 8u);
+  EXPECT_EQ(ops[GeneratorStream::kBatch].kind, OpKind::kStore);
+  EXPECT_EQ(ops.back().kind, OpKind::kPrivate);
+  EXPECT_EQ(ops.back().arg, 2u);
+}
+
+TEST(GeneratorStream, LineWrapsWithinPage) {
+  const OpFactory b(ByteCount{4096}, ByteCount{32});
+  GeneratorStream s = yield_all({b.load(VPageId{2}, 130)});
+  // 130 % 128 = line 2 of page 2
+  EXPECT_EQ(s.next().arg, 2u * 4096 + 2 * 32);
+}
+
+TEST(GeneratorStream, ReturnsEndForever) {
+  GeneratorStream s = yield_all({OpFactory::compute(Cycle{5})});
   EXPECT_EQ(s.next().kind, OpKind::kCompute);
   EXPECT_EQ(s.next().kind, OpKind::kEnd);
   EXPECT_EQ(s.next().kind, OpKind::kEnd);
+}
+
+// ---- the generated streams are the materialised streams --------------------
+
+// FNV-1a over (kind byte, arg as 8 little-endian bytes) of every op of every
+// process stream, in process order, with each stream's op count hashed in
+// after its ops.
+struct StreamDigest {
+  std::uint64_t ops = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+
+  void mix(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+};
+
+StreamDigest digest(const Workload& wl, std::uint64_t seed) {
+  StreamDigest d;
+  for (std::uint32_t p = 0; p < wl.processes(); ++p) {
+    auto s = wl.stream(p, seed);
+    std::uint64_t n = 0;
+    for (Op op = s->next(); op.kind != OpKind::kEnd; op = s->next(), ++n) {
+      d.mix(static_cast<std::uint64_t>(op.kind), 1);
+      d.mix(op.arg, 8);
+    }
+    d.mix(n, 8);
+    d.ops += n;
+  }
+  return d;
+}
+
+// Pinned from the streams the generators produced when every op was
+// materialised into a vector before the run: any change to an op, its
+// order, or the compute/private merging shows up here.
+TEST(WorkloadStreams, PinnedDigests) {
+  struct Pin {
+    const char* workload;
+    double scale;
+    std::uint64_t seed;
+    std::uint64_t ops;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"barnes", 0.25, 1, 451936u, 0x457f8c5eb9c119e5ull},
+      {"barnes", 0.25, 7, 451936u, 0x457f8c5eb9c119e5ull},
+      {"barnes", 1.00, 1, 1807744u, 0x8ea48db1bbed2ed5ull},
+      {"barnes", 1.00, 7, 1807744u, 0x8ea48db1bbed2ed5ull},
+      {"em3d", 0.25, 1, 185376u, 0xf38bae6ebfd05685ull},
+      {"em3d", 0.25, 7, 185376u, 0x39c17ab9ea99ba65ull},
+      {"em3d", 1.00, 1, 926880u, 0xdc6fa5b519aa7a55ull},
+      {"em3d", 1.00, 7, 926880u, 0xa328196340d88775ull},
+      {"fft", 0.25, 1, 514992u, 0xc41555385c7d0095ull},
+      {"fft", 0.25, 7, 514992u, 0xc41555385c7d0095ull},
+      {"fft", 1.00, 1, 1029984u, 0x0e53aa1b2780f525ull},
+      {"fft", 1.00, 7, 1029984u, 0x0e53aa1b2780f525ull},
+      {"lu", 0.25, 1, 676840u, 0x7dab3c14a8259ee5ull},
+      {"lu", 0.25, 7, 676840u, 0x7dab3c14a8259ee5ull},
+      {"lu", 1.00, 1, 2707360u, 0xbff8ec4aa3de018dull},
+      {"lu", 1.00, 7, 2707360u, 0xbff8ec4aa3de018dull},
+      {"ocean", 0.25, 1, 148512u, 0x074968de02363925ull},
+      {"ocean", 0.25, 7, 148512u, 0x074968de02363925ull},
+      {"ocean", 1.00, 1, 742560u, 0xb35079df92afa845ull},
+      {"ocean", 1.00, 7, 742560u, 0xb35079df92afa845ull},
+      {"radix", 0.25, 1, 1093864u, 0x4adb1780546a0284ull},
+      {"radix", 0.25, 7, 1093864u, 0x3147250945f39f8full},
+      {"radix", 1.00, 1, 4375456u, 0x2904dbdd35a2b6a3ull},
+      {"radix", 1.00, 7, 4375456u, 0xf4ead554a6788b75ull},
+      {"synthetic", 1.00, 1, 368704u, 0x2843a71c85984a3aull},
+      {"synthetic", 1.00, 7, 368704u, 0x259f3fd99faa5b71ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.workload) + " scale " +
+                 std::to_string(pin.scale) + " seed " +
+                 std::to_string(pin.seed));
+    std::unique_ptr<Workload> wl = make_workload(pin.workload, pin.scale);
+    if (wl == nullptr)  // "synthetic": default SyntheticParams
+      wl = std::make_unique<SyntheticWorkload>(SyntheticParams{});
+    const StreamDigest d = digest(*wl, pin.seed);
+    EXPECT_EQ(d.ops, pin.ops);
+    EXPECT_EQ(d.hash, pin.hash);
+  }
+}
+
+// Heap allocations made while building and draining process 0's stream.
+std::uint64_t allocs_to_drain(const Workload& wl) {
+  const std::uint64_t before = core::thread_alloc_count();
+  {
+    auto s = wl.stream(0, 7);
+    while (s->next().kind != OpKind::kEnd) {
+    }
+  }
+  return core::thread_alloc_count() - before;
+}
+
+TEST(WorkloadStreams, AllocationsFlatInRunLength) {
+  if (!core::alloc_hook_active())
+    GTEST_SKIP() << "allocation hook compiled out";
+  for (const char* name : {"radix", "em3d"}) {
+    const std::uint64_t base = allocs_to_drain(*make_workload(name, 0.25));
+    EXPECT_GT(base, 0u) << name;
+    for (const double scale : {1.0, 4.0})
+      EXPECT_EQ(allocs_to_drain(*make_workload(name, scale)), base)
+          << name << " scale " << scale;
+  }
 }
 
 }  // namespace
