@@ -56,8 +56,8 @@ int main() {
   ASCOMA_CHECK(rac.entries() == 1);
   vm::HomeMap homes(64, cfg.nodes);
   homes.assign_contiguous();
+  ASCOMA_CHECK(cfg.net_stages() == 2);
   net::Network net(cfg);
-  ASCOMA_CHECK(net.topology().stages() == 2);
   ASCOMA_CHECK(net.min_one_way_latency() == cfg.net_one_way_latency());
   std::cout << "\nself-check: component models agree with the table.  "
                "remote:local latency ratio = "

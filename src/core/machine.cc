@@ -411,7 +411,7 @@ void Machine::execute_op(std::uint32_t p, const Op& op) {
       const bool is_store = op.kind == OpKind::kStore;
       const Addr addr{op.arg};
       const VPageId page = cfg_.page_of(addr);
-      ASCOMA_CHECK(page.value() < wl_.total_pages());
+      ASCOMA_CHECK(page.value() < homes_.total_pages());
       if (is_store)
         ++s.shared_stores;
       else

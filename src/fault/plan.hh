@@ -16,8 +16,8 @@
 // The plan is pure decision logic: it owns no timing.  net::Network consults
 // it inside try_deliver(); proto::CoherentMemory consults nack_forced() when
 // a request reaches a home node.  With no probabilities and no rules the
-// plan reports !enabled() and the network takes the exact pre-fault code
-// path, keeping zero-fault runs bit-identical.
+// plan reports !enabled() and the network takes its fault-free fast path,
+// which consults no plan, keeping zero-fault runs bit-identical.
 
 #include <cstdint>
 #include <limits>

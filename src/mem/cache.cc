@@ -10,44 +10,10 @@ L1Cache::L1Cache(const MachineConfig& cfg)
   ASCOMA_CHECK((cfg.l1_lines() & (cfg.l1_lines() - 1)) == 0);
 }
 
-bool L1Cache::probe(LineId line) const {
-  const Slot& s = lines_[index_of(line)];
-  return s.valid && s.tag == line;
-}
-
-L1Cache::AccessResult L1Cache::fill(LineId line, bool dirty) {
-  Slot& s = lines_[index_of(line)];
-  AccessResult r;
-  if (s.valid && s.tag != line) {
-    r.evicted = true;
-    r.victim = s.tag;
-    r.writeback = s.dirty;
-    --valid_count_;
-  } else if (s.valid && s.tag == line) {
-    // Refill of a present line (e.g. upgrade fill): keep dirty sticky.
-    s.dirty = s.dirty || dirty;
-    return r;
-  }
-  s.tag = line;
-  s.valid = true;
-  s.dirty = dirty;
-  ++valid_count_;
-  return r;
-}
-
 void L1Cache::touch_store(LineId line) {
   Slot& s = lines_[index_of(line)];
   ASCOMA_CHECK_MSG(s.valid && s.tag == line, "store touch on absent line");
   s.dirty = true;
-}
-
-bool L1Cache::invalidate_line(LineId line) {
-  Slot& s = lines_[index_of(line)];
-  if (!s.valid || s.tag != line) return false;
-  s.valid = false;
-  s.dirty = false;
-  --valid_count_;
-  return true;
 }
 
 std::uint32_t L1Cache::invalidate_block(BlockId block) {

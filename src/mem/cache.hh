@@ -32,16 +32,44 @@ class L1Cache {
 
   /// Probe for `line`; on a miss the line is *not* filled (call fill() after
   /// the memory system supplies the data).
-  bool probe(LineId line) const;
+  bool probe(LineId line) const {
+    const Slot& s = lines_[index_of(line)];
+    return s.valid && s.tag == line;
+  }
 
   /// Fill `line`, evicting whatever direct-mapped slot it occupies.
-  AccessResult fill(LineId line, bool dirty);
+  AccessResult fill(LineId line, bool dirty) {
+    Slot& s = lines_[index_of(line)];
+    AccessResult r;
+    if (s.valid && s.tag != line) {
+      r.evicted = true;
+      r.victim = s.tag;
+      r.writeback = s.dirty;
+      --valid_count_;
+    } else if (s.valid && s.tag == line) {
+      // Refill of a present line (e.g. upgrade fill): keep dirty sticky.
+      s.dirty = s.dirty || dirty;
+      return r;
+    }
+    s.tag = line;
+    s.valid = true;
+    s.dirty = dirty;
+    ++valid_count_;
+    return r;
+  }
 
   /// Marks an already-present line dirty (store hit).
   void touch_store(LineId line);
 
   /// Invalidate one line if present; returns true if it was present.
-  bool invalidate_line(LineId line);
+  bool invalidate_line(LineId line) {
+    Slot& s = lines_[index_of(line)];
+    if (!s.valid || s.tag != line) return false;
+    s.valid = false;
+    s.dirty = false;
+    --valid_count_;
+    return true;
+  }
 
   /// Invalidate all lines of a coherence block; returns count invalidated.
   std::uint32_t invalidate_block(BlockId block);

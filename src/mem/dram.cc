@@ -11,12 +11,6 @@ Dram::Dram(const MachineConfig& cfg) : access_cycles_(cfg.dram_access_cycles) {
     banks_.emplace_back("dram.bank" + std::to_string(i));
 }
 
-Cycle Dram::access(Cycle now, BlockId block) {
-  ++accesses_;
-  sim::Resource& bank = banks_[block.value() % banks_.size()];
-  return bank.acquire_until(now, access_cycles_);
-}
-
 void Dram::reset() {
   for (auto& b : banks_) b.reset();
   accesses_ = 0;

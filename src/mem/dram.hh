@@ -20,7 +20,11 @@ class Dram {
   explicit Dram(const MachineConfig& cfg);
 
   /// Issue a block access at `now`; returns the completion cycle.
-  Cycle access(Cycle now, BlockId block);
+  Cycle access(Cycle now, BlockId block) {
+    ++accesses_;
+    sim::Resource& bank = banks_[block.value() % banks_.size()];
+    return bank.acquire_until(now, access_cycles_);
+  }
 
   std::uint32_t banks() const { return static_cast<std::uint32_t>(banks_.size()); }
   const sim::Resource& bank(std::uint32_t i) const { return banks_[i]; }

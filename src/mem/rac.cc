@@ -8,28 +8,6 @@ Rac::Rac(const MachineConfig& cfg)
   // miss and fills/invalidations are no-ops.
 }
 
-bool Rac::probe(BlockId block) const {
-  if (slots_.empty()) return false;
-  const Slot& s = slots_[index_of(block)];
-  return s.valid && s.tag == block;
-}
-
-void Rac::fill(BlockId block) {
-  if (slots_.empty()) return;
-  Slot& s = slots_[index_of(block)];
-  s.tag = block;
-  s.valid = true;
-  ++fills_;
-}
-
-bool Rac::invalidate(BlockId block) {
-  if (slots_.empty()) return false;
-  Slot& s = slots_[index_of(block)];
-  if (!s.valid || s.tag != block) return false;
-  s.valid = false;
-  return true;
-}
-
 std::uint32_t Rac::invalidate_page(VPageId page) {
   const BlockId first{page.value() * blocks_per_page_};
   std::uint32_t n = 0;

@@ -19,13 +19,29 @@ class Rac {
  public:
   explicit Rac(const MachineConfig& cfg);
 
-  bool probe(BlockId block) const;
+  bool probe(BlockId block) const {
+    if (slots_.empty()) return false;
+    const Slot& s = slots_[index_of(block)];
+    return s.valid && s.tag == block;
+  }
 
   /// Insert a remote block (typically the one just fetched).
-  void fill(BlockId block);
+  void fill(BlockId block) {
+    if (slots_.empty()) return;
+    Slot& s = slots_[index_of(block)];
+    s.tag = block;
+    s.valid = true;
+    ++fills_;
+  }
 
   /// Invalidate a block if present; true if it was present.
-  bool invalidate(BlockId block);
+  bool invalidate(BlockId block) {
+    if (slots_.empty()) return false;
+    Slot& s = slots_[index_of(block)];
+    if (!s.valid || s.tag != block) return false;
+    s.valid = false;
+    return true;
+  }
 
   /// Invalidate every cached block belonging to a virtual page (performed on
   /// page remap); returns the number invalidated.

@@ -1,14 +1,22 @@
 #include "net/network.hh"
 
-#include "common/check.hh"
-
 namespace ascoma::net {
 
+namespace {
+
+Cycle fabric_latency(const MachineConfig& cfg) {
+  ASCOMA_CHECK(cfg.nodes > 0);
+  ASCOMA_CHECK(cfg.switch_arity >= 2);
+  const std::uint32_t stages = cfg.net_stages();
+  return cfg.net_interface_cycles + stages * cfg.net_fall_through +
+         (stages + 1) * cfg.net_propagation;
+}
+
+}  // namespace
+
 Network::Network(const MachineConfig& cfg)
-    : topo_(cfg.nodes, cfg.switch_arity),
-      ni_cycles_(cfg.net_interface_cycles),
-      fall_through_(cfg.net_fall_through),
-      propagation_(cfg.net_propagation),
+    : ni_cycles_(cfg.net_interface_cycles),
+      fabric_(fabric_latency(cfg)),
       port_occupancy_(cfg.net_port_occupancy),
       retry_timeout_(cfg.retry_timeout),
       retry_max_attempts_(cfg.retry_max_attempts) {
@@ -21,10 +29,7 @@ Network::Attempt Network::try_deliver(Cycle now, NodeId src, NodeId dst) {
   ASCOMA_CHECK(src.value() < ports_.size() && dst.value() < ports_.size());
   ++messages_;
   if (src == dst) return {now, false};  // loopback: NI shortcut, no fabric
-  const std::uint32_t stages = topo_.stages();
-  const Cycle fabric = ni_cycles_ + stages * fall_through_ +
-                       (stages + 1) * propagation_;
-  Cycle at_port = now + fabric;
+  Cycle at_port = now + fabric_;
   if (plan_ && plan_->enabled()) {
     const fault::FaultDecision d = plan_->decide(now, src, dst);
     if (d.drop) {
@@ -56,7 +61,7 @@ Network::Attempt Network::try_deliver(Cycle now, NodeId src, NodeId dst) {
           false};
 }
 
-Cycle Network::deliver(Cycle now, NodeId src, NodeId dst) {
+Cycle Network::deliver_retransmitting(Cycle now, NodeId src, NodeId dst) {
   for (std::uint32_t attempt = 1;; ++attempt) {
     const Attempt a = try_deliver(now, src, dst);
     if (!a.dropped) return a.arrival;
@@ -67,12 +72,6 @@ Cycle Network::deliver(Cycle now, NodeId src, NodeId dst) {
     ++retransmits_;
     now += retry_timeout_;  // hardware retransmit after the loss timeout
   }
-}
-
-Cycle Network::min_one_way_latency() const {
-  const std::uint32_t stages = topo_.stages();
-  return ni_cycles_ + stages * fall_through_ + (stages + 1) * propagation_ +
-         port_occupancy_ + ni_cycles_;
 }
 
 void Network::reset() {

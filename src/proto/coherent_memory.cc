@@ -59,13 +59,13 @@ void CoherentMemory::shadow_fetch(NodeId node, BlockId b) {
   stale_copies_[b] &= ~(std::uint64_t{1} << node.value());
 }
 
-void CoherentMemory::shadow_check_local(NodeId node, BlockId b,
-                                        const char* where) const {
-  ASCOMA_CHECK_MSG(!shadow_stale(node, b),
-                   "coherence violation: stale local copy served at "
-                       << where << " (node " << node << ", block " << b
-                       << ", written by another node since this node's "
-                          "last fetch)");
+void CoherentMemory::fail_stale_copy(NodeId node, BlockId b,
+                                     const char* where) const {
+  std::ostringstream os;
+  os << "coherence violation: stale local copy served at " << where
+     << " (node " << node << ", block " << b
+     << ", written by another node since this node's last fetch)";
+  check_fail("!shadow_stale(node, b)", __FILE__, __LINE__, os.str());
 }
 
 void CoherentMemory::set_page_tables(
@@ -143,7 +143,7 @@ void CoherentMemory::prof_net(Cycle t, Cycle arrival, NodeId src,
 Cycle CoherentMemory::use_net(Cycle t, NodeId src, NodeId dst) {
   if (background_) return src == dst ? t : t + net_.min_one_way_latency();
   if (!net_.faulty()) {
-    const Cycle r = net_.deliver(t, src, dst);
+    const Cycle r = net_.deliver_fault_free(t, src, dst);
     prof_net(t, r, src, dst);
     return r;
   }

@@ -291,7 +291,13 @@ class CoherentMemory {
   // hit immediately.
   void shadow_commit_store(NodeId node, BlockId b);
   void shadow_fetch(NodeId node, BlockId b);
-  void shadow_check_local(NodeId node, BlockId b, const char* where) const;
+  void shadow_check_local(NodeId node, BlockId b, const char* where) const {
+    if (shadow_stale(node, b)) fail_stale_copy(node, b, where);
+  }
+  /// Cold failure of shadow_check_local: builds the diagnostic and throws
+  /// CheckFailure.
+  [[noreturn]] void fail_stale_copy(NodeId node, BlockId b,
+                                    const char* where) const;
   IdVector<BlockId, std::uint64_t> stale_copies_;
 };
 

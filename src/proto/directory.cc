@@ -14,70 +14,6 @@ Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes,
                    "directory sharer mask supports up to 64 nodes");
 }
 
-const Transition& Directory::apply(BlockId b, ProtoMsg msg, NodeId requester,
-                                   NodeId* dirty_owner,
-                                   NodeMask* invalidate) {
-  Entry& e = entries_[b];
-  const Transition& t = table_->lookup(state_of(e), msg, rel_of(e, requester));
-  ASCOMA_CHECK_MSG(!t.fatal(), "protocol table row declared unreachable was "
-                               "hit: "
-                                   << to_string(t.state) << " x "
-                                   << to_string(t.msg) << " x "
-                                   << to_string(t.rel) << " (" << t.why
-                                   << ")");
-  // Reads first: forwards and invalidations observe the pre-transition entry.
-  if (t.has(act::kForwardOwner)) {
-    if (dirty_owner != nullptr) *dirty_owner = e.owner;
-    ++forwards_;
-  }
-  if (t.has(act::kInvalSharers)) {
-    std::uint64_t to_inval = e.sharers & ~bit(requester);
-    if (e.owner != kInvalidNode) to_inval &= ~bit(e.owner);
-    if (invalidate != nullptr) *invalidate = NodeMask{to_inval};
-    invalidations_ += std::popcount(to_inval);
-  }
-  if (t.has(act::kInvalOwner)) ++invalidations_;  // the owner also loses it
-  // Then the entry rewrite.
-  if (t.has(act::kClearOwner)) e.owner = kInvalidNode;
-  if (t.has(act::kAddSharer)) e.sharers |= bit(requester);
-  if (t.has(act::kRemoveSharer)) e.sharers &= ~bit(requester);
-  if (t.has(act::kSetOwner)) {
-    e.sharers = bit(requester);
-    e.owner = requester;
-  }
-  // The table's next-state column is a checked promise, not an input.
-  const DirState after = state_of(e);
-  const bool next_ok =
-      t.next == DirNext::kSharedOrUncached
-          ? (after == DirState::kShared || after == DirState::kUncached)
-          : after == static_cast<DirState>(t.next);
-  ASCOMA_CHECK_MSG(next_ok, "protocol row "
-                                << to_string(t.state) << " x "
-                                << to_string(t.msg) << " x " << to_string(t.rel)
-                                << " promised " << to_string(t.next)
-                                << " but produced " << to_string(after));
-  return t;
-}
-
-Directory::FetchResult Directory::gets(BlockId b, NodeId requester) {
-  ASCOMA_CHECK(b.value() < entries_.size() && requester.value() < nodes_);
-  FetchResult r;
-  r.was_in_copyset = (entries_[b].sharers & bit(requester)) != 0;
-  r.actions =
-      apply(b, ProtoMsg::kGetS, requester, &r.dirty_owner, nullptr).actions;
-  return r;
-}
-
-Directory::GetxResult Directory::getx(BlockId b, NodeId requester) {
-  ASCOMA_CHECK(b.value() < entries_.size() && requester.value() < nodes_);
-  GetxResult r;
-  r.was_in_copyset = (entries_[b].sharers & bit(requester)) != 0;
-  r.actions =
-      apply(b, ProtoMsg::kGetX, requester, &r.dirty_owner, &r.invalidate)
-          .actions;
-  return r;
-}
-
 bool Directory::flush_node(BlockId b, NodeId node) {
   ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
   const bool was_owner = rel_of(entries_[b], node) == ReqRel::kOwner;

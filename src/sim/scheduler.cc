@@ -9,13 +9,6 @@ Scheduler::Scheduler(std::uint32_t nprocs)
   ASCOMA_CHECK(nprocs > 0);
 }
 
-void Scheduler::set_ready(ProcId p, Cycle cycle) {
-  ASCOMA_CHECK(p < nprocs());
-  ASCOMA_CHECK_MSG(state_[p] != State::kDone, "readying a finished processor");
-  ready_[p] = cycle;
-  state_[p] = State::kRunnable;
-}
-
 void Scheduler::block(ProcId p) {
   ASCOMA_CHECK(p < nprocs());
   ASCOMA_CHECK(state_[p] == State::kRunnable);

@@ -26,7 +26,13 @@ class Scheduler {
 
   std::uint32_t nprocs() const { return static_cast<std::uint32_t>(ready_.size()); }
 
-  void set_ready(ProcId p, Cycle cycle);
+  void set_ready(ProcId p, Cycle cycle) {
+    ASCOMA_CHECK(p < nprocs());
+    ASCOMA_CHECK_MSG(state_[p] != State::kDone,
+                     "readying a finished processor");
+    ready_[p] = cycle;
+    state_[p] = State::kRunnable;
+  }
   void block(ProcId p);
   void finish(ProcId p);
 

@@ -44,12 +44,6 @@ bool HomeMap::assigned(VPageId page) const {
   return homes_[page] != kInvalidNode;
 }
 
-NodeId HomeMap::home_of(VPageId page) const {
-  ASCOMA_CHECK(page.value() < homes_.size());
-  ASCOMA_CHECK_MSG(homes_[page] != kInvalidNode, "home_of unassigned page");
-  return homes_[page];
-}
-
 std::uint64_t HomeMap::max_home_pages() const {
   return *std::max_element(count_.begin(), count_.end());
 }

@@ -28,7 +28,11 @@ class HomeMap {
   void assign_contiguous();
 
   bool assigned(VPageId page) const;
-  NodeId home_of(VPageId page) const;
+  NodeId home_of(VPageId page) const {
+    ASCOMA_CHECK(page.value() < homes_.size());
+    ASCOMA_CHECK_MSG(homes_[page] != kInvalidNode, "home_of unassigned page");
+    return homes_[page];
+  }
   std::uint64_t home_pages(NodeId node) const { return count_[node]; }
   std::uint64_t max_home_pages() const;
   std::uint64_t total_pages() const { return homes_.size(); }

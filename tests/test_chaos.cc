@@ -20,8 +20,10 @@
 #include "core/machine.hh"
 #include "core/sweep.hh"
 #include "fault/invariants.hh"
+#include "fault/plan.hh"
 #include "obs/sink.hh"
 #include "workload/synthetic.hh"
+#include "workload/workload.hh"
 
 namespace ascoma {
 namespace {
@@ -119,6 +121,48 @@ TEST(ChaosSoak, ZeroFaultConfigMatchesAPlainRun) {
   EXPECT_EQ(b.faults_injected, 0u);
   EXPECT_EQ(b.net_retries, 0u);
   EXPECT_EQ(b.nacks, 0u);
+}
+
+// An enabled fault plan sends every message through Network::try_deliver()
+// and every home request through the NACK loop.  If its only rule (a drop)
+// opens after the run ends it never fires, and the run must equal one on
+// the fault-free fast path in every simulated figure.
+TEST(ChaosSoak, NeverFiringPlanMatchesFastPath) {
+  struct Case {
+    const char* workload;
+    ArchModel arch;
+  };
+  for (const Case c : {Case{"radix", ArchModel::kCcNuma},
+                       Case{"em3d", ArchModel::kAsComa}}) {
+    SCOPED_TRACE(c.workload);
+    const auto wl = workload::make_workload(c.workload, 0.1);
+    ASSERT_NE(wl, nullptr);
+    MachineConfig cfg;
+    cfg.arch = c.arch;
+    cfg.memory_pressure = 0.7;
+    cfg.seed = 7;
+    cfg.check_invariants = true;
+
+    const core::RunResult fast = core::simulate(cfg, *wl);
+
+    core::Machine m(cfg, *wl);
+    fault::FaultPlan& plan = m.memory().fault_plan();
+    plan.add_rule({fault::FaultKind::kDrop, kInvalidNode, kInvalidNode,
+                   Cycle{fast.cycles().value() * 2 + 1}, kNeverCycle});
+    ASSERT_TRUE(m.memory().network().faulty());
+    const core::RunResult planned = m.run();
+    EXPECT_GT(plan.decisions(), 0u);  // the plan path ran
+    EXPECT_EQ(planned.faults_injected, 0u);
+
+    EXPECT_EQ(planned.cycles(), fast.cycles());
+    EXPECT_EQ(planned.net_messages, fast.net_messages);
+    EXPECT_EQ(planned.net_retries, 0u);
+    EXPECT_EQ(planned.nacks, 0u);
+    EXPECT_EQ(planned.stats.totals.time.cycles, fast.stats.totals.time.cycles);
+    EXPECT_EQ(planned.stats.totals.misses.count,
+              fast.stats.totals.misses.count);
+    EXPECT_TRUE(planned.invariants_checked);
+  }
 }
 
 TEST(ChaosSoak, RetryAndNackCountersReachTheRunStats) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hh"
@@ -301,7 +302,21 @@ TEST_F(CoherentMemoryTest, CoherenceShadowCatchesStaleCopies) {
   // Tamper: resurrect the stale line in node 0's L1 behind the protocol's
   // back.  The functional shadow must refuse to serve it.
   cm_->l1(0).fill(cfg_.line_of(addr(VPageId{4}, 0)), false);
-  EXPECT_THROW(cm_->access(0, addr(VPageId{4}, 0), false, Cycle{1000}), ascoma::CheckFailure);
+  // The diagnostic names the violation, the serving site, the node and the
+  // block.
+  const BlockId b = cfg_.block_of(addr(VPageId{4}, 0));
+  try {
+    cm_->access(0, addr(VPageId{4}, 0), false, Cycle{1000});
+    FAIL() << "stale L1 hit was served";
+  } catch (const ascoma::CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("coherence violation"), std::string::npos) << what;
+    EXPECT_NE(what.find("at L1 hit"), std::string::npos) << what;
+    EXPECT_NE(what.find("(node 0,"), std::string::npos) << what;
+    EXPECT_NE(what.find("block " + std::to_string(b.value()) + ","),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(CoherentMemoryTest, CoherenceShadowAcceptsCurrentCopies) {

@@ -53,6 +53,23 @@ TEST(Config, NetStagesFor8NodesArity4) {
   EXPECT_EQ(cfg.net_stages(), 4u);
 }
 
+// ceil(log_arity(nodes)) switch stages of the indirect network.
+TEST(Config, NetStages) {
+  const auto stages = [](std::uint32_t nodes, std::uint32_t arity) {
+    MachineConfig cfg;
+    cfg.nodes = nodes;
+    cfg.switch_arity = arity;
+    return cfg.net_stages();
+  };
+  EXPECT_EQ(stages(4, 4), 1u);
+  EXPECT_EQ(stages(8, 4), 2u);
+  EXPECT_EQ(stages(16, 4), 2u);
+  EXPECT_EQ(stages(17, 4), 3u);
+  EXPECT_EQ(stages(64, 4), 3u);
+  EXPECT_EQ(stages(2, 2), 1u);
+  EXPECT_EQ(stages(8, 2), 3u);
+}
+
 TEST(Config, ValidateCatchesBadGranularity) {
   MachineConfig cfg;
   cfg.block_bytes = ByteCount{96};  // not a power of two

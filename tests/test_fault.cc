@@ -166,6 +166,49 @@ TEST_F(FaultyNetworkTest, DisabledPlanKeepsDeliveryBitIdentical) {
   EXPECT_EQ(net_.deliver(Cycle{0}, NodeId{0}, NodeId{1}), without);
 }
 
+// An enabled plan whose only rule opens after the traffic never fires, so
+// every message takes try_deliver()'s plan path and must land exactly where
+// deliver()'s fault-free fast path puts it, with the same port bookkeeping.
+TEST_F(FaultyNetworkTest, FastPathMatchesAttemptPath) {
+  plan_.add_rule({fault::FaultKind::kDrop, kInvalidNode, kInvalidNode,
+                  Cycle{1'000'000}, kNeverCycle});
+  net_.set_fault_plan(&plan_);
+  ASSERT_TRUE(net_.faulty());
+  net::Network fast(cfg_);
+  ASSERT_FALSE(fast.faulty());
+
+  struct Msg {
+    Cycle now;
+    NodeId src, dst;
+  };
+  // Three senders into port 1 at once, a loopback, traffic to other ports,
+  // and a late message that finds port 1 free again.
+  const Msg seq[] = {
+      {Cycle{0}, NodeId{0}, NodeId{1}},   {Cycle{0}, NodeId{2}, NodeId{1}},
+      {Cycle{3}, NodeId{3}, NodeId{1}},   {Cycle{3}, NodeId{2}, NodeId{2}},
+      {Cycle{5}, NodeId{1}, NodeId{0}},   {Cycle{5}, NodeId{3}, NodeId{0}},
+      {Cycle{9}, NodeId{0}, NodeId{3}},   {Cycle{400}, NodeId{2}, NodeId{1}},
+  };
+  std::uint64_t fabric_messages = 0;
+  for (const Msg& m : seq) {
+    const Cycle via_fast = fast.deliver(m.now, m.src, m.dst);
+    const net::Network::Attempt a = net_.try_deliver(m.now, m.src, m.dst);
+    EXPECT_FALSE(a.dropped);
+    EXPECT_EQ(a.arrival, via_fast) << m.src << " -> " << m.dst << " at " << m.now;
+    if (m.src != m.dst) ++fabric_messages;
+  }
+  EXPECT_EQ(plan_.decisions(), fabric_messages);  // the plan path ran
+  EXPECT_EQ(plan_.injected(), 0u);
+  EXPECT_EQ(net_.messages(), fast.messages());
+  for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
+    EXPECT_EQ(net_.input_port(n).transactions(),
+              fast.input_port(n).transactions());
+    EXPECT_EQ(net_.input_port(n).busy_cycles(),
+              fast.input_port(n).busy_cycles());
+  }
+  EXPECT_EQ(fast.input_port(NodeId{1}).transactions(), 4u);
+}
+
 TEST_F(FaultyNetworkTest, DroppedMessageIsReportedToTheCaller) {
   plan_.add_rule({fault::FaultKind::kDrop, NodeId{0}, NodeId{1}, Cycle{0}, Cycle{50}});
   net_.set_fault_plan(&plan_);

@@ -2,26 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "net/topology.hh"
-
 namespace ascoma::net {
 namespace {
-
-TEST(Topology, StageCounts) {
-  EXPECT_EQ(Topology(4, 4).stages(), 1u);
-  EXPECT_EQ(Topology(8, 4).stages(), 2u);
-  EXPECT_EQ(Topology(16, 4).stages(), 2u);
-  EXPECT_EQ(Topology(17, 4).stages(), 3u);
-  EXPECT_EQ(Topology(64, 4).stages(), 3u);
-  EXPECT_EQ(Topology(2, 2).stages(), 1u);
-  EXPECT_EQ(Topology(8, 2).stages(), 3u);
-}
-
-TEST(Topology, HopsZeroForSelf) {
-  Topology t(8, 4);
-  EXPECT_EQ(t.hops(3, 3), 0u);
-  EXPECT_EQ(t.hops(0, 7), t.stages());
-}
 
 TEST(Network, MinLatencyMatchesConfigFormula) {
   MachineConfig cfg;
