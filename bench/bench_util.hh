@@ -117,7 +117,6 @@ class BenchJson {
       sp.peak_rss_bytes = r.timing.peak_rss_bytes;
       sp.allocs = r.timing.allocs;
       sp.store_ns = r.timing.store.value();
-      sp.serve_ns = r.timing.serve.value();
       simspeed_.rows.push_back(std::move(sp));
     }
   }

@@ -1,6 +1,6 @@
 #pragma once
 
-// Hot-path / determinism annotations (ARCHITECTURE.md §17).
+// Hot-path / determinism annotations (ARCHITECTURE.md §16).
 //
 // These macros mark the functions whose behaviour the static fence in
 // tools/lint_hotpath.py guards.  They expand to [[clang::annotate]] under

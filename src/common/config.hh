@@ -12,7 +12,6 @@
 
 namespace ascoma::obs {
 class EventSink;  // observability collection point (src/obs/sink.hh)
-class Registry;   // live-metrics registry (src/obs/metrics.hh)
 }
 namespace ascoma::prof {
 class Profiler;  // latency-attribution profiler (src/prof/profiler.hh)
@@ -145,15 +144,6 @@ struct MachineConfig {
   // thread-safe: do not share one across concurrent simulate() calls.
   obs::EventSink* sink = nullptr;
   Cycles sample_every{0};
-  /// Non-owning: when set, the machine publishes per-node live gauges (free
-  /// frames, back-off threshold, page-cache occupancy, remote misses) into
-  /// the registry at every sample boundary — the mid-run feed behind obsd's
-  /// `GET /metrics`.  Gauges are last-writer-wins: concurrent sweep jobs
-  /// sharing one registry overwrite each other's node rows, which is the
-  /// intended "live tap" semantic (per-job archives live on the status
-  /// board).  Unlike `sink`, a Registry is thread-safe.  Attaching one never
-  /// changes simulated behaviour.
-  obs::Registry* registry = nullptr;
 
   // ---- profiling (src/prof) -------------------------------------------------
   // Non-owning: when set, every blocking demand access is bracketed and its

@@ -1,5 +1,5 @@
 // Annotated concurrency primitives — the static half of the concurrency
-// fence (ARCHITECTURE.md §18; companion linter: tools/lint_concurrency.py).
+// fence (ARCHITECTURE.md §17; companion linter: tools/lint_concurrency.py).
 //
 // Everything cross-thread in this repo locks through ascoma::Mutex /
 // ascoma::LockGuard / ascoma::CondVar, never raw std::mutex (linter rule

@@ -215,7 +215,7 @@ using LineId = LineAddr;  // historical spelling, same strong type
 using FrameId = StrongId<dim::FrameTag>;
 
 /// Host wall-clock nanoseconds: the simulator's own execution time (sweep
-/// job walls, store and serve overheads), never simulated time, so
+/// job walls, store overheads), never simulated time, so
 /// `Cycle + HostNs` does not compile.
 using HostNs = StrongQuantity<dim::HostNsTag>;
 

@@ -110,31 +110,9 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
   sink_ = cfg_.sink;
   sampler_ = obs::Sampler(cfg_.sample_every);
   cmem_->set_sink(sink_);
-  install_profiler(cfg_.profiler);
-
-  registry_ = cfg_.registry;
-  if (registry_ != nullptr) {
-    for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
-      const std::vector<obs::Label> labels{
-          {"node", std::to_string(n.value())}};
-      NodeGauges g;
-      g.free_frames = &registry_->gauge(
-          "ascoma_node_free_frames",
-          "Free page-cache frames per node (live sample)", labels);
-      g.threshold = &registry_->gauge(
-          "ascoma_node_threshold",
-          "Adaptive replacement back-off threshold per node (live sample)",
-          labels);
-      g.cache_active = &registry_->gauge(
-          "ascoma_node_cache_active_pages",
-          "Active S-COMA page-cache pages per node (live sample)", labels);
-      g.remote_misses = &registry_->gauge(
-          "ascoma_node_remote_misses",
-          "Cumulative remote misses per node of the sampled job (live sample)",
-          labels);
-      node_gauges_.push_back(g);
-    }
-  }
+  prof_ = cfg_.profiler;
+  cmem_->set_profiler(prof_);
+  if (sink_) sink_->set_observer(prof_);
 
   node_stats_.assign(cfg_.total_procs(), NodeStats{});
   if (!cfg_.blocking_stores) {
@@ -152,21 +130,6 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
 
 Machine::~Machine() = default;
 
-void Machine::install_sink(obs::EventSink* sink, Cycle sample_every) {
-  ASCOMA_CHECK_MSG(!ran_, "install_sink must precede run()");
-  sink_ = sink;
-  cmem_->set_sink(sink);
-  if (sample_every > Cycle{0}) sampler_ = obs::Sampler(sample_every);
-  if (sink_ && prof_) sink_->set_observer(prof_);
-}
-
-void Machine::install_profiler(prof::Profiler* profiler) {
-  ASCOMA_CHECK_MSG(!ran_, "install_profiler must precede run()");
-  prof_ = profiler;
-  cmem_->set_profiler(profiler);
-  if (sink_) sink_->set_observer(profiler);
-}
-
 void Machine::take_samples(Cycle cycle) {
   for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
     obs::Sample s;
@@ -178,14 +141,7 @@ void Machine::take_samples(Cycle cycle) {
     for (std::uint32_t p = n.value() * cfg_.procs_per_node;
          p < (n.value() + 1) * cfg_.procs_per_node; ++p)
       s.remote_misses += node_stats_[p].misses.remote();
-    if (sink_ != nullptr) sink_->add_sample(s);
-    if (registry_ != nullptr) {
-      const NodeGauges& g = node_gauges_[n.value()];
-      g.free_frames->set(s.free_frames);
-      g.threshold->set(s.threshold);
-      g.cache_active->set(s.cache_active);
-      g.remote_misses->set(s.remote_misses);
-    }
+    sink_->add_sample(s);
   }
 }
 
@@ -588,7 +544,7 @@ RunResult Machine::run() {
     // Gauge sampling: the global clock (min ready cycle) just crossed a
     // sample boundary.  One catch-up sample per crossing, stamped at the
     // boundary the clock passed.
-    if ((sink_ != nullptr || registry_ != nullptr) && sampler_.due(now)) {
+    if (sink_ != nullptr && sampler_.due(now)) {
       take_samples(sampler_.boundary());
       sampler_.advance(now);
     }
@@ -626,7 +582,7 @@ RunResult Machine::run() {
 
   // Close the time series with the end-of-run state so the last row of the
   // metrics export agrees with RunResult::final_threshold and friends.
-  if ((sink_ != nullptr || registry_ != nullptr) && sampler_.enabled())
+  if (sink_ != nullptr && sampler_.enabled())
     take_samples(end_cycle_);
   if (prof_) prof_->set_run_cycles(end_cycle_);
 

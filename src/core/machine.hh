@@ -27,7 +27,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/invariants.hh"
-#include "obs/metrics.hh"
 #include "obs/sink.hh"
 #include "prof/profiler.hh"
 #include "proto/coherent_memory.hh"
@@ -98,17 +97,6 @@ class Machine {
   /// invokes it when cfg.check_invariants is set and fails on violations;
   /// callable directly for diagnostics or after planting state in tests.
   fault::InvariantReport invariant_report() const;
-
-  /// Attach/detach an observability sink after construction (equivalent to
-  /// setting MachineConfig::sink; `sample_every` of 0 keeps the config's
-  /// sampling period).  Must be called before run().
-  void install_sink(obs::EventSink* sink, Cycle sample_every = Cycle{0});
-
-  /// Attach/detach a latency-attribution profiler after construction
-  /// (equivalent to setting MachineConfig::profiler).  When a sink is also
-  /// attached, the profiler is registered as its streaming observer so the
-  /// per-page heat map sees every event.  Must be called before run().
-  void install_profiler(prof::Profiler* profiler);
 
   /// Node hosting processor `proc` (identity when procs_per_node == 1).
   NodeId node_of(std::uint32_t proc) const {
@@ -217,16 +205,6 @@ class Machine {
   obs::EventSink* sink_ = nullptr;  ///< non-owning; null = observability off
   obs::Sampler sampler_;
   prof::Profiler* prof_ = nullptr;  ///< non-owning; null = profiling off
-  obs::Registry* registry_ = nullptr;  ///< non-owning; null = no live gauges
-  /// Registry gauge handles, resolved once at construction (the registry's
-  /// find-or-create takes a mutex; sampling must not).
-  struct NodeGauges {
-    obs::Gauge* free_frames = nullptr;
-    obs::Gauge* threshold = nullptr;
-    obs::Gauge* cache_active = nullptr;
-    obs::Gauge* remote_misses = nullptr;
-  };
-  std::vector<NodeGauges> node_gauges_;  ///< one row per node; empty when off
   bool ran_ = false;
   bool resumed_ = false;  ///< restore() ran; run() continues mid-stream
   Cycle end_cycle_{0};    ///< max completion cycle seen so far

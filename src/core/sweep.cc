@@ -11,11 +11,7 @@
 
 #include "common/check.hh"
 #include "common/sync.hh"
-#include "core/sweep_status.hh"
 #include "core/sweep_store.hh"
-#include "obs/metrics.hh"
-#include "obs/tail.hh"
-#include "obsd/server.hh"
 #include "store/store.hh"
 #include "workload/workload.hh"
 
@@ -52,85 +48,6 @@ void journal_done(store::ResultStore& rs, std::size_t job,
      << "\",\"cached\":" << (cached ? "true" : "false")
      << ",\"cycles\":" << cycles.value() << '}';
   rs.append_manifest(os.str());
-}
-
-// ---- serve plane constants ------------------------------------------------
-
-/// Per-job private sink capacity while serving: big enough for the event
-/// tallies to stay exact (tallies count past capacity anyway) without
-/// reserving the 1M-event default per concurrent job.
-constexpr std::size_t kServeJobSinkCapacity = std::size_t{1} << 14;
-/// Newest events of each finished job fed into the shared tail.
-constexpr std::size_t kServeJobTailEvents = 256;
-/// Default mid-job gauge cadence when the job config does not sample.
-constexpr Cycle kServeSampleEvery{50'000};
-
-/// Stable endpoint id carried in kServeRequest/kServeError's `c` argument.
-std::uint64_t endpoint_id(const std::string& path) {
-  if (path == "/metrics") return 1;
-  if (path == "/progress") return 2;
-  if (path == "/jobs") return 3;
-  if (path.rfind("/jobs/", 0) == 0) return 4;
-  if (path == "/events") return 5;
-  if (path == "/") return 6;
-  return 0;
-}
-
-const char* endpoint_name(std::uint64_t id) {
-  switch (id) {
-    case 1: return "metrics";
-    case 2: return "progress";
-    case 3: return "jobs";
-    case 4: return "job";
-    case 5: return "events";
-    case 6: return "index";
-    default: return "other";
-  }
-}
-
-/// The sweep-level metric handles, resolved once so workers never touch the
-/// registry's registration mutex.
-struct SweepMetrics {
-  obs::Counter* jobs_done = nullptr;
-  obs::Counter* jobs_cached = nullptr;
-  obs::Counter* jobs_failed = nullptr;
-  obs::Counter* sim_cycles = nullptr;
-  obs::Gauge* jobs_running = nullptr;
-  obs::Gauge* jobs_total = nullptr;
-  obs::Histogram* job_wall_ns = nullptr;
-
-  void resolve(obs::Registry& reg) {
-    const char* help = "Sweep jobs finished, by terminal state";
-    jobs_done = &reg.counter("ascoma_sweep_jobs_total", help,
-                             {{"state", "done"}});
-    jobs_cached = &reg.counter("ascoma_sweep_jobs_total", help,
-                               {{"state", "cached"}});
-    jobs_failed = &reg.counter("ascoma_sweep_jobs_total", help,
-                               {{"state", "failed"}});
-    sim_cycles = &reg.counter(
-        "ascoma_sweep_sim_cycles_total",
-        "Simulated cycles completed by finished sweep jobs");
-    jobs_running = &reg.gauge("ascoma_sweep_jobs_running",
-                              "Sweep jobs currently simulating");
-    jobs_total =
-        &reg.gauge("ascoma_sweep_jobs", "Total jobs in the running sweep");
-    job_wall_ns = &reg.histogram(
-        "ascoma_sweep_job_wall_ns",
-        "Host wall time per finished sweep job in nanoseconds");
-  }
-};
-
-/// Fold a finished job's private event tally into ascoma_events_total.
-void fold_event_counts(obs::Registry& reg, const obs::EventSink& sink) {
-  for (int k = 0; k < obs::kNumEventKinds; ++k) {
-    const auto kind = static_cast<obs::EventKind>(k);
-    const std::uint64_t n = sink.count(kind);
-    if (n == 0) continue;
-    reg.counter("ascoma_events_total",
-                "Simulator events emitted by sweep jobs, by kind",
-                {{"kind", obs::to_string(kind)}})
-        .inc(n);
-  }
 }
 
 }  // namespace
@@ -190,95 +107,6 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
       std::cerr << rs->report().to_string() << std::endl;
   }
 
-  // ---- live observability plane (SweepOptions::serve_port) -----------------
-  // Everything below this block is heap-free and thread-free when
-  // serve_port is unset: no registry, no tail, no board, no server.
-  const bool serving = opts.serve_port.has_value();
-  std::unique_ptr<obs::Registry> own_registry;
-  obs::Registry* reg = nullptr;
-  std::unique_ptr<obs::EventTail> tail;
-  std::unique_ptr<SweepStatusBoard> board;
-  SweepMetrics sm;
-  std::unique_ptr<obsd::Server> server;  // declared last: stops first
-  if (serving) {
-    reg = opts.registry;
-    if (reg == nullptr) {
-      own_registry = std::make_unique<obs::Registry>();
-      reg = own_registry.get();
-    }
-    tail = std::make_unique<obs::EventTail>();
-    board = std::make_unique<SweepStatusBoard>();
-    std::vector<std::string> fingerprints(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      fingerprints[i] = job_fingerprint(jobs[i]).hex();
-    board->reset(jobs, fingerprints);
-    sm.resolve(*reg);
-    sm.jobs_total->set(std::uint64_t{jobs.size()});
-
-    server = std::make_unique<obsd::Server>();
-    server->route("/", [](const obsd::Request&) {
-      return obsd::Response{200, "text/plain; charset=utf-8",
-                            "ascoma obsd\n/metrics\n/progress\n/jobs\n"
-                            "/jobs/<fingerprint>\n/events?last=N\n"};
-    });
-    server->route("/metrics", [reg](const obsd::Request&) {
-      std::ostringstream os;
-      reg->write_prometheus(os);
-      return obsd::Response{200, "text/plain; version=0.0.4; charset=utf-8",
-                            os.str()};
-    });
-    server->route("/progress", [b = board.get()](const obsd::Request&) {
-      return obsd::Response{200, "application/json", b->progress_json()};
-    });
-    server->route("/jobs", [b = board.get()](const obsd::Request&) {
-      return obsd::Response{200, "application/json", b->jobs_json()};
-    });
-    server->route_prefix("/jobs/", [b = board.get()](const obsd::Request& r) {
-      std::string body = b->job_json(std::string_view(r.path).substr(6));
-      if (body.empty())
-        return obsd::Response{404, "text/plain; charset=utf-8",
-                              "no such job\n"};
-      return obsd::Response{200, "application/json", std::move(body)};
-    });
-    server->route("/events", [t = tail.get()](const obsd::Request& r) {
-      const std::uint64_t last = obsd::query_u64(r.query, "last", 100);
-      return obsd::Response{200, "application/x-ndjson",
-                            t->jsonl_tail(last)};
-    });
-    server->set_request_hook([reg, t = tail.get()](int status,
-                                                   std::size_t body_size,
-                                                   const std::string& path) {
-      const std::uint64_t ep = endpoint_id(path);
-      reg->counter("ascoma_serve_requests_total",
-                   "HTTP requests answered by obsd, by endpoint",
-                   {{"endpoint", endpoint_name(ep)}})
-          .inc();
-      obs::Event e;
-      e.kind = obs::EventKind::kServeRequest;
-      e.a = static_cast<std::uint64_t>(status);
-      e.b = body_size;
-      e.c = ep;
-      t->push(e);
-      if (status >= 400) {
-        reg->counter("ascoma_serve_errors_total",
-                     "HTTP error responses answered by obsd")
-            .inc();
-        obs::Event err;
-        err.kind = obs::EventKind::kServeError;
-        err.a = static_cast<std::uint64_t>(status);
-        err.c = ep;
-        t->push(err);
-      }
-    });
-    if (server->start(*opts.serve_port)) {
-      if (opts.serve_ready) opts.serve_ready(server->port());
-    } else {
-      std::cerr << "obsd: serving disabled: " << server->last_error()
-                << std::endl;
-      server.reset();
-    }
-  }
-
   std::vector<SweepResult> results(jobs.size());
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
@@ -310,7 +138,6 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
       // this worker's until the join publishes it.
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) break;
-      bool marked_running = false;
       try {
         auto wl = workload::make_workload(jobs[i].workload,
                                           jobs[i].workload_scale);
@@ -348,54 +175,17 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                 results[i].result.stats.parallel_cycles.value(),
                 std::memory_order_relaxed);
             done.fetch_add(1, std::memory_order_relaxed);
-            if (serving) {
-              const HostNs v0 = clock->now();
-              sm.jobs_cached->inc();
-              sm.sim_cycles->inc(results[i].result.stats.parallel_cycles);
-              obs::Event e;
-              e.cycle = results[i].result.stats.parallel_cycles;
-              e.kind = obs::EventKind::kSweepCacheHit;
-              e.a = i;
-              e.b = job_fingerprint(jobs[i]).lo;
-              tail->push(e);
-              results[i].timing.serve = clock->now() - v0;
-              board->mark_finished(i, JobStatus::State::kCached, results[i],
-                                   clock->now() - sweep_t0);
-            }
             continue;
           }
         }
 
-        // The simulated config: identical to the job's except that, while
-        // serving, a private sink, the shared registry, and a default gauge
-        // cadence are attached.  All of it is invisible to the fingerprint
-        // (computed from jobs[i] above) and to simulated behaviour.
-        MachineConfig mcfg = jobs[i].config;
-        std::unique_ptr<obs::EventSink> job_sink;
-        if (serving) {
-          if (mcfg.sink == nullptr) {
-            job_sink =
-                std::make_unique<obs::EventSink>(kServeJobSinkCapacity);
-            mcfg.sink = job_sink.get();
-          }
-          mcfg.registry = reg;
-          if (mcfg.sample_every.value() == 0)
-            mcfg.sample_every = kServeSampleEvery;
-          board->mark_running(i, clock->now() - sweep_t0);
-          sm.jobs_running->add(1.0);
-          marked_running = true;
-        }
-
         const std::uint64_t allocs0 = thread_alloc_count();
         const HostNs t0 = clock->now();
-        results[i].result = simulate(mcfg, *wl);
+        results[i].result = simulate(jobs[i].config, *wl);
         const HostNs t1 = clock->now();
         results[i].timing.wall = t1 - t0;
         results[i].timing.allocs = thread_alloc_count() - allocs0;
         results[i].timing.peak_rss_bytes = peak_rss_bytes();
-        // The result carries the config it ran with; restore the caller's so
-        // serve-plane pointers never leak into results (or the store).
-        if (serving) results[i].result.config = jobs[i].config;
 
         // Persist the miss before it counts as done: after a kill, every
         // journaled job has a verified record on disk.
@@ -413,27 +203,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
             results[i].result.stats.parallel_cycles.value(),
             std::memory_order_relaxed);
         done.fetch_add(1, std::memory_order_relaxed);
-        if (serving) {
-          const HostNs v0 = clock->now();
-          sm.jobs_done->inc();
-          sm.jobs_running->sub(1.0);
-          sm.sim_cycles->inc(results[i].result.stats.parallel_cycles);
-          sm.job_wall_ns->observe(results[i].timing.wall);
-          if (job_sink) {
-            fold_event_counts(*reg, *job_sink);
-            tail->push_sink_tail(*job_sink, kServeJobTailEvents);
-          }
-          results[i].timing.serve = clock->now() - v0;
-          board->mark_finished(i, JobStatus::State::kDone, results[i],
-                               clock->now() - sweep_t0);
-        }
       } catch (...) {
-        if (serving) {
-          sm.jobs_failed->inc();
-          if (marked_running) sm.jobs_running->sub(1.0);
-          board->mark_finished(i, JobStatus::State::kFailed, results[i],
-                               clock->now() - sweep_t0);
-        }
         {
           const LockGuard g(err.mu);
           if (!err.first) err.first = std::current_exception();
@@ -448,9 +218,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
 
   // Progress heartbeat: one extra thread building single-line JSON at the
   // configured cadence; woken early at shutdown so the sweep never waits on
-  // a sleeping reporter.  The same lines feed the stderr stream
-  // (opts.progress) and the status board's `GET /progress` (serving) — a
-  // served sweep beats even when --progress is off.
+  // a sleeping reporter.
   struct Heartbeat {
     Mutex mu;
     CondVar cv;
@@ -459,14 +227,14 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
   // Heartbeat-thread-private while it runs; the final-line read below
   // happens after join(), a full happens-before edge — no guard needed.
   std::uint64_t hb_seq = 0;
+  std::ostream* const out =
+      opts.progress_out != nullptr ? opts.progress_out : &std::cerr;
   std::thread heartbeat;
-  if ((opts.progress || serving) && !jobs.empty()) {
-    std::ostream* out =
-        opts.progress_out != nullptr ? opts.progress_out : &std::cerr;
+  if (opts.progress && !jobs.empty()) {
     const auto interval =
         std::chrono::milliseconds(std::max<std::uint32_t>(
             opts.progress_interval_ms, 1));
-    heartbeat = std::thread([&, out, interval] {
+    heartbeat = std::thread([&, interval] {
       for (;;) {
         bool stop_now;
         {
@@ -483,15 +251,14 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         if (stop_now) break;
         // Beat OUTSIDE the lock (lint_concurrency rule C4): formatting the
         // line and streaming it to *out (possibly a pipe) must never stall
-        // the stopper; board->set_progress takes the board's own leaf lock.
+        // the stopper.
         // order: relaxed — monotonic telemetry reads for display only.
         const std::string line = progress_line(
             done.load(std::memory_order_relaxed), jobs.size(),
             clock->now() - sweep_t0,
             Cycle{cycles_done.load(std::memory_order_relaxed)},
             cached_jobs.load(std::memory_order_relaxed), hb_seq++);
-        if (opts.progress) *out << line << std::endl;
-        if (board) board->set_progress(line);
+        *out << line << std::endl;
       }
     });
   }
@@ -517,12 +284,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         clock->now() - sweep_t0,
         Cycle{cycles_done.load(std::memory_order_relaxed)},
         cached_jobs.load(std::memory_order_relaxed), hb_seq);
-    if (opts.progress) {
-      std::ostream* out =
-          opts.progress_out != nullptr ? opts.progress_out : &std::cerr;
-      *out << line << std::endl;
-    }
-    if (board) board->set_progress(line);
+    *out << line << std::endl;
   }
   {
     const LockGuard g(err.mu);
@@ -541,8 +303,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
   }
 
   // Straggler pass: flag jobs whose wall time exceeded the configured
-  // multiple of the sweep median — the load-imbalance signal the sweep
-  // daemon (ROADMAP item 4) will act on.
+  // multiple of the sweep median — the load-imbalance signal.
   if (opts.straggler_factor > 0.0 && results.size() >= 2) {
     const HostNs median = median_wall(results);
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -556,16 +317,6 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                         r.result.stats.parallel_cycles, NodeId{0},
                         kInvalidPage, r.timing.wall.value() / 1'000'000,
                         median.value() / 1'000'000, i);
-      if (tail) {
-        obs::Event e;
-        e.cycle = r.result.stats.parallel_cycles;
-        e.kind = obs::EventKind::kSweepStraggler;
-        e.a = r.timing.wall.value() / 1'000'000;
-        e.b = median.value() / 1'000'000;
-        e.c = i;
-        tail->push(e);
-      }
-      if (board) board->mark_straggler(i);
     }
   }
   return results;

@@ -8,8 +8,7 @@
 // Besides the RunResults themselves the sweep records a host-side timing
 // envelope per job (wall time, peak RSS, allocation count — the sim-rate
 // telemetry of ARCHITECTURE.md §14), can stream a single-line-JSON progress
-// heartbeat to stderr (`--progress` in the CLI; the seed of the sweep
-// daemon's status endpoint), and flags straggler jobs whose wall time
+// heartbeat to stderr (`--progress` in the CLI), and flags straggler jobs whose wall time
 // exceeded a configurable multiple of the sweep median, emitting a
 // kSweepStraggler event on the options' sink.
 //
@@ -24,9 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,10 +31,6 @@
 #include "core/machine.hh"
 #include "obs/sink.hh"
 #include "core/host.hh"
-
-namespace ascoma::obs {
-class Registry;  // live-metrics registry (src/obs/metrics.hh)
-}
 
 namespace ascoma::core {
 
@@ -60,10 +53,6 @@ struct SweepTiming {
   /// SweepOptions::store_dir is empty — the store is zero-cost when off.
   HostNs store{0};
   bool cached = false;             ///< satisfied from the result store
-  /// Host time this job spent publishing to the live observability plane
-  /// (status board, metrics registry, event tail).  Always 0 when
-  /// SweepOptions::serve_port is unset — serving is zero-cost when off.
-  HostNs serve{0};
 };
 
 struct SweepResult {
@@ -98,22 +87,6 @@ struct SweepOptions {
   /// the setter must publish with a release store (the shutdown handler in
   /// store/shutdown.cc does); workers poll with acquire loads.
   const std::atomic<bool>* stop = nullptr;
-  /// Engage the live observability plane: bind an obsd::Server to
-  /// 127.0.0.1:<port> (0 = ephemeral) for the duration of the sweep, serving
-  /// GET /metrics (Prometheus), /progress (heartbeat JSON), /jobs +
-  /// /jobs/<fingerprint> (status board), and /events?last=N (event tail).
-  /// Unset = no server, no serve thread, no registry traffic — runs are
-  /// byte-identical to a build without the plane.  A bind failure is
-  /// reported once on std::cerr and the sweep proceeds unserved.
-  std::optional<std::uint16_t> serve_port;
-  /// Invoked once with the bound port when the server is listening (useful
-  /// with serve_port 0); never invoked when the bind fails.
-  std::function<void(std::uint16_t)> serve_ready;
-  /// Metrics registry the served sweep publishes into.  nullptr = the sweep
-  /// owns a private registry for the server's lifetime; non-null lets the
-  /// caller keep scraping (or asserting, in tests) after run_sweep returns.
-  /// Ignored when serve_port is unset.
-  obs::Registry* registry = nullptr;
 };
 
 /// Runs all jobs on up to `opts.threads` worker threads.  Results are
@@ -126,8 +99,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
 std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                                    unsigned threads = 0);
 
-/// The heartbeat line run_sweep emits (exposed for tests and the sweep
-/// daemon's `GET /progress`): single-line JSON, no trailing newline.  `wall`
+/// The heartbeat line run_sweep emits (exposed for tests): single-line JSON, no trailing newline.  `wall`
 /// is the sweep's elapsed host time, `cycles_done` the simulated cycles
 /// completed so far; ETA extrapolates mean job wall time over the remainder.
 /// `cached` counts jobs satisfied from the result store (always 0 when no

@@ -135,7 +135,6 @@ void decode_config(store::Decoder& d, MachineConfig* c) {
   c->check_invariants = d.b();
   c->sink = nullptr;
   c->profiler = nullptr;
-  c->registry = nullptr;
   d.end_section();
 }
 

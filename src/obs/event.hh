@@ -40,12 +40,8 @@ enum class EventKind : std::uint8_t {
   kSweepCacheHit,    ///< sweep job satisfied from the result store without
                      ///<  re-simulating (a=job index, b=fingerprint low
                      ///<   64 bits); cycle = cached job's end cycle
-  kServeRequest,     ///< obsd served an HTTP request (a=status, b=body
-                     ///<  bytes, c=endpoint id); cycle = 0 (host-side event)
-  kServeError,       ///< obsd answered with an error status (a=status,
-                     ///<  c=endpoint id); cycle = 0 (host-side event)
 };
-inline constexpr int kNumEventKinds = 21;
+inline constexpr int kNumEventKinds = 19;
 
 /// Short stable identifier ("page_fault", "upgrade", ...) used by exporters.
 const char* to_string(EventKind k);

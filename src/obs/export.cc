@@ -58,8 +58,8 @@ void json_event_args(std::ostream& os, const Event& e, bool lead_comma) {
   }
 }
 
-}  // namespace
-
+/// One event as a single-line JSON object (no trailing newline): the JSONL
+/// row shape.
 void write_event_json(std::ostream& os, const Event& e) {
   os << "{\"cycle\":" << e.cycle << ",\"kind\":\"" << to_string(e.kind)
      << "\",\"node\":" << e.node;
@@ -67,6 +67,8 @@ void write_event_json(std::ostream& os, const Event& e) {
   json_event_args(os, e, true);
   os << '}';
 }
+
+}  // namespace
 
 void write_jsonl(std::ostream& os, const EventSink& sink) {
   for (const Event& e : sink.sorted_events()) {

@@ -37,11 +37,6 @@ std::string json_escape(std::string_view s);
 /// embedded quotes doubled.
 std::string csv_field(std::string_view s);
 
-/// One event as a single-line JSON object (no trailing newline) — the JSONL
-/// row shape shared by write_jsonl and the obsd `/events` endpoint.
-ASCOMA_DETERMINISM_SENSITIVE void write_event_json(std::ostream& os,
-                                                   const Event& e);
-
 ASCOMA_DETERMINISM_SENSITIVE void write_jsonl(std::ostream& os,
                                               const EventSink& sink);
 ASCOMA_DETERMINISM_SENSITIVE void write_perfetto(std::ostream& os,

@@ -25,8 +25,6 @@ const char* to_string(EventKind k) {
     case EventKind::kWatchdogTrip: return "watchdog_trip";
     case EventKind::kSweepStraggler: return "sweep_straggler";
     case EventKind::kSweepCacheHit: return "sweep_cache_hit";
-    case EventKind::kServeRequest: return "serve_request";
-    case EventKind::kServeError: return "serve_error";
   }
   return "?";
 }
@@ -56,10 +54,6 @@ const char* arg_name(EventKind k, int i) {
       return i == 0 ? "wall_ms" : i == 1 ? "median_ms" : "job";
     case EventKind::kSweepCacheHit:
       return i == 0 ? "job" : i == 1 ? "fingerprint_lo" : nullptr;
-    case EventKind::kServeRequest:
-      return i == 0 ? "status" : i == 1 ? "body_bytes" : "endpoint";
-    case EventKind::kServeError:
-      return i == 0 ? "status" : i == 2 ? "endpoint" : nullptr;
     default:
       return nullptr;
   }

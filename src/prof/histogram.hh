@@ -57,8 +57,6 @@ class LatencyHistogram {
   std::uint64_t bucket_count(int i) const { return buckets_[i]; }
 
   /// Bucket index of `v` (its bit width): 0 for 0, 64 for values >= 2^63.
-  /// constexpr so other bucketed consumers (the obs metrics registry) share
-  /// these exact bucket boundaries without a link dependency on prof.
   static constexpr int bucket_of(std::uint64_t v) {
     return static_cast<int>(std::bit_width(v));  // 0 -> 0, [2^(i-1), 2^i) -> i
   }

@@ -189,12 +189,6 @@ void Profiler::on_event(const obs::Event& e) {
     case obs::EventKind::kSweepCacheHit:
       ++proto_.sweep_cache_hits;
       break;
-    case obs::EventKind::kServeRequest:
-      ++proto_.serve_requests;
-      break;
-    case obs::EventKind::kServeError:
-      ++proto_.serve_errors;
-      break;
   }
   // No default: -Wswitch (promoted by ASCOMA_WERROR) forces a fold for every
   // new EventKind; tools/lint_protocol.py checks the same property statically.

@@ -123,8 +123,6 @@ struct ProtocolCounters {
   std::uint64_t watchdog_trips = 0;     ///< kWatchdogTrip aborts (0 or 1)
   std::uint64_t sweep_stragglers = 0;   ///< kSweepStraggler flags observed
   std::uint64_t sweep_cache_hits = 0;   ///< kSweepCacheHit store hits observed
-  std::uint64_t serve_requests = 0;     ///< kServeRequest obsd hits observed
-  std::uint64_t serve_errors = 0;       ///< kServeError obsd 4xx/5xx observed
 };
 
 /// Per-node policy trajectory (back-off epochs).

@@ -166,7 +166,6 @@ bool parse_row(Cursor& c, SimspeedRow& row) {
                              : key == "peak_rss_bytes" ? &row.peak_rss_bytes
                              : key == "allocs"         ? &row.allocs
                              : key == "store_ns"       ? &row.store_ns
-                             : key == "serve_ns"       ? &row.serve_ns
                                                        : nullptr;
     if (counter != nullptr) {
       if (!c.parse_number(*counter)) return false;
@@ -204,8 +203,7 @@ void write_simspeed(std::ostream& os, const SimspeedDoc& doc) {
        << ",\"sim_rate_hz\":" << fmt_double(r.sim_rate_hz())
        << ",\"peak_rss_bytes\":" << r.peak_rss_bytes
        << ",\"allocs\":" << r.allocs
-       << ",\"store_ns\":" << r.store_ns
-       << ",\"serve_ns\":" << r.serve_ns << '}';
+       << ",\"store_ns\":" << r.store_ns << '}';
   }
   os << "]}\n";
 }

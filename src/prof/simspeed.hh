@@ -34,11 +34,6 @@ struct SimspeedRow {
   /// the sweep runs without a store, which the rate gate implicitly checks:
   /// store-off runs must not pay for the feature.
   std::uint64_t store_ns = 0;
-  /// Host ns the job spent publishing to the live observability plane
-  /// (status board, metrics registry, event tail).  Informational only —
-  /// never gated, and 0 when the sweep runs without --serve, which the rate
-  /// gate implicitly checks: serve-off runs must not pay for the feature.
-  std::uint64_t serve_ns = 0;
 
   /// Simulated cycles per host wall second (0 when wall_ns is 0).
   double sim_rate_hz() const;

@@ -269,19 +269,5 @@ TEST(MachineObs, FinalSampleMatchesRunResult) {
     EXPECT_LE(samples[i - 1].cycle, samples[i].cycle);
 }
 
-TEST(MachineObs, InstallSinkHookIsEquivalentToConfig) {
-  const auto w = pressured_wl();
-  EventSink via_cfg, via_hook;
-  (void)core::simulate(pressured_cfg(&via_cfg), w);
-
-  MachineConfig c = pressured_cfg(nullptr);
-  core::Machine m(c, w);
-  m.install_sink(&via_hook);
-  (void)m.run();
-  EXPECT_EQ(via_hook.count(EventKind::kThresholdRaise),
-            via_cfg.count(EventKind::kThresholdRaise));
-  EXPECT_EQ(via_hook.size(), via_cfg.size());
-}
-
 }  // namespace
 }  // namespace ascoma::obs

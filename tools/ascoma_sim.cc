@@ -33,11 +33,6 @@
 //   --progress          single-line JSON heartbeat on stderr while the
 //                       sweep runs (jobs done/total, sim-rate, ETA)
 //   --progress-interval-ms N   heartbeat period (default 1000)
-//   --serve PORT        live observability endpoint on 127.0.0.1:PORT while
-//                       the sweep runs (ARCHITECTURE.md §16): GET /metrics
-//                       (Prometheus), /progress, /jobs, /jobs/<fingerprint>,
-//                       /events?last=N; PORT 0 picks an ephemeral port,
-//                       printed on stderr
 //
 // Durability (ARCHITECTURE.md §15):
 //   --store DIR         content-addressed result store: completed sweep jobs
@@ -115,7 +110,6 @@ struct Options {
   std::string profile_dir;
   bool progress = false;
   std::uint32_t progress_interval_ms = 1000;
-  std::optional<std::uint16_t> serve_port;
   Cycle sample_every{100'000};
   double fault_drop = 0.0;
   double fault_dup = 0.0;
@@ -158,7 +152,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
       "                  [--events PATH] [--perfetto PATH] [--metrics PATH]\n"
       "                  [--profile DIR] [--sample-every N] [--verbose]\n"
       "                  [--progress] [--progress-interval-ms N]\n"
-      "                  [--serve PORT]\n"
       "                  [--fault-drop P] [--fault-dup P] [--fault-jitter P]\n"
       "                  [--fault-jitter-cycles N] [--fault-seed N]\n"
       "                  [--watchdog-cycles N] [--nack-busy N]\n"
@@ -259,10 +252,6 @@ Options parse(int argc, char** argv) {
       o.profile_dir = need_value(i);
     } else if (a == "--progress") {
       o.progress = true;
-    } else if (a == "--serve") {
-      const std::uint32_t p = parse_u32(need_value(i), "--serve");
-      if (p > 65535) usage("--serve PORT must be in [0,65535]");
-      o.serve_port = static_cast<std::uint16_t>(p);
     } else if (a == "--progress-interval-ms") {
       o.progress_interval_ms =
           parse_u32(need_value(i), "--progress-interval-ms");
@@ -527,13 +516,6 @@ int main(int argc, char** argv) {
     sopts.sink = sink ? &*sink : nullptr;
     sopts.store_dir = opt.store_dir;
     sopts.stop = store::shutdown_flag();
-    sopts.serve_port = opt.serve_port;
-    if (opt.serve_port) {
-      sopts.serve_ready = [](std::uint16_t port) {
-        std::cerr << "obsd: listening on http://127.0.0.1:" << port
-                  << " (/metrics /progress /jobs /events)" << std::endl;
-      };
-    }
     if (!opt.store_dir.empty()) {
       // Journal the campaign identity before the first job so a kill at any
       // point leaves a resumable manifest.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Negative-compile check for the concurrency fence (ARCHITECTURE.md §18,
+# Negative-compile check for the concurrency fence (ARCHITECTURE.md §17,
 # src/common/sync.hh, tests/test_sync.cc).
 #
 # The annotated primitives are only worth anything if clang actually

@@ -137,7 +137,7 @@ UPPER_ID_RE = re.compile(r"\b([A-Z]\w*)\b")
 
 # Method names shared with the standard library: a receiver call on one of
 # these never resolves by simple name alone (ptr.reset() is not
-# SweepStatusBoard::reset) — it needs a receiver-type hint.
+# Network::reset) — it needs a receiver-type hint.
 GENERIC_METHODS = {
     "reset", "clear", "size", "empty", "load", "store", "insert", "erase",
     "find", "count", "at", "get", "release", "value", "str", "c_str",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Memory-order and lock-discipline linter for the cross-thread plane.
 
-Four rules over everything under src/ (ARCHITECTURE.md §18):
+Four rules over everything under src/ (ARCHITECTURE.md §17):
 
 C1  Every std::atomic operation names an explicit memory_order and is
     covered by a `// order:` rationale comment — directly above its
@@ -64,9 +64,6 @@ from lint_common import (build_model, build_model_libclang, iter_sources,
 # here — an undeclared LockGuard is itself a finding.
 # ---------------------------------------------------------------------------
 LOCK_HIERARCHY = [
-    "Registry::mu_",         # obs/metrics.hh     — registration structures
-    "EventTail::mu_",        # obs/tail.hh        — event ring buffer
-    "SweepStatusBoard::mu_", # core/sweep_status  — per-job status table
     "Heartbeat::mu",         # core/sweep.cc      — heartbeat stop/condvar slot
     "ErrorSlot::mu",         # core/sweep.cc      — first-thrower exception slot
     "manifest_mu",           # store/store.cc     — manifest journal serializer
@@ -500,7 +497,7 @@ class B {
 FIX_OK_CC = """#include "x/ab.hh"
 namespace n {
 void A::poke() {
-  // order: relaxed — monotonic tally; scrapes tolerate lag.
+  // order: relaxed — monotonic tally; readers tolerate lag.
   hits_.fetch_add(1, std::memory_order_relaxed);
   const LockGuard g(mu_);
   v_ += 1;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hot-path & determinism static fence (ARCHITECTURE.md §17; CI runs this
+"""Hot-path & determinism static fence (ARCHITECTURE.md §16; CI runs this
 on every push, before the build).
 
 The simulator core is annotated with the zero-cost attributes from

@@ -77,7 +77,6 @@ CAST_BOUNDARY_FILES = {
     "src/sim/resource.cc",         # utilization ratio
     "src/trace/trace.cc",          # fixed-width binary trace header I/O
     "src/core/sweep.cc",           # per-job sim-rate / ETA / median math
-    "src/core/sweep_status.cc",    # status-board JSON exporter (sim-rate ratio)
 }
 
 CAST_ESCAPE_RE = re.compile(
