@@ -261,11 +261,12 @@ std::string describe_state(const CheckConfig& cfg, const State& s) {
   static const char* kCacheNames[] = {"I", "S", "M"};
   std::ostringstream os;
   for (std::uint32_t b = 0; b < cfg.blocks; ++b) {
-    os << "  b" << b << ": dir owner="
-       << (s.dir_owner[b] == kNoOwner
-               ? std::string("-")
-               : "n" + std::to_string(int(s.dir_owner[b])))
-       << " copyset={";
+    os << "  b" << b << ": dir owner=";
+    if (s.dir_owner[b] == kNoOwner)
+      os << "-";
+    else
+      os << "n" << int(s.dir_owner[b]);
+    os << " copyset={";
     bool first = true;
     for (std::uint32_t n = 0; n < cfg.nodes; ++n) {
       if (((s.dir_sharers[b] >> n) & 1u) == 0) continue;
@@ -274,10 +275,9 @@ std::string describe_state(const CheckConfig& cfg, const State& s) {
       first = false;
     }
     os << "} mem v" << int(s.home[b].mem_version) << " committed v"
-       << int(s.committed[b]) << (s.home[b].busy ? " BUSY(n" : "")
-       << (s.home[b].busy ? std::to_string(int(s.home[b].busy_req)) + ")"
-                          : "")
-       << " queued " << s.home[b].queue.size() << "\n";
+       << int(s.committed[b]);
+    if (s.home[b].busy) os << " BUSY(n" << int(s.home[b].busy_req) << ")";
+    os << " queued " << s.home[b].queue.size() << "\n";
     os << "     caches:";
     for (std::uint32_t n = 0; n < cfg.nodes; ++n) {
       const auto line = s.cache[n * cfg.blocks + b];

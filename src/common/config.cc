@@ -77,6 +77,8 @@ std::string MachineConfig::validate() const {
   if ((l1_bytes % line_bytes) != ByteCount{0}) err << "l1_bytes % line_bytes != 0; ";
   if (!is_pow2(l1_lines())) err << "L1 line count must be a power of two; ";
   if ((rac_bytes % block_bytes) != ByteCount{0}) err << "rac_bytes % block_bytes != 0; ";
+  if (rac_entries() != 0 && !is_pow2(rac_entries()))
+    err << "RAC entry count must be 0 or a power of two; ";
   if (dram_banks == 0) err << "dram_banks must be > 0; ";
   if (switch_arity < 2) err << "switch_arity must be >= 2; ";
   if (memory_pressure <= 0.0 || memory_pressure > 1.0)

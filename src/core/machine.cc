@@ -54,8 +54,8 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
 
   // Home assignment: the workload's declared layout (equivalent to the
   // paper's capped first-touch for these SPMD programs).
-  for (VPageId p{0}; p.value() < wl_.total_pages(); ++p)
-    homes_.claim(p, wl_.home_of(p));
+  const std::uint64_t pages = homes_.total_pages();
+  for (VPageId p{0}; p.value() < pages; ++p) homes_.claim(p, wl_.home_of(p));
 
   // Memory pressure P => each node has ceil(home_pages / P) frames, of which
   // the home pages are pinned and the remainder forms the page cache.
@@ -65,15 +65,14 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
 
   std::vector<const vm::PageTable*> table_ptrs;
   for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
-    page_tables_.push_back(
-        std::make_unique<vm::PageTable>(wl_.total_pages()));
+    page_tables_.push_back(std::make_unique<vm::PageTable>(pages));
     const std::uint64_t home_n = homes_.home_pages(n);
     ASCOMA_CHECK_MSG(frames_per_node_ >= home_n,
                      "memory pressure leaves no room for home pages");
     const auto capacity =
         static_cast<std::uint32_t>(frames_per_node_ - home_n);
     page_caches_.push_back(std::make_unique<vm::PageCache>(capacity));
-    page_caches_.back()->reserve_pages(wl_.total_pages());
+    page_caches_.back()->reserve_pages(pages);
 
     auto free_min = static_cast<std::uint32_t>(
         static_cast<double>(frames_per_node_) * cfg_.free_min_frac);
@@ -93,18 +92,17 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
         std::make_unique<vm::PageoutDaemon>(free_min, free_target));
 
     policies_.push_back(arch::make_policy(cfg_));
-    policies_.back()->reserve_pages(wl_.total_pages());
+    policies_.back()->reserve_pages(pages);
     if (cfg_.arch == ArchModel::kScoma) {
       ASCOMA_CHECK_MSG(capacity >= 1,
                        "pure S-COMA needs at least one page-cache frame");
     }
 
-    // Home pages are mapped up front (before the measured parallel phase).
-    for (VPageId p{0}; p.value() < wl_.total_pages(); ++p)
-      if (homes_.home_of(p) == n) page_tables_[n]->map_home(p);
-
     table_ptrs.push_back(page_tables_[n].get());
   }
+  // Home pages are mapped up front (before the measured parallel phase).
+  for (VPageId p{0}; p.value() < pages; ++p)
+    page_tables_[homes_.home_of(p)]->map_home(p);
   cmem_->set_page_tables(table_ptrs);
 
   sink_ = cfg_.sink;

@@ -1,19 +1,23 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 namespace ascoma::mem {
 
 L1Cache::L1Cache(const MachineConfig& cfg)
     : lines_per_block_(cfg.lines_per_block()),
       lines_per_page_(cfg.lines_per_page()),
       index_mask_(cfg.l1_lines() - 1),
-      lines_(cfg.l1_lines()) {
+      tags_(cfg.l1_lines(), kEmpty),
+      dirty_(cfg.l1_lines(), 0) {
   ASCOMA_CHECK((cfg.l1_lines() & (cfg.l1_lines() - 1)) == 0);
+  ASCOMA_CHECK((lines_per_page_ & (lines_per_page_ - 1)) == 0);
 }
 
 void L1Cache::touch_store(LineId line) {
-  Slot& s = lines_[index_of(line)];
-  ASCOMA_CHECK_MSG(s.valid && s.tag == line, "store touch on absent line");
-  s.dirty = true;
+  const std::uint32_t i = index_of(line);
+  ASCOMA_CHECK_MSG(tags_[i] == line.value(), "store touch on absent line");
+  dirty_[i] = 1;
 }
 
 std::uint32_t L1Cache::invalidate_block(BlockId block) {
@@ -25,28 +29,44 @@ std::uint32_t L1Cache::invalidate_block(BlockId block) {
 }
 
 L1Cache::FlushResult L1Cache::flush_page(VPageId page) {
-  const LineId first{page.value() * lines_per_page_};
+  // Line first + k lives in slot (first + k) & index_mask_.  Both sizes are
+  // powers of two, so when the page fits in the cache its lines occupy the
+  // contiguous slots [start, start + lines_per_page_); otherwise start is 0
+  // and the page wraps round the whole cache lines_per_page_ / num_lines()
+  // times.  Either way the window is scanned in passes of `span` slots.
+  const std::uint64_t first = page.value() * lines_per_page_;
+  const std::uint32_t start = static_cast<std::uint32_t>(first) & index_mask_;
+  const std::uint32_t span = std::min(lines_per_page_, num_lines());
+  std::uint64_t* const tags = tags_.data() + start;
+
+  // Count first, without branches: most flushes find nothing resident.
+  std::uint32_t found = 0;
+  for (std::uint32_t base = 0; base < lines_per_page_; base += span) {
+    const std::uint64_t line0 = first + base;
+    for (std::uint32_t i = 0; i < span; ++i)
+      found += tags[i] == line0 + i ? 1u : 0u;
+  }
   FlushResult r;
-  for (std::uint32_t i = 0; i < lines_per_page_; ++i) {
-    Slot& s = lines_[index_of(first + i)];
-    if (s.valid && s.tag == first + i) {
-      ++r.valid_lines;
-      if (s.dirty) ++r.dirty_lines;
-      s.valid = false;
-      s.dirty = false;
-      --valid_count_;
+  if (found == 0) return r;
+
+  std::uint8_t* const dirty = dirty_.data() + start;
+  for (std::uint32_t base = 0; base < lines_per_page_; base += span) {
+    const std::uint64_t line0 = first + base;
+    for (std::uint32_t i = 0; i < span; ++i) {
+      if (tags[i] != line0 + i) continue;
+      r.dirty_lines += dirty[i];
+      tags[i] = kEmpty;
+      dirty[i] = 0;
     }
   }
+  r.valid_lines = found;
+  valid_count_ -= found;
   return r;
 }
 
-bool L1Cache::line_dirty(LineId line) const {
-  const Slot& s = lines_[index_of(line)];
-  return s.valid && s.tag == line && s.dirty;
-}
-
 void L1Cache::reset() {
-  for (Slot& s : lines_) s = Slot{};
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   valid_count_ = 0;
 }
 

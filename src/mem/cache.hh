@@ -8,6 +8,12 @@
 //
 // The cache tracks per-line valid/dirty state only; simulated data values
 // live in the functional memory shadow used by the coherence tests.
+//
+// Storage is two parallel arrays indexed by slot: `tags_` holds the resident
+// line id (or kEmpty), `dirty_` one byte per slot.  A probe is one compare.
+// A page's lines map to a window of lines_per_page consecutive slots
+// (wrapping when the page is larger than the cache), so flush_page scans
+// only that window and pays nothing on the fill path.
 
 #include <cstdint>
 #include <vector>
@@ -33,27 +39,27 @@ class L1Cache {
   /// Probe for `line`; on a miss the line is *not* filled (call fill() after
   /// the memory system supplies the data).
   bool probe(LineId line) const {
-    const Slot& s = lines_[index_of(line)];
-    return s.valid && s.tag == line;
+    return tags_[index_of(line)] == line.value();
   }
 
   /// Fill `line`, evicting whatever direct-mapped slot it occupies.
   AccessResult fill(LineId line, bool dirty) {
-    Slot& s = lines_[index_of(line)];
+    const std::uint32_t i = index_of(line);
+    std::uint64_t& tag = tags_[i];
     AccessResult r;
-    if (s.valid && s.tag != line) {
-      r.evicted = true;
-      r.victim = s.tag;
-      r.writeback = s.dirty;
-      --valid_count_;
-    } else if (s.valid && s.tag == line) {
+    if (tag == line.value()) {
       // Refill of a present line (e.g. upgrade fill): keep dirty sticky.
-      s.dirty = s.dirty || dirty;
+      if (dirty) dirty_[i] = 1;
       return r;
     }
-    s.tag = line;
-    s.valid = true;
-    s.dirty = dirty;
+    if (tag != kEmpty) {
+      r.evicted = true;
+      r.victim = LineId{tag};
+      r.writeback = dirty_[i] != 0;
+      --valid_count_;
+    }
+    tag = line.value();
+    dirty_[i] = dirty ? 1 : 0;
     ++valid_count_;
     return r;
   }
@@ -63,10 +69,10 @@ class L1Cache {
 
   /// Invalidate one line if present; returns true if it was present.
   bool invalidate_line(LineId line) {
-    Slot& s = lines_[index_of(line)];
-    if (!s.valid || s.tag != line) return false;
-    s.valid = false;
-    s.dirty = false;
+    const std::uint32_t i = index_of(line);
+    if (tags_[i] != line.value()) return false;
+    tags_[i] = kEmpty;
+    dirty_[i] = 0;
     --valid_count_;
     return true;
   }
@@ -80,52 +86,64 @@ class L1Cache {
   };
 
   /// Flush (invalidate, counting dirty writebacks) every line of a virtual
-  /// page — the operation performed when a page is remapped.
+  /// page — the operation performed when a page is remapped.  Costs
+  /// lines_per_page compares when nothing of the page is resident.
   FlushResult flush_page(VPageId page);
 
-  bool line_dirty(LineId line) const;
+  bool line_dirty(LineId line) const {
+    const std::uint32_t i = index_of(line);
+    return tags_[i] == line.value() && dirty_[i] != 0;
+  }
   std::uint32_t valid_lines() const { return valid_count_; }
 
   /// Snapshot of the resident line ids (invariant checker, tests).
   std::vector<LineId> valid_line_ids() const {
     std::vector<LineId> out;
     out.reserve(valid_count_);
-    for (const Slot& s : lines_)
-      if (s.valid) out.push_back(s.tag);
+    for (const std::uint64_t tag : tags_)
+      if (tag != kEmpty) out.push_back(LineId{tag});
     return out;
   }
 
-  std::uint32_t num_lines() const { return static_cast<std::uint32_t>(lines_.size()); }
+  std::uint32_t num_lines() const { return static_cast<std::uint32_t>(tags_.size()); }
 
   // Checkpoint serialization (encode/decode stay adjacent — pairing check).
+  // Per slot: (tag, valid, dirty); an empty slot encodes tag 0.
   void encode(store::Encoder& e) const {
-    e.u64(lines_.size());
-    for (const Slot& s : lines_) {
-      e.u64(s.tag.value());
-      e.b(s.valid);
-      e.b(s.dirty);
+    e.u64(tags_.size());
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      const bool valid = tags_[i] != kEmpty;
+      e.u64(valid ? tags_[i] : 0);
+      e.b(valid);
+      e.b(dirty_[i] != 0);
     }
     e.u32(valid_count_);
   }
   void decode(store::Decoder& d) {
-    if (d.u64() != lines_.size())
+    if (d.u64() != tags_.size())
       throw store::CodecError("L1 geometry mismatch");
-    for (Slot& s : lines_) {
-      s.tag = LineId{d.u64()};
-      s.valid = d.b();
-      s.dirty = d.b();
+    std::uint32_t valid_count = 0;
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      const std::uint64_t tag = d.u64();
+      const bool valid = d.b();
+      const bool dirty = d.b();
+      if (valid && (tag == kEmpty || (tag & index_mask_) != i))
+        throw store::CodecError("L1 tag does not belong to its slot");
+      tags_[i] = valid ? tag : kEmpty;
+      dirty_[i] = valid && dirty ? 1 : 0;
+      valid_count += valid ? 1 : 0;
     }
     valid_count_ = d.u32();
+    if (valid_count_ != valid_count)
+      throw store::CodecError("L1 valid-line count mismatch");
   }
 
   void reset();
 
  private:
-  struct Slot {
-    LineId tag{0};
-    bool valid = false;
-    bool dirty = false;
-  };
+  /// Tag of an empty slot.  A line id is at most total_pages × lines_per_page,
+  /// far below 2^64 - 1, so no probe can match it.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
   std::uint32_t index_of(LineId line) const {
     return static_cast<std::uint32_t>(line.value()) & index_mask_;
@@ -134,7 +152,8 @@ class L1Cache {
   std::uint32_t lines_per_block_;
   std::uint32_t lines_per_page_;
   std::uint32_t index_mask_;
-  std::vector<Slot> lines_;
+  std::vector<std::uint64_t> tags_;   ///< resident line id per slot, or kEmpty
+  std::vector<std::uint8_t> dirty_;   ///< 1 when the slot's line is dirty
   std::uint32_t valid_count_ = 0;
 };
 

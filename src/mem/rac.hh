@@ -4,7 +4,9 @@
 // non-inclusive with respect to the L1.  The paper's CC-NUMA and hybrid
 // models use a minimal 128 B RAC "containing the last remote data received
 // as part of performing a 4-line fetch"; the size is configurable so the
-// ablation bench can grow or remove it.
+// ablation bench can grow or remove it.  The entry count is 0 (no RAC) or a
+// power of two (MachineConfig::validate), so a block's slot is a mask of its
+// id, and a page purge visits at most min(entries, blocks_per_page) slots.
 
 #include <cstdint>
 #include <vector>
@@ -44,7 +46,8 @@ class Rac {
   }
 
   /// Invalidate every cached block belonging to a virtual page (performed on
-  /// page remap); returns the number invalidated.
+  /// page remap); returns the number invalidated.  Scans only the page's
+  /// window of min(entries, blocks_per_page) slots.
   std::uint32_t invalidate_page(VPageId page);
 
   std::uint64_t hits() const { return hits_; }
@@ -91,11 +94,12 @@ class Rac {
   };
 
   std::uint32_t index_of(BlockId b) const {
-    return slots_.empty() ? 0 : static_cast<std::uint32_t>(b.value() % slots_.size());
+    return static_cast<std::uint32_t>(b.value()) & index_mask_;
   }
 
   std::uint32_t blocks_per_page_;
   std::vector<Slot> slots_;
+  std::uint32_t index_mask_;  ///< entries - 1 (unused when slots_ is empty)
   std::uint64_t hits_ = 0;
   std::uint64_t fills_ = 0;
 };

@@ -623,10 +623,12 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
   rac_[node]->invalidate_page(page);
 
   const BlockId first = cfg_.first_block_of_page(page);
-  for (std::uint32_t i = 0; i < cfg_.blocks_per_page(); ++i) {
+  const std::uint32_t blocks = cfg_.blocks_per_page();
+  std::fill_n(scoma_valid_[node].begin() + first.value(), blocks, 0);
+  std::fill_n(touched_[node].begin() + first.value(), blocks,
+              static_cast<std::uint8_t>(Touch::kNever));
+  for (std::uint32_t i = 0; i < blocks; ++i) {
     const BlockId b = first + i;
-    scoma_valid_[node][b] = 0;
-    set_touch(node, b, Touch::kNever);
     if (dir_.in_copyset(b, node)) {
       dir_.flush_node(b, node);
       ++fo.blocks_released;

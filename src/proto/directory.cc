@@ -14,22 +14,10 @@ Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes,
                    "directory sharer mask supports up to 64 nodes");
 }
 
-bool Directory::flush_node(BlockId b, NodeId node) {
-  ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
-  const bool was_owner = rel_of(entries_[b], node) == ReqRel::kOwner;
-  apply(b, ProtoMsg::kFlush, node, nullptr, nullptr);
-  return was_owner;
-}
-
 void Directory::note_nack(BlockId b, NodeId requester) {
   ASCOMA_CHECK(b.value() < entries_.size() && requester.value() < nodes_);
   apply(b, ProtoMsg::kNack, requester, nullptr, nullptr);
   ++nacks_;
-}
-
-bool Directory::in_copyset(BlockId b, NodeId node) const {
-  ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
-  return (entries_[b].sharers & bit(node)) != 0;
 }
 
 std::uint32_t Directory::sharer_count(BlockId b) const {

@@ -128,7 +128,10 @@ class Directory {
   /// was the dirty owner (its writeback makes home current again).
   bool flush_node(BlockId b, NodeId node);
 
-  bool in_copyset(BlockId b, NodeId node) const;
+  bool in_copyset(BlockId b, NodeId node) const {
+    ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
+    return (entries_[b].sharers & bit(node)) != 0;
+  }
   NodeId owner(BlockId b) const { return entries_[b].owner; }
   std::uint64_t sharer_mask(BlockId b) const { return entries_[b].sharers; }
   std::uint32_t sharer_count(BlockId b) const;
@@ -222,8 +225,9 @@ class Directory {
   std::uint64_t nacks_ = 0;
 };
 
-// The per-request transitions are defined here so the protocol access path
-// inlines them.
+// The per-request transitions (and the flush that a page remap applies to
+// each of its blocks) are defined here so the protocol access and remap
+// paths inline them.
 
 inline const Transition& Directory::apply(BlockId b, ProtoMsg msg,
                                           NodeId requester,
@@ -288,6 +292,13 @@ inline Directory::GetxResult Directory::getx(BlockId b, NodeId requester) {
       apply(b, ProtoMsg::kGetX, requester, &r.dirty_owner, &r.invalidate)
           .actions;
   return r;
+}
+
+inline bool Directory::flush_node(BlockId b, NodeId node) {
+  ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
+  const bool was_owner = rel_of(entries_[b], node) == ReqRel::kOwner;
+  apply(b, ProtoMsg::kFlush, node, nullptr, nullptr);
+  return was_owner;
 }
 
 }  // namespace ascoma::proto

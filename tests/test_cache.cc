@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/check.hh"
+#include "common/rng.hh"
 
 namespace ascoma::mem {
 namespace {
@@ -128,6 +132,176 @@ TEST(L1Cache, CapacityMatchesConfig) {
   // Fill more lines than capacity: valid count saturates at capacity.
   for (LineId l{0}; l.value() < 1000; ++l) c.fill(l, false);
   EXPECT_LE(c.valid_lines(), 512u);
+}
+
+
+/// Naive reference for a direct-mapped write-back cache: resident line id
+/// -> dirty, with the slot conflict found by searching the whole map.
+class RefCache {
+ public:
+  explicit RefCache(std::uint32_t num_lines) : mask_(num_lines - 1) {}
+
+  L1Cache::AccessResult fill(std::uint64_t line, bool dirty) {
+    L1Cache::AccessResult r;
+    for (auto it = lines_.begin(); it != lines_.end(); ++it) {
+      if ((it->first & mask_) != (line & mask_)) continue;
+      if (it->first == line) {
+        it->second = it->second || dirty;
+        return r;
+      }
+      r.evicted = true;
+      r.victim = LineId{it->first};
+      r.writeback = it->second;
+      lines_.erase(it);
+      break;
+    }
+    lines_[line] = dirty;
+    return r;
+  }
+  bool present(std::uint64_t line) const { return lines_.count(line) != 0; }
+  void store(std::uint64_t line) { lines_.at(line) = true; }
+  bool invalidate(std::uint64_t line) { return lines_.erase(line) != 0; }
+  /// Removes every line in [first, first + n); returns (valid, dirty).
+  std::pair<std::uint32_t, std::uint32_t> remove_range(std::uint64_t first,
+                                                       std::uint64_t n) {
+    std::uint32_t valid = 0;
+    std::uint32_t dirty = 0;
+    for (auto it = lines_.lower_bound(first);
+         it != lines_.end() && it->first < first + n;) {
+      ++valid;
+      dirty += it->second ? 1 : 0;
+      it = lines_.erase(it);
+    }
+    return {valid, dirty};
+  }
+  bool dirty(std::uint64_t line) const {
+    const auto it = lines_.find(line);
+    return it != lines_.end() && it->second;
+  }
+  std::vector<LineId> ids() const {
+    std::vector<LineId> out;
+    for (const auto& [line, d] : lines_) out.push_back(LineId{line});
+    return out;
+  }
+  std::uint32_t size() const { return static_cast<std::uint32_t>(lines_.size()); }
+
+ private:
+  std::uint64_t mask_;
+  std::map<std::uint64_t, bool> lines_;
+};
+
+void check_flush_matches_reference(ByteCount l1_bytes, std::uint64_t seed) {
+  MachineConfig cfg = small_cfg();
+  cfg.l1_bytes = l1_bytes;
+  L1Cache c(cfg);
+  RefCache ref(cfg.l1_lines());
+  Rng rng(seed);
+  const std::uint64_t pages = 6;
+  const std::uint64_t lpp = cfg.lines_per_page();
+  const std::uint64_t lpb = cfg.lines_per_block();
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t line = rng.below(pages * lpp);
+    const std::uint64_t op = rng.below(100);
+    if (op < 55) {
+      const bool dirty = rng.chance(0.3);
+      const auto got = c.fill(LineId{line}, dirty);
+      const auto want = ref.fill(line, dirty);
+      ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+      if (want.evicted) {
+        ASSERT_EQ(got.victim, want.victim) << "step " << step;
+        ASSERT_EQ(got.writeback, want.writeback) << "step " << step;
+      }
+    } else if (op < 65) {
+      if (ref.present(line)) {
+        c.touch_store(LineId{line});
+        ref.store(line);
+      }
+    } else if (op < 80) {
+      ASSERT_EQ(c.invalidate_line(LineId{line}), ref.invalidate(line))
+          << "step " << step;
+    } else if (op < 88) {
+      const BlockId block{line / lpb};
+      ASSERT_EQ(c.invalidate_block(block),
+                ref.remove_range(block.value() * lpb, lpb).first)
+          << "step " << step;
+    } else {
+      const VPageId page{line / lpp};
+      const auto got = c.flush_page(page);
+      const auto [valid, dirty] = ref.remove_range(page.value() * lpp, lpp);
+      ASSERT_EQ(got.valid_lines, valid) << "step " << step;
+      ASSERT_EQ(got.dirty_lines, dirty) << "step " << step;
+    }
+    ASSERT_EQ(c.valid_lines(), ref.size()) << "step " << step;
+    ASSERT_EQ(c.probe(LineId{line}), ref.present(line)) << "step " << step;
+    ASSERT_EQ(c.line_dirty(LineId{line}), ref.dirty(line)) << "step " << step;
+    if (step % 97 == 0) {
+      auto ids = c.valid_line_ids();
+      std::sort(ids.begin(), ids.end());
+      ASSERT_EQ(ids, ref.ids()) << "step " << step;
+      for (std::uint64_t l = 0; l < pages * lpp; ++l)
+        ASSERT_EQ(c.line_dirty(LineId{l}), ref.dirty(l)) << "line " << l;
+    }
+  }
+}
+
+TEST(L1Cache, FlushMatchesReferenceModel) {
+  // 16 KB holds four 4 KB pages, so a page's window is contiguous; 2 KB is
+  // half a page, so the window wraps round the cache twice.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    check_flush_matches_reference(ByteCount{16 * 1024}, seed);
+    check_flush_matches_reference(ByteCount{2 * 1024}, seed);
+  }
+}
+
+TEST(L1Cache, CheckpointRoundTripAfterInvalidations) {
+  MachineConfig cfg = small_cfg();
+  L1Cache c(cfg);
+  for (LineId l{0}; l.value() < 300; ++l) c.fill(l, l.value() % 3 == 0);
+  for (LineId l{0}; l.value() < 300; l = l + 7) c.invalidate_line(l);
+  c.flush_page(VPageId{1});
+  c.invalidate_block(BlockId{2});
+
+  store::Encoder e;
+  c.encode(e);
+  L1Cache back(cfg);
+  back.fill(LineId{400}, true);  // state the decode must overwrite
+  store::Decoder d(e.bytes());
+  back.decode(d);
+  EXPECT_EQ(back.valid_lines(), c.valid_lines());
+  EXPECT_EQ(back.valid_line_ids(), c.valid_line_ids());
+  for (LineId l{0}; l.value() < 1024; ++l) {
+    EXPECT_EQ(back.probe(l), c.probe(l)) << l.value();
+    EXPECT_EQ(back.line_dirty(l), c.line_dirty(l)) << l.value();
+  }
+  // Re-encoding the restored cache gives the same bytes (empty slots as 0).
+  store::Encoder again;
+  back.encode(again);
+  EXPECT_EQ(again.bytes(), e.bytes());
+  // An invalidated slot holds no tag: line 0 was invalidated, so neither it
+  // nor a line that shares its slot may probe as present.
+  EXPECT_FALSE(back.probe(LineId{0}));
+  EXPECT_FALSE(back.probe(LineId{512}));
+}
+
+TEST(L1Cache, DecodeRejectsInconsistentSlots) {
+  MachineConfig cfg = small_cfg();
+  L1Cache c(cfg);
+  store::Encoder e;
+  c.encode(e);
+  // Slot 0 starts after the u64 slot count: tag (8 B), valid, dirty.
+  std::vector<std::uint8_t> wrong_slot = e.bytes();
+  wrong_slot[8] = 1;       // tag 1 belongs in slot 1, not slot 0
+  wrong_slot[8 + 8] = 1;   // valid
+  store::Decoder d1(wrong_slot);
+  L1Cache back(cfg);
+  EXPECT_THROW(back.decode(d1), store::CodecError);
+
+  // The trailing valid-line count must agree with the slots.
+  std::vector<std::uint8_t> wrong_count = e.bytes();
+  wrong_count[wrong_count.size() - 4] = 1;
+  store::Decoder d2(wrong_count);
+  EXPECT_THROW(back.decode(d2), store::CodecError);
 }
 
 }  // namespace

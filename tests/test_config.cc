@@ -82,6 +82,16 @@ TEST(Config, ValidateCatchesBadGranularity) {
   EXPECT_NE(cfg.validate(), "");
 }
 
+TEST(Config, ValidateRejectsNonPowerOfTwoRac) {
+  MachineConfig cfg;
+  cfg.rac_bytes = ByteCount{384};  // 3 entries of 128 B
+  EXPECT_NE(cfg.validate(), "");
+  for (const std::uint64_t ok : {0u, 128u, 512u, 4096u, 32768u}) {
+    cfg.rac_bytes = ByteCount{ok};
+    EXPECT_EQ(cfg.validate(), "") << ok;
+  }
+}
+
 TEST(Config, ValidateCatchesBadPressure) {
   MachineConfig cfg;
   cfg.memory_pressure = 0.0;

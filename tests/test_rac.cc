@@ -62,6 +62,30 @@ TEST(Rac, InvalidatePageClearsAllPageBlocks) {
     EXPECT_FALSE(r.probe(first + i));
 }
 
+TEST(Rac, InvalidatePageWithFewerSlotsThanBlocks) {
+  MachineConfig cfg;  // default: 1 entry, 32 blocks per page
+  Rac r(cfg);
+  const BlockId first = cfg.first_block_of_page(VPageId{3});
+  const BlockId other = cfg.first_block_of_page(VPageId{4});  // next page
+  r.fill(other);
+  EXPECT_EQ(r.invalidate_page(VPageId{3}), 0u);
+  EXPECT_TRUE(r.probe(other));  // a block of another page stays resident
+  r.fill(first + 17);
+  EXPECT_EQ(r.invalidate_page(VPageId{3}), 1u);
+  EXPECT_FALSE(r.probe(first + 17));
+  EXPECT_EQ(r.invalidate_page(VPageId{3}), 0u);
+
+  cfg.rac_bytes = ByteCount{4 * 128};  // 4 slots, still fewer than 32
+  Rac r4(cfg);
+  r4.fill(first + 1);
+  r4.fill(first + 2);
+  r4.fill(other + 3);
+  EXPECT_EQ(r4.invalidate_page(VPageId{3}), 2u);
+  EXPECT_FALSE(r4.probe(first + 1));
+  EXPECT_FALSE(r4.probe(first + 2));
+  EXPECT_TRUE(r4.probe(other + 3));
+}
+
 TEST(Rac, HitCounter) {
   MachineConfig cfg;
   Rac r(cfg);
