@@ -79,7 +79,7 @@ std::string MachineConfig::validate() const {
   if ((rac_bytes % block_bytes) != ByteCount{0}) err << "rac_bytes % block_bytes != 0; ";
   if (rac_entries() != 0 && !is_pow2(rac_entries()))
     err << "RAC entry count must be 0 or a power of two; ";
-  if (dram_banks == 0) err << "dram_banks must be > 0; ";
+  if (!is_pow2(dram_banks)) err << "dram_banks must be a power of two; ";
   if (switch_arity < 2) err << "switch_arity must be >= 2; ";
   if (memory_pressure <= 0.0 || memory_pressure > 1.0)
     err << "memory_pressure must be in (0, 1]; ";

@@ -5,6 +5,7 @@
 // (Section 4.1, Tables 3 and 4); where the OCR of the paper lost a digit the
 // recovered/chosen value is documented in DESIGN.md section 6.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -65,7 +66,7 @@ struct MachineConfig {
 
   // ---- buses / memory (Table 4 shape: local 50, remote 150) --------------
   Cycles bus_occupancy{10};             ///< split-transaction request+data
-  std::uint32_t dram_banks = 4;
+  std::uint32_t dram_banks = 4;         ///< power of two: bank = block & (n-1)
   Cycles dram_access_cycles{30};        ///< per-bank service time
   Cycles dsm_engine_cycles{5};          ///< controller occupancy per request
   Cycles dir_lookup_cycles{11};         ///< home directory state access
@@ -237,21 +238,25 @@ struct MachineConfig {
   // ---- named dimension conversions ------------------------------------------
   // The *only* sanctioned paths between the address-like dimensions; new
   // conversions belong here, next to the granularities that define them.
-  PageId page_of(Addr a) const { return PageId{a.value() / page_bytes.value()}; }
+  // validate() requires page, block and line sizes to be powers of two, so
+  // the coarsening conversions shift by a log2 instead of dividing: they
+  // run on every simulated access, where a 64-bit divide would sit on the
+  // critical path to the page-table load.
+  PageId page_of(Addr a) const { return PageId{a.value() >> page_shift()}; }
   BlockId block_of(Addr a) const {
-    return BlockId{a.value() / block_bytes.value()};
+    return BlockId{a.value() >> block_shift()};
   }
   LineAddr line_of(Addr a) const {
-    return LineAddr{a.value() / line_bytes.value()};
+    return LineAddr{a.value() >> line_shift()};
   }
   PageId page_of_block(BlockId b) const {
-    return PageId{b.value() / blocks_per_page()};
+    return PageId{b.value() >> (page_shift() - block_shift())};
   }
   PageId page_of_line(LineAddr l) const {
-    return PageId{l.value() / lines_per_page()};
+    return PageId{l.value() >> (page_shift() - line_shift())};
   }
   BlockId block_of_line(LineAddr l) const {
-    return BlockId{l.value() / lines_per_block()};
+    return BlockId{l.value() >> (block_shift() - line_shift())};
   }
   BlockId first_block_of_page(PageId p) const {
     return BlockId{p.value() * blocks_per_page()};
@@ -266,6 +271,11 @@ struct MachineConfig {
   Addr line_base(LineAddr l) const {
     return Addr{l.value() * line_bytes.value()};
   }
+
+  /// log2 of each granularity (validated powers of two).
+  int page_shift() const { return std::countr_zero(page_bytes.value()); }
+  int block_shift() const { return std::countr_zero(block_bytes.value()); }
+  int line_shift() const { return std::countr_zero(line_bytes.value()); }
 
   // ---- derived minimum latencies (Table 4) ---------------------------------
   /// Switch stages a message traverses (ceil(log_arity(nodes))).

@@ -99,8 +99,11 @@ class Machine {
   fault::InvariantReport invariant_report() const;
 
   /// Node hosting processor `proc` (identity when procs_per_node == 1).
+  /// The paper's machine skips the divide.  The test reads smp_ rather than
+  /// procs_per_node, or the compiler folds `ppn == 1 ? proc : proc / ppn`
+  /// back into the divide.
   NodeId node_of(std::uint32_t proc) const {
-    return NodeId{proc / cfg_.procs_per_node};
+    return NodeId{smp_ ? proc / cfg_.procs_per_node : proc};
   }
 
   // --- crash-safe checkpointing (ARCHITECTURE.md §15) -----------------------
@@ -152,12 +155,18 @@ class Machine {
   ASCOMA_HOT_PATH VPageId force_select_victim(NodeId node);
 
   /// Periodic / on-demand pageout daemon; returns kernel cycles spent.
+  /// Reached only through maybe_run_daemon's gate, which never passes on a
+  /// node whose policy does not run the daemon.
   ASCOMA_HOT_PATH Cycle run_daemon(std::uint32_t proc, Cycle now);
 
   /// Rate-limited daemon trigger: runs the daemon only if the node's pool is
   /// below free_min and at least one daemon period has elapsed since the
   /// last invocation.  Returns kernel cycles spent (0 if it did not run).
   Cycle maybe_run_daemon(std::uint32_t proc, Cycle now);
+
+  /// Derive daemon_gate_ from next_daemon_ and each node's
+  /// Policy::runs_daemon (construction and restore).
+  void rebuild_daemon_gate();
 
   void execute_op(std::uint32_t p, const Op& op);
   void release_barrier(Cycle release);
@@ -174,6 +183,7 @@ class Machine {
 
   MachineConfig cfg_;
   const workload::Workload& wl_;
+  const bool smp_;  ///< procs_per_node > 1
   std::uint64_t frames_per_node_ = 0;
 
   vm::HomeMap homes_;
@@ -201,6 +211,10 @@ class Machine {
   std::vector<std::vector<Cycle>> store_buffer_;
   IdVector<NodeId, Cycle> daemon_period_;
   IdVector<NodeId, Cycle> next_daemon_;
+  /// The event loop's one-compare daemon test: next_daemon_ on nodes whose
+  /// policy runs the pageout daemon, kNeverCycle on the rest.  Derived
+  /// state, never serialized.
+  IdVector<NodeId, Cycle> daemon_gate_;
   std::vector<std::uint8_t> waiting_in_barrier_;
   obs::EventSink* sink_ = nullptr;  ///< non-owning; null = observability off
   obs::Sampler sampler_;

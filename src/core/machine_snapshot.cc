@@ -129,6 +129,7 @@ void Machine::restore(const store::Snapshot& snap) {
     for (Cycle& c : sb) c = Cycle{d.u64()};
   for (Cycle& c : daemon_period_) c = Cycle{d.u64()};
   for (Cycle& c : next_daemon_) c = Cycle{d.u64()};
+  rebuild_daemon_gate();
   for (std::uint8_t& w : waiting_in_barrier_) w = d.u8();
   sampler_.decode(d);
   end_cycle_ = Cycle{d.u64()};

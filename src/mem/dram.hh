@@ -2,8 +2,9 @@
 
 // Banked main-memory controller ("4-bank main memory controller that can
 // supply data from local memory in ~30 cycles").  Blocks are interleaved
-// across banks; concurrent requests to the same bank queue behind each other
-// via the bank's Resource.
+// across banks (a power of two of them, so the bank is a mask of the block
+// number); concurrent requests to the same bank queue behind each other via
+// the bank's Resource.
 
 #include <cstdint>
 #include <vector>
@@ -22,7 +23,7 @@ class Dram {
   /// Issue a block access at `now`; returns the completion cycle.
   Cycle access(Cycle now, BlockId block) {
     ++accesses_;
-    sim::Resource& bank = banks_[block.value() % banks_.size()];
+    sim::Resource& bank = banks_[block.value() & bank_mask_];
     return bank.acquire_until(now, access_cycles_);
   }
 
@@ -47,6 +48,7 @@ class Dram {
 
  private:
   Cycle access_cycles_;
+  std::uint64_t bank_mask_;  ///< banks - 1
   std::vector<sim::Resource> banks_;
   std::uint64_t accesses_ = 0;
 };

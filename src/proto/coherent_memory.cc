@@ -1,7 +1,9 @@
 #include "proto/coherent_memory.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
+#include <string>
 
 #include "common/check.hh"
 
@@ -23,6 +25,7 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
     : cfg_(cfg),
       homes_(homes),
       ppn_(cfg.procs_per_node),
+      smp_(cfg.procs_per_node > 1),
       plan_(cfg),
       watchdog_(cfg.watchdog_cycles),
       net_(cfg),
@@ -39,9 +42,7 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
     dram_.push_back(std::make_unique<mem::Dram>(cfg));
     bus_.push_back(std::make_unique<mem::Bus>(cfg));
     engine_.emplace_back("engine" + std::to_string(n));
-    touched_.emplace_back(blocks, 0);
-    ever_fetched_.emplace_back(blocks, 0);
-    scoma_valid_.emplace_back(blocks, 0);
+    block_state_.emplace_back(blocks, 0);
     remote_page_seen_.emplace_back(pages, 0);
   }
   remote_pages_touched_.assign(cfg.nodes, 0);
@@ -78,7 +79,7 @@ void CoherentMemory::apply_invalidation(NodeId s, BlockId b) {
   for (std::uint32_t q = s.value() * ppn_; q < (s.value() + 1) * ppn_; ++q)
     l1_[q]->invalidate_block(b);
   rac_[s]->invalidate(b);
-  scoma_valid_[s][b] = 0;
+  block_state_[s][b] &= static_cast<std::uint8_t>(~kScomaValid);
   if (touch_of(s, b) == Touch::kFetched) set_touch(s, b, Touch::kInvalidated);
 }
 
@@ -474,7 +475,7 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
 
   ASCOMA_CHECK_MSG(home != node, "non-home mapping mode on the home node");
 
-  if (mode == PageMode::kScoma && scoma_valid_[node][block]) {
+  if (mode == PageMode::kScoma && scoma_block_valid(node, block)) {
     if (!is_store || dir_.owner(block) == node) {
       // Supplied from the local page cache at local-memory latency.
       shadow_check_local(node, block, "scoma page cache");
@@ -579,7 +580,7 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   switch (prior) {
     case Touch::kNever:
       o.source = MissSource::kCold;
-      o.induced_cold = ever_fetched_[node][block] != 0;
+      o.induced_cold = (block_state_[node][block] & kEverFetched) != 0;
       break;
     case Touch::kInvalidated:
       o.source = MissSource::kCoherence;
@@ -596,11 +597,11 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   else
     shadow_fetch(node, block);
   set_touch(node, block, Touch::kFetched);
-  ever_fetched_[node][block] = 1;
+  block_state_[node][block] |= kEverFetched;
 
   // Install the arriving 4-line chunk at its destination.
   if (mode == PageMode::kScoma) {
-    scoma_valid_[node][block] = 1;
+    block_state_[node][block] |= kScomaValid;
     if (!background_) dram_[node]->access(o.done, block);  // page-cache write
   } else {
     rac_[node]->fill(block);
@@ -624,11 +625,12 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
 
   const BlockId first = cfg_.first_block_of_page(page);
   const std::uint32_t blocks = cfg_.blocks_per_page();
-  std::fill_n(scoma_valid_[node].begin() + first.value(), blocks, 0);
-  std::fill_n(touched_[node].begin() + first.value(), blocks,
-              static_cast<std::uint8_t>(Touch::kNever));
+  IdVector<BlockId, std::uint8_t>& state = block_state_[node];
   for (std::uint32_t i = 0; i < blocks; ++i) {
     const BlockId b = first + i;
+    // Back to Touch::kNever with the S-COMA bit clear; only the sticky
+    // ever-fetched bit survives (a refetch is then an induced cold miss).
+    state[b] &= kEverFetched;
     if (dir_.in_copyset(b, node)) {
       dir_.flush_node(b, node);
       ++fo.blocks_released;
@@ -653,7 +655,7 @@ void CoherentMemory::audit() const {
   for (BlockId b{0}; b.value() < blocks; ++b) {
     dir_.check_entry(b);
     for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
-      if (scoma_valid_[n][b]) {
+      if (scoma_block_valid(n, b)) {
         ASCOMA_CHECK_MSG(dir_.in_copyset(b, n),
                          "S-COMA valid block not in directory copyset");
       }
@@ -667,17 +669,32 @@ void CoherentMemory::audit() const {
 
 namespace {
 
-void encode_byte_table(
-    store::Encoder& e,
-    const IdVector<NodeId, IdVector<BlockId, std::uint8_t>>& t) {
+using BlockStateTable = IdVector<NodeId, IdVector<BlockId, std::uint8_t>>;
+
+// The snapshot stores one byte table per block-state field (touch, ever
+// fetched, S-COMA valid), so its format does not depend on how the fields
+// are packed in memory.  `mask` selects the field; its value is stored
+// shifted down to start at bit 0.
+void encode_block_field(store::Encoder& e, const BlockStateTable& t,
+                        std::uint8_t mask) {
+  const int shift = std::countr_zero(mask);
   for (const auto& per_node : t)
-    for (const std::uint8_t v : per_node) e.u8(v);
+    for (const std::uint8_t v : per_node)
+      e.u8(static_cast<std::uint8_t>((v & mask) >> shift));
 }
 
-void decode_byte_table(store::Decoder& d,
-                       IdVector<NodeId, IdVector<BlockId, std::uint8_t>>& t) {
+void decode_block_field(store::Decoder& d, BlockStateTable& t,
+                        std::uint8_t mask, std::uint8_t max_value,
+                        const char* field) {
+  const int shift = std::countr_zero(mask);
   for (auto& per_node : t)
-    for (std::uint8_t& v : per_node) v = d.u8();
+    for (std::uint8_t& v : per_node) {
+      const std::uint8_t x = d.u8();
+      if (x > max_value)
+        throw store::CodecError(std::string("cmem: bad ") + field +
+                                " byte " + std::to_string(x));
+      v = static_cast<std::uint8_t>((v & ~mask) | (x << shift));
+    }
 }
 
 }  // namespace
@@ -696,9 +713,9 @@ void CoherentMemory::encode(store::Encoder& e) const {
   net_.encode(e);
   dir_.encode(e);
   refetch_.encode(e);
-  encode_byte_table(e, touched_);
-  encode_byte_table(e, ever_fetched_);
-  encode_byte_table(e, scoma_valid_);
+  encode_block_field(e, block_state_, kTouchMask);
+  encode_block_field(e, block_state_, kEverFetched);
+  encode_block_field(e, block_state_, kScomaValid);
   for (const auto& per_node : remote_page_seen_)
     for (const std::uint8_t v : per_node) e.u8(v);
   for (const std::uint64_t v : remote_pages_touched_) e.u64(v);
@@ -727,9 +744,10 @@ void CoherentMemory::decode(store::Decoder& d) {
   net_.decode(d);
   dir_.decode(d);
   refetch_.decode(d);
-  decode_byte_table(d, touched_);
-  decode_byte_table(d, ever_fetched_);
-  decode_byte_table(d, scoma_valid_);
+  decode_block_field(d, block_state_, kTouchMask,
+                     static_cast<std::uint8_t>(Touch::kInvalidated), "touch");
+  decode_block_field(d, block_state_, kEverFetched, 1, "ever-fetched");
+  decode_block_field(d, block_state_, kScomaValid, 1, "S-COMA valid");
   for (auto& per_node : remote_page_seen_)
     for (std::uint8_t& v : per_node) v = d.u8();
   for (std::uint64_t& v : remote_pages_touched_) v = d.u64();

@@ -130,11 +130,10 @@ class CoherentMemory {
 
   // --- requester-side state (invariant checker, tests) ----------------------
   bool scoma_block_valid(NodeId n, BlockId b) const {
-    return scoma_valid_[n][b] != 0;
+    return (block_state_[n][b] & kScomaValid) != 0;
   }
   bool block_fetched(NodeId n, BlockId b) const {
-    return touched_[n][b] ==
-           static_cast<std::uint8_t>(Touch::kFetched);
+    return touch_of(n, b) == Touch::kFetched;
   }
   const MachineConfig& config() const { return cfg_; }
 
@@ -143,7 +142,11 @@ class CoherentMemory {
     return remote_pages_touched_[n];
   }
 
-  NodeId node_of(std::uint32_t proc) const { return NodeId{proc / ppn_}; }
+  /// Identity on 1-processor nodes; smp_ keeps the compiler from folding
+  /// the test back into the divide (see core::Machine::node_of).
+  NodeId node_of(std::uint32_t proc) const {
+    return NodeId{smp_ ? proc / ppn_ : proc};
+  }
 
   /// Cross-checks directory state against per-node block state; throws
   /// CheckFailure on violation.  O(blocks * nodes) — test/diagnostic use.
@@ -168,11 +171,19 @@ class CoherentMemory {
  private:
   enum class Touch : std::uint8_t { kNever = 0, kFetched, kInvalidated };
 
+  // Requester-side block state, one byte per (node, block): the Touch value
+  // in the low bits plus two flags.
+  static constexpr std::uint8_t kTouchMask = 0x3;
+  static constexpr std::uint8_t kEverFetched = 0x4;  ///< sticky, for stats
+  static constexpr std::uint8_t kScomaValid = 0x8;   ///< S-COMA valid bit
+
   Touch touch_of(NodeId n, BlockId b) const {
-    return static_cast<Touch>(touched_[n][b]);
+    return static_cast<Touch>(block_state_[n][b] & kTouchMask);
   }
   void set_touch(NodeId n, BlockId b, Touch t) {
-    touched_[n][b] = static_cast<std::uint8_t>(t);
+    std::uint8_t& v = block_state_[n][b];
+    v = static_cast<std::uint8_t>((v & ~kTouchMask) |
+                                  static_cast<std::uint8_t>(t));
   }
 
   NodeId home_of_page(VPageId p) const { return homes_.home_of(p); }
@@ -255,6 +266,7 @@ class CoherentMemory {
   const MachineConfig cfg_;
   const vm::HomeMap& homes_;
   const std::uint32_t ppn_;
+  const bool smp_;  ///< ppn_ > 1
   IdVector<NodeId, const vm::PageTable*> page_tables_;
 
   std::vector<std::unique_ptr<mem::L1Cache>> l1_;   // per processor
@@ -268,10 +280,8 @@ class CoherentMemory {
   Directory dir_;
   RefetchTable refetch_;
 
-  // Per-node, per-block requester-side state.
-  IdVector<NodeId, IdVector<BlockId, std::uint8_t>> touched_;      // Touch enum
-  IdVector<NodeId, IdVector<BlockId, std::uint8_t>> ever_fetched_; // sticky, for stats
-  IdVector<NodeId, IdVector<BlockId, std::uint8_t>> scoma_valid_;  // S-COMA valid bits
+  // Per-node, per-block requester-side state (Touch + flag bits above).
+  IdVector<NodeId, IdVector<BlockId, std::uint8_t>> block_state_;
   IdVector<NodeId, IdVector<PageId, std::uint8_t>> remote_page_seen_;
   IdVector<NodeId, std::uint64_t> remote_pages_touched_;
 

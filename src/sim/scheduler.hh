@@ -7,6 +7,12 @@
 // releases it), or done.  The machine repeatedly picks the runnable processor
 // with the smallest next-ready cycle and executes its next operation — the
 // standard conservative event loop for blocking in-order processors.
+//
+// pick() runs once per simulated operation, so it is a branch-free argmin
+// over a dense key array: a runnable processor's key is its ready cycle, a
+// blocked or done one's is kNotRunnable.  The keys are derived state —
+// set_ready/block/finish maintain them, decode() rebuilds them, and they are
+// never serialized.
 
 #include <cstdint>
 #include <vector>
@@ -30,8 +36,11 @@ class Scheduler {
     ASCOMA_CHECK(p < nprocs());
     ASCOMA_CHECK_MSG(state_[p] != State::kDone,
                      "readying a finished processor");
+    ASCOMA_CHECK_MSG(cycle.value() != kNotRunnable,
+                     "ready cycle collides with the not-runnable key");
     ready_[p] = cycle;
     state_[p] = State::kRunnable;
+    key_[p] = cycle.value();
   }
   void block(ProcId p);
   void finish(ProcId p);
@@ -44,30 +53,36 @@ class Scheduler {
   std::uint32_t live() const { return live_; }
   bool all_done() const { return live_ == 0; }
 
-  /// Picks the runnable processor with the smallest ready cycle.  It is a
-  /// deadlock (checked) for every live processor to be blocked.
-  ASCOMA_HOT_PATH ProcId pick() const;
+  /// Picks the runnable processor with the smallest ready cycle, the lowest
+  /// id on ties.  It is a deadlock (checked) for every live processor to be
+  /// blocked.
+  ASCOMA_HOT_PATH ProcId pick() const {
+    const std::uint64_t* key = key_.data();
+    std::uint64_t best_key = key[0];
+    ProcId best = 0;
+    for (ProcId p = 1; p < nprocs(); ++p) {
+      const bool earlier = key[p] < best_key;
+      best_key = earlier ? key[p] : best_key;
+      best = earlier ? p : best;
+    }
+    ASCOMA_CHECK_MSG(best_key != kNotRunnable,
+                     "deadlock: all live processors are blocked");
+    return best;
+  }
 
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(ready_.size());
-    for (const Cycle c : ready_) e.u64(c.value());
-    for (const State s : state_) e.u8(static_cast<std::uint8_t>(s));
-    e.u32(live_);
-  }
-  void decode(store::Decoder& d) {
-    const std::uint64_t n = d.u64();
-    if (n != ready_.size())
-      throw store::CodecError("scheduler size mismatch");
-    for (Cycle& c : ready_) c = Cycle{d.u64()};
-    for (State& s : state_) s = static_cast<State>(d.u8());
-    live_ = d.u32();
-  }
+  // Checkpoint serialization (defined adjacently in scheduler.cc — pairing
+  // check).  decode() rejects an unknown state byte or a live count that
+  // disagrees with the states, and rebuilds the pick() keys.
+  void encode(store::Encoder& e) const;
+  void decode(store::Decoder& d);
 
  private:
   enum class State : std::uint8_t { kRunnable, kBlocked, kDone };
+  static constexpr std::uint64_t kNotRunnable = ~std::uint64_t{0};
+
   std::vector<Cycle> ready_;
   std::vector<State> state_;
+  std::vector<std::uint64_t> key_;  ///< pick() keys, derived from the above
   std::uint32_t live_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+
 namespace ascoma {
 namespace {
 
@@ -89,6 +91,56 @@ TEST(Config, ValidateRejectsNonPowerOfTwoRac) {
   for (const std::uint64_t ok : {0u, 128u, 512u, 4096u, 32768u}) {
     cfg.rac_bytes = ByteCount{ok};
     EXPECT_EQ(cfg.validate(), "") << ok;
+  }
+}
+
+TEST(Config, ValidateRejectsNonPowerOfTwoDramBanks) {
+  MachineConfig cfg;
+  for (const std::uint32_t bad : {0u, 3u, 6u}) {
+    cfg.dram_banks = bad;
+    EXPECT_NE(cfg.validate(), "") << bad;
+  }
+  for (const std::uint32_t ok : {1u, 2u, 4u, 16u}) {
+    cfg.dram_banks = ok;
+    EXPECT_EQ(cfg.validate(), "") << ok;
+  }
+}
+
+// The conversions shift by log2 of the (power-of-two) granularities; every
+// one must agree with plain division on random addresses.
+TEST(Config, AddressConversionsMatchDivision) {
+  struct Geometry {
+    std::uint64_t page, block, line;
+  };
+  for (const Geometry g : {Geometry{4096, 128, 32}, Geometry{8192, 128, 32},
+                           Geometry{4096, 64, 16}, Geometry{16384, 256, 64}}) {
+    MachineConfig cfg;
+    cfg.page_bytes = ByteCount{g.page};
+    cfg.block_bytes = ByteCount{g.block};
+    cfg.line_bytes = ByteCount{g.line};
+    cfg.rac_bytes = ByteCount{g.block};  // one entry in every geometry
+    ASSERT_EQ(cfg.validate(), "") << g.page << "/" << g.block << "/" << g.line;
+    Rng rng(g.page ^ g.block ^ g.line);
+    for (int i = 0; i < 10000; ++i) {
+      // Mix small addresses with ones across the full 48-bit space.
+      const std::uint64_t raw =
+          i % 2 == 0 ? rng.below(1u << 24) : rng.below(std::uint64_t{1} << 48);
+      const Addr a{raw};
+      const std::uint64_t line = raw / g.line;
+      const std::uint64_t block = raw / g.block;
+      ASSERT_EQ(cfg.page_of(a), PageId{raw / g.page}) << raw;
+      ASSERT_EQ(cfg.block_of(a), BlockId{block}) << raw;
+      ASSERT_EQ(cfg.line_of(a), LineAddr{line}) << raw;
+      ASSERT_EQ(cfg.page_of_block(BlockId{block}),
+                PageId{block / cfg.blocks_per_page()})
+          << raw;
+      ASSERT_EQ(cfg.page_of_line(LineAddr{line}),
+                PageId{line / cfg.lines_per_page()})
+          << raw;
+      ASSERT_EQ(cfg.block_of_line(LineAddr{line}),
+                BlockId{line / cfg.lines_per_block()})
+          << raw;
+    }
   }
 }
 
