@@ -580,7 +580,6 @@ RunResult Machine::run() {
 
   bool invariants_checked = false;
   if (cfg_.check_invariants) {
-    cmem_->audit();
     const fault::InvariantReport rep = invariant_report();
     ASCOMA_CHECK_MSG(rep.ok(), rep.to_string());
     invariants_checked = true;

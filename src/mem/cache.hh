@@ -10,10 +10,10 @@
 // live in the functional memory shadow used by the coherence tests.
 //
 // Storage is two parallel arrays indexed by slot: `tags_` holds the resident
-// line id (or kEmpty), `dirty_` one byte per slot.  A probe is one compare.
-// A page's lines map to a window of lines_per_page consecutive slots
-// (wrapping when the page is larger than the cache), so flush_page scans
-// only that window and pays nothing on the fill path.
+// line id (or kEmpty), `dirty_` one byte per slot.  A probe is one compare,
+// and flushing a coherence block is lines_per_block probes.  A page flush
+// (proto::CoherentMemory::flush_page) flushes only the blocks whose
+// directory copyset holds the node: a valid L1 line implies that.
 
 #include <cstdint>
 #include <vector>
@@ -77,18 +77,32 @@ class L1Cache {
     return true;
   }
 
-  /// Invalidate all lines of a coherence block; returns count invalidated.
-  std::uint32_t invalidate_block(BlockId block);
-
   struct FlushResult {
     std::uint32_t valid_lines = 0;
     std::uint32_t dirty_lines = 0;
   };
 
-  /// Flush (invalidate, counting dirty writebacks) every line of a virtual
-  /// page — the operation performed when a page is remapped.  Costs
-  /// lines_per_page compares when nothing of the page is resident.
-  FlushResult flush_page(VPageId page);
+  /// Flush (invalidate, counting dirty writebacks) every line of a coherence
+  /// block: lines_per_block probes.
+  FlushResult flush_block(BlockId block) {
+    const std::uint64_t first = block.value() * lines_per_block_;
+    FlushResult r;
+    for (std::uint32_t k = 0; k < lines_per_block_; ++k) {
+      const std::uint32_t i = index_of(LineId{first + k});
+      if (tags_[i] != first + k) continue;
+      ++r.valid_lines;
+      r.dirty_lines += dirty_[i];
+      tags_[i] = kEmpty;
+      dirty_[i] = 0;
+    }
+    valid_count_ -= r.valid_lines;
+    return r;
+  }
+
+  /// Invalidate all lines of a coherence block; returns count invalidated.
+  std::uint32_t invalidate_block(BlockId block) {
+    return flush_block(block).valid_lines;
+  }
 
   bool line_dirty(LineId line) const {
     const std::uint32_t i = index_of(line);
@@ -150,7 +164,6 @@ class L1Cache {
   }
 
   std::uint32_t lines_per_block_;
-  std::uint32_t lines_per_page_;
   std::uint32_t index_mask_;
   std::vector<std::uint64_t> tags_;   ///< resident line id per slot, or kEmpty
   std::vector<std::uint8_t> dirty_;   ///< 1 when the slot's line is dirty

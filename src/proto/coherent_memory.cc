@@ -615,16 +615,14 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
                                                         Cycle now) {
   ASCOMA_CHECK(node.value() < cfg_.nodes);
   FlushOutcome fo;
-  for (std::uint32_t q = node.value() * ppn_; q < (node.value() + 1) * ppn_;
-       ++q) {
-    const auto l1res = l1_[q]->flush_page(page);
-    fo.l1_valid_lines += l1res.valid_lines;
-    fo.l1_dirty_lines += l1res.dirty_lines;
-  }
   rac_[node]->invalidate_page(page);
 
+  // A valid L1 line implies its node is in the block's copyset (checked by
+  // fault::check_coherence_invariants), so only the copyset's blocks can
+  // have lines to flush from the node's L1s.
   const BlockId first = cfg_.first_block_of_page(page);
   const std::uint32_t blocks = cfg_.blocks_per_page();
+  const std::uint32_t q0 = node.value() * ppn_;
   IdVector<BlockId, std::uint8_t>& state = block_state_[node];
   for (std::uint32_t i = 0; i < blocks; ++i) {
     const BlockId b = first + i;
@@ -632,6 +630,11 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
     // ever-fetched bit survives (a refetch is then an induced cold miss).
     state[b] &= kEverFetched;
     if (dir_.in_copyset(b, node)) {
+      for (std::uint32_t q = q0; q < q0 + ppn_; ++q) {
+        const auto l1res = l1_[q]->flush_block(b);
+        fo.l1_valid_lines += l1res.valid_lines;
+        fo.l1_dirty_lines += l1res.dirty_lines;
+      }
       dir_.flush_node(b, node);
       ++fo.blocks_released;
     }
@@ -648,23 +651,6 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
     }
   }
   return fo;
-}
-
-void CoherentMemory::audit() const {
-  const std::uint64_t blocks = dir_.total_blocks();
-  for (BlockId b{0}; b.value() < blocks; ++b) {
-    dir_.check_entry(b);
-    for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
-      if (scoma_block_valid(n, b)) {
-        ASCOMA_CHECK_MSG(dir_.in_copyset(b, n),
-                         "S-COMA valid block not in directory copyset");
-      }
-      if (touch_of(n, b) == Touch::kFetched) {
-        ASCOMA_CHECK_MSG(dir_.in_copyset(b, n),
-                         "Fetched block not in directory copyset");
-      }
-    }
-  }
 }
 
 namespace {

@@ -148,10 +148,6 @@ class CoherentMemory {
     return NodeId{smp_ ? proc / ppn_ : proc};
   }
 
-  /// Cross-checks directory state against per-node block state; throws
-  /// CheckFailure on violation.  O(blocks * nodes) — test/diagnostic use.
-  void audit() const;
-
   /// The coherence shadow (check_invariants) holds `node`'s copy of `b`
   /// stale: another node stored to `b` since `node` last fetched it.
   /// Always false with the shadow off.
@@ -230,7 +226,7 @@ class CoherentMemory {
   /// protocol state (directory entry, engine backlogs, input ports).
   void check_watchdog(Cycle now);
 
-  /// Protocol-state dump for watchdog trips and audit diagnostics.
+  /// Protocol-state dump for watchdog trips and retry-budget failures.
   std::string dump_in_flight_state(Cycle now) const;
 
   /// Cold failure for an exhausted retry budget (`what` = "request"/"NACK");

@@ -30,15 +30,12 @@ T get(std::ifstream& is) {
 /// TraceWorkload's vector (kEnd-terminated), which outlives the stream.
 class VectorStream final : public workload::OpStream {
  public:
-  explicit VectorStream(std::span<const Op> ops) : ops_(ops) {}
-  Op next() override {
-    if (pos_ >= ops_.size()) return Op{OpKind::kEnd, 0};
-    return ops_[pos_++];
+  explicit VectorStream(std::span<const Op> ops) {
+    set_window(ops.data(), ops.data() + ops.size());
   }
 
  private:
-  std::span<const Op> ops_;
-  std::size_t pos_ = 0;
+  void refill() override {}  // the whole stream is one window
 };
 
 }  // namespace

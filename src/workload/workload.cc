@@ -8,17 +8,13 @@
 
 namespace ascoma::workload {
 
-Op GeneratorStream::next() {
+void GeneratorStream::refill() {
+  if (h_.done()) return;
   promise_type& p = h_.promise();
-  if (pos_ == p.size) {
-    if (h_.done()) return Op{};
-    p.size = 0;
-    pos_ = 0;
-    h_.resume();
-    if (p.error) std::rethrow_exception(std::exchange(p.error, nullptr));
-    if (p.size == 0) return Op{};
-  }
-  return p.batch[pos_++];
+  p.size = 0;
+  h_.resume();
+  set_window(p.batch.data(), p.batch.data() + p.size);
+  if (p.error) std::rethrow_exception(std::exchange(p.error, nullptr));
 }
 
 OpFactory::OpFactory(ByteCount page_bytes, ByteCount line_bytes)

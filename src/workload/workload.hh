@@ -27,10 +27,37 @@
 namespace ascoma::workload {
 
 /// A lazily-consumed operation stream (kEnd-terminated; kEnd forever after).
+/// next() is an inline read of the window [cur_, end_) of ops the stream
+/// has ready; only an empty window pays for the virtual refill().
 class OpStream {
  public:
   virtual ~OpStream() = default;
-  virtual Op next() = 0;
+
+  Op next() {
+    if (cur_ == end_) [[unlikely]] {
+      refill();
+      if (cur_ == end_) return Op{};
+    }
+    return *cur_++;
+  }
+
+ protected:
+  OpStream() = default;
+  OpStream(const OpStream&) = default;
+  OpStream& operator=(const OpStream&) = default;
+
+  /// Called when the window is empty: points it at the next ops with
+  /// set_window(), or leaves it empty when the stream has ended.
+  virtual void refill() = 0;
+
+  void set_window(const Op* begin, const Op* end) {
+    cur_ = begin;
+    end_ = end;
+  }
+
+ private:
+  const Op* cur_ = nullptr;
+  const Op* end_ = nullptr;
 };
 
 /// The coroutine return type of every op generator, and the OpStream that
@@ -93,20 +120,21 @@ class GeneratorStream final : public OpStream {
     void unhandled_exception() { error = std::current_exception(); }
   };
 
+  /// The window points into the coroutine frame, which the move hands over.
   GeneratorStream(GeneratorStream&& other) noexcept
-      : h_(std::exchange(other.h_, {})), pos_(other.pos_) {}
+      : OpStream(other), h_(std::exchange(other.h_, {})) {}
   GeneratorStream& operator=(GeneratorStream&&) = delete;
   ~GeneratorStream() override {
     if (h_) h_.destroy();
   }
 
-  Op next() override;
-
  private:
   explicit GeneratorStream(Handle h) : h_(h) {}
 
+  /// Resumes the generator for its next batch and reads the batch.
+  void refill() override;
+
   Handle h_;
-  std::uint32_t pos_ = 0;  ///< next unread op of the batch
 };
 
 /// Makes the ops a generator yields: shared addresses from (page, line

@@ -94,25 +94,27 @@ TEST(L1Cache, InvalidateBlockCoversFourLines) {
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_FALSE(c.probe(first + i));
 }
 
-TEST(L1Cache, FlushPageCountsValidAndDirty) {
+TEST(L1Cache, FlushBlockCountsValidAndDirty) {
   MachineConfig cfg = small_cfg();
   L1Cache c(cfg);
-  const VPageId page{2};
-  const LineId first{page.value() * cfg.lines_per_page()};
-  // 128 lines per page but only 512 L1 lines: fill 10 lines, 3 dirty.
-  for (std::uint32_t i = 0; i < 10; ++i) c.fill(first + i, i < 3);
-  const auto r = c.flush_page(page);
-  EXPECT_EQ(r.valid_lines, 10u);
-  EXPECT_EQ(r.dirty_lines, 3u);
-  EXPECT_EQ(c.valid_lines(), 0u);
+  const BlockId block{9};
+  const LineId first = cfg.first_line_of_block(block);
+  // 4 lines per block: fill 3 of them, 2 dirty, plus a line of the next block.
+  for (std::uint32_t i = 0; i < 3; ++i) c.fill(first + i, i < 2);
+  c.fill(first + 4, true);
+  const auto r = c.flush_block(block);
+  EXPECT_EQ(r.valid_lines, 3u);
+  EXPECT_EQ(r.dirty_lines, 2u);
+  EXPECT_EQ(c.valid_lines(), 1u);
+  EXPECT_TRUE(c.probe(first + 4));
 }
 
-TEST(L1Cache, FlushPageIgnoresOtherPagesInSameSlots) {
+TEST(L1Cache, FlushBlockIgnoresOtherBlocksInSameSlots) {
   MachineConfig cfg = small_cfg();
   L1Cache c(cfg);
-  // Page 0 line 0 and page 4 line 0 share an L1 slot (512 lines = 4 pages).
-  c.fill(LineId{0 * cfg.lines_per_page()}, false);
-  const auto r = c.flush_page(VPageId{4});  // different page, same slots
+  // Block 0 and block 128 share L1 slots (512 lines = 128 blocks).
+  c.fill(LineId{0}, false);
+  const auto r = c.flush_block(BlockId{128});  // different block, same slots
   EXPECT_EQ(r.valid_lines, 0u);
   EXPECT_TRUE(c.probe(LineId{0}));
 }
@@ -225,9 +227,9 @@ void check_flush_matches_reference(ByteCount l1_bytes, std::uint64_t seed) {
                 ref.remove_range(block.value() * lpb, lpb).first)
           << "step " << step;
     } else {
-      const VPageId page{line / lpp};
-      const auto got = c.flush_page(page);
-      const auto [valid, dirty] = ref.remove_range(page.value() * lpp, lpp);
+      const BlockId block{line / lpb};
+      const auto got = c.flush_block(block);
+      const auto [valid, dirty] = ref.remove_range(block.value() * lpb, lpb);
       ASSERT_EQ(got.valid_lines, valid) << "step " << step;
       ASSERT_EQ(got.dirty_lines, dirty) << "step " << step;
     }
@@ -245,8 +247,8 @@ void check_flush_matches_reference(ByteCount l1_bytes, std::uint64_t seed) {
 }
 
 TEST(L1Cache, FlushMatchesReferenceModel) {
-  // 16 KB holds four 4 KB pages, so a page's window is contiguous; 2 KB is
-  // half a page, so the window wraps round the cache twice.
+  // 16 KB holds four 4 KB pages; at 2 KB, half a page, every block of a page
+  // shares its slots with a block of the page's other half.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
     check_flush_matches_reference(ByteCount{16 * 1024}, seed);
@@ -259,7 +261,7 @@ TEST(L1Cache, CheckpointRoundTripAfterInvalidations) {
   L1Cache c(cfg);
   for (LineId l{0}; l.value() < 300; ++l) c.fill(l, l.value() % 3 == 0);
   for (LineId l{0}; l.value() < 300; l = l + 7) c.invalidate_line(l);
-  c.flush_page(VPageId{1});
+  for (BlockId b{32}; b.value() < 64; ++b) c.flush_block(b);  // page 1
   c.invalidate_block(BlockId{2});
 
   store::Encoder e;

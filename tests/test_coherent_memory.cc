@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/check.hh"
+#include "common/rng.hh"
+#include "fault/invariants.hh"
 #include "store/codec.hh"
 
 namespace ascoma::proto {
@@ -33,6 +35,14 @@ class CoherentMemoryTest : public ::testing::Test {
   Addr addr(VPageId page, std::uint64_t line_in_page) const {
     return Addr{page.value() * cfg_.page_bytes.value() +
                 line_in_page * cfg_.line_bytes.value()};
+  }
+
+  /// The end-of-run block sweep (directory structure and residency) over
+  /// the current state.
+  void expect_invariants_hold() const {
+    const fault::InvariantReport rep =
+        fault::check_coherence_invariants(*cm_, {}, {});
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
   }
 
   MachineConfig cfg_;
@@ -206,7 +216,7 @@ TEST_F(CoherentMemoryTest, GetxInvalidatesAllSharerCaches) {
   EXPECT_FALSE(cm_->rac(NodeId{0}).probe(cfg_.block_of(addr(VPageId{4}, 0))));
   EXPECT_EQ(cm_->directory().owner(cfg_.block_of(addr(VPageId{4}, 0))),
             NodeId{1});
-  cm_->audit();
+  expect_invariants_hold();
 }
 
 TEST_F(CoherentMemoryTest, DirtyRemoteDataForwardedToHomeReader) {
@@ -227,7 +237,7 @@ TEST_F(CoherentMemoryTest, DirtyRemoteForwardBetweenThirdParties) {
   const auto o = cm_->access(3, addr(VPageId{4}, 0), false, Cycle{1000});  // 3-hop
   EXPECT_TRUE(o.remote);
   EXPECT_GT(o.done - Cycle{1000}, cfg_.min_remote_latency());
-  cm_->audit();
+  expect_invariants_hold();
 }
 
 // ---- flush_page ------------------------------------------------------------
@@ -260,6 +270,96 @@ TEST_F(CoherentMemoryTest, FlushOfUntouchedPageIsNoop) {
   const auto fo = cm_->flush_page(NodeId{0}, VPageId{5}, Cycle{0});
   EXPECT_EQ(fo.l1_valid_lines, 0u);
   EXPECT_EQ(fo.blocks_released, 0u);
+}
+
+// flush_page visits only the blocks whose copyset holds the node.  The
+// reference is the full scan it replaced: every valid L1 line of the page
+// on each of the node's processors, read before the flush.
+void check_flush_against_full_scan(std::uint32_t procs_per_node,
+                                   std::uint64_t seed) {
+  constexpr std::uint32_t kNodes = 4;
+  constexpr std::uint64_t kPages = 16;
+  MachineConfig cfg;
+  cfg.nodes = kNodes;
+  cfg.procs_per_node = procs_per_node;
+  vm::HomeMap homes(kPages, kNodes);
+  homes.assign_contiguous();
+  Rng rng(seed);
+  std::vector<std::unique_ptr<vm::PageTable>> pts;
+  std::vector<const vm::PageTable*> ptrs;
+  for (NodeId n{0}; n.value() < kNodes; ++n) {
+    pts.push_back(std::make_unique<vm::PageTable>(kPages));
+    for (VPageId p{0}; p.value() < kPages; ++p) {
+      if (homes.home_of(p) == n)
+        pts.back()->map_home(p);
+      else if (rng.chance(0.5))
+        pts.back()->map_scoma(
+            p, FrameId{static_cast<std::uint32_t>(p.value())});
+      else
+        pts.back()->map_numa(p);
+    }
+    ptrs.push_back(pts.back().get());
+  }
+  CoherentMemory cm(cfg, homes);
+  cm.set_page_tables(ptrs);
+
+  const std::uint64_t lpp = cfg.lines_per_page();
+  Cycle t{0};
+  std::uint64_t lines_flushed = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Every node loads and stores, so the flushed node's copies are also
+    // invalidated and forwarded by other nodes' stores in between.
+    for (int i = 0; i < 200; ++i) {
+      const auto proc =
+          static_cast<std::uint32_t>(rng.below(cfg.total_procs()));
+      const VPageId page{rng.below(kPages)};
+      const Addr a{page.value() * cfg.page_bytes.value() +
+                   rng.below(lpp) * cfg.line_bytes.value()};
+      t = cm.access(proc, a, rng.chance(0.3), t + Cycle{1}).done;
+    }
+
+    const NodeId node{static_cast<std::uint32_t>(rng.below(kNodes))};
+    VPageId page{rng.below(kPages)};
+    while (homes.home_of(page) == node) page = VPageId{rng.below(kPages)};
+    const std::uint32_t q0 = node.value() * procs_per_node;
+
+    std::uint32_t want_valid = 0;
+    std::uint32_t want_dirty = 0;
+    for (std::uint32_t q = q0; q < q0 + procs_per_node; ++q)
+      for (const LineId line : cm.l1(q).valid_line_ids())
+        if (line.value() / lpp == page.value()) {
+          ++want_valid;
+          want_dirty += cm.l1(q).line_dirty(line) ? 1 : 0;
+        }
+    std::uint32_t want_released = 0;
+    const BlockId first = cfg.first_block_of_page(page);
+    for (std::uint32_t i = 0; i < cfg.blocks_per_page(); ++i)
+      want_released += cm.directory().in_copyset(first + i, node) ? 1 : 0;
+
+    const auto fo = cm.flush_page(node, page, t);
+    SCOPED_TRACE(::testing::Message() << "round " << round << " node " << node
+                                      << " page " << page);
+    ASSERT_EQ(fo.l1_valid_lines, want_valid);
+    ASSERT_EQ(fo.l1_dirty_lines, want_dirty);
+    ASSERT_EQ(fo.blocks_released, want_released);
+    for (std::uint32_t q = q0; q < q0 + procs_per_node; ++q)
+      for (const LineId line : cm.l1(q).valid_line_ids())
+        ASSERT_NE(line.value() / lpp, page.value()) << "proc " << q;
+    const fault::InvariantReport rep =
+        fault::check_coherence_invariants(cm, {}, {});
+    ASSERT_TRUE(rep.ok()) << rep.to_string();
+    lines_flushed += fo.l1_valid_lines;
+  }
+  EXPECT_GT(lines_flushed, 0u);  // the flushes found resident lines
+}
+
+TEST(CoherentMemory, FlushMatchesFullScanReference) {
+  for (const std::uint32_t ppn : {1u, 2u})
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "procs_per_node " << ppn
+                                        << " seed " << seed);
+      check_flush_against_full_scan(ppn, seed);
+    }
 }
 
 // ---- writebacks ------------------------------------------------------------
@@ -389,7 +489,7 @@ TEST_F(CoherentMemoryTest, AuditPassesAfterMixedTraffic) {
     cm_->access(1, addr(VPageId{4}, i % 128), i % 7 == 0, t += Cycle{200});
   }
   cm_->flush_page(NodeId{2}, VPageId{4}, t + Cycle{100});
-  cm_->audit();
+  expect_invariants_hold();
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST_P(ArchPressureProperty, InvariantBattery) {
   MachineConfig cfg;
   cfg.arch = arch;
   cfg.memory_pressure = pressure;
-  cfg.check_invariants = true;  // audit() runs at end of run()
+  cfg.check_invariants = true;  // the invariant sweep runs at end of run()
 
   auto wl = property_workload();
   Machine m(cfg, wl);
@@ -156,7 +156,7 @@ TEST_P(SmpProperty, InvariantBattery) {
   cfg.arch = arch;
   cfg.memory_pressure = pressure;
   Machine m(cfg, wl);
-  const RunResult r = m.run();  // audit() runs at completion
+  const RunResult r = m.run();  // the invariant sweep runs at completion
 
   EXPECT_GT(r.cycles(), Cycle{0});
   EXPECT_EQ(r.per_node.size(), 8u);

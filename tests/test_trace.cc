@@ -70,6 +70,20 @@ TEST(Trace, RoundTripPreservesStreams) {
     expect_round_trip(*workload::make_workload(name, 0.1));
 }
 
+// The replay stream is one window over the loaded ops: it ends with kEnd
+// and keeps returning kEnd.
+TEST(OpStream, TraceReplayEndsForever) {
+  const auto wl = tiny_workload();
+  TempFile f;
+  record(wl, 42, f.path);
+  TraceWorkload replay(f.path);
+  for (std::uint32_t p = 0; p < wl.nodes(); ++p) {
+    const auto s = replay.stream(p, 0);
+    EXPECT_EQ(drain(*s).size(), drain(*wl.stream(p, 42)).size());
+    for (int k = 0; k < 3; ++k) EXPECT_EQ(s->next().kind, OpKind::kEnd);
+  }
+}
+
 TEST(Trace, MissingFileThrows) {
   EXPECT_THROW(TraceWorkload("/nonexistent/path/trace.bin"),
                ascoma::CheckFailure);

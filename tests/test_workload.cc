@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "core/host.hh"
@@ -234,6 +235,54 @@ TEST(GeneratorStream, ReturnsEndForever) {
   EXPECT_EQ(s.next().kind, OpKind::kCompute);
   EXPECT_EQ(s.next().kind, OpKind::kEnd);
   EXPECT_EQ(s.next().kind, OpKind::kEnd);
+}
+
+// ---- OpStream: the inline window over a generator's batches ---------------
+
+// A generator of `n` loads of consecutive lines (loads never merge).
+GeneratorStream yield_loads(std::uint32_t n) {
+  const OpFactory b(ByteCount{4096}, ByteCount{32});
+  for (std::uint32_t i = 0; i < n; ++i) co_yield b.load(VPageId{0}, i);
+}
+
+TEST(OpStream, BatchBoundaries) {
+  constexpr std::uint32_t kBatch = GeneratorStream::kBatch;
+  for (const std::uint32_t n : {0u, 1u, kBatch - 1, kBatch, kBatch + 1,
+                                2 * kBatch, 2 * kBatch + 1}) {
+    SCOPED_TRACE(n);
+    GeneratorStream s = yield_loads(n);
+    OpStream& stream = s;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Op op = stream.next();
+      ASSERT_EQ(op.kind, OpKind::kLoad) << "op " << i;
+      ASSERT_EQ(op.arg, (i % 128) * 32u) << "op " << i;
+    }
+    for (int k = 0; k < 3; ++k) EXPECT_EQ(stream.next().kind, OpKind::kEnd);
+  }
+}
+
+// A generator of `n` loads that then throws.
+GeneratorStream loads_then_throw(std::uint32_t n) {
+  const OpFactory b(ByteCount{4096}, ByteCount{32});
+  for (std::uint32_t i = 0; i < n; ++i) co_yield b.load(VPageId{0}, i);
+  throw std::runtime_error("generator failed");
+}
+
+TEST(OpStream, GeneratorExceptionComesOutOfNext) {
+  // The generator runs up to a batch ahead of the reader, so the exception
+  // surfaces at the read that needs the batch it was thrown in.
+  constexpr std::uint32_t kBatch = GeneratorStream::kBatch;
+  for (const std::uint32_t full_batches : {0u, 1u, 2u}) {
+    SCOPED_TRACE(full_batches);
+    GeneratorStream s = loads_then_throw(full_batches * kBatch + 3);
+    for (std::uint32_t i = 0; i < full_batches * kBatch; ++i)
+      ASSERT_EQ(s.next().kind, OpKind::kLoad) << "op " << i;
+    EXPECT_THROW(s.next(), std::runtime_error);
+    // The finished generator is not resumed again: the stream ends.
+    int reads = 0;
+    while (s.next().kind != OpKind::kEnd) ASSERT_LE(++reads, 3);
+    EXPECT_EQ(s.next().kind, OpKind::kEnd);
+  }
 }
 
 // ---- the generated streams are the materialised streams --------------------
