@@ -74,6 +74,9 @@ std::string MachineConfig::validate() const {
   if (!is_pow2(line_bytes.value())) err << "line_bytes must be a power of two; ";
   if ((block_bytes % line_bytes) != ByteCount{0}) err << "block_bytes % line_bytes != 0; ";
   if ((page_bytes % block_bytes) != ByteCount{0}) err << "page_bytes % block_bytes != 0; ";
+  if (blocks_per_page() > kMaxBlocksPerPage)
+    err << "page_bytes / block_bytes must be <= " << kMaxBlocksPerPage
+        << " (one bit per block in a u64 page mask); ";
   if ((l1_bytes % line_bytes) != ByteCount{0}) err << "l1_bytes % line_bytes != 0; ";
   if (!is_pow2(l1_lines())) err << "L1 line count must be a power of two; ";
   if ((rac_bytes % block_bytes) != ByteCount{0}) err << "rac_bytes % block_bytes != 0; ";

@@ -52,6 +52,9 @@ struct MachineConfig {
   ByteCount page_bytes{4096};      ///< 4 KB pages
   ByteCount block_bytes{128};      ///< coherence/transfer unit (4 lines)
   ByteCount line_bytes{32};        ///< L1 line
+  /// Cap on page_bytes / block_bytes: requester-side block state keeps one
+  /// bit per block of a page in a u64 (proto::CoherentMemory).
+  static constexpr std::uint32_t kMaxBlocksPerPage = 64;
 
   // ---- L1 cache (Table 3) -------------------------------------------------
   ByteCount l1_bytes{16 * 1024};   ///< direct-mapped, write-back
@@ -259,7 +262,13 @@ struct MachineConfig {
     return BlockId{l.value() >> (block_shift() - line_shift())};
   }
   BlockId first_block_of_page(PageId p) const {
-    return BlockId{p.value() * blocks_per_page()};
+    return BlockId{p.value() << (page_shift() - block_shift())};
+  }
+  /// Index of `b` within its page, in [0, blocks_per_page()): the block's
+  /// bit in the per-page block masks (validate() caps a page at 64 blocks).
+  std::uint32_t block_in_page(BlockId b) const {
+    return static_cast<std::uint32_t>(
+        b.value() & ((std::uint64_t{1} << (page_shift() - block_shift())) - 1));
   }
   LineAddr first_line_of_block(BlockId b) const {
     return LineAddr{b.value() * lines_per_block()};

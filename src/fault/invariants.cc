@@ -1,5 +1,7 @@
 #include "fault/invariants.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <sstream>
 
@@ -81,23 +83,59 @@ InvariantReport check_coherence_invariants(
     }
   }
 
+  // --- requester-side block state against the directory, page by page ------
+  // Each node's copyset mask for the page (bit i = block first + i) is built
+  // from the page's directory entries, then compared with the node's
+  // PageBlocks masks: S-COMA valid and fetched bits need copyset membership,
+  // and on a remote page copyset membership needs a fetched bit (the page
+  // flush releases exactly the fetched blocks).
+  // One slot per possible node: Directory caps the node count at 64.
+  std::array<std::uint64_t, 64> copyset{};
+  for (VPageId p{0}; p.value() < pages; ++p) {
+    const BlockId first = cfg.first_block_of_page(p);
+    std::fill_n(copyset.begin(), cfg.nodes, 0);
+    for (std::uint32_t i = 0; i < bpp; ++i)
+      for (std::uint64_t s = dir.sharer_mask(first + i); s != 0; s &= s - 1)
+        copyset[std::countr_zero(s)] |= std::uint64_t{1} << i;
+    const NodeId home = cmem.home_of_page(p);
+    for (NodeId n{0}; n.value() < cfg.nodes; ++n) {
+      const proto::CoherentMemory::PageBlocks& pb = cmem.page_blocks(n, p);
+      const std::uint64_t cs = copyset[n.value()];
+      const std::uint64_t bad_scoma = pb.scoma_valid & ~cs;
+      const std::uint64_t bad_fetched = pb.fetched & ~cs;
+      const std::uint64_t bad_member = n == home ? 0 : cs & ~pb.fetched;
+      for (std::uint64_t bad = bad_scoma | bad_fetched | bad_member; bad != 0;
+           bad &= bad - 1) {
+        const std::uint32_t i =
+            static_cast<std::uint32_t>(std::countr_zero(bad));
+        const std::uint64_t m = std::uint64_t{1} << i;
+        const BlockId b = first + i;
+        if (bad_scoma & m) {
+          out.next() << "node " << n << " block " << b
+                     << ": S-COMA valid bit set but node not in copyset ("
+                     << dir.describe(b) << ")";
+          out.commit();
+        }
+        if (bad_fetched & m) {
+          out.next() << "node " << n << " block " << b
+                     << ": fetched-state block but node not in copyset ("
+                     << dir.describe(b) << ")";
+          out.commit();
+        }
+        if (bad_member & m) {
+          out.next() << "node " << n << " block " << b
+                     << ": node in copyset of a remote block it has not "
+                        "fetched ("
+                     << dir.describe(b) << ")";
+          out.commit();
+        }
+      }
+    }
+  }
+
   // --- residency: every locally valid copy must be in the copyset -----------
   const std::uint32_t ppn = cfg.procs_per_node;
   for (NodeId n{0}; n.value() < cfg.nodes; ++n) {
-    for (BlockId b{0}; b.value() < blocks; ++b) {
-      if (cmem.scoma_block_valid(n, b) && !dir.in_copyset(b, n)) {
-        out.next() << "node " << n << " block " << b
-                   << ": S-COMA valid bit set but node not in copyset ("
-                   << dir.describe(b) << ")";
-        out.commit();
-      }
-      if (cmem.block_fetched(n, b) && !dir.in_copyset(b, n)) {
-        out.next() << "node " << n << " block " << b
-                   << ": fetched-state block but node not in copyset ("
-                   << dir.describe(b) << ")";
-        out.commit();
-      }
-    }
     for (std::uint32_t q = n.value() * ppn; q < (n.value() + 1) * ppn; ++q) {
       for (const LineId line : cmem.l1(q).valid_line_ids()) {
         const BlockId b = cfg.block_of_line(line);

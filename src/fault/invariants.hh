@@ -13,7 +13,7 @@
 // sweep finds it immediately.
 //
 // The checker only reads state, reports instead of throwing, and is
-// O(blocks * nodes + pages * nodes) — intended for end-of-run validation and
+// O(blocks + pages * nodes) — intended for end-of-run validation and
 // tests, not the inner loop.
 
 #include <cstdint>

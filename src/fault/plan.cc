@@ -20,11 +20,13 @@ FaultPlan::FaultPlan(const MachineConfig& cfg)
       drop_p_(cfg.fault_drop),
       dup_p_(cfg.fault_dup),
       jitter_p_(cfg.fault_jitter),
-      jitter_max_(cfg.fault_jitter_cycles) {}
+      jitter_max_(cfg.fault_jitter_cycles),
+      enabled_(drop_p_ > 0.0 || dup_p_ > 0.0 || jitter_p_ > 0.0) {}
 
 void FaultPlan::add_rule(const TargetRule& r) {
   ASCOMA_CHECK_MSG(r.begin < r.end, "fault rule window is empty");
   rules_.push_back(r);
+  enabled_ = true;
 }
 
 bool FaultPlan::rule_matches(const TargetRule& r, FaultKind kind, Cycle now,

@@ -61,10 +61,10 @@ class FaultPlan {
 
   void add_rule(const TargetRule& r);
 
-  bool enabled() const {
-    return drop_p_ > 0.0 || dup_p_ > 0.0 || jitter_p_ > 0.0 ||
-           !rules_.empty();
-  }
+  /// Any probability nonzero or any rule added.  Cached: the network asks
+  /// on every delivery, the constructor and add_rule set it, and rules are
+  /// never removed (reset() keeps them).
+  bool enabled() const { return enabled_; }
 
   /// Decide the fate of one message src -> dst injected at `now`.  Draws
   /// from the plan's RNG; calls are deterministic given a deterministic call
@@ -120,6 +120,7 @@ class FaultPlan {
   double jitter_p_ = 0.0;
   Cycle jitter_max_{0};
   std::vector<TargetRule> rules_;
+  bool enabled_ = false;
 
   std::uint64_t decisions_ = 0;
   std::uint64_t drops_ = 0;

@@ -4,10 +4,14 @@
 #include <bit>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "common/check.hh"
 
 namespace ascoma::proto {
+
+// A plain record, so filling the per-node vectors with zeros is a memset.
+static_assert(std::is_trivial_v<CoherentMemory::PageBlocks>);
 
 void CoherentMemory::throw_retry_exhausted(const char* what,
                                            const char* dst_label, NodeId src,
@@ -31,6 +35,8 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
       net_(cfg),
       dir_(homes.total_pages() * cfg.blocks_per_page(), cfg.nodes),
       refetch_(homes.total_pages(), cfg.nodes) {
+  ASCOMA_CHECK_MSG(cfg.blocks_per_page() <= MachineConfig::kMaxBlocksPerPage,
+                   "page_bytes / block_bytes exceeds the block-mask width");
   net_.set_fault_plan(&plan_);
   const std::uint64_t blocks = dir_.total_blocks();
   const std::uint64_t pages = homes.total_pages();
@@ -42,7 +48,9 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
     dram_.push_back(std::make_unique<mem::Dram>(cfg));
     bus_.push_back(std::make_unique<mem::Bus>(cfg));
     engine_.emplace_back("engine" + std::to_string(n));
-    block_state_.emplace_back(blocks, 0);
+    // The explicit zero record makes the fill one memset; without it the
+    // value-initialising constructor copies the first record into the rest.
+    blocks_.emplace_back(pages, PageBlocks{});
     remote_page_seen_.emplace_back(pages, 0);
   }
   remote_pages_touched_.assign(cfg.nodes, 0);
@@ -79,8 +87,12 @@ void CoherentMemory::apply_invalidation(NodeId s, BlockId b) {
   for (std::uint32_t q = s.value() * ppn_; q < (s.value() + 1) * ppn_; ++q)
     l1_[q]->invalidate_block(b);
   rac_[s]->invalidate(b);
-  block_state_[s][b] &= static_cast<std::uint8_t>(~kScomaValid);
-  if (touch_of(s, b) == Touch::kFetched) set_touch(s, b, Touch::kInvalidated);
+  // Fetched -> Invalidated; Never and Invalidated stay as they are.
+  PageBlocks& pb = blocks_[s][cfg_.page_of_block(b)];
+  const std::uint64_t m = block_mask(b);
+  pb.scoma_valid &= ~m;
+  pb.invalidated |= pb.fetched & m;
+  pb.fetched &= ~m;
 }
 
 void CoherentMemory::invalidate_sibling_line(std::uint32_t proc,
@@ -373,7 +385,6 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
 
   // ---- L1 miss ---------------------------------------------------------------
   o.counted_miss = true;
-  const Touch prior = touch_of(node, block);
 
   auto fill_l1 = [&](Cycle t) {
     const auto fr = l1.fill(line, is_store);
@@ -475,7 +486,8 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
 
   ASCOMA_CHECK_MSG(home != node, "non-home mapping mode on the home node");
 
-  if (mode == PageMode::kScoma && scoma_block_valid(node, block)) {
+  if (mode == PageMode::kScoma &&
+      block_bit(blocks_[node][page].scoma_valid, block)) {
     if (!is_store || dir_.owner(block) == node) {
       // Supplied from the local page cache at local-memory latency.
       shadow_check_local(node, block, "scoma page cache");
@@ -528,6 +540,11 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   }
 
   // ---- Remote fetch (S-COMA invalid block, or CC-NUMA RAC miss) ------------
+  // The requesting node's prior knowledge of the block classifies the miss
+  // (the transaction below changes none of the requester's bits for it).
+  PageBlocks& pb = blocks_[node][page];
+  const std::uint64_t m = block_mask(block);
+  const bool prior_fetched = (pb.fetched & m) != 0;
   Cycle t = use_bus(node, now);
   t = use_engine(node, t);
   t = request_engine(node, home, block, t);
@@ -538,7 +555,7 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   Cycle acks = t;
   if (is_store) {
     auto gx = dir_.getx(block, node);
-    o.counted_refetch = (prior == Touch::kFetched);
+    o.counted_refetch = prior_fetched;
     if (gx.forward()) {
       note_dir_event(obs::EventKind::kDirForward, t, node, block,
                      gx.dirty_owner.value());
@@ -556,7 +573,7 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
     acks = invalidate_targets(gx.invalidate, block, home, node, t);
   } else {
     auto gs = dir_.gets(block, node);
-    o.counted_refetch = (prior == Touch::kFetched);
+    o.counted_refetch = prior_fetched;
     if (gs.forward()) {
       note_dir_event(obs::EventKind::kDirForward, t, node, block,
                      gs.dirty_owner.value());
@@ -576,18 +593,13 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   o.remote = true;
   o.data_fetch = true;
 
-  // Classification by the requesting node's prior knowledge of the block.
-  switch (prior) {
-    case Touch::kNever:
-      o.source = MissSource::kCold;
-      o.induced_cold = (block_state_[node][block] & kEverFetched) != 0;
-      break;
-    case Touch::kInvalidated:
-      o.source = MissSource::kCoherence;
-      break;
-    case Touch::kFetched:
-      o.source = MissSource::kConfCapc;
-      break;
+  if (prior_fetched) {
+    o.source = MissSource::kConfCapc;
+  } else if ((pb.invalidated & m) != 0) {
+    o.source = MissSource::kCoherence;
+  } else {
+    o.source = MissSource::kCold;
+    o.induced_cold = (pb.ever_fetched & m) != 0;
   }
   o.page_refetch_count = o.counted_refetch ? refetch_.increment(page, node)
                                            : refetch_.count(page, node);
@@ -596,12 +608,13 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
     shadow_commit_store(node, block);
   else
     shadow_fetch(node, block);
-  set_touch(node, block, Touch::kFetched);
-  block_state_[node][block] |= kEverFetched;
+  pb.fetched |= m;
+  pb.invalidated &= ~m;
+  pb.ever_fetched |= m;
 
   // Install the arriving 4-line chunk at its destination.
   if (mode == PageMode::kScoma) {
-    block_state_[node][block] |= kScomaValid;
+    pb.scoma_valid |= m;
     if (!background_) dram_[node]->access(o.done, block);  // page-cache write
   } else {
     rac_[node]->fill(block);
@@ -614,74 +627,85 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
                                                         VPageId page,
                                                         Cycle now) {
   ASCOMA_CHECK(node.value() < cfg_.nodes);
+  const NodeId home = home_of_page(page);
+  ASCOMA_CHECK(home != node);
   FlushOutcome fo;
   rac_[node]->invalidate_page(page);
 
-  // A valid L1 line implies its node is in the block's copyset (checked by
-  // fault::check_coherence_invariants), so only the copyset's blocks can
-  // have lines to flush from the node's L1s.
+  // On a remote page the node's fetched blocks are exactly its copyset
+  // blocks (PageBlocks), and a valid L1 line implies copyset membership, so
+  // the held mask names every block with lines or a directory entry to
+  // release.  Back to Never with the S-COMA bits clear; only the sticky
+  // ever-fetched bits survive (a refetch is then an induced cold miss).
+  PageBlocks& pb = blocks_[node][page];
+  std::uint64_t held = pb.fetched;
+  pb.fetched = 0;
+  pb.invalidated = 0;
+  pb.scoma_valid = 0;
   const BlockId first = cfg_.first_block_of_page(page);
-  const std::uint32_t blocks = cfg_.blocks_per_page();
   const std::uint32_t q0 = node.value() * ppn_;
-  IdVector<BlockId, std::uint8_t>& state = block_state_[node];
-  for (std::uint32_t i = 0; i < blocks; ++i) {
-    const BlockId b = first + i;
-    // Back to Touch::kNever with the S-COMA bit clear; only the sticky
-    // ever-fetched bit survives (a refetch is then an induced cold miss).
-    state[b] &= kEverFetched;
-    if (dir_.in_copyset(b, node)) {
-      for (std::uint32_t q = q0; q < q0 + ppn_; ++q) {
-        const auto l1res = l1_[q]->flush_block(b);
-        fo.l1_valid_lines += l1res.valid_lines;
-        fo.l1_dirty_lines += l1res.dirty_lines;
-      }
-      dir_.flush_node(b, node);
-      ++fo.blocks_released;
+  for (; held != 0; held &= held - 1) {
+    const BlockId b =
+        first + static_cast<std::uint32_t>(std::countr_zero(held));
+    for (std::uint32_t q = q0; q < q0 + ppn_; ++q) {
+      const auto l1res = l1_[q]->flush_block(b);
+      fo.l1_valid_lines += l1res.valid_lines;
+      fo.l1_dirty_lines += l1res.dirty_lines;
     }
+    dir_.flush_node(b, node);
+    ++fo.blocks_released;
   }
   refetch_.reset(page, node);
 
   if (fo.blocks_released > 0) {
-    const NodeId home = home_of_page(page);
+    // One batched flush/writeback notification to the home.
     const Cycle t = bus_[node]->transact_short(now);
-    if (home != node) {
-      // One batched flush/writeback notification to the home.
-      const Cycle at_home = net_.deliver(t, node, home);
-      engine_[home].acquire(at_home, cfg_.dsm_engine_cycles);
-    }
+    const Cycle at_home = net_.deliver(t, node, home);
+    engine_[home].acquire(at_home, cfg_.dsm_engine_cycles);
   }
   return fo;
 }
 
 namespace {
 
-using BlockStateTable = IdVector<NodeId, IdVector<BlockId, std::uint8_t>>;
+using PageBlocks = CoherentMemory::PageBlocks;
+using BlockTable = IdVector<NodeId, IdVector<VPageId, PageBlocks>>;
 
-// The snapshot stores one byte table per block-state field (touch, ever
-// fetched, S-COMA valid), so its format does not depend on how the fields
-// are packed in memory.  `mask` selects the field; its value is stored
-// shifted down to start at bit 0.
-void encode_block_field(store::Encoder& e, const BlockStateTable& t,
-                        std::uint8_t mask) {
-  const int shift = std::countr_zero(mask);
+// The snapshot stores three byte tables per (node, block) — touch (0 never,
+// 1 fetched, 2 invalidated), ever fetched, S-COMA valid — so its format
+// does not depend on how the fields are packed in memory.  `get(pb, i)`
+// yields block i's byte; `put(pb, m, x)` stores byte `x` under bit mask `m`.
+template <class Get>
+void encode_block_table(store::Encoder& e, const BlockTable& t,
+                        std::uint32_t bpp, Get get) {
   for (const auto& per_node : t)
-    for (const std::uint8_t v : per_node)
-      e.u8(static_cast<std::uint8_t>((v & mask) >> shift));
+    for (const PageBlocks& pb : per_node)
+      for (std::uint32_t i = 0; i < bpp; ++i) e.u8(get(pb, i));
 }
 
-void decode_block_field(store::Decoder& d, BlockStateTable& t,
-                        std::uint8_t mask, std::uint8_t max_value,
-                        const char* field) {
-  const int shift = std::countr_zero(mask);
+template <class Put>
+void decode_block_table(store::Decoder& d, BlockTable& t, std::uint32_t bpp,
+                        std::uint8_t max_value, const char* field, Put put) {
   for (auto& per_node : t)
-    for (std::uint8_t& v : per_node) {
-      const std::uint8_t x = d.u8();
-      if (x > max_value)
-        throw store::CodecError(std::string("cmem: bad ") + field +
-                                " byte " + std::to_string(x));
-      v = static_cast<std::uint8_t>((v & ~mask) | (x << shift));
-    }
+    for (PageBlocks& pb : per_node)
+      for (std::uint32_t i = 0; i < bpp; ++i) {
+        const std::uint8_t x = d.u8();
+        if (x > max_value)
+          throw store::CodecError(std::string("cmem: bad ") + field +
+                                  " byte " + std::to_string(x));
+        put(pb, std::uint64_t{1} << i, x);
+      }
 }
+
+std::uint8_t bit_of(std::uint64_t mask, std::uint32_t i) {
+  return static_cast<std::uint8_t>((mask >> i) & 1u);
+}
+void set_bit(std::uint64_t& mask, std::uint64_t m, bool on) {
+  mask = on ? mask | m : mask & ~m;
+}
+
+constexpr std::uint8_t kTouchFetched = 1;
+constexpr std::uint8_t kTouchInvalidated = 2;
 
 }  // namespace
 
@@ -699,9 +723,21 @@ void CoherentMemory::encode(store::Encoder& e) const {
   net_.encode(e);
   dir_.encode(e);
   refetch_.encode(e);
-  encode_block_field(e, block_state_, kTouchMask);
-  encode_block_field(e, block_state_, kEverFetched);
-  encode_block_field(e, block_state_, kScomaValid);
+  const std::uint32_t bpp = cfg_.blocks_per_page();
+  encode_block_table(e, blocks_, bpp,
+                     [](const PageBlocks& pb, std::uint32_t i) {
+                       return bit_of(pb.fetched, i) ? kTouchFetched
+                              : bit_of(pb.invalidated, i) ? kTouchInvalidated
+                                                          : std::uint8_t{0};
+                     });
+  encode_block_table(e, blocks_, bpp,
+                     [](const PageBlocks& pb, std::uint32_t i) {
+                       return bit_of(pb.ever_fetched, i);
+                     });
+  encode_block_table(e, blocks_, bpp,
+                     [](const PageBlocks& pb, std::uint32_t i) {
+                       return bit_of(pb.scoma_valid, i);
+                     });
   for (const auto& per_node : remote_page_seen_)
     for (const std::uint8_t v : per_node) e.u8(v);
   for (const std::uint64_t v : remote_pages_touched_) e.u64(v);
@@ -730,10 +766,20 @@ void CoherentMemory::decode(store::Decoder& d) {
   net_.decode(d);
   dir_.decode(d);
   refetch_.decode(d);
-  decode_block_field(d, block_state_, kTouchMask,
-                     static_cast<std::uint8_t>(Touch::kInvalidated), "touch");
-  decode_block_field(d, block_state_, kEverFetched, 1, "ever-fetched");
-  decode_block_field(d, block_state_, kScomaValid, 1, "S-COMA valid");
+  const std::uint32_t bpp = cfg_.blocks_per_page();
+  decode_block_table(d, blocks_, bpp, kTouchInvalidated, "touch",
+                     [](PageBlocks& pb, std::uint64_t m, std::uint8_t x) {
+                       set_bit(pb.fetched, m, x == kTouchFetched);
+                       set_bit(pb.invalidated, m, x == kTouchInvalidated);
+                     });
+  decode_block_table(d, blocks_, bpp, 1, "ever-fetched",
+                     [](PageBlocks& pb, std::uint64_t m, std::uint8_t x) {
+                       set_bit(pb.ever_fetched, m, x != 0);
+                     });
+  decode_block_table(d, blocks_, bpp, 1, "S-COMA valid",
+                     [](PageBlocks& pb, std::uint64_t m, std::uint8_t x) {
+                       set_bit(pb.scoma_valid, m, x != 0);
+                     });
   for (auto& per_node : remote_page_seen_)
     for (std::uint8_t& v : per_node) v = d.u8();
   for (std::uint64_t& v : remote_pages_touched_) v = d.u64();

@@ -100,8 +100,9 @@ class CoherentMemory {
 
   /// Flush every trace of `page` from node `node`'s caches (all processors)
   /// and release its directory presence (the hardware half of a page
-  /// remap/eviction).  One batched flush message to the home is charged on
-  /// the network when the node held any block and the home is remote.
+  /// remap/eviction).  `page` must be homed on another node.  One batched
+  /// flush message to the home is charged on the network when the node held
+  /// any block.
   FlushOutcome flush_page(NodeId node, VPageId page, Cycle now);
 
   // --- component access (tests, stats, benches) ----------------------------
@@ -129,13 +130,31 @@ class CoherentMemory {
   std::uint64_t nacks_received() const { return nacks_; }
 
   // --- requester-side state (invariant checker, tests) ----------------------
+  /// One (node, page)'s requester-side block state: bit i describes block
+  /// first_block_of_page(page) + i.  `fetched` and `invalidated` are the
+  /// block's touch state, Fetched or Invalidated (neither: Never, not
+  /// fetched since the last flush of the page); they are never both set.
+  /// For a page homed on another node, a `fetched` bit is set exactly when
+  /// the node is in the block's directory copyset: the remote-fetch path is
+  /// the only way in, and an invalidation or a page flush the only ways
+  /// out.  fault::check_coherence_invariants checks both directions.
+  struct PageBlocks {
+    std::uint64_t fetched;       ///< holds a copy fetched from the home
+    std::uint64_t invalidated;   ///< fetched, then invalidated by the home
+    std::uint64_t ever_fetched;  ///< sticky (induced-cold classification)
+    std::uint64_t scoma_valid;   ///< S-COMA valid bit
+  };
+  const PageBlocks& page_blocks(NodeId n, VPageId p) const {
+    return blocks_[n][p];
+  }
   bool scoma_block_valid(NodeId n, BlockId b) const {
-    return (block_state_[n][b] & kScomaValid) != 0;
+    return block_bit(blocks_[n][cfg_.page_of_block(b)].scoma_valid, b);
   }
   bool block_fetched(NodeId n, BlockId b) const {
-    return touch_of(n, b) == Touch::kFetched;
+    return block_bit(blocks_[n][cfg_.page_of_block(b)].fetched, b);
   }
   const MachineConfig& config() const { return cfg_; }
+  NodeId home_of_page(VPageId p) const { return homes_.home_of(p); }
 
   /// Distinct remote pages this node has ever accessed (Table 5 census).
   std::uint64_t remote_pages_touched(NodeId n) const {
@@ -165,24 +184,13 @@ class CoherentMemory {
   void decode(store::Decoder& d);
 
  private:
-  enum class Touch : std::uint8_t { kNever = 0, kFetched, kInvalidated };
-
-  // Requester-side block state, one byte per (node, block): the Touch value
-  // in the low bits plus two flags.
-  static constexpr std::uint8_t kTouchMask = 0x3;
-  static constexpr std::uint8_t kEverFetched = 0x4;  ///< sticky, for stats
-  static constexpr std::uint8_t kScomaValid = 0x8;   ///< S-COMA valid bit
-
-  Touch touch_of(NodeId n, BlockId b) const {
-    return static_cast<Touch>(block_state_[n][b] & kTouchMask);
+  /// `b`'s bit of a PageBlocks mask.
+  std::uint64_t block_mask(BlockId b) const {
+    return std::uint64_t{1} << cfg_.block_in_page(b);
   }
-  void set_touch(NodeId n, BlockId b, Touch t) {
-    std::uint8_t& v = block_state_[n][b];
-    v = static_cast<std::uint8_t>((v & ~kTouchMask) |
-                                  static_cast<std::uint8_t>(t));
+  bool block_bit(std::uint64_t mask, BlockId b) const {
+    return (mask & block_mask(b)) != 0;
   }
-
-  NodeId home_of_page(VPageId p) const { return homes_.home_of(p); }
 
   /// Apply an invalidation of `b` at node `s` (state only, no timing):
   /// every processor L1 on the node, the RAC, and the S-COMA valid bit.
@@ -276,8 +284,9 @@ class CoherentMemory {
   Directory dir_;
   RefetchTable refetch_;
 
-  // Per-node, per-block requester-side state (Touch + flag bits above).
-  IdVector<NodeId, IdVector<BlockId, std::uint8_t>> block_state_;
+  // Requester-side block state, one PageBlocks per (node, page), in one
+  // vector per node (one large table would be re-faulted on every run).
+  IdVector<NodeId, IdVector<VPageId, PageBlocks>> blocks_;
   IdVector<NodeId, IdVector<PageId, std::uint8_t>> remote_page_seen_;
   IdVector<NodeId, std::uint64_t> remote_pages_touched_;
 

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hh"
@@ -272,36 +273,92 @@ TEST_F(CoherentMemoryTest, FlushOfUntouchedPageIsNoop) {
   EXPECT_EQ(fo.blocks_released, 0u);
 }
 
-// flush_page visits only the blocks whose copyset holds the node.  The
-// reference is the full scan it replaced: every valid L1 line of the page
-// on each of the node's processors, read before the flush.
+// A 4-node machine over 16 contiguous-homed pages; every node maps each
+// remote page at random in S-COMA or CC-NUMA mode.
+struct RandomMachine {
+  static constexpr std::uint32_t kNodes = 4;
+  static constexpr std::uint64_t kPages = 16;
+
+  RandomMachine(std::uint32_t procs_per_node, Rng& rng)
+      : cfg(config(procs_per_node)), homes(kPages, kNodes) {
+    homes.assign_contiguous();
+    std::vector<const vm::PageTable*> ptrs;
+    for (NodeId n{0}; n.value() < kNodes; ++n) {
+      pts.push_back(std::make_unique<vm::PageTable>(kPages));
+      for (VPageId p{0}; p.value() < kPages; ++p) {
+        if (homes.home_of(p) == n)
+          pts.back()->map_home(p);
+        else if (rng.chance(0.5))
+          pts.back()->map_scoma(
+              p, FrameId{static_cast<std::uint32_t>(p.value())});
+        else
+          pts.back()->map_numa(p);
+      }
+      ptrs.push_back(pts.back().get());
+    }
+    cm = std::make_unique<CoherentMemory>(cfg, homes);
+    cm->set_page_tables(ptrs);
+  }
+  // `cm` refers to `homes`: pinned in place.
+  RandomMachine(const RandomMachine&) = delete;
+  RandomMachine& operator=(const RandomMachine&) = delete;
+
+  static MachineConfig config(std::uint32_t procs_per_node) {
+    MachineConfig c;
+    c.nodes = kNodes;
+    c.procs_per_node = procs_per_node;
+    return c;
+  }
+
+  /// `n` loads and stores (30% stores) by random processors to random
+  /// lines; returns the last completion cycle.
+  Cycle run(Rng& rng, int n, Cycle t) {
+    const std::uint64_t lpp = cfg.lines_per_page();
+    for (int i = 0; i < n; ++i) {
+      const auto proc =
+          static_cast<std::uint32_t>(rng.below(cfg.total_procs()));
+      const VPageId page{rng.below(kPages)};
+      const Addr a{page.value() * cfg.page_bytes.value() +
+                   rng.below(lpp) * cfg.line_bytes.value()};
+      t = cm->access(proc, a, rng.chance(0.3), t + Cycle{1}).done;
+    }
+    return t;
+  }
+
+  /// A random (node, page) pair whose page is homed on another node.
+  std::pair<NodeId, VPageId> remote_pair(Rng& rng) const {
+    const NodeId node{static_cast<std::uint32_t>(rng.below(kNodes))};
+    VPageId page{rng.below(kPages)};
+    while (homes.home_of(page) == node) page = VPageId{rng.below(kPages)};
+    return {node, page};
+  }
+
+  MachineConfig cfg;
+  vm::HomeMap homes;
+  std::vector<std::unique_ptr<vm::PageTable>> pts;
+  std::unique_ptr<CoherentMemory> cm;
+};
+
+TEST(CoherentMemory, FlushRejectsAHomePage) {
+  // The requester-side masks track remote copyset membership only, so a
+  // node never flushes a page it is home to.
+  Rng rng(1);
+  RandomMachine m(1, rng);
+  const Cycle t = m.run(rng, 200, Cycle{0});
+  EXPECT_THROW(m.cm->flush_page(NodeId{0}, VPageId{0}, t),
+               ascoma::CheckFailure);
+}
+
+// flush_page visits only the node's fetched blocks.  The reference is the
+// full scan it replaced: every valid L1 line of the page on each of the
+// node's processors, and every copyset entry of the page, read before the
+// flush.
 void check_flush_against_full_scan(std::uint32_t procs_per_node,
                                    std::uint64_t seed) {
-  constexpr std::uint32_t kNodes = 4;
-  constexpr std::uint64_t kPages = 16;
-  MachineConfig cfg;
-  cfg.nodes = kNodes;
-  cfg.procs_per_node = procs_per_node;
-  vm::HomeMap homes(kPages, kNodes);
-  homes.assign_contiguous();
   Rng rng(seed);
-  std::vector<std::unique_ptr<vm::PageTable>> pts;
-  std::vector<const vm::PageTable*> ptrs;
-  for (NodeId n{0}; n.value() < kNodes; ++n) {
-    pts.push_back(std::make_unique<vm::PageTable>(kPages));
-    for (VPageId p{0}; p.value() < kPages; ++p) {
-      if (homes.home_of(p) == n)
-        pts.back()->map_home(p);
-      else if (rng.chance(0.5))
-        pts.back()->map_scoma(
-            p, FrameId{static_cast<std::uint32_t>(p.value())});
-      else
-        pts.back()->map_numa(p);
-    }
-    ptrs.push_back(pts.back().get());
-  }
-  CoherentMemory cm(cfg, homes);
-  cm.set_page_tables(ptrs);
+  RandomMachine m(procs_per_node, rng);
+  const MachineConfig& cfg = m.cfg;
+  CoherentMemory& cm = *m.cm;
 
   const std::uint64_t lpp = cfg.lines_per_page();
   Cycle t{0};
@@ -309,18 +366,9 @@ void check_flush_against_full_scan(std::uint32_t procs_per_node,
   for (int round = 0; round < 60; ++round) {
     // Every node loads and stores, so the flushed node's copies are also
     // invalidated and forwarded by other nodes' stores in between.
-    for (int i = 0; i < 200; ++i) {
-      const auto proc =
-          static_cast<std::uint32_t>(rng.below(cfg.total_procs()));
-      const VPageId page{rng.below(kPages)};
-      const Addr a{page.value() * cfg.page_bytes.value() +
-                   rng.below(lpp) * cfg.line_bytes.value()};
-      t = cm.access(proc, a, rng.chance(0.3), t + Cycle{1}).done;
-    }
+    t = m.run(rng, 200, t);
 
-    const NodeId node{static_cast<std::uint32_t>(rng.below(kNodes))};
-    VPageId page{rng.below(kPages)};
-    while (homes.home_of(page) == node) page = VPageId{rng.below(kPages)};
+    const auto [node, page] = m.remote_pair(rng);
     const std::uint32_t q0 = node.value() * procs_per_node;
 
     std::uint32_t want_valid = 0;
@@ -333,8 +381,13 @@ void check_flush_against_full_scan(std::uint32_t procs_per_node,
         }
     std::uint32_t want_released = 0;
     const BlockId first = cfg.first_block_of_page(page);
-    for (std::uint32_t i = 0; i < cfg.blocks_per_page(); ++i)
-      want_released += cm.directory().in_copyset(first + i, node) ? 1 : 0;
+    for (std::uint32_t i = 0; i < cfg.blocks_per_page(); ++i) {
+      const bool member = cm.directory().in_copyset(first + i, node);
+      // The flush's precondition: the fetched blocks are the copyset blocks.
+      ASSERT_EQ(cm.block_fetched(node, first + i), member)
+          << "round " << round << " node " << node << " block " << first + i;
+      want_released += member ? 1 : 0;
+    }
 
     const auto fo = cm.flush_page(node, page, t);
     SCOPED_TRACE(::testing::Message() << "round " << round << " node " << node
@@ -360,6 +413,57 @@ TEST(CoherentMemory, FlushMatchesFullScanReference) {
                                         << " seed " << seed);
       check_flush_against_full_scan(ppn, seed);
     }
+}
+
+// The per-page block masks go to the snapshot as per-block byte tables and
+// come back exactly: encode -> decode into a fresh instance -> encode is
+// byte-identical, and every (node, block) query agrees.
+TEST(CoherentMemory, BlockStateCheckpointRoundTrip) {
+  for (const std::uint32_t ppn : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "procs_per_node " << ppn);
+    Rng rng(ppn);
+    RandomMachine m(ppn, rng);
+    Cycle t{0};
+    for (int round = 0; round < 20; ++round) {
+      t = m.run(rng, 200, t);
+      const auto [node, page] = m.remote_pair(rng);
+      m.cm->flush_page(node, page, t);
+    }
+    t = m.run(rng, 100, t);  // leave some blocks fetched after the flushes
+
+    store::Encoder e;
+    m.cm->encode(e);
+    Rng rng2(ppn);
+    RandomMachine fresh(ppn, rng2);
+    store::Decoder d(e.bytes());
+    fresh.cm->decode(d);
+    store::Encoder e2;
+    fresh.cm->encode(e2);
+    EXPECT_EQ(e.bytes(), e2.bytes());
+
+    std::uint64_t fetched = 0, scoma = 0;
+    const std::uint64_t blocks = m.cm->directory().total_blocks();
+    for (NodeId n{0}; n.value() < RandomMachine::kNodes; ++n)
+      for (BlockId b{0}; b.value() < blocks; ++b) {
+        ASSERT_EQ(fresh.cm->block_fetched(n, b), m.cm->block_fetched(n, b))
+            << "node " << n << " block " << b;
+        ASSERT_EQ(fresh.cm->scoma_block_valid(n, b),
+                  m.cm->scoma_block_valid(n, b))
+            << "node " << n << " block " << b;
+        fetched += m.cm->block_fetched(n, b) ? 1 : 0;
+        scoma += m.cm->scoma_block_valid(n, b) ? 1 : 0;
+      }
+    EXPECT_GT(fetched, 0u);
+    EXPECT_GT(scoma, 0u);
+  }
+}
+
+TEST(CoherentMemory, ConstructorRejectsMoreThan64BlocksPerPage) {
+  MachineConfig cfg;
+  cfg.nodes = 2;
+  cfg.block_bytes = ByteCount{32};  // 4096 / 32 = 128 blocks per page
+  vm::HomeMap homes(4, 2);
+  EXPECT_THROW(CoherentMemory(cfg, homes), ascoma::CheckFailure);
 }
 
 // ---- writebacks ------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hh"
 
 namespace ascoma {
@@ -140,6 +142,27 @@ TEST(Config, AddressConversionsMatchDivision) {
       ASSERT_EQ(cfg.block_of_line(LineAddr{line}),
                 BlockId{line / cfg.lines_per_block()})
           << raw;
+    }
+  }
+}
+
+// Requester-side block state keeps one bit per block of a page in a u64.
+TEST(Config, ValidateRejectsMoreThan64BlocksPerPage) {
+  struct Geometry {
+    std::uint64_t page, block;
+    bool ok;
+  };
+  for (const Geometry g :
+       {Geometry{4096, 32, false}, Geometry{4096, 128, true},
+        Geometry{8192, 128, true}, Geometry{4096, 64, true}}) {
+    MachineConfig cfg;
+    cfg.page_bytes = ByteCount{g.page};
+    cfg.block_bytes = ByteCount{g.block};
+    cfg.rac_bytes = ByteCount{g.block};
+    const std::string err = cfg.validate();
+    EXPECT_EQ(err.empty(), g.ok) << g.page << "/" << g.block << ": " << err;
+    if (!g.ok) {
+      EXPECT_NE(err.find("<= 64"), std::string::npos) << err;
     }
   }
 }

@@ -72,6 +72,25 @@ TEST(FaultPlan, ZeroConfigIsDisabled) {
   EXPECT_FALSE(plan.enabled());
 }
 
+TEST(FaultPlan, EnabledFollowsProbabilitiesAndRules) {
+  EXPECT_FALSE(fault::FaultPlan().enabled());
+  EXPECT_FALSE(fault::FaultPlan(MachineConfig{}).enabled());
+  for (double MachineConfig::*knob :
+       {&MachineConfig::fault_drop, &MachineConfig::fault_dup,
+        &MachineConfig::fault_jitter}) {
+    MachineConfig cfg;
+    cfg.fault_jitter_cycles = Cycles{4};
+    cfg.*knob = 0.1;
+    EXPECT_TRUE(fault::FaultPlan(cfg).enabled());
+  }
+  fault::FaultPlan plan{MachineConfig{}};
+  plan.add_rule({fault::FaultKind::kJitter, NodeId{0}, NodeId{1}, Cycle{0},
+                 Cycle{10}});
+  EXPECT_TRUE(plan.enabled());
+  plan.reset();  // keeps the rules, so the plan stays on
+  EXPECT_TRUE(plan.enabled());
+}
+
 TEST(FaultPlan, SameSeedReplaysTheSameDecisions) {
   MachineConfig cfg;
   cfg.fault_drop = 0.3;
@@ -472,6 +491,23 @@ TEST_F(FaultedMemoryTest, SweepDetectsACopysetHoleBehindAValidCache) {
   EXPECT_FALSE(rep.ok());
   EXPECT_GE(rep.total_violations, 1u);
   EXPECT_NE(rep.to_string().find("not in copyset"), std::string::npos);
+}
+
+TEST_F(FaultedMemoryTest, SweepDetectsAnUnfetchedCopysetMember) {
+  build();
+  // Plant the converse corruption: the directory lists node 2 as a sharer
+  // of a remote block the node never fetched, so a page flush, which
+  // releases only fetched blocks, would leave the entry behind.
+  const BlockId b = cfg_.block_of(addr(VPageId{4}));
+  cm_->directory().gets(b, NodeId{2});
+  ASSERT_FALSE(cm_->block_fetched(NodeId{2}, b));
+  const auto rep = fault::check_coherence_invariants(*cm_, {}, {});
+  EXPECT_EQ(rep.total_violations, 1u) << rep.to_string();
+  EXPECT_NE(rep.to_string().find(
+                "node 2 block " + std::to_string(b.value()) +
+                ": node in copyset of a remote block it has not fetched"),
+            std::string::npos)
+      << rep.to_string();
 }
 
 TEST_F(FaultedMemoryTest, SweepReportsAreCappedButCountsAreExact) {
