@@ -116,7 +116,6 @@ class BenchJson {
       sp.wall_ns = r.timing.wall.value();
       sp.peak_rss_bytes = r.timing.peak_rss_bytes;
       sp.allocs = r.timing.allocs;
-      sp.store_ns = r.timing.store.value();
       simspeed_.rows.push_back(std::move(sp));
     }
   }

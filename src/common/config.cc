@@ -84,20 +84,22 @@ std::string MachineConfig::validate() const {
     err << "RAC entry count must be 0 or a power of two; ";
   if (!is_pow2(dram_banks)) err << "dram_banks must be a power of two; ";
   if (switch_arity < 2) err << "switch_arity must be >= 2; ";
-  if (memory_pressure <= 0.0 || memory_pressure > 1.0)
+  // Floating-point ranges are written as !(in range) so that NaN, which
+  // fails every comparison, is rejected too.
+  if (!(memory_pressure > 0.0 && memory_pressure <= 1.0))
     err << "memory_pressure must be in (0, 1]; ";
-  if (free_min_frac < 0.0 || free_min_frac >= 1.0)
+  if (!(free_min_frac >= 0.0 && free_min_frac < 1.0))
     err << "free_min_frac must be in [0, 1); ";
-  if (free_target_frac < free_min_frac)
+  if (!(free_target_frac >= free_min_frac))
     err << "free_target_frac must be >= free_min_frac; ";
-  if (free_target_frac >= 1.0) err << "free_target_frac must be < 1; ";
+  if (!(free_target_frac < 1.0)) err << "free_target_frac must be < 1; ";
   if (refetch_threshold == 0) err << "refetch_threshold must be > 0; ";
   if (threshold_max < refetch_threshold)
     err << "threshold_max must be >= refetch_threshold; ";
-  if (daemon_backoff_factor < 1.0)
+  if (!(daemon_backoff_factor >= 1.0))
     err << "daemon_backoff_factor must be >= 1; ";
   if (vcnuma_break_even == 0) err << "vcnuma_break_even must be > 0; ";
-  if (vcnuma_eval_replacements <= 0.0)
+  if (!(vcnuma_eval_replacements > 0.0))
     err << "vcnuma_eval_replacements must be > 0; ";
   if (!blocking_stores && store_buffer_entries == 0)
     err << "store buffer needs at least one entry; ";

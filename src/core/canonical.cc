@@ -1,6 +1,6 @@
-#include "core/sweep_store.hh"
+#include "core/canonical.hh"
 
-#include <utility>
+#include <vector>
 
 namespace ascoma::core {
 
@@ -276,80 +276,32 @@ void decode_run_result(store::Decoder& d, RunResult* r) {
   d.end_section();
 }
 
-// ---- SweepResult ------------------------------------------------------------
-
-void encode_sweep_result(store::Encoder& e, const SweepResult& sr) {
-  e.begin_section("sres");
-  e.u32(kStoreFormatVersion);
-  encode_run_result(e, sr.result);
-  e.u64(sr.timing.wall.value());
-  e.u64(sr.timing.peak_rss_bytes);
-  e.u64(sr.timing.allocs);
-  e.b(sr.timing.straggler);
-  e.end_section();
-}
-
-void decode_sweep_result(store::Decoder& d, SweepResult* sr) {
-  d.begin_section("sres");
-  if (d.u32() != kStoreFormatVersion)
-    throw store::CodecError("sweep result format version mismatch");
-  decode_run_result(d, &sr->result);
-  sr->timing.wall = HostNs{d.u64()};
-  sr->timing.peak_rss_bytes = d.u64();
-  sr->timing.allocs = d.u64();
-  sr->timing.straggler = d.b();
-  d.end_section();
-}
-
-// ---- content addressing -----------------------------------------------------
+// ---- machine identity -------------------------------------------------------
 
 namespace {
 
 constexpr std::uint64_t kSaltHi = 0x41'53'43'4F'4D'41'48'49ull;  // "ASCOMAHI"
 constexpr std::uint64_t kSaltLo = 0x41'53'43'4F'4D'41'4C'4Full;  // "ASCOMALO"
 
-Fingerprint fingerprint_of(const std::vector<std::uint8_t>& bytes) {
-  Fingerprint fp;
-  fp.hi = store::fnv1a64(bytes.data(), bytes.size(),
-                         store::kFnvBasis ^ kSaltHi);
-  fp.lo = store::fnv1a64(bytes.data(), bytes.size(),
-                         store::kFnvBasis ^ kSaltLo);
-  return fp;
-}
-
 }  // namespace
-
-std::string Fingerprint::hex() const {
-  static const char* digits = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i)
-    out[static_cast<std::size_t>(15 - i)] = digits[(hi >> (4 * i)) & 0xF];
-  for (int i = 0; i < 16; ++i)
-    out[static_cast<std::size_t>(31 - i)] = digits[(lo >> (4 * i)) & 0xF];
-  return out;
-}
-
-Fingerprint job_fingerprint(const SweepJob& job) {
-  store::Encoder e;
-  e.u32(kStoreFormatVersion);
-  e.str(job.label);
-  e.str(job.workload);
-  e.f64(job.workload_scale);
-  encode_config(e, job.config);
-  return fingerprint_of(e.bytes());
-}
 
 Fingerprint machine_fingerprint(const MachineConfig& cfg,
                                 const std::string& workload_name,
                                 std::uint64_t total_pages,
                                 std::uint32_t processes) {
   store::Encoder e;
-  e.u32(kStoreFormatVersion);
+  e.u32(kCanonicalVersion);
   e.str(workload_name);
   e.u64(total_pages);
   e.u32(processes);
   encode_config(e, cfg);
-  return fingerprint_of(e.bytes());
+  const std::vector<std::uint8_t>& bytes = e.bytes();
+  Fingerprint fp;
+  fp.hi = store::fnv1a64(bytes.data(), bytes.size(),
+                         store::kFnvBasis ^ kSaltHi);
+  fp.lo = store::fnv1a64(bytes.data(), bytes.size(),
+                         store::kFnvBasis ^ kSaltLo);
+  return fp;
 }
 
 }  // namespace ascoma::core

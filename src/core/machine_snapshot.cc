@@ -3,7 +3,7 @@
 
 #include "common/check.hh"
 #include "core/machine.hh"
-#include "core/sweep_store.hh"
+#include "core/canonical.hh"
 #include "store/codec.hh"
 #include "store/snapshot.hh"
 

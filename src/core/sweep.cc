@@ -5,14 +5,11 @@
 #include <chrono>
 #include <exception>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <thread>
 
 #include "common/check.hh"
 #include "common/sync.hh"
-#include "core/sweep_store.hh"
-#include "store/store.hh"
 #include "workload/workload.hh"
 
 namespace ascoma::core {
@@ -38,18 +35,6 @@ HostNs median_wall(const std::vector<SweepResult>& results) {
   return (walls[n / 2 - 1] + walls[n / 2]) / 2;
 }
 
-/// One fsync'd completion line in the store's manifest journal.
-void journal_done(store::ResultStore& rs, std::size_t job,
-                  const std::string& label, const std::string& key,
-                  bool cached, Cycle cycles) {
-  std::ostringstream os;
-  os << "{\"sweep\":\"done\",\"job\":" << job << ",\"label\":\""
-     << store::json_escape_min(label) << "\",\"key\":\"" << key
-     << "\",\"cached\":" << (cached ? "true" : "false")
-     << ",\"cycles\":" << cycles.value() << '}';
-  rs.append_manifest(os.str());
-}
-
 }  // namespace
 
 std::uint64_t SweepResult::accesses() const {
@@ -64,7 +49,7 @@ double SweepResult::sim_rate_hz() const {
 
 std::string progress_line(std::size_t done, std::size_t total,
                           HostNs wall, Cycle cycles_done,
-                          std::size_t cached, std::uint64_t seq) {
+                          std::uint64_t seq) {
   const double wall_s = static_cast<double>(wall.value()) * 1e-9;
   const double rate =
       wall_s > 0.0 ? static_cast<double>(cycles_done.value()) / wall_s : 0.0;
@@ -78,8 +63,7 @@ std::string progress_line(std::size_t done, std::size_t total,
   }
   std::ostringstream os;
   os << "{\"sweep\":\"progress\",\"seq\":" << seq << ",\"done\":" << done
-     << ",\"total\":" << total << ",\"cached\":" << cached
-     << ",\"wall_ms\":" << wall.value() / 1'000'000
+     << ",\"total\":" << total << ",\"wall_ms\":" << wall.value() / 1'000'000
      << ",\"sim_cycles\":" << cycles_done
      << ",\"sim_rate_hz\":" << fmt_rate(rate) << ",\"eta_ms\":" << eta_ms
      << '}';
@@ -98,19 +82,9 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
 
   HostClock* clock = opts.clock != nullptr ? opts.clock : default_clock();
 
-  // Durable mode: open (and scan) the result store once, up front, so
-  // corruption is quarantined and reported before any worker consults it.
-  std::unique_ptr<store::ResultStore> rs;
-  if (!opts.store_dir.empty()) {
-    rs = std::make_unique<store::ResultStore>(opts.store_dir);
-    if (!rs->report().clean())
-      std::cerr << rs->report().to_string() << std::endl;
-  }
-
   std::vector<SweepResult> results(jobs.size());
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> cached_jobs{0};
   std::atomic<std::uint64_t> cycles_done{0};
   std::atomic<bool> failed{false};
   // First-thrower-wins slot; the exception_ptr crosses threads via err.mu
@@ -144,41 +118,6 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         ASCOMA_CHECK_MSG(wl != nullptr,
                          "unknown workload: " << jobs[i].workload);
         results[i].job = jobs[i];
-
-        // Cache lookup: a verified record with this job's content hash is
-        // the job's result — restore it and skip the simulation.
-        std::string key;
-        HostNs store_ns{0};
-        if (rs) {
-          const HostNs s0 = clock->now();
-          key = job_fingerprint(jobs[i]).hex();
-          bool hit = false;
-          if (const auto payload = rs->load(key)) {
-            try {
-              store::Decoder d(payload->data(), payload->size());
-              decode_sweep_result(d, &results[i]);
-              hit = true;
-            } catch (const store::CodecError&) {
-              hit = false;  // foreign/stale record shape: recompute
-            }
-          }
-          store_ns = clock->now() - s0;
-          if (hit) {
-            results[i].timing.cached = true;
-            results[i].timing.store = store_ns;
-            journal_done(*rs, i, jobs[i].label, key, /*cached=*/true,
-                         results[i].result.stats.parallel_cycles);
-            // order: relaxed — monotonic progress telemetry, read by the
-            // heartbeat for display only; exact after the join.
-            cached_jobs.fetch_add(1, std::memory_order_relaxed);
-            cycles_done.fetch_add(
-                results[i].result.stats.parallel_cycles.value(),
-                std::memory_order_relaxed);
-            done.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-        }
-
         const std::uint64_t allocs0 = thread_alloc_count();
         const HostNs t0 = clock->now();
         results[i].result = simulate(jobs[i].config, *wl);
@@ -186,19 +125,8 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         results[i].timing.wall = t1 - t0;
         results[i].timing.allocs = thread_alloc_count() - allocs0;
         results[i].timing.peak_rss_bytes = peak_rss_bytes();
-
-        // Persist the miss before it counts as done: after a kill, every
-        // journaled job has a verified record on disk.
-        if (rs) {
-          const HostNs s1 = clock->now();
-          store::Encoder e;
-          encode_sweep_result(e, results[i]);
-          rs->save(key, e.bytes(), static_cast<std::uint64_t>(i));
-          journal_done(*rs, i, jobs[i].label, key, /*cached=*/false,
-                       results[i].result.stats.parallel_cycles);
-          results[i].timing.store = store_ns + (clock->now() - s1);
-        }
-        // order: relaxed — monotonic progress telemetry (see above).
+        // order: relaxed — monotonic progress telemetry, read by the
+        // heartbeat for display only; exact after the join.
         cycles_done.fetch_add(
             results[i].result.stats.parallel_cycles.value(),
             std::memory_order_relaxed);
@@ -256,8 +184,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         const std::string line = progress_line(
             done.load(std::memory_order_relaxed), jobs.size(),
             clock->now() - sweep_t0,
-            Cycle{cycles_done.load(std::memory_order_relaxed)},
-            cached_jobs.load(std::memory_order_relaxed), hb_seq++);
+            Cycle{cycles_done.load(std::memory_order_relaxed)}, hb_seq++);
         *out << line << std::endl;
       }
     });
@@ -282,24 +209,12 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
     const std::string line = progress_line(
         done.load(std::memory_order_relaxed), jobs.size(),
         clock->now() - sweep_t0,
-        Cycle{cycles_done.load(std::memory_order_relaxed)},
-        cached_jobs.load(std::memory_order_relaxed), hb_seq);
+        Cycle{cycles_done.load(std::memory_order_relaxed)}, hb_seq);
     *out << line << std::endl;
   }
   {
     const LockGuard g(err.mu);
     if (err.first) std::rethrow_exception(err.first);
-  }
-
-  // Cache-hit events are emitted here, after the workers joined — the sink
-  // is not thread-safe, so the workers only count hits atomically.
-  if (opts.sink != nullptr && rs) {
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].timing.cached) continue;
-      opts.sink->emit(obs::EventKind::kSweepCacheHit,
-                      results[i].result.stats.parallel_cycles, NodeId{0},
-                      kInvalidPage, i, job_fingerprint(results[i].job).lo, 0);
-    }
   }
 
   // Straggler pass: flag jobs whose wall time exceeded the configured

@@ -11,15 +11,6 @@
 // heartbeat to stderr (`--progress` in the CLI), and flags straggler jobs whose wall time
 // exceeded a configurable multiple of the sweep median, emitting a
 // kSweepStraggler event on the options' sink.
-//
-// With SweepOptions::store_dir set the sweep becomes durable: each job is
-// fingerprinted (core/sweep_store.hh) and looked up in a store::ResultStore
-// before simulating; hits skip the simulation entirely (kSweepCacheHit on
-// the sink, `cached` count in the heartbeat), misses persist their result
-// atomically after completion, and every finished job appends one fsync'd
-// line to the store's manifest journal.  Killing the process at any point
-// and re-running the same sweep against the same store reproduces the exact
-// result vector without redoing completed work.
 
 #include <atomic>
 #include <cstdint>
@@ -48,11 +39,6 @@ struct SweepTiming {
   std::uint64_t peak_rss_bytes = 0;///< process high-water RSS after the job
   std::uint64_t allocs = 0;        ///< heap allocations on the job's thread
   bool straggler = false;          ///< wall > straggler_factor × sweep median
-  /// Host time spent in the result store for this job (lookup + decode on a
-  /// hit; encode + atomic write + manifest append on a miss).  Always 0 when
-  /// SweepOptions::store_dir is empty — the store is zero-cost when off.
-  HostNs store{0};
-  bool cached = false;             ///< satisfied from the result store
 };
 
 struct SweepResult {
@@ -74,16 +60,11 @@ struct SweepOptions {
   /// A job is a straggler when its wall time exceeds this multiple of the
   /// sweep median (needs >= 2 jobs); 0 disables the check.
   double straggler_factor = 3.0;
-  obs::EventSink* sink = nullptr;  ///< kSweepStraggler / kSweepCacheHit
+  obs::EventSink* sink = nullptr;  ///< kSweepStraggler
   HostClock* clock = nullptr;      ///< injectable for tests
-  /// Non-empty = durable sweep: open a store::ResultStore here, satisfy
-  /// jobs from it when possible, persist misses, journal completions to the
-  /// manifest.  The directory is created if missing; corrupt records found
-  /// on open are quarantined and reported once on std::cerr.
-  std::string store_dir;
   /// Cooperative stop flag (the CLI wires the SIGINT/SIGTERM handler here):
-  /// when it reads true, workers finish their in-flight job — persisting it
-  /// to the store as usual — and claim no further jobs.  Ordering contract:
+  /// when it reads true, workers finish their in-flight job and claim no
+  /// further jobs.  Ordering contract:
   /// the setter must publish with a release store (the shutdown handler in
   /// store/shutdown.cc does); workers poll with acquire loads.
   const std::atomic<bool>* stop = nullptr;
@@ -102,13 +83,11 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
 /// The heartbeat line run_sweep emits (exposed for tests): single-line JSON, no trailing newline.  `wall`
 /// is the sweep's elapsed host time, `cycles_done` the simulated cycles
 /// completed so far; ETA extrapolates mean job wall time over the remainder.
-/// `cached` counts jobs satisfied from the result store (always 0 when no
-/// store is configured).  `seq` is the heartbeat's monotonic sequence
-/// number (0-based) so a polling consumer can tell a fresh beat from a
-/// re-read.
+/// `seq` is the heartbeat's monotonic sequence number (0-based) so a polling
+/// consumer can tell a fresh beat from a re-read.
 std::string progress_line(std::size_t done, std::size_t total,
                           HostNs wall, Cycle cycles_done,
-                          std::size_t cached = 0, std::uint64_t seq = 0);
+                          std::uint64_t seq = 0);
 
 /// Convenience builder: the full paper grid for one workload — every
 /// architecture crossed with the given pressures (CC-NUMA once, since it is

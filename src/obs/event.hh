@@ -37,11 +37,8 @@ enum class EventKind : std::uint8_t {
   kSweepStraggler,   ///< sweep job's host wall time exceeded the straggler
                      ///<  multiple of the sweep median (a=wall_ms,
                      ///<  b=median_ms, c=job index); cycle = job end cycle
-  kSweepCacheHit,    ///< sweep job satisfied from the result store without
-                     ///<  re-simulating (a=job index, b=fingerprint low
-                     ///<   64 bits); cycle = cached job's end cycle
 };
-inline constexpr int kNumEventKinds = 19;
+inline constexpr int kNumEventKinds = 18;
 
 /// Short stable identifier ("page_fault", "upgrade", ...) used by exporters.
 const char* to_string(EventKind k);

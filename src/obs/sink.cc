@@ -24,7 +24,6 @@ const char* to_string(EventKind k) {
     case EventKind::kRetry: return "retry";
     case EventKind::kWatchdogTrip: return "watchdog_trip";
     case EventKind::kSweepStraggler: return "sweep_straggler";
-    case EventKind::kSweepCacheHit: return "sweep_cache_hit";
   }
   return "?";
 }
@@ -52,8 +51,6 @@ const char* arg_name(EventKind k, int i) {
       return i == 0 ? "elapsed" : i == 1 ? "retries" : "nacks";
     case EventKind::kSweepStraggler:
       return i == 0 ? "wall_ms" : i == 1 ? "median_ms" : "job";
-    case EventKind::kSweepCacheHit:
-      return i == 0 ? "job" : i == 1 ? "fingerprint_lo" : nullptr;
     default:
       return nullptr;
   }

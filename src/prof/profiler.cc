@@ -186,9 +186,6 @@ void Profiler::on_event(const obs::Event& e) {
     case obs::EventKind::kSweepStraggler:
       ++proto_.sweep_stragglers;
       break;
-    case obs::EventKind::kSweepCacheHit:
-      ++proto_.sweep_cache_hits;
-      break;
   }
   // No default: -Wswitch (promoted by ASCOMA_WERROR) forces a fold for every
   // new EventKind; tools/lint_protocol.py checks the same property statically.

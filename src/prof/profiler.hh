@@ -122,7 +122,6 @@ struct ProtocolCounters {
   std::uint64_t retries = 0;            ///< kRetry retransmissions observed
   std::uint64_t watchdog_trips = 0;     ///< kWatchdogTrip aborts (0 or 1)
   std::uint64_t sweep_stragglers = 0;   ///< kSweepStraggler flags observed
-  std::uint64_t sweep_cache_hits = 0;   ///< kSweepCacheHit store hits observed
 };
 
 /// Per-node policy trajectory (back-off epochs).

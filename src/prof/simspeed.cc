@@ -165,7 +165,6 @@ bool parse_row(Cursor& c, SimspeedRow& row) {
                              : key == "wall_ns"        ? &row.wall_ns
                              : key == "peak_rss_bytes" ? &row.peak_rss_bytes
                              : key == "allocs"         ? &row.allocs
-                             : key == "store_ns"       ? &row.store_ns
                                                        : nullptr;
     if (counter != nullptr) {
       if (!c.parse_number(*counter)) return false;
@@ -202,8 +201,7 @@ void write_simspeed(std::ostream& os, const SimspeedDoc& doc) {
        << ",\"wall_ns\":" << r.wall_ns
        << ",\"sim_rate_hz\":" << fmt_double(r.sim_rate_hz())
        << ",\"peak_rss_bytes\":" << r.peak_rss_bytes
-       << ",\"allocs\":" << r.allocs
-       << ",\"store_ns\":" << r.store_ns << '}';
+       << ",\"allocs\":" << r.allocs << '}';
   }
   os << "]}\n";
 }

@@ -29,11 +29,6 @@ struct SimspeedRow {
   std::uint64_t wall_ns = 0;   ///< host wall time for the job
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t allocs = 0;
-  /// Host ns the job spent in the durability layer (fingerprinting, record
-  /// I/O, manifest appends).  Informational only — never gated, and 0 when
-  /// the sweep runs without a store, which the rate gate implicitly checks:
-  /// store-off runs must not pay for the feature.
-  std::uint64_t store_ns = 0;
 
   /// Simulated cycles per host wall second (0 when wall_ns is 0).
   double sim_rate_hz() const;

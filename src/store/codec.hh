@@ -1,14 +1,14 @@
 #pragma once
 
-// Versioned tagged binary codec for the durability layer (ARCHITECTURE.md
-// §15).  Every persisted artifact — cached sweep results, machine
-// checkpoints — is a flat byte buffer produced by an Encoder and consumed by
-// a Decoder.  The format is deliberately minimal and explicit:
+// Versioned tagged binary codec for machine checkpoints (ARCHITECTURE.md
+// §15).  A checkpoint, and every canonical encoding in core/canonical.hh, is
+// a flat byte buffer produced by an Encoder and consumed by a Decoder.  The
+// format is deliberately minimal and explicit:
 //
 //   * primitives are fixed-width little-endian (u8/u32/u64, doubles via
 //     bit_cast), so buffers are portable across hosts and canonical — the
 //     same logical state always encodes to the same bytes, which is what
-//     makes content-addressed hashing and the snapshot self-check possible;
+//     makes the machine fingerprint and the snapshot self-check possible;
 //   * named, length-prefixed sections bracket each subsystem's fields.  A
 //     section records its byte length at end_section(); the decoder verifies
 //     the tag on entry and the consumed length on exit, so adding a field to
@@ -16,8 +16,8 @@
 //     instead of silently shearing every later field.
 //
 // Decode failures throw CodecError, never ASCOMA_CHECK: a torn or stale
-// record on disk is an expected runtime condition the store must quarantine,
-// not a programming error that should abort the process.
+// checkpoint on disk is an expected runtime condition the caller must
+// report, not a programming error that should abort the process.
 
 #include <bit>
 #include <cstddef>
@@ -37,7 +37,7 @@ class CodecError : public std::runtime_error {
 };
 
 /// FNV-1a over a byte range.  Used both as the record checksum and (salted)
-/// as the content-address hash; it is stable across builds by construction.
+/// as the machine fingerprint; it is stable across builds by construction.
 inline constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 0x00000100000001B3ull;
 

@@ -34,15 +34,14 @@ void fsync_dir(const std::string& dir) {
 }  // namespace
 
 void write_record(const std::string& path,
-                  const std::vector<std::uint8_t>& payload,
-                  std::uint64_t nonce) {
+                  const std::vector<std::uint8_t>& payload) {
   Encoder header;
   header.u64(kRecordMagic);
   header.u32(kRecordVersion);
   header.u64(payload.size());
   header.u64(fnv1a64(payload.data(), payload.size()));
 
-  const std::string tmp = path + ".tmp" + std::to_string(nonce);
+  const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) io_fail("open", tmp);
 
@@ -109,20 +108,6 @@ std::vector<std::uint8_t> read_record(const std::string& path) {
   if (fnv1a64(payload.data(), payload.size()) != sum)
     throw CodecError("record checksum mismatch");
   return payload;
-}
-
-std::optional<std::vector<std::uint8_t>> try_read_record(
-    const std::string& path, bool* corrupt) {
-  if (corrupt != nullptr) *corrupt = false;
-  if (::access(path.c_str(), R_OK) != 0) return std::nullopt;
-  try {
-    return read_record(path);
-  } catch (const CodecError&) {
-    if (corrupt != nullptr) *corrupt = true;
-    return std::nullopt;
-  } catch (const std::runtime_error&) {
-    return std::nullopt;
-  }
 }
 
 }  // namespace ascoma::store

@@ -1,8 +1,7 @@
 #pragma once
 
-// Crash-safe record files: the single on-disk framing used by every
-// durability artifact (store/<hash>.result caches, *.ckpt machine
-// checkpoints).  A record is
+// Crash-safe record files: the on-disk framing of *.ckpt machine
+// checkpoints.  A record is
 //
 //   magic u64 | format version u32 | payload length u64 | FNV-1a checksum u64
 //   | payload bytes
@@ -12,11 +11,10 @@
 // never observe a half-written record under POSIX rename semantics, and a
 // torn write (power loss mid-fsync) leaves a file whose length or checksum
 // disagrees with its header.  read_record() verifies all three and throws
-// CodecError on any disagreement: corrupt records are detected and
-// quarantined by the caller, never trusted.
+// CodecError on any disagreement: a corrupt record is detected, never
+// trusted.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,22 +26,13 @@ inline constexpr std::uint64_t kRecordMagic = 0x41'53'43'4F'4D'41'52'31ull;
 inline constexpr std::uint32_t kRecordVersion = 1;
 
 /// Atomically write `payload` (with header) to `path` via a temp file +
-/// fsync + rename.  `nonce` disambiguates concurrent writers' temp names
-/// (sweep workers use their job index).  Throws std::runtime_error on I/O
-/// failure.
+/// fsync + rename.  Throws std::runtime_error on I/O failure.
 void write_record(const std::string& path,
-                  const std::vector<std::uint8_t>& payload,
-                  std::uint64_t nonce = 0);
+                  const std::vector<std::uint8_t>& payload);
 
 /// Read and verify a record.  Throws CodecError when the file is truncated,
 /// has a bad magic/version, or fails the checksum; throws std::runtime_error
 /// when the file cannot be opened.
 std::vector<std::uint8_t> read_record(const std::string& path);
-
-/// Non-throwing probe used by store scans: nullopt when `path` is missing or
-/// unreadable, the payload when the record verifies, and sets *corrupt when
-/// the file exists but fails verification.
-std::optional<std::vector<std::uint8_t>> try_read_record(
-    const std::string& path, bool* corrupt);
 
 }  // namespace ascoma::store

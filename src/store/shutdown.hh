@@ -3,10 +3,10 @@
 // Graceful-shutdown flag shared by the CLI, the sweep runner, and
 // obs::CrashExporter.  install_shutdown_handler() routes SIGINT and SIGTERM
 // to an async-signal-safe flag; nothing else happens in the handler.  The
-// main thread polls shutdown_requested() between jobs, drains in-flight
-// work, flushes the manifest and any registered crash exporters, and prints
-// the resume command — so an operator Ctrl-C costs at most the jobs already
-// running, exactly like a kill -9 but with a tidy report.
+// sweep's workers poll the flag between jobs and drain in-flight work; the
+// CLI then flushes any registered crash exporters and exits 128+signal, and
+// a checkpointed run stops at its next checkpoint and prints the --restore
+// command — so an operator Ctrl-C costs at most the jobs already running.
 
 #include <atomic>
 #include <csignal>

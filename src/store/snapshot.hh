@@ -2,8 +2,8 @@
 
 // Machine checkpoint container (`*.ckpt`).  A Snapshot is the byte image a
 // Machine::save() produced — a versioned, tagged, sectioned buffer (see
-// store/codec.hh) — plus the file I/O to persist it with the same
-// atomic-write + checksum framing as store records.  Snapshot compatibility
+// store/codec.hh) — plus the file I/O to persist it with the atomic-write +
+// checksum framing of store/record_file.hh.  Snapshot compatibility
 // rules live in ARCHITECTURE.md §15: the snapshot format version is bumped
 // whenever any subsystem's encode/decode pair changes shape, and restore
 // refuses anything but an exact version + config-fingerprint match (a

@@ -1,5 +1,6 @@
 #include "trace/trace.hh"
 
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -12,6 +13,8 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'S', 'C', 'T'};
 constexpr std::uint32_t kVersion = 1;
+/// On-disk size of one op: u8 kind + u64 arg.
+constexpr std::uint64_t kOpBytes = 9;
 
 template <typename T>
 void put(std::ofstream& os, T v) {
@@ -70,8 +73,10 @@ std::uint64_t record(const workload::Workload& wl, std::uint64_t seed,
 }
 
 TraceWorkload::TraceWorkload(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   ASCOMA_CHECK_MSG(is.is_open(), "cannot open trace file");
+  const auto file_bytes = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
   char magic[4];
   is.read(magic, sizeof(magic));
   ASCOMA_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, 4) == 0,
@@ -84,14 +89,21 @@ TraceWorkload::TraceWorkload(const std::string& path) {
   line_bytes_ = ByteCount{get<std::uint32_t>(is)};
   ASCOMA_CHECK_MSG(nodes_ > 0 && nodes_ <= 64, "bad node count in trace");
   ASCOMA_CHECK_MSG(total_pages_ > 0, "empty address space in trace");
+  ASCOMA_CHECK_MSG(std::has_single_bit(page_bytes_.value()) &&
+                       std::has_single_bit(line_bytes_.value()),
+                   "trace page and line sizes must be powers of two");
 
   name_ = "trace:" + path;
   streams_.resize(nodes_);
   for (std::uint32_t i = 0; i < nodes_; ++i) {
     const auto proc = get<std::uint32_t>(is);
     ASCOMA_CHECK_MSG(proc < nodes_, "bad proc id in trace");
-    const auto count = get<std::uint64_t>(is);
     auto& ops = streams_[proc];
+    ASCOMA_CHECK_MSG(ops.empty(), "duplicate proc id in trace");
+    const auto count = get<std::uint64_t>(is);
+    const auto left = file_bytes - static_cast<std::uint64_t>(is.tellg());
+    ASCOMA_CHECK_MSG(count <= left / kOpBytes,
+                     "trace op count exceeds the file size");
     ops.reserve(count + 1);
     for (std::uint64_t k = 0; k < count; ++k) {
       Op op;

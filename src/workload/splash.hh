@@ -34,10 +34,10 @@ class SplashWorkload : public Workload {
   virtual GeneratorStream generate(std::uint32_t proc,
                                    std::uint64_t seed) const = 0;
 
-  std::uint32_t scaled(std::uint32_t iters) const {
-    const auto s = static_cast<std::uint32_t>(iters * scale_);
-    return s == 0 ? 1 : s;
-  }
+  /// `iters` × the workload scale, at least 1; throws CheckFailure when
+  /// that does not fit in u32.  Runs once per stream, out of line so the
+  /// generators' code stays free of the check's message formatting.
+  std::uint32_t scaled(std::uint32_t iters) const;
 
   std::uint32_t nodes_;
   std::uint64_t home_pages_;

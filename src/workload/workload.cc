@@ -27,6 +27,15 @@ OpFactory::OpFactory(ByteCount page_bytes, ByteCount line_bytes)
                    "op generator page/line sizes must be powers of two");
 }
 
+std::uint32_t SplashWorkload::scaled(std::uint32_t iters) const {
+  const double x = iters * scale_;
+  ASCOMA_CHECK_MSG(x >= 0.0 && x < 4294967296.0,
+                   "workload scale " << scale_ << " gives " << x
+                                     << " iterations, outside u32");
+  const auto s = static_cast<std::uint32_t>(x);
+  return s == 0 ? 1 : s;
+}
+
 NodeId Workload::home_of(VPageId page) const {
   const std::uint64_t per = pages_per_node();
   ASCOMA_CHECK(page.value() < total_pages());

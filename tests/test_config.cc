@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/rng.hh"
@@ -173,6 +174,8 @@ TEST(Config, ValidateCatchesBadPressure) {
   EXPECT_NE(cfg.validate(), "");
   cfg.memory_pressure = 1.5;
   EXPECT_NE(cfg.validate(), "");
+  cfg.memory_pressure = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(cfg.validate(), "");
   cfg.memory_pressure = 1.0;
   EXPECT_EQ(cfg.validate(), "");
 }
@@ -183,6 +186,12 @@ TEST(Config, ValidateCatchesBadWatermarks) {
   EXPECT_NE(cfg.validate(), "");
   cfg = MachineConfig{};
   cfg.free_min_frac = -0.1;
+  EXPECT_NE(cfg.validate(), "");
+  cfg = MachineConfig{};
+  cfg.free_min_frac = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(cfg.validate(), "");
+  cfg = MachineConfig{};
+  cfg.free_target_frac = std::numeric_limits<double>::quiet_NaN();
   EXPECT_NE(cfg.validate(), "");
 }
 
@@ -195,6 +204,12 @@ TEST(Config, ValidateCatchesBadThresholds) {
   EXPECT_NE(cfg.validate(), "");
   cfg = MachineConfig{};
   cfg.daemon_backoff_factor = 0.5;
+  EXPECT_NE(cfg.validate(), "");
+  cfg = MachineConfig{};
+  cfg.daemon_backoff_factor = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(cfg.validate(), "");
+  cfg = MachineConfig{};
+  cfg.vcnuma_eval_replacements = std::numeric_limits<double>::quiet_NaN();
   EXPECT_NE(cfg.validate(), "");
 }
 

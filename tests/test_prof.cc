@@ -378,7 +378,6 @@ SimspeedDoc sample_doc() {
   a.wall_ns = 200'000'000;  // 200 ms
   a.peak_rss_bytes = 16 << 20;
   a.allocs = 1000;
-  a.store_ns = 12'345;
   SimspeedRow b = a;
   b.label = "CCNUMA";
   b.arch = "CCNUMA";
@@ -408,7 +407,6 @@ TEST(Simspeed, WriteParseRoundTrip) {
     EXPECT_EQ(back.rows[i].wall_ns, doc.rows[i].wall_ns);
     EXPECT_EQ(back.rows[i].peak_rss_bytes, doc.rows[i].peak_rss_bytes);
     EXPECT_EQ(back.rows[i].allocs, doc.rows[i].allocs);
-    EXPECT_EQ(back.rows[i].store_ns, doc.rows[i].store_ns);
   }
 }
 

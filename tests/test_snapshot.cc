@@ -2,7 +2,9 @@
 // architecture model, a run interrupted at a checkpoint and resumed in a
 // fresh machine must finish with a bit-identical RunResult; snapshots must
 // refuse to restore into a differently-built machine; and the default-on
-// self-check must hold (save → restore → save is byte-stable).
+// self-check must hold (save → restore → save is byte-stable).  Also the
+// canonical encodings the snapshots are built on (core/canonical.hh): the
+// machine fingerprint and the RunResult encode/decode pair.
 
 #include "core/machine.hh"
 
@@ -15,8 +17,9 @@
 #include <vector>
 
 #include "common/check.hh"
-#include "core/sweep_store.hh"
+#include "core/canonical.hh"
 #include "store/codec.hh"
+#include "obs/sink.hh"
 #include "store/snapshot.hh"
 #include "workload/workload.hh"
 
@@ -42,6 +45,52 @@ std::vector<std::uint8_t> canon(const RunResult& r) {
 const std::vector<ArchModel> kAllArchs = {
     ArchModel::kCcNuma, ArchModel::kScoma, ArchModel::kRNuma,
     ArchModel::kVcNuma, ArchModel::kAsComa};
+
+TEST(Fingerprint, StableAndSensitive) {
+  MachineConfig cfg;
+  cfg.arch = ArchModel::kAsComa;
+  cfg.memory_pressure = 0.5;
+  const auto fp = [](const MachineConfig& c, const std::string& name,
+                     std::uint64_t pages, std::uint32_t procs) {
+    return machine_fingerprint(c, name, pages, procs);
+  };
+
+  const Fingerprint a = fp(cfg, "fft", 1024, 16);
+  EXPECT_EQ(a, fp(cfg, "fft", 1024, 16));  // deterministic
+  EXPECT_NE(a.hi, a.lo);                   // two differently salted passes
+
+  MachineConfig k = cfg;
+  k.memory_pressure = 0.7;
+  EXPECT_FALSE(a == fp(k, "fft", 1024, 16));
+  k = cfg;
+  k.seed += 1;
+  EXPECT_FALSE(a == fp(k, "fft", 1024, 16));
+  EXPECT_FALSE(a == fp(cfg, "radix", 1024, 16));
+  EXPECT_FALSE(a == fp(cfg, "fft", 1025, 16));
+  EXPECT_FALSE(a == fp(cfg, "fft", 1024, 8));
+  // The non-owning observability pointers never change results and must not
+  // change the fingerprint.
+  k = cfg;
+  obs::EventSink sink;
+  k.sink = &sink;
+  EXPECT_TRUE(a == fp(k, "fft", 1024, 16));
+}
+
+TEST(Canonical, RunResultEncodeDecodeEncodeIsByteStable) {
+  const auto wl = workload::make_workload("fft", kScale);
+  ASSERT_NE(wl, nullptr);
+  const RunResult r = simulate(config_for(ArchModel::kAsComa), *wl);
+  const std::vector<std::uint8_t> bytes = canon(r);
+
+  store::Decoder d(bytes);
+  RunResult back;
+  decode_run_result(d, &back);
+  EXPECT_TRUE(d.done());
+  EXPECT_EQ(back.cycles(), r.cycles());
+  EXPECT_EQ(back.per_node.size(), r.per_node.size());
+  EXPECT_EQ(back.config.arch, ArchModel::kAsComa);
+  EXPECT_EQ(canon(back), bytes);
+}
 
 TEST(Snapshot, FreshMachineSaveRestoreSaveIsByteStable) {
   const auto wl = workload::make_workload("fft", kScale);

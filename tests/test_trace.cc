@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.hh"
 #include "workload/synthetic.hh"
@@ -94,6 +96,57 @@ TEST(Trace, BadMagicRejected) {
   std::ofstream os(f.path, std::ios::binary);
   os << "NOPE and some garbage bytes";
   os.close();
+  EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
+}
+
+/// Hand-written trace: the header of a `nodes`-processor trace with the
+/// given page/line sizes, then one (proc id, op count) record per entry of
+/// `procs`, each followed by that many 1-cycle private ops.
+void write_trace(const std::string& path, std::uint32_t nodes,
+                 std::uint32_t page_bytes, std::uint32_t line_bytes,
+                 const std::vector<std::pair<std::uint32_t, std::uint64_t>>&
+                     procs) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  const auto put = [&os](auto v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  os.write("ASCT", 4);
+  put(std::uint32_t{1});
+  put(nodes);
+  put(std::uint64_t{16});
+  put(page_bytes);
+  put(line_bytes);
+  for (const auto& [proc, count] : procs) {
+    put(proc);
+    put(count);
+    for (std::uint64_t k = 0; k < count && k < 4; ++k) {
+      put(static_cast<std::uint8_t>(OpKind::kPrivate));
+      put(std::uint64_t{1});
+    }
+  }
+}
+
+TEST(Trace, ZeroOrNonPowerOfTwoSizesRejected) {
+  TempFile f;
+  write_trace(f.path, 2, 0, 32, {{0, 1}, {1, 1}});
+  EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
+  write_trace(f.path, 2, 4096, 0, {{0, 1}, {1, 1}});
+  EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
+  write_trace(f.path, 2, 3000, 32, {{0, 1}, {1, 1}});
+  EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
+}
+
+TEST(Trace, OpCountBeyondFileSizeRejected) {
+  TempFile f;
+  write_trace(f.path, 2, 4096, 32, {{0, std::uint64_t{1} << 60}});
+  EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
+}
+
+TEST(Trace, DuplicateProcIdRejected) {
+  TempFile f;
+  write_trace(f.path, 2, 4096, 32, {{0, 3}, {1, 2}});
+  EXPECT_EQ(TraceWorkload{f.path}.total_ops(), 5u);
+  write_trace(f.path, 2, 4096, 32, {{0, 1}, {0, 1}});
   EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
 }
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/check.hh"
 #include "core/host.hh"
 #include "workload/splash.hh"
 #include "workload/synthetic.hh"
@@ -169,6 +170,14 @@ TEST(Workload, ScaleShrinksStreams) {
   const auto ns = drain(*small->stream(0, 7)).size();
   EXPECT_LT(ns, nb);
   EXPECT_GT(ns, 0u);
+}
+
+// A scale whose iteration count does not fit in u32 is a typed error from
+// the stream, not an undefined float-to-integer cast.
+TEST(Workload, OversizedScaleThrowsCheckFailure) {
+  const auto wl = make_workload("em3d", 1e9);
+  const auto s = wl->stream(0, 7);
+  EXPECT_THROW(s->next(), CheckFailure);
 }
 
 // ---- the lazy stream adapter ------------------------------------------------

@@ -34,23 +34,14 @@
 //                       sweep runs (jobs done/total, sim-rate, ETA)
 //   --progress-interval-ms N   heartbeat period (default 1000)
 //
-// Durability (ARCHITECTURE.md §15):
-//   --store DIR         content-addressed result store: completed sweep jobs
-//                       are persisted into DIR and identical jobs are served
-//                       from it instead of re-simulating; a manifest journal
-//                       records the campaign so it can be resumed
-//   --resume DIR        re-run the campaign recorded in DIR's manifest:
-//                       finished jobs are cache hits, the result vector (and
-//                       CSV) is byte-identical to an uninterrupted run
-//   --store-verify DIR  checksum every record in DIR and exit 0 (all clean)
-//                       or 1 (corruption found); mutates nothing
+// Checkpoints (ARCHITECTURE.md §15):
 //   --checkpoint-every N   snapshot the machine every N simulated cycles
 //                       (single arch/pressure; atomic write + self-check)
 //   --checkpoint-file PATH where to write the snapshot (default ascoma.ckpt)
 //   --restore FILE      restore a snapshot and continue the interrupted run
 //                       (same config/workload enforced by fingerprint)
-//   SIGINT/SIGTERM drain in-flight jobs, flush the manifest and any crash
-//   exporters, and print the resume command before exiting 128+signal.
+//   SIGINT/SIGTERM drain in-flight jobs, flush any crash exporters, and
+//   exit 128+signal (a checkpointed run stops at its next checkpoint).
 //
 // Fault injection & robustness (defaults leave results bit-identical):
 //   --fault-drop P        per-message drop probability (0..1)
@@ -64,6 +55,7 @@
 //                         post-run coherence sweep (default on)
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -82,7 +74,6 @@
 #include "report/report.hh"
 #include "store/shutdown.hh"
 #include "store/snapshot.hh"
-#include "store/store.hh"
 #include "trace/trace.hh"
 #include "workload/workload.hh"
 
@@ -119,9 +110,6 @@ struct Options {
   Cycle watchdog_cycles{0};
   Cycle nack_busy{0};
   std::optional<bool> check_invariants;
-  std::string store_dir;
-  std::string resume_dir;
-  std::string store_verify_dir;
   Cycle checkpoint_every{0};
   std::string checkpoint_file = "ascoma.ckpt";
   std::string restore_path;
@@ -156,7 +144,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
       "                  [--fault-jitter-cycles N] [--fault-seed N]\n"
       "                  [--watchdog-cycles N] [--nack-busy N]\n"
       "                  [--check-invariants | --no-check-invariants]\n"
-      "                  [--store DIR | --resume DIR | --store-verify DIR]\n"
       "                  [--checkpoint-every N] [--checkpoint-file PATH]\n"
       "                  [--restore FILE]\n"
       "workloads:";
@@ -221,13 +208,13 @@ Options parse(int argc, char** argv) {
       o.pressures.clear();
       for (const auto& p : split(need_value(i), ',')) {
         const double v = parse_double(p, "--pressure") / 100.0;
-        if (v <= 0.0 || v > 1.0) usage("bad pressure: " + p);
+        if (!(v > 0.0 && v <= 1.0)) usage("bad pressure: " + p);
         o.pressures.push_back(v);
       }
       if (o.pressures.empty()) usage("empty pressure list");
     } else if (a == "--scale") {
       o.scale = parse_double(need_value(i), "--scale");
-      if (o.scale <= 0.0) usage("bad scale");
+      if (!(o.scale > 0.0 && std::isfinite(o.scale))) usage("bad scale");
     } else if (a == "--threshold") {
       o.threshold = parse_u32(need_value(i), "--threshold");
     } else if (a == "--seed") {
@@ -262,15 +249,15 @@ Options parse(int argc, char** argv) {
       if (o.sample_every == Cycle{0}) usage("--sample-every must be > 0");
     } else if (a == "--fault-drop") {
       o.fault_drop = parse_double(need_value(i), "--fault-drop");
-      if (o.fault_drop < 0.0 || o.fault_drop > 1.0)
+      if (!(o.fault_drop >= 0.0 && o.fault_drop <= 1.0))
         usage("--fault-drop must be in [0,1]");
     } else if (a == "--fault-dup") {
       o.fault_dup = parse_double(need_value(i), "--fault-dup");
-      if (o.fault_dup < 0.0 || o.fault_dup > 1.0)
+      if (!(o.fault_dup >= 0.0 && o.fault_dup <= 1.0))
         usage("--fault-dup must be in [0,1]");
     } else if (a == "--fault-jitter") {
       o.fault_jitter = parse_double(need_value(i), "--fault-jitter");
-      if (o.fault_jitter < 0.0 || o.fault_jitter > 1.0)
+      if (!(o.fault_jitter >= 0.0 && o.fault_jitter <= 1.0))
         usage("--fault-jitter must be in [0,1]");
     } else if (a == "--fault-jitter-cycles") {
       o.fault_jitter_cycles = Cycle{parse_u64(need_value(i), "--fault-jitter-cycles")};
@@ -286,12 +273,6 @@ Options parse(int argc, char** argv) {
       o.check_invariants = true;
     } else if (a == "--no-check-invariants") {
       o.check_invariants = false;
-    } else if (a == "--store") {
-      o.store_dir = need_value(i);
-    } else if (a == "--resume") {
-      o.resume_dir = need_value(i);
-    } else if (a == "--store-verify") {
-      o.store_verify_dir = need_value(i);
     } else if (a == "--checkpoint-every") {
       o.checkpoint_every = Cycle{parse_u64(need_value(i), "--checkpoint-every")};
       if (o.checkpoint_every == Cycle{0})
@@ -314,43 +295,7 @@ Options parse(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
-
-  // --store-verify is a mode, not a run: checksum the store and report.
-  if (!opt.store_verify_dir.empty()) {
-    try {
-      const store::StoreReport rep =
-          store::ResultStore::verify(opt.store_verify_dir);
-      std::cout << rep.to_string();
-      for (const auto& name : rep.quarantined_names)
-        std::cout << "\ncorrupt: " << name;
-      std::cout << '\n';
-      return rep.clean() ? 0 : 1;
-    } catch (const std::exception& e) {
-      std::cerr << "store verify failed: " << e.what() << '\n';
-      return 1;
-    }
-  }
-
-  // --resume re-parses the campaign argv recorded in the store's manifest,
-  // so a resumed sweep is option-for-option the original one (with the
-  // store forced to the resume directory, in case paths were relative).
-  if (!opt.resume_dir.empty()) {
-    const std::string dir = opt.resume_dir;
-    const auto campaign = store::ResultStore::read_campaign(dir);
-    if (!campaign || campaign->empty()) {
-      std::cerr << "no campaign manifest in " << dir
-                << " (was the sweep launched with --store?)\n";
-      return 1;
-    }
-    std::vector<std::string> args = *campaign;
-    std::vector<char*> cargv;
-    cargv.reserve(args.size());
-    for (auto& a : args) cargv.push_back(a.data());
-    opt = parse(static_cast<int>(cargv.size()), cargv.data());
-    opt.store_dir = dir;
-    std::cerr << "resuming campaign from " << dir << '\n';
-  }
+  const Options opt = parse(argc, argv);
 
   if ((opt.observing() || opt.profiling()) &&
       (opt.archs.size() > 1 || opt.pressures.size() > 1))
@@ -364,10 +309,6 @@ int main(int argc, char** argv) {
       opt.checkpoint_every > Cycle{0} || !opt.restore_path.empty();
   if (direct_run && (opt.archs.size() > 1 || opt.pressures.size() > 1))
     usage("--checkpoint-every/--restore need a single arch and pressure");
-  if (direct_run && !opt.store_dir.empty())
-    usage(
-        "--checkpoint-every/--restore run one simulation directly; "
-        "--store/--resume apply to sweeps");
 
   store::install_shutdown_handler();
 
@@ -443,10 +384,12 @@ int main(int argc, char** argv) {
         std::cerr << "restored checkpoint " << opt.restore_path << '\n';
       }
       if (opt.checkpoint_every > Cycle{0}) {
-        const std::string path = opt.checkpoint_file;
+        // The callback outlives this block (it runs inside m.run()), so it
+        // owns its copy of the path.
         m.set_checkpoint(
             opt.checkpoint_every,
-            [&path](const store::Snapshot& snap, Cycle at) {
+            [path = opt.checkpoint_file](const store::Snapshot& snap,
+                                         Cycle at) {
               store::write_snapshot_file(path, snap);
               std::cerr << "checkpoint written to " << path << " at cycle "
                         << at << '\n';
@@ -514,19 +457,7 @@ int main(int argc, char** argv) {
     sopts.progress = opt.progress;
     sopts.progress_interval_ms = opt.progress_interval_ms;
     sopts.sink = sink ? &*sink : nullptr;
-    sopts.store_dir = opt.store_dir;
     sopts.stop = store::shutdown_flag();
-    if (!opt.store_dir.empty()) {
-      // Journal the campaign identity before the first job so a kill at any
-      // point leaves a resumable manifest.
-      try {
-        store::ResultStore::write_campaign(
-            opt.store_dir, std::vector<std::string>(argv, argv + argc));
-      } catch (const std::exception& e) {
-        std::cerr << "cannot journal campaign: " << e.what() << '\n';
-        return 1;
-      }
-    }
     std::vector<core::SweepResult> sweep;
     try {
       sweep = core::run_sweep(std::move(jobs), sopts);
@@ -537,8 +468,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (store::shutdown_requested()) {
-      // Graceful shutdown: in-flight jobs drained (and journaled when a
-      // store is attached); the table/CSV would be partial, so skip them.
+      // Graceful shutdown: in-flight jobs drained; the table/CSV would be
+      // partial, so skip them.
       if (crash.flush() > 0)
         std::cerr << "event trace flushed for post-mortem analysis\n";
       std::size_t finished = 0;
@@ -546,9 +477,6 @@ int main(int argc, char** argv) {
         if (r.result.stats.parallel_cycles > Cycle{0}) ++finished;
       std::cerr << "interrupted: " << finished << '/' << sweep.size()
                 << " jobs finished\n";
-      if (!opt.store_dir.empty())
-        std::cerr << "resume with: " << argv[0] << " --resume "
-                  << opt.store_dir << '\n';
       return 128 + store::shutdown_signal();
     }
     rows.reserve(sweep.size());

@@ -31,9 +31,8 @@ C4  No blocking I/O while holding a lock: syscalls (::poll/::read/
     no operator<< streaming or ostringstream building either, since the
     stream behind a handler may be a blocking socket.  Checked directly in
     each held region and transitively through callees.  C4_IO_BOUNDARY
-    lists the deliberate exceptions (the manifest journal, whose
-    one-fsynced-line-at-a-time contract makes the I/O the critical
-    section).
+    lists the deliberate exceptions, functions whose I/O is itself the
+    critical section; there are none today.
 
 Front ends (shared with lint_hotpath via lint_common): libclang +
 compile_commands.json when available, else the regex call-graph model —
@@ -66,16 +65,12 @@ from lint_common import (build_model, build_model_libclang, iter_sources,
 LOCK_HIERARCHY = [
     "Heartbeat::mu",         # core/sweep.cc      — heartbeat stop/condvar slot
     "ErrorSlot::mu",         # core/sweep.cc      — first-thrower exception slot
-    "manifest_mu",           # store/store.cc     — manifest journal serializer
 ]
 LEAF_LOCKS = frozenset(LOCK_HIERARCHY)  # every lock is a leaf today
 
 # Functions whose held-region I/O is the point (C4 exemptions, each with a
 # rationale at its definition site).
-C4_IO_BOUNDARY = frozenset({
-    "append_manifest_line",  # store/store.cc: the fsync'd line *is* the
-                             # critical section (durability contract)
-})
+C4_IO_BOUNDARY = frozenset()
 
 SKIP_FILES = ("src/common/annotate.hh", "src/common/sync.hh")
 
