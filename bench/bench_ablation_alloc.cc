@@ -14,7 +14,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Ablation: initial allocation policy (AS-COMA) ===\n\n";
 
-  BenchJson bj("ablation_alloc");
   Table t({"workload", "CC-NUMA cyc", "scoma-first rel.", "numa-first rel.",
            "benefit", "numa-first upgrades", "scoma-first upgrades"});
   for (const std::string app :
@@ -34,7 +33,7 @@ int main() {
     add(ArchModel::kAsComa, true, "scoma-first");
     add(ArchModel::kAsComa, false, "numa-first");
     const auto rs = core::run_sweep(jobs, bench_threads());
-    bj.add(app, rs);
+    maybe_export_csv(app, rs);
     const double cc = static_cast<double>(find(rs, "ccnuma").result.cycles().value());
     const auto& sf = find(rs, "scoma-first").result;
     const auto& nf = find(rs, "numa-first").result;

@@ -15,7 +15,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Ablation: adaptive back-off on/off (AS-COMA) ===\n\n";
 
-  BenchJson bj("ablation_backoff");
   for (const std::string app : {"em3d", "radix"}) {
     std::vector<core::SweepJob> jobs;
     for (int variant = 0; variant < 3; ++variant) {
@@ -50,7 +49,7 @@ int main() {
       jobs.push_back(std::move(j));
     }
     const auto rs = core::run_sweep(jobs, bench_threads());
-    bj.add(app, rs);
+    maybe_export_csv(app, rs);
     const double cc = static_cast<double>(find(rs, "CCNUMA").result.cycles().value());
 
     Table t({"config", "rel.time", "K-OVERHD%", "upgrades", "downgrades",

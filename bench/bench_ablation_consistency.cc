@@ -34,8 +34,7 @@ int main() {
     }
   }
   const auto rs = core::run_sweep(jobs, bench_threads());
-  BenchJson bj("ablation_consistency");
-  bj.add("radix", rs);
+  maybe_export_csv("radix", rs);
   const double base =
       static_cast<double>(find(rs, "CCNUMA/blocking").result.cycles().value());
 

@@ -16,7 +16,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Ablation: kernel software cost scale (em3d @90%) ===\n\n";
 
-  BenchJson bj("ablation_kernel_costs");
   Table t({"kernel cost x", "CCNUMA cyc", "SCOMA rel.", "RNUMA rel.",
            "ASCOMA rel.", "RNUMA K-OVERHD%", "ASCOMA K-OVERHD%"});
   for (double scale : {0.5, 1.0, 2.0, 4.0}) {
@@ -40,7 +39,7 @@ int main() {
       jobs.push_back(std::move(j));
     }
     const auto rs = core::run_sweep(jobs, bench_threads());
-    bj.add("em3d/kcost=" + Table::num(scale, 1), rs);
+    maybe_export_csv("em3d/kcost=" + Table::num(scale, 1), rs);
     const double cc = static_cast<double>(find(rs, "CCNUMA").result.cycles().value());
     auto rel = [&](const char* label) {
       return Table::num(

@@ -14,7 +14,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Ablation: L1 size (barnes @50%) ===\n\n";
 
-  BenchJson bj("ablation_l1");
   Table t({"L1", "CCNUMA cyc", "CCNUMA remote misses", "ASCOMA rel.",
            "ASCOMA local miss %"});
   for (std::uint32_t kb : {8u, 16u, 128u, 1024u, 4096u}) {
@@ -30,7 +29,7 @@ int main() {
       jobs.push_back(std::move(j));
     }
     const auto rs = core::run_sweep(jobs, bench_threads());
-    bj.add("barnes/L1=" + std::to_string(kb) + "KB", rs);
+    maybe_export_csv("barnes/L1=" + std::to_string(kb) + "KB", rs);
     const auto& cc = find(rs, "CCNUMA").result;
     const auto& as = find(rs, "ASCOMA").result;
     const auto& m = as.stats.totals.misses;

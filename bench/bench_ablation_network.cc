@@ -35,7 +35,6 @@ MachineConfig with_ratio(double target_ratio) {
 int main() {
   std::cout << "=== Ablation: remote:local latency ratio (em3d @50%) ===\n\n";
 
-  BenchJson bj("ablation_network");
   Table t({"remote:local", "remote min (cyc)", "CCNUMA cyc", "ASCOMA rel.",
            "SCOMA rel.", "RNUMA rel."});
   for (double ratio : {2.0, 3.0, 6.0, 10.0}) {
@@ -53,7 +52,7 @@ int main() {
       jobs.push_back(std::move(j));
     }
     const auto rs = core::run_sweep(jobs, bench_threads());
-    bj.add("em3d/ratio=" + Table::num(ratio, 1), rs);
+    maybe_export_csv("em3d/ratio=" + Table::num(ratio, 1), rs);
     const double cc = static_cast<double>(find(rs, "CCNUMA").result.cycles().value());
     auto rel = [&](const char* label) {
       return Table::num(

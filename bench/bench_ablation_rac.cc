@@ -13,7 +13,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Ablation: RAC size (CC-NUMA) ===\n\n";
 
-  BenchJson bj("ablation_rac");
   for (const std::string app : {"fft", "radix"}) {
     std::vector<core::SweepJob> jobs;
     for (std::uint32_t rac_bytes : {0u, 128u, 512u, 4096u, 32768u}) {
@@ -27,7 +26,7 @@ int main() {
       jobs.push_back(std::move(j));
     }
     const auto rs = core::run_sweep(jobs, bench_threads());
-    bj.add(app, rs);
+    maybe_export_csv(app, rs);
     const double base = static_cast<double>(find(rs, "RAC=128B").result.cycles().value());
 
     Table t({"config", "cycles", "rel. to 128B", "RAC hits",

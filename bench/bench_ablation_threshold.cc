@@ -37,8 +37,7 @@ int main() {
     }
   }
   const auto rs = core::run_sweep(jobs, bench_threads());
-  BenchJson bj("ablation_threshold");
-  bj.add("em3d", rs);
+  maybe_export_csv("em3d", rs);
   const double cc = static_cast<double>(find(rs, "CCNUMA").result.cycles().value());
 
   Table t({"config", "rel.time", "upgrades", "K-OVERHD%", "SCOMA hits",

@@ -15,7 +15,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Figure 2: barnes, em3d, fft ===\n\n";
 
-  BenchJson bj("fig2_breakdown");
   std::map<std::string, std::vector<core::SweepResult>> all;
   for (const std::string app : {"barnes", "em3d", "fft"}) {
     const auto results =
@@ -25,7 +24,6 @@ int main() {
     print_miss_breakdown(app, results);
     std::cout << '\n';
     maybe_export_csv(app, results);
-    bj.add(app, results);
     all[app] = results;
   }
 

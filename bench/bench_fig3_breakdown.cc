@@ -13,7 +13,6 @@ using namespace ascoma::bench;
 int main() {
   std::cout << "=== Figure 3: lu, ocean, radix ===\n\n";
 
-  BenchJson bj("fig3_breakdown");
   std::map<std::string, std::vector<core::SweepResult>> all;
   for (const std::string app : {"lu", "ocean", "radix"}) {
     const auto results =
@@ -23,7 +22,6 @@ int main() {
     print_miss_breakdown(app, results);
     std::cout << '\n';
     maybe_export_csv(app, results);
-    bj.add(app, results);
     all[app] = results;
   }
 

@@ -35,8 +35,7 @@ int main() {
     jobs.push_back(std::move(j));
   }
   const auto rs = core::run_sweep(jobs, bench_threads());
-  BenchJson bj("table1_overhead");
-  bj.add("em3d", rs);
+  maybe_export_csv("em3d", rs);
 
   Table t({"model", "N_pagecache", "N_remote", "N_cold", "T_overhead(cyc)",
            "model estimate", "realized", "ratio"});

@@ -27,8 +27,7 @@ int main() {
     jobs.push_back(std::move(j));
   }
   const auto rs = core::run_sweep(jobs, bench_threads());
-  BenchJson bj("table5_workloads");
-  for (const auto& r : rs) bj.add(r.job.workload, {r});
+  for (const auto& r : rs) maybe_export_csv(r.job.workload, {r});
 
   Table t({"program", "nodes", "home pages/node", "max remote pages",
            "ideal pressure", "shared refs (M)", "barriers"});

@@ -8,8 +8,6 @@
 //   ASCOMA_BENCH_SCALE    workload iteration scale (default 1.0)
 //   ASCOMA_BENCH_THREADS  sweep parallelism (default: hardware)
 //   ASCOMA_BENCH_CSV      append sweep results as CSV rows to this file
-//   ASCOMA_BENCH_JSON_DIR directory for BENCH_<name>.json (default: cwd)
-//   ASCOMA_BENCH_JSON=0   disable the BENCH_<name>.json dump
 
 #include <cstdlib>
 #include <fstream>
@@ -21,8 +19,6 @@
 
 #include "common/table.hh"
 #include "core/sweep.hh"
-#include "obs/export.hh"
-#include "prof/simspeed.hh"
 #include "report/report.hh"
 
 namespace ascoma::bench {
@@ -44,8 +40,8 @@ inline unsigned bench_threads() {
 }
 
 /// When ASCOMA_BENCH_CSV is set, append every sweep result as CSV rows to
-/// that file (header written once per file) — plotting-friendly output
-/// alongside the human-readable tables.
+/// that file (header written once per file) — every bench's one
+/// machine-readable output, alongside the human-readable tables.
 inline void maybe_export_csv(const std::string& workload,
                              const std::vector<core::SweepResult>& rs) {
   const char* path = std::getenv("ASCOMA_BENCH_CSV");
@@ -57,96 +53,6 @@ inline void maybe_export_csv(const std::string& workload,
   for (const auto& r : rs)
     csv << report::csv_row(workload, to_string(r.job.config.arch), r) << '\n';
 }
-
-/// Accumulates sweep results and writes `BENCH_<name>.json` on destruction —
-/// the machine-readable perf baseline CI archives next to profile dumps.
-/// Integer cycle counts only, so dumps are byte-stable across platforms.
-/// ASCOMA_BENCH_JSON_DIR redirects the output directory (default: cwd);
-/// ASCOMA_BENCH_JSON=0 disables the dump entirely.
-class BenchJson {
- public:
-  explicit BenchJson(std::string name) : name_(std::move(name)) {}
-
-  BenchJson(const BenchJson&) = delete;
-  BenchJson& operator=(const BenchJson&) = delete;
-
-  void add(const std::string& workload,
-           const std::vector<core::SweepResult>& rs) {
-    for (const auto& r : rs) {
-      const auto& tot = r.result.stats.totals;
-      std::string row = "{\"label\":\"" + obs::json_escape(r.job.label) +
-                        "\",\"workload\":\"" + obs::json_escape(workload) +
-                        "\",\"arch\":\"" +
-                        obs::json_escape(to_string(r.job.config.arch)) +
-                        "\",\"pressure_pct\":" +
-                        std::to_string(static_cast<int>(
-                            r.job.config.memory_pressure * 100.0 + 0.5)) +
-                        ",\"cycles\":" + std::to_string(r.result.cycles().value());
-      static constexpr std::pair<TimeBucket, const char*> kBuckets[] = {
-          {TimeBucket::kUserInstr, "u_instr"},
-          {TimeBucket::kUserLocal, "u_lc_mem"},
-          {TimeBucket::kUserShared, "ush_mem"},
-          {TimeBucket::kKernelBase, "k_base"},
-          {TimeBucket::kKernelOvhd, "k_overhd"},
-          {TimeBucket::kSync, "sync"},
-      };
-      for (const auto& [b, name] : kBuckets)
-        row += ",\"" + std::string(name) +
-               "\":" + std::to_string(tot.time[b].value());
-      // Same tokens as report::csv_header() so both exports join trivially.
-      static constexpr const char* kMissNames[kNumMissSources] = {
-          "home", "scoma", "rac", "cold", "conf_capc", "coherence"};
-      for (int s = 0; s < kNumMissSources; ++s)
-        row += ",\"miss_" + std::string(kMissNames[s]) + "\":" +
-               std::to_string(tot.misses[static_cast<MissSource>(s)]);
-      row += ",\"upgrades\":" + std::to_string(tot.kernel.upgrades) +
-             ",\"downgrades\":" + std::to_string(tot.kernel.downgrades) +
-             ",\"suppressed\":" + std::to_string(tot.kernel.remap_suppressed) +
-             "}";
-      rows_.push_back(std::move(row));
-
-      // Sim-rate telemetry rides along: one BENCH_simspeed.json row per
-      // sweep job (simulated work, host wall time, RSS, allocations).
-      prof::SimspeedRow sp;
-      sp.label = r.job.label;
-      sp.workload = workload;
-      sp.arch = to_string(r.job.config.arch);
-      sp.cycles = r.result.cycles().value();
-      sp.accesses = r.accesses();
-      sp.wall_ns = r.timing.wall.value();
-      sp.peak_rss_bytes = r.timing.peak_rss_bytes;
-      sp.allocs = r.timing.allocs;
-      simspeed_.rows.push_back(std::move(sp));
-    }
-  }
-
-  ~BenchJson() {
-    if (const char* flag = std::getenv("ASCOMA_BENCH_JSON"))
-      if (std::string(flag) == "0") return;
-    std::string dir = ".";
-    if (const char* d = std::getenv("ASCOMA_BENCH_JSON_DIR"))
-      if (*d) dir = d;
-    std::ofstream os(dir + "/BENCH_" + name_ + ".json", std::ios::trunc);
-    if (!os) return;
-    os << "{\"schema\":\"ascoma.bench/1\",\"bench\":\""
-       << obs::json_escape(name_) << "\",\"rows\":[";
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-      os << (i ? ",\n" : "\n") << rows_[i];
-    os << "\n]}\n";
-    // The simspeed document is written per process (last bench binary into a
-    // shared dir wins) — ascoma_baseline_diff joins rows by
-    // (label, workload, arch), and CI runs exactly one smoke bench.
-    simspeed_.bench = name_;
-    std::ofstream ss(dir + "/BENCH_simspeed.json", std::ios::trunc);
-    if (!ss) return;
-    prof::write_simspeed(ss, simspeed_);
-  }
-
- private:
-  std::string name_;
-  std::vector<std::string> rows_;
-  prof::SimspeedDoc simspeed_;
-};
 
 /// The bar sets shown in Figures 2 and 3, per application.  S-COMA is only
 /// shown at pressures where the paper ran it (it collapses beyond); barnes

@@ -84,10 +84,14 @@ class BackoffKernel {
       st_.relocation_enabled = false;
       step.escalated = true;
     }
-    *period = std::min<Cycle>(
-        s_.period_max,
-        Cycle{static_cast<Cycle::rep>(static_cast<double>(period->value()) *
-                                      s_.backoff_factor)});
+    // Clamp in double before the cast: the factor can arrive through a
+    // checkpoint's decoded config, and a product beyond u64 is undefined.
+    const double grown =
+        static_cast<double>(period->value()) * s_.backoff_factor;
+    *period = grown < static_cast<double>(s_.period_max.value())
+                  ? std::min<Cycle>(s_.period_max,
+                                    Cycle{static_cast<Cycle::rep>(grown)})
+                  : s_.period_max;
     return step;
   }
 

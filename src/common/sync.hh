@@ -1,9 +1,9 @@
 // Annotated concurrency primitives — the static half of the concurrency
-// fence (ARCHITECTURE.md §17; companion linter: tools/lint_concurrency.py).
+// guard (ARCHITECTURE.md §17); TSan (the CI sanitize-thread job) is the
+// dynamic half.
 //
 // Everything cross-thread in this repo locks through ascoma::Mutex /
-// ascoma::LockGuard / ascoma::CondVar, never raw std::mutex (linter rule
-// C2).  The wrappers are zero-cost overlays over the std types — same
+// ascoma::LockGuard / ascoma::CondVar, never raw std::mutex.  The wrappers are zero-cost overlays over the std types — same
 // size, same codegen — whose only addition is clang's thread-safety
 // capability attributes, so `clang++ -Wthread-safety -Werror` proves at
 // compile time that every ASCOMA_GUARDED_BY field is only touched with
@@ -22,8 +22,8 @@
 //   };
 //
 // Lock-free state stays std::atomic and is exempt from GUARDED_BY, but
-// every load/store/RMW must name an explicit memory_order and carry a
-// one-line `// order:` rationale (linter rule C1).
+// every load/store/RMW names an explicit memory_order and carries a
+// one-line `// order:` rationale.
 
 #pragma once
 
@@ -52,8 +52,8 @@
 #define ASCOMA_GUARDED_BY(x) ASCOMA_THREAD_ANNOTATION(guarded_by(x))
 #define ASCOMA_PT_GUARDED_BY(x) ASCOMA_THREAD_ANNOTATION(pt_guarded_by(x))
 
-// On mutex members: declared acquisition order (lint rule C3 enforces the
-// repo-wide hierarchy; these make it compiler-visible too).
+// On mutex members: declared acquisition order, checked by clang when two
+// mutexes nest.
 #define ASCOMA_ACQUIRED_BEFORE(...) \
   ASCOMA_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define ASCOMA_ACQUIRED_AFTER(...) \

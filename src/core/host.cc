@@ -1,12 +1,8 @@
 #include "core/host.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
-
-#include <sys/resource.h>
 
 // The counting hook replaces global operator new/delete; sanitizer runtimes
 // install their own allocator interceptors, so the hook steps aside there.
@@ -42,29 +38,6 @@ HostClock* default_clock() {
 std::uint64_t thread_alloc_count() { return t_alloc_count; }
 
 bool alloc_hook_active() { return ASCOMA_ALLOC_HOOK != 0; }
-
-std::uint64_t peak_rss_bytes() {
-  // Prefer VmHWM (bytes-accurate-to-a-page, resets never): Linux only.
-  if (std::FILE* f = std::fopen("/proc/self/status", "re")) {
-    char line[256];
-    std::uint64_t kb = 0;
-    bool found = false;
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-      if (std::strncmp(line, "VmHWM:", 6) == 0) {
-        char* end = nullptr;
-        kb = std::strtoull(line + 6, &end, 10);
-        found = end != line + 6;
-        break;
-      }
-    }
-    std::fclose(f);
-    if (found) return kb * 1024;
-  }
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) == 0 && ru.ru_maxrss > 0)
-    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // ru_maxrss is KiB
-  return 0;
-}
 
 #if ASCOMA_ALLOC_HOOK
 

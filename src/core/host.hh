@@ -1,9 +1,8 @@
 #pragma once
 
-// Host-side telemetry for the sweep runner: the wall clock, the process
-// peak resident set and a per-thread heap-allocation counter.  These feed
-// SweepTiming (core/sweep.hh) and, through it, the BENCH_simspeed.json rows
-// the speed gate compares (ARCHITECTURE.md §14).
+// Host-side telemetry: the wall clock behind SweepTiming (core/sweep.hh,
+// ARCHITECTURE.md §14) and a per-thread heap-allocation counter, which the
+// workload tests use to pin the lazy op streams' bounded allocation.
 //
 // The allocation counter is fed by replacement `operator new/delete`
 // implementations in host.cc, disabled automatically under ASan/TSan, whose
@@ -33,11 +32,6 @@ class SteadyClock final : public HostClock {
 
 /// The process-wide production clock (a SteadyClock).  Never null.
 HostClock* default_clock();
-
-/// Process high-water resident set size in bytes (VmHWM from
-/// /proc/self/status, getrusage(RUSAGE_SELF) otherwise).  0 when neither
-/// source is available.
-std::uint64_t peak_rss_bytes();
 
 /// Number of heap allocations performed by the calling thread since it
 /// started.  Monotonic; callers diff two readings to attribute allocations

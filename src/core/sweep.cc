@@ -118,13 +118,10 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         ASCOMA_CHECK_MSG(wl != nullptr,
                          "unknown workload: " << jobs[i].workload);
         results[i].job = jobs[i];
-        const std::uint64_t allocs0 = thread_alloc_count();
         const HostNs t0 = clock->now();
         results[i].result = simulate(jobs[i].config, *wl);
         const HostNs t1 = clock->now();
         results[i].timing.wall = t1 - t0;
-        results[i].timing.allocs = thread_alloc_count() - allocs0;
-        results[i].timing.peak_rss_bytes = peak_rss_bytes();
         // order: relaxed — monotonic progress telemetry, read by the
         // heartbeat for display only; exact after the join.
         cycles_done.fetch_add(
@@ -177,9 +174,8 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
           stop_now = hb.stop;
         }
         if (stop_now) break;
-        // Beat OUTSIDE the lock (lint_concurrency rule C4): formatting the
-        // line and streaming it to *out (possibly a pipe) must never stall
-        // the stopper.
+        // Beat OUTSIDE the lock: formatting the line and streaming it to
+        // *out (possibly a pipe) must never stall the stopper.
         // order: relaxed — monotonic telemetry reads for display only.
         const std::string line = progress_line(
             done.load(std::memory_order_relaxed), jobs.size(),

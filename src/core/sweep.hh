@@ -5,12 +5,11 @@
 // independent single-threaded simulation, so the sweep fans them out over a
 // thread pool and returns results in submission order.
 //
-// Besides the RunResults themselves the sweep records a host-side timing
-// envelope per job (wall time, peak RSS, allocation count — the sim-rate
-// telemetry of ARCHITECTURE.md §14), can stream a single-line-JSON progress
-// heartbeat to stderr (`--progress` in the CLI), and flags straggler jobs whose wall time
-// exceeded a configurable multiple of the sweep median, emitting a
-// kSweepStraggler event on the options' sink.
+// Besides the RunResults themselves the sweep records each job's host wall
+// time (ARCHITECTURE.md §14), can stream a single-line-JSON progress
+// heartbeat to stderr (`--progress` in the CLI), and flags straggler jobs
+// whose wall time exceeded a configurable multiple of the sweep median,
+// emitting a kSweepStraggler event on the options' sink.
 
 #include <atomic>
 #include <cstdint>
@@ -33,11 +32,9 @@ struct SweepJob {
 };
 
 /// Host-side execution envelope of one job (always recorded: two clock reads
-/// and one /proc lookup per job).
+/// per job).
 struct SweepTiming {
   HostNs wall{0};                  ///< host wall time of the simulate() call
-  std::uint64_t peak_rss_bytes = 0;///< process high-water RSS after the job
-  std::uint64_t allocs = 0;        ///< heap allocations on the job's thread
   bool straggler = false;          ///< wall > straggler_factor × sweep median
 };
 
@@ -46,7 +43,7 @@ struct SweepResult {
   RunResult result;
   SweepTiming timing;
 
-  /// Simulated shared-memory accesses of the run (sim-rate denominator).
+  /// Simulated shared-memory accesses of the run.
   std::uint64_t accesses() const;
   /// Simulated cycles per host wall second (0 when the wall time is 0).
   double sim_rate_hz() const;

@@ -38,11 +38,11 @@ bool split_fields(const std::string& line, std::vector<std::string>& out) {
   }
 }
 
-/// Read and parse one input file; on failure `error` names the file.
-template <typename Doc>
-bool load(const std::string& path, Doc& doc,
-          bool (*parse)(const std::string&, Doc&, std::string&),
+/// Read and parse one profile directory's latency.csv; on failure `error`
+/// names the file.
+bool load(const std::string& dir, std::vector<LatencyRow>& rows,
           std::string& error) {
+  const std::string path = dir + "/latency.csv";
   std::ifstream is(path);
   if (!is) {
     error = "cannot open " + path;
@@ -50,14 +50,14 @@ bool load(const std::string& path, Doc& doc,
   }
   std::ostringstream ss;
   ss << is.rdbuf();
-  if (!parse(ss.str(), doc, error)) {
+  if (!parse_latency_csv(ss.str(), rows, error)) {
     error = path + ": " + error;
     return false;
   }
   return true;
 }
 
-/// The growth check every gated column shares: beyond the relative
+/// The growth check both gated columns share: beyond the relative
 /// tolerance AND by at least the absolute floor.
 bool grew(double base, double cand, double tol, double floor) {
   return cand > base * (1.0 + tol) && cand - base >= floor;
@@ -69,107 +69,16 @@ void emit(DiffReport& rep, const std::string& row, Kind kind, double base,
       {kind, row, base, cand, base != 0.0 ? cand / base : 0.0});
 }
 
-// ---- per-format rules ------------------------------------------------------
-// key(): the join key.  compare(): emits the row's findings and returns
-// whether the row counted as compared.
-
-struct LatencyRules {
-  const DiffOptions& o;
-
-  static std::string key(const LatencyRow& r) {
-    return r.cls + '/' + r.component;
-  }
-  bool compare(DiffReport& rep, const std::string& row, const LatencyRow& b,
-               const LatencyRow& c) const {
-    if (b.count < o.min_count || c.count < o.min_count) return false;
-    const auto floor = static_cast<double>(o.min_cycles);
-    const auto p99_b = static_cast<double>(b.p99);
-    const auto p99_c = static_cast<double>(c.p99);
-    if (grew(p99_b, p99_c, o.p99_tol, floor))
-      emit(rep, row, Kind::kP99Regression, p99_b, p99_c);
-    if (grew(b.mean(), c.mean(), o.mean_tol, floor))
-      emit(rep, row, Kind::kMeanRegression, b.mean(), c.mean());
-    return true;
-  }
-};
-
-struct SimspeedRules {
-  const DiffOptions& o;
-
-  static std::string key(const SimspeedRow& r) {
-    return r.label + '/' + r.workload + '/' + r.arch;
-  }
-  bool compare(DiffReport& rep, const std::string& row, const SimspeedRow& b,
-               const SimspeedRow& c) const {
-    if (b.cycles != c.cycles)
-      emit(rep, row, Kind::kCyclesChanged, static_cast<double>(b.cycles),
-           static_cast<double>(c.cycles));
-    const std::uint64_t min_wall_ns = o.min_wall_ms * 1'000'000;
-    if (b.wall_ns >= min_wall_ns && c.wall_ns >= min_wall_ns &&
-        b.sim_rate_hz() > 0.0 &&
-        c.sim_rate_hz() < b.sim_rate_hz() * (1.0 - o.rate_tol))
-      emit(rep, row, Kind::kRateRegression, b.sim_rate_hz(), c.sim_rate_hz());
-    const auto rss_b = static_cast<double>(b.peak_rss_bytes);
-    const auto rss_c = static_cast<double>(c.peak_rss_bytes);
-    if (b.peak_rss_bytes > 0 && grew(rss_b, rss_c, o.rss_tol, 0.0))
-      emit(rep, row, Kind::kRssRegression, rss_b, rss_c);
-    const auto allocs_b = static_cast<double>(b.allocs);
-    const auto allocs_c = static_cast<double>(c.allocs);
-    if (b.allocs > 0 && grew(allocs_b, allocs_c, o.allocs_tol, 0.0))
-      emit(rep, row, Kind::kAllocRegression, allocs_b, allocs_c);
-    return true;
-  }
-};
-
-/// The join loop: baseline rows in order (compared, or vanished), then
-/// candidate rows the baseline lacks (appeared).
-template <typename Row, typename Rules>
-DiffReport join(const std::vector<Row>& baseline,
-                const std::vector<Row>& candidate, const Rules& rules) {
-  std::map<std::string, const Row*> base_by_key, cand_by_key;
-  for (const Row& r : baseline) base_by_key.emplace(rules.key(r), &r);
-  for (const Row& r : candidate) cand_by_key.emplace(rules.key(r), &r);
-
-  DiffReport rep;
-  for (const Row& b : baseline) {
-    const std::string row = rules.key(b);
-    const auto it = cand_by_key.find(row);
-    if (it == cand_by_key.end())
-      emit(rep, row, Kind::kRowVanished, 0.0, 0.0);
-    else if (rules.compare(rep, row, b, *it->second))
-      ++rep.rows_compared;
-  }
-  for (const Row& c : candidate) {
-    const std::string row = rules.key(c);
-    if (!base_by_key.count(row))
-      emit(rep, row, Kind::kRowAppeared, 0.0, 0.0);
-  }
-  return rep;
-}
+std::string key(const LatencyRow& r) { return r.cls + '/' + r.component; }
 
 const char* kind_name(Kind k) {
   switch (k) {
     case Kind::kP99Regression: return "p99";
     case Kind::kMeanRegression: return "mean";
-    case Kind::kRateRegression: return "sim-rate";
-    case Kind::kRssRegression: return "peak-rss";
-    case Kind::kAllocRegression: return "allocs";
-    case Kind::kCyclesChanged: return "cycles-changed";
     case Kind::kRowVanished: return "row-vanished";
     case Kind::kRowAppeared: return "row-appeared";
   }
   return "?";
-}
-
-double tolerance(Kind k, const DiffOptions& o) {
-  switch (k) {
-    case Kind::kP99Regression: return o.p99_tol;
-    case Kind::kMeanRegression: return o.mean_tol;
-    case Kind::kRateRegression: return o.rate_tol;
-    case Kind::kRssRegression: return o.rss_tol;
-    case Kind::kAllocRegression: return o.allocs_tol;
-    default: return 0.0;
-  }
 }
 
 }  // namespace
@@ -179,11 +88,6 @@ std::size_t DiffReport::regressions() const {
   for (const DiffFinding& f : findings)
     if (f.is_regression()) ++n;
   return n;
-}
-
-BaselineKind baseline_kind(const std::string& path) {
-  return std::filesystem::is_directory(path) ? BaselineKind::kProfile
-                                             : BaselineKind::kSimspeed;
 }
 
 bool parse_latency_csv(const std::string& text, std::vector<LatencyRow>& rows,
@@ -222,13 +126,36 @@ bool parse_latency_csv(const std::string& text, std::vector<LatencyRow>& rows,
 DiffReport diff_baselines(const std::vector<LatencyRow>& baseline,
                           const std::vector<LatencyRow>& candidate,
                           const DiffOptions& opts) {
-  return join(baseline, candidate, LatencyRules{opts});
-}
+  // Baseline rows in order (compared, or vanished), then candidate rows the
+  // baseline lacks (appeared).
+  std::map<std::string, const LatencyRow*> base_by_key, cand_by_key;
+  for (const LatencyRow& r : baseline) base_by_key.emplace(key(r), &r);
+  for (const LatencyRow& r : candidate) cand_by_key.emplace(key(r), &r);
 
-DiffReport diff_baselines(const SimspeedDoc& baseline,
-                          const SimspeedDoc& candidate,
-                          const DiffOptions& opts) {
-  return join(baseline.rows, candidate.rows, SimspeedRules{opts});
+  DiffReport rep;
+  const auto floor = static_cast<double>(opts.min_cycles);
+  for (const LatencyRow& b : baseline) {
+    const std::string row = key(b);
+    const auto it = cand_by_key.find(row);
+    if (it == cand_by_key.end()) {
+      emit(rep, row, Kind::kRowVanished, 0.0, 0.0);
+      continue;
+    }
+    const LatencyRow& c = *it->second;
+    if (b.count < opts.min_count || c.count < opts.min_count) continue;
+    ++rep.rows_compared;
+    const auto p99_b = static_cast<double>(b.p99);
+    const auto p99_c = static_cast<double>(c.p99);
+    if (grew(p99_b, p99_c, opts.p99_tol, floor))
+      emit(rep, row, Kind::kP99Regression, p99_b, p99_c);
+    if (grew(b.mean(), c.mean(), opts.mean_tol, floor))
+      emit(rep, row, Kind::kMeanRegression, b.mean(), c.mean());
+  }
+  for (const LatencyRow& c : candidate) {
+    const std::string row = key(c);
+    if (!base_by_key.count(row)) emit(rep, row, Kind::kRowAppeared, 0.0, 0.0);
+  }
+  return rep;
 }
 
 DiffReport diff_baselines(const std::string& baseline_path,
@@ -240,25 +167,14 @@ DiffReport diff_baselines(const std::string& baseline_path,
       rep.error = "cannot open " + path;
       return rep;
     }
-  }
-  const BaselineKind kind = baseline_kind(baseline_path);
-  if (baseline_kind(candidate_path) != kind) {
-    rep.error = "cannot compare a profile directory with a simspeed file: " +
-                baseline_path + " vs " + candidate_path;
-    return rep;
-  }
-  if (kind == BaselineKind::kProfile) {
-    std::vector<LatencyRow> base, cand;
-    if (!load(baseline_path + "/latency.csv", base, parse_latency_csv,
-              rep.error) ||
-        !load(candidate_path + "/latency.csv", cand, parse_latency_csv,
-              rep.error))
+    if (!std::filesystem::is_directory(path)) {
+      rep.error = "not a profile directory: " + path;
       return rep;
-    return diff_baselines(base, cand, opts);
+    }
   }
-  SimspeedDoc base, cand;
-  if (!load(baseline_path, base, parse_simspeed, rep.error) ||
-      !load(candidate_path, cand, parse_simspeed, rep.error))
+  std::vector<LatencyRow> base, cand;
+  if (!load(baseline_path, base, rep.error) ||
+      !load(candidate_path, cand, rep.error))
     return rep;
   return diff_baselines(base, cand, opts);
 }
@@ -272,13 +188,14 @@ void write_report(std::ostream& os, const DiffReport& rep,
   for (const DiffFinding& f : rep.findings) {
     os << (f.is_regression() ? "REGRESSION " : "note       ")
        << kind_name(f.kind) << "  " << f.row;
-    if (f.kind == Kind::kRowVanished || f.kind == Kind::kRowAppeared) {
+    if (!f.is_regression()) {  // a row on one side only
       os << '\n';
       continue;
     }
-    os << "  " << f.base_value << " -> " << f.cand_value << "  (x" << f.ratio;
-    if (f.is_regression()) os << ", tol " << tolerance(f.kind, opts);
-    os << ")\n";
+    os << "  " << f.base_value << " -> " << f.cand_value << "  (x" << f.ratio
+       << ", tol "
+       << (f.kind == Kind::kP99Regression ? opts.p99_tol : opts.mean_tol)
+       << ")\n";
   }
   os << rep.rows_compared << " row(s) compared, " << rep.regressions()
      << " regression(s)\n";

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <span>
 
 #include "common/check.hh"
@@ -15,6 +16,10 @@ constexpr char kMagic[4] = {'A', 'S', 'C', 'T'};
 constexpr std::uint32_t kVersion = 1;
 /// On-disk size of one op: u8 kind + u64 arg.
 constexpr std::uint64_t kOpBytes = 9;
+/// Most pages one node can home: every page it homes takes one of its
+/// frames, and a node numbers its frames with a 32-bit FrameId.
+constexpr std::uint64_t kMaxPagesPerNode =
+    std::numeric_limits<FrameId::rep>::max();
 
 template <typename T>
 void put(std::ofstream& os, T v) {
@@ -89,6 +94,11 @@ TraceWorkload::TraceWorkload(const std::string& path) {
   line_bytes_ = ByteCount{get<std::uint32_t>(is)};
   ASCOMA_CHECK_MSG(nodes_ > 0 && nodes_ <= 64, "bad node count in trace");
   ASCOMA_CHECK_MSG(total_pages_ > 0, "empty address space in trace");
+  // Checked before the machine sizes its per-page tables from this count.
+  ASCOMA_CHECK_MSG(total_pages_ <= kMaxPagesPerNode * nodes_,
+                   "trace declares " << total_pages_ << " pages; " << nodes_
+                                     << " nodes can home at most "
+                                     << kMaxPagesPerNode * nodes_);
   ASCOMA_CHECK_MSG(std::has_single_bit(page_bytes_.value()) &&
                        std::has_single_bit(line_bytes_.value()),
                    "trace page and line sizes must be powers of two");

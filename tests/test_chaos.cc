@@ -183,8 +183,8 @@ TEST(ChaosSoak, EventTraceRecordsTheChaos) {
 // The whole cross-thread sweep under chaos at once: a 4-worker sweep of
 // every architecture with fault injection enabled, with the progress
 // heartbeat beating on its own thread for the entire run.  Exercises every
-// lock in LOCK_HIERARCHY and every handshake the concurrency fence
-// annotates, concurrently — the CI TSan job runs this.
+// lock and every release/acquire handshake of the sweep concurrently — the
+// CI TSan job runs this.
 TEST(ChaosSoak, ThreadedFaultSweepRaceFree) {
   std::vector<core::SweepJob> jobs;
   for (ArchModel arch : kAllArchs) {

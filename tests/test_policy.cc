@@ -158,6 +158,22 @@ TEST(AsComa, DaemonFailureRaisesThresholdAndStretchesPeriod) {
   EXPECT_EQ(f.kernel.threshold_raises, 1u);
 }
 
+TEST(AsComa, HugeBackoffFactorSaturatesAtPeriodMax) {
+  // A finite factor passes MachineConfig::validate; the stretched period
+  // must saturate at daemon_period_max, not overflow the cycle count.
+  PolicyFixture f;
+  f.cfg.daemon_backoff_factor = 1e30;
+  AsComaPolicy p(f.cfg);
+  vm::DaemonResult fail;
+  fail.met_target = false;
+  auto e = f.env(Cycle{0});
+  p.on_daemon_result(e, fail);
+  EXPECT_EQ(f.period, f.cfg.daemon_period_max);
+  auto later = f.env(f.period + Cycle{1});
+  p.on_daemon_result(later, fail);
+  EXPECT_EQ(f.period, f.cfg.daemon_period_max);
+}
+
 TEST(AsComa, BackOffIsRateLimitedPerDaemonPeriod) {
   PolicyFixture f;
   AsComaPolicy p(f.cfg);

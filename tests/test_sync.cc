@@ -3,10 +3,9 @@
 // may change what clang -Wthread-safety proves, but never what the
 // compiler emits), and their lock/unlock/condvar semantics match std.
 //
-// The negative half of the contract — that a GUARDED_BY violation FAILS
-// to compile under clang++ -Wthread-safety -Werror — cannot live in a
-// test binary; CI's thread-safety step compiles a violating snippet and
-// asserts the compile error (see .github/workflows/ci.yml).
+// The static half of the contract — that no GUARDED_BY field is touched
+// unlocked — cannot live in a test binary; CI's clang leg builds the whole
+// tree with -Wthread-safety -Werror (see .github/workflows/ci.yml).
 
 #include "common/sync.hh"
 

@@ -100,12 +100,14 @@ TEST(Trace, BadMagicRejected) {
 }
 
 /// Hand-written trace: the header of a `nodes`-processor trace with the
-/// given page/line sizes, then one (proc id, op count) record per entry of
-/// `procs`, each followed by that many 1-cycle private ops.
+/// given page/line sizes and shared-space size, then one (proc id, op count)
+/// record per entry of `procs`, each followed by that many 1-cycle private
+/// ops.
 void write_trace(const std::string& path, std::uint32_t nodes,
                  std::uint32_t page_bytes, std::uint32_t line_bytes,
                  const std::vector<std::pair<std::uint32_t, std::uint64_t>>&
-                     procs) {
+                     procs,
+                 std::uint64_t total_pages = 16) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   const auto put = [&os](auto v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -113,7 +115,7 @@ void write_trace(const std::string& path, std::uint32_t nodes,
   os.write("ASCT", 4);
   put(std::uint32_t{1});
   put(nodes);
-  put(std::uint64_t{16});
+  put(total_pages);
   put(page_bytes);
   put(line_bytes);
   for (const auto& [proc, count] : procs) {
@@ -140,6 +142,17 @@ TEST(Trace, OpCountBeyondFileSizeRejected) {
   TempFile f;
   write_trace(f.path, 2, 4096, 32, {{0, std::uint64_t{1} << 60}});
   EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure);
+}
+
+TEST(Trace, HugePageCountRejected) {
+  // 2^40 pages would make the machine's per-page tables throw an untyped
+  // std::bad_alloc; the header parse rejects the count first.
+  TempFile f;
+  for (std::uint32_t nodes : {2u, 64u}) {
+    write_trace(f.path, nodes, 4096, 32, {{0, 1}, {1, 1}},
+                std::uint64_t{1} << 40);
+    EXPECT_THROW(TraceWorkload{f.path}, ascoma::CheckFailure) << nodes;
+  }
 }
 
 TEST(Trace, DuplicateProcIdRejected) {

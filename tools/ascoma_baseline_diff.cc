@@ -1,28 +1,17 @@
-// ascoma_baseline_diff — compare a candidate against a checked-in baseline
-// and flag regressions.  The inputs pick the rules (prof/diff.hh):
+// ascoma_baseline_diff — compare a candidate profile dump against a
+// checked-in baseline and flag latency regressions (rules in prof/diff.hh):
 //
 //   ascoma_baseline_diff BASELINE CANDIDATE [options]
 //
-// Two profile directories (`ascoma --profile DIR`) get the latency rules:
+// Both inputs are profile directories (`ascoma --profile DIR`):
 //   --p99-tol F      relative p99 growth that fails the gate (default 0.10)
 //   --mean-tol F     relative mean growth that fails the gate (default 0.10)
 //   --min-cycles N   absolute growth floor in cycles (default 16)
 //   --min-count N    minimum samples per side to compare a row (default 100)
 //
-// Two BENCH_simspeed.json files (ascoma.simspeed/1, written by the bench
-// binaries) get the simulator-speed rules:
-//   --rate-tol F     relative sim-rate *drop* that fails the gate
-//                    (default 0.25; growth never fails)
-//   --rss-tol F      relative peak-RSS growth that fails the gate (default 0.50)
-//   --allocs-tol F   relative allocation-count growth that fails (default 0.25)
-//   --min-wall-ms N  rows where either side ran shorter than this are too
-//                    noisy for the rate check and are skipped (default 50)
-//
-// A flag of the other input kind is a usage error.
-//
 // Exit status: 0 when no row regressed, 1 on regressions, 2 on usage errors
-// and unreadable, malformed or mixed-kind inputs — so CI can gate directly
-// on the tool.
+// and on missing, unreadable or malformed inputs (a file where a directory
+// is expected included) — so CI can gate directly on the tool.
 
 #include <charconv>
 #include <iostream>
@@ -30,7 +19,6 @@
 
 #include "prof/diff.hh"
 
-using ascoma::prof::BaselineKind;
 using ascoma::prof::DiffOptions;
 using ascoma::prof::DiffReport;
 
@@ -38,11 +26,9 @@ namespace {
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << '\n';
-  std::cerr << "usage: ascoma_baseline_diff BASELINE CANDIDATE\n"
-               "  profile directories: [--p99-tol F] [--mean-tol F]"
-               " [--min-cycles N] [--min-count N]\n"
-               "  simspeed files:      [--rate-tol F] [--rss-tol F]"
-               " [--allocs-tol F] [--min-wall-ms N]\n";
+  std::cerr << "usage: ascoma_baseline_diff BASELINE_DIR CANDIDATE_DIR"
+               " [--p99-tol F] [--mean-tol F] [--min-cycles N]"
+               " [--min-count N]\n";
   std::exit(2);
 }
 
@@ -60,31 +46,20 @@ T parse_number(const std::string& s, const std::string& what) {
 int main(int argc, char** argv) {
   std::string baseline, candidate;
   DiffOptions opts;
-  // The last flag seen of each rule set, to reject one the inputs don't use.
-  std::string profile_flag, simspeed_flag;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto value = [&](std::string& seen) -> std::string {
+    auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(a + " needs a value");
-      seen = a;
       return argv[++i];
     };
     if (a == "--p99-tol") {
-      opts.p99_tol = parse_number<double>(value(profile_flag), a);
+      opts.p99_tol = parse_number<double>(value(), a);
     } else if (a == "--mean-tol") {
-      opts.mean_tol = parse_number<double>(value(profile_flag), a);
+      opts.mean_tol = parse_number<double>(value(), a);
     } else if (a == "--min-cycles") {
-      opts.min_cycles = parse_number<std::uint64_t>(value(profile_flag), a);
+      opts.min_cycles = parse_number<std::uint64_t>(value(), a);
     } else if (a == "--min-count") {
-      opts.min_count = parse_number<std::uint64_t>(value(profile_flag), a);
-    } else if (a == "--rate-tol") {
-      opts.rate_tol = parse_number<double>(value(simspeed_flag), a);
-    } else if (a == "--rss-tol") {
-      opts.rss_tol = parse_number<double>(value(simspeed_flag), a);
-    } else if (a == "--allocs-tol") {
-      opts.allocs_tol = parse_number<double>(value(simspeed_flag), a);
-    } else if (a == "--min-wall-ms") {
-      opts.min_wall_ms = parse_number<std::uint64_t>(value(simspeed_flag), a);
+      opts.min_count = parse_number<std::uint64_t>(value(), a);
     } else if (a == "--help" || a == "-h") {
       usage();
     } else if (!a.empty() && a[0] == '-') {
@@ -99,12 +74,6 @@ int main(int argc, char** argv) {
   }
   if (baseline.empty() || candidate.empty())
     usage("need a baseline and a candidate");
-  const bool profile =
-      ascoma::prof::baseline_kind(baseline) == BaselineKind::kProfile;
-  const std::string& foreign = profile ? simspeed_flag : profile_flag;
-  if (!foreign.empty())
-    usage(foreign + " does not apply to " +
-          (profile ? "profile directories" : "simspeed files"));
 
   const DiffReport rep =
       ascoma::prof::diff_baselines(baseline, candidate, opts);

@@ -29,7 +29,7 @@
 //                       into DIR (latency.csv/json, heat.csv/json,
 //                       summary.json); compare dumps with ascoma_baseline_diff
 //
-// Sweep telemetry (ARCHITECTURE.md §14):
+// Sweep telemetry (ARCHITECTURE.md §14, measuring the simulator):
 //   --progress          single-line JSON heartbeat on stderr while the
 //                       sweep runs (jobs done/total, sim-rate, ETA)
 //   --progress-interval-ms N   heartbeat period (default 1000)

@@ -7,17 +7,14 @@ here so the bootstrap logic cannot drift between them:
 * ``strip_comments`` / ``iter_sources``   — the textual front end
 * ``load_libclang``                       — the AST front end bootstrap
   (clang python bindings + build/compile_commands.json, or None)
-* ``repo_root``                           — the [repo-root] argv convention
+* ``repo_root``                           — the [repo-root] argv convention,
+  with the shared usage error (exit 2) for a stray flag or a non-directory
 * ``report``                              — the shared findings/OK epilogue
-* ``run_text_fixtures``                   — the (name, text, expect) fixture
-  suite used by --self-test modes
 * ``write_src_tree``                      — materialize a fixture src/ tree
   for linters that walk a repo root rather than a text blob
 * the call-graph walker                   — ``Model``/``build_model``/
-  ``build_model_libclang``/``resolve_calls``/``walk``: one traversal shared
-  by the annotation-rooted linters (lint_hotpath's hot-path/signal/
-  determinism rules, lint_concurrency's lock-discipline rules), so the two
-  fences agree on what "reachable" means.
+  ``build_model_libclang``/``resolve_calls``/``walk``: the annotation-rooted
+  traversal behind lint_hotpath's hot-path/signal/determinism rules.
 
 Importable from the tools/ directory (the linters add it to sys.path when
 run as scripts from elsewhere).
@@ -45,8 +42,17 @@ def iter_sources(root: Path, subdir: str = "src"):
 
 def repo_root(argv: list) -> Path:
     """The [repo-root] positional argument, defaulting to the repo this
-    file lives in (tools/..)."""
-    return Path(argv[0]) if argv else Path(__file__).parent.parent
+    file lives in (tools/..).  Anything else (a flag the linter does not
+    take, a path that is not a directory, a second argument) prints a
+    usage line and exits 2."""
+    if not argv:
+        return Path(__file__).parent.parent
+    if len(argv) > 1 or argv[0].startswith("-") or not Path(argv[0]).is_dir():
+        tool = Path(sys.argv[0]).name
+        print(f"usage: {tool} [repo-root]  (not a repository directory: "
+              f"{' '.join(argv)!r})", file=sys.stderr)
+        sys.exit(2)
+    return Path(argv[0])
 
 
 def load_libclang(root: Path):
@@ -81,25 +87,6 @@ def report(tool: str, findings: list, ok_message: str, mode: str = None) -> int:
         print(f"{tool}: {len(findings)} finding(s){tag}")
         return 1
     print(f"{tool}: OK{tag} ({ok_message})")
-    return 0
-
-
-def run_text_fixtures(tool: str, fixtures: list, lint) -> int:
-    """Run a (name, text, expect_findings) fixture suite through ``lint``
-    (text -> findings list).  Returns the self-test exit code."""
-    failures = 0
-    for name, text, expect_findings in fixtures:
-        findings = lint(text)
-        if bool(findings) != expect_findings:
-            failures += 1
-            verdict = "expected findings" if expect_findings else "clean"
-            print(f"SELF-TEST FAIL [{name}]: wanted {verdict}, got:")
-            for f in findings:
-                print(f"  {f}")
-    if failures:
-        print(f"{tool} self-test: {failures} fixture(s) failed")
-        return 1
-    print(f"{tool} self-test: all {len(fixtures)} fixtures pass")
     return 0
 
 

@@ -4,7 +4,7 @@ on every push, before the build).
 
 The simulator core is annotated with the zero-cost attributes from
 src/common/annotate.hh; this tool builds a call graph over src/ (the
-shared walker in tools/lint_common.py, also used by lint_concurrency.py)
+shared walker in tools/lint_common.py)
 and walks it transitively from every annotated root, enforcing:
 
 R1 (ASCOMA_HOT_PATH) — no heap allocation reachable: no new/malloc, no

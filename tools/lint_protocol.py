@@ -14,7 +14,10 @@ Checks, over the source text alone:
    be silently dropped by the profiler/heat-map layer.  kNumEventKinds must
    equal the enumerator count.
 
-Usage: tools/lint_protocol.py [repo-root]       (exit 0 clean, 1 findings)
+Usage: tools/lint_protocol.py [repo-root]       (exit 0 clean, 1 findings,
+                                                 2 usage error: a flag or
+                                                 a path that is not a
+                                                 directory)
 """
 
 import re
