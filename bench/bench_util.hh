@@ -41,17 +41,23 @@ inline unsigned bench_threads() {
 
 /// When ASCOMA_BENCH_CSV is set, append every sweep result as CSV rows to
 /// that file (header written once per file) — every bench's one
-/// machine-readable output, alongside the human-readable tables.
+/// machine-readable output, alongside the human-readable tables.  A file
+/// that cannot be opened or written ends the bench with exit status 1, as
+/// the CLI's exporters do.
 inline void maybe_export_csv(const std::string& workload,
                              const std::vector<core::SweepResult>& rs) {
   const char* path = std::getenv("ASCOMA_BENCH_CSV");
   if (!path || !*path) return;
   const bool fresh = !std::ifstream(path).good();
   std::ofstream csv(path, std::ios::app);
-  if (!csv) return;
   if (fresh) csv << report::csv_header_walltime() << '\n';
   for (const auto& r : rs)
     csv << report::csv_row(workload, to_string(r.job.config.arch), r) << '\n';
+  csv.flush();
+  if (!csv) {  // failed to open, or a write failed
+    std::cerr << "cannot write bench CSV file: " << path << '\n';
+    std::exit(1);
+  }
 }
 
 /// The bar sets shown in Figures 2 and 3, per application.  S-COMA is only

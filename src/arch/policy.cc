@@ -32,16 +32,16 @@ void Policy::on_remap_suppressed(PolicyEnv& env) { (void)env; }
 
 void Policy::note_threshold_raise(PolicyEnv& env) {
   ++env.kernel.threshold_raises;
-  if (env.sink)
-    env.sink->emit(obs::EventKind::kThresholdRaise, env.now, env.node,
-                   kInvalidPage, threshold_, relocation_enabled_ ? 1 : 0);
+  if (env.probe)
+    env.probe->event(obs::EventKind::kThresholdRaise, env.now, env.node,
+                     kInvalidPage, threshold_, relocation_enabled_ ? 1 : 0);
 }
 
 void Policy::note_threshold_drop(PolicyEnv& env) {
   ++env.kernel.threshold_drops;
-  if (env.sink)
-    env.sink->emit(obs::EventKind::kThresholdDrop, env.now, env.node,
-                   kInvalidPage, threshold_, relocation_enabled_ ? 1 : 0);
+  if (env.probe)
+    env.probe->event(obs::EventKind::kThresholdDrop, env.now, env.node,
+                     kInvalidPage, threshold_, relocation_enabled_ ? 1 : 0);
 }
 
 std::unique_ptr<Policy> make_policy(const MachineConfig& cfg) {

@@ -15,7 +15,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "store/codec.hh"
 #include "vm/page_cache.hh"
 #include "vm/pageout_daemon.hh"
@@ -30,7 +30,7 @@ struct PolicyEnv {
   KernelStats& kernel;
   Cycle& daemon_period;  ///< node's current pageout-daemon period (cycles)
   Cycle now{0};         ///< current simulated cycle
-  obs::EventSink* sink = nullptr;  ///< observability sink (may be null)
+  obs::Probe* probe = nullptr;  ///< the run's observation hook (may be null)
 };
 
 class Policy {

@@ -12,10 +12,7 @@
 #include "common/types.hh"
 
 namespace ascoma::obs {
-class EventSink;  // observability collection point (src/obs/sink.hh)
-}
-namespace ascoma::prof {
-class Profiler;  // latency-attribution profiler (src/prof/profiler.hh)
+class Probe;  // the run's observation hook (src/obs/probe.hh)
 }
 
 namespace ascoma {
@@ -139,24 +136,20 @@ struct MachineConfig {
   // ---- architecture under test --------------------------------------------
   ArchModel arch = ArchModel::kAsComa;
 
-  // ---- observability (src/obs) ---------------------------------------------
-  // Non-owning: when set, the machine emits typed, cycle-stamped events
+  // ---- observability (src/obs, src/prof) ----------------------------------
+  // Non-owning: when set, the machine hands its typed, cycle-stamped events
   // (faults, remaps, daemon runs, back-off moves, directory traffic,
-  // barriers) into the sink and samples per-node gauges every
-  // `sample_every` cycles (0 disables sampling).  Attaching a sink never
-  // changes simulated behaviour, only records it.  Sinks are not
-  // thread-safe: do not share one across concurrent simulate() calls.
-  obs::EventSink* sink = nullptr;
+  // barriers), its per-node gauge samples and the latency attribution of
+  // every blocking demand access to the probe, which forwards them to its
+  // profiler and/or event ring.  With it null every hook skips one
+  // predictable branch.  Attaching a probe never changes simulated
+  // behaviour, only records it.  Not thread-safe: do not share one across
+  // concurrent simulate() calls.
+  obs::Probe* probe = nullptr;
+  // Gauge sampling period in cycles (0 disables sampling); samples reach
+  // the probe's event ring.  Part of the machine's identity: the sampler
+  // clock is checkpointed.
   Cycles sample_every{0};
-
-  // ---- profiling (src/prof) -------------------------------------------------
-  // Non-owning: when set, every blocking demand access is bracketed and its
-  // latency attributed to per-component histograms, and (via the sink's
-  // EventObserver slot, wired by core::Machine) the event stream is folded
-  // into per-page heat counters.  Like `sink`, attaching a profiler never
-  // changes simulated behaviour; with it null the timing helpers skip one
-  // predictable branch.  Not thread-safe across concurrent simulate() calls.
-  prof::Profiler* profiler = nullptr;
 
   // ---- robustness / fault injection (src/fault) ----------------------------
   // All fault knobs default *off*; the zero-fault configuration is

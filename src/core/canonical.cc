@@ -5,8 +5,8 @@
 namespace ascoma::core {
 
 // ---- MachineConfig ----------------------------------------------------------
-// Field order is declaration order in config.hh.  The non-owning sink and
-// profiler pointers are excluded: attaching observers never changes results.
+// Field order is declaration order in config.hh.  The non-owning probe
+// pointer is excluded: attaching an observer never changes results.
 
 void encode_config(store::Encoder& e, const MachineConfig& c) {
   e.begin_section("cfg");
@@ -133,8 +133,7 @@ void decode_config(store::Decoder& d, MachineConfig* c) {
   c->watchdog_cycles = Cycles{d.u64()};
   c->seed = d.u64();
   c->check_invariants = d.b();
-  c->sink = nullptr;
-  c->profiler = nullptr;
+  c->probe = nullptr;
   d.end_section();
 }
 

@@ -49,7 +49,7 @@ struct Fingerprint {
 
 /// Fingerprint of a machine's identity (config + workload shape); stamped
 /// into snapshots so a checkpoint can only restore into a machine built the
-/// same way.  The non-owning sink and profiler pointers are not part of it.
+/// same way.  The non-owning probe pointer is not part of it.
 Fingerprint machine_fingerprint(const MachineConfig& cfg,
                                 const std::string& workload_name,
                                 std::uint64_t total_pages,

@@ -106,12 +106,9 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
     page_tables_[homes_.home_of(p)]->map_home(p);
   cmem_->set_page_tables(table_ptrs);
 
-  sink_ = cfg_.sink;
+  probe_ = cfg_.probe;
   sampler_ = obs::Sampler(cfg_.sample_every);
-  cmem_->set_sink(sink_);
-  prof_ = cfg_.profiler;
-  cmem_->set_profiler(prof_);
-  if (sink_) sink_->set_observer(prof_);
+  cmem_->set_probe(probe_);
 
   node_stats_.assign(cfg_.total_procs(), NodeStats{});
   if (!cfg_.blocking_stores) {
@@ -141,7 +138,7 @@ void Machine::take_samples(Cycle cycle) {
     for (std::uint32_t p = n.value() * cfg_.procs_per_node;
          p < (n.value() + 1) * cfg_.procs_per_node; ++p)
       s.remote_misses += node_stats_[p].misses.remote();
-    sink_->add_sample(s);
+    probe_->sample(s);
   }
 }
 
@@ -153,7 +150,7 @@ arch::PolicyEnv Machine::env(std::uint32_t proc, Cycle now) {
                          node_stats_[proc].kernel,
                          daemon_period_[n],
                          now,
-                         sink_};
+                         probe_};
 }
 
 VPageId Machine::force_select_victim(NodeId node) {
@@ -380,16 +377,17 @@ void Machine::execute_op(std::uint32_t p, const Op& op) {
       // Profile every blocking demand access; store-buffer drains are
       // background traffic and stay out of the latency histograms.
       const bool buffered_store = is_store && !cfg_.blocking_stores;
-      const bool profiled = prof_ != nullptr && !buffered_store;
-      if (profiled) prof_->begin_access(now);
+      const bool profiled =
+          probe_ != nullptr && probe_->profiler() && !buffered_store;
+      if (profiled) probe_->begin_access(now);
       Cycle t = now;
       if (pt.mode(page) == PageMode::kUnmapped) {
         const auto [base, ovhd] = handle_fault(p, page, t);
         s.time[TimeBucket::kKernelBase] += base;
         s.time[TimeBucket::kKernelOvhd] += ovhd;
         if (profiled) {
-          prof_->add(prof::Component::kVmFault, base);
-          prof_->add(prof::Component::kVmKernel, ovhd);
+          probe_->add(prof::Component::kVmFault, base);
+          probe_->add(prof::Component::kVmKernel, ovhd);
         }
         t += base + ovhd;
       }
@@ -433,7 +431,7 @@ void Machine::execute_op(std::uint32_t p, const Op& op) {
           ++s.kernel.refetch_notifications;
           const Cycle c = handle_relocation(p, page, ready);
           s.time[TimeBucket::kKernelOvhd] += c;
-          if (profiled) prof_->add(prof::Component::kVmKernel, c);
+          if (profiled) probe_->add(prof::Component::kVmKernel, c);
           ready += c;
           relocated = true;
         }
@@ -468,8 +466,8 @@ void Machine::execute_op(std::uint32_t p, const Op& op) {
               break;
           }
         }
-        prof_->end_access(cls, page, ready - now, o.remote,
-                          o.counted_refetch);
+        probe_->end_access(cls, page, ready - now, o.remote,
+                           o.counted_refetch);
       }
       sched_.set_ready(p, ready);
       return;
@@ -524,9 +522,10 @@ void Machine::execute_op(std::uint32_t p, const Op& op) {
 RunResult Machine::run() {
   ASCOMA_CHECK_MSG(!ran_, "Machine::run() is single-shot");
   ran_ = true;
-  if (prof_)
-    prof_->set_meta(wl_.name(), to_string(cfg_.arch), cfg_.memory_pressure,
-                    cfg_.seed);
+  prof::Profiler* const profiler = probe_ ? probe_->profiler() : nullptr;
+  if (profiler)
+    profiler->set_meta(wl_.name(), to_string(cfg_.arch),
+                       cfg_.memory_pressure, cfg_.seed);
 
   if (!resumed_) {
     streams_.clear();
@@ -547,7 +546,7 @@ RunResult Machine::run() {
     // Gauge sampling: the global clock (min ready cycle) just crossed a
     // sample boundary.  One catch-up sample per crossing, stamped at the
     // boundary the clock passed.
-    if (sink_ != nullptr && sampler_.due(now)) {
+    if (probe_ != nullptr && sampler_.due(now)) {
       take_samples(sampler_.boundary());
       sampler_.advance(now);
     }
@@ -587,9 +586,9 @@ RunResult Machine::run() {
 
   // Close the time series with the end-of-run state so the last row of the
   // metrics export agrees with RunResult::final_threshold and friends.
-  if (sink_ != nullptr && sampler_.enabled())
+  if (probe_ != nullptr && sampler_.enabled())
     take_samples(end_cycle_);
-  if (prof_) prof_->set_run_cycles(end_cycle_);
+  if (profiler) profiler->set_run_cycles(end_cycle_);
 
   RunResult r;
   r.config = cfg_;

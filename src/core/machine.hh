@@ -27,8 +27,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/invariants.hh"
-#include "obs/sink.hh"
-#include "prof/profiler.hh"
+#include "obs/probe.hh"
 #include "proto/coherent_memory.hh"
 #include "sim/barrier.hh"
 #include "sim/lock.hh"
@@ -171,11 +170,11 @@ class Machine {
   void execute_op(std::uint32_t p, const Op& op);
   void release_barrier(Cycle release);
 
-  /// Emit an event if a sink is attached (no-op otherwise).
+  /// Hand an event to the probe if one is attached (no-op otherwise).
   ASCOMA_HOT_PATH void note(obs::EventKind kind, Cycle cycle, NodeId node,
                             VPageId page = kInvalidPage, std::uint64_t a = 0,
                             std::uint64_t b = 0, std::uint64_t c = 0) {
-    if (sink_) sink_->emit(kind, cycle, node, page, a, b, c);
+    if (probe_) probe_->event(kind, cycle, node, page, a, b, c);
   }
 
   /// Record one gauge sample per node, stamped `cycle`.
@@ -216,9 +215,8 @@ class Machine {
   /// state, never serialized.
   IdVector<NodeId, Cycle> daemon_gate_;
   std::vector<std::uint8_t> waiting_in_barrier_;
-  obs::EventSink* sink_ = nullptr;  ///< non-owning; null = observability off
+  obs::Probe* probe_ = nullptr;  ///< non-owning; null = observation off
   obs::Sampler sampler_;
-  prof::Profiler* prof_ = nullptr;  ///< non-owning; null = profiling off
   bool ran_ = false;
   bool resumed_ = false;  ///< restore() ran; run() continues mid-stream
   Cycle end_cycle_{0};    ///< max completion cycle seen so far

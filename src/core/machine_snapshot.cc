@@ -162,8 +162,7 @@ void Machine::set_checkpoint(
 
 void Machine::self_check_snapshot(const store::Snapshot& snap) const {
   MachineConfig cfg = cfg_;
-  cfg.sink = nullptr;
-  cfg.profiler = nullptr;
+  cfg.probe = nullptr;
   Machine scratch(cfg, wl_);
   scratch.restore(snap);
   store::Snapshot again;

@@ -223,11 +223,11 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
           opts.straggler_factor * static_cast<double>(median.value()))
         continue;
       r.timing.straggler = true;
-      if (opts.sink != nullptr)
-        opts.sink->emit(obs::EventKind::kSweepStraggler,
-                        r.result.stats.parallel_cycles, NodeId{0},
-                        kInvalidPage, r.timing.wall.value() / 1'000'000,
-                        median.value() / 1'000'000, i);
+      if (opts.probe != nullptr)
+        opts.probe->event(obs::EventKind::kSweepStraggler,
+                          r.result.stats.parallel_cycles, NodeId{0},
+                          kInvalidPage, r.timing.wall.value() / 1'000'000,
+                          median.value() / 1'000'000, i);
     }
   }
   return results;

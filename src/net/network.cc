@@ -33,26 +33,27 @@ Network::Attempt Network::try_deliver(Cycle now, NodeId src, NodeId dst) {
   if (plan_ && plan_->enabled()) {
     const fault::FaultDecision d = plan_->decide(now, src, dst);
     if (d.drop) {
-      if (sink_)
-        sink_->emit(obs::EventKind::kFaultInjected, now, src, kInvalidPage,
-                    static_cast<std::uint64_t>(fault::FaultKind::kDrop), dst.value());
+      if (probe_)
+        probe_->event(obs::EventKind::kFaultInjected, now, src, kInvalidPage,
+                      static_cast<std::uint64_t>(fault::FaultKind::kDrop),
+                      dst.value());
       return {at_port, true};  // died in the fabric: never touches the port
     }
     if (d.jitter > Cycle{0}) {
       at_port += d.jitter;
-      if (sink_)
-        sink_->emit(obs::EventKind::kFaultInjected, now, src, kInvalidPage,
-                    static_cast<std::uint64_t>(fault::FaultKind::kJitter), dst.value(),
-                    d.jitter.value());
+      if (probe_)
+        probe_->event(obs::EventKind::kFaultInjected, now, src, kInvalidPage,
+                      static_cast<std::uint64_t>(fault::FaultKind::kJitter),
+                      dst.value(), d.jitter.value());
     }
     if (d.duplicate) {
       // The spurious copy occupies the destination input port ahead of the
       // real one; the receiver's NI discards it by sequence number.
       ports_[dst].acquire(at_port, port_occupancy_);
-      if (sink_)
-        sink_->emit(obs::EventKind::kFaultInjected, now, src, kInvalidPage,
-                    static_cast<std::uint64_t>(fault::FaultKind::kDuplicate),
-                    dst.value());
+      if (probe_)
+        probe_->event(obs::EventKind::kFaultInjected, now, src, kInvalidPage,
+                      static_cast<std::uint64_t>(fault::FaultKind::kDuplicate),
+                      dst.value());
     }
   }
   // The input port serializes arriving messages, then the destination NI

@@ -32,7 +32,7 @@
 #include "common/config.hh"
 #include "common/types.hh"
 #include "fault/plan.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "sim/resource.hh"
 #include "store/codec.hh"
 
@@ -45,9 +45,9 @@ class Network {
   /// Attach a fault plan (nullptr detaches).  Non-owning.
   void set_fault_plan(fault::FaultPlan* plan) { plan_ = plan; }
 
-  /// Attach an observability sink (nullptr detaches); injected faults are
-  /// emitted as kFaultInjected events.
-  void set_sink(obs::EventSink* sink) { sink_ = sink; }
+  /// Attach the run's probe (nullptr detaches); injected faults are
+  /// reported as kFaultInjected events.
+  void set_probe(obs::Probe* probe) { probe_ = probe; }
 
   /// One delivery attempt src -> dst injected at `now`.
   struct Attempt {
@@ -134,7 +134,7 @@ class Network {
   std::uint64_t messages_ = 0;
   std::uint64_t retransmits_ = 0;
   fault::FaultPlan* plan_ = nullptr;  // non-owning
-  obs::EventSink* sink_ = nullptr;    // non-owning
+  obs::Probe* probe_ = nullptr;       // non-owning
 };
 
 }  // namespace ascoma::net

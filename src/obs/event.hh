@@ -6,8 +6,9 @@
 // faults, allocation mode choices, CC-NUMA<->S-COMA remaps, pageout-daemon
 // runs, back-off threshold moves, relocation suppression, directory
 // invalidations/forwards, and barrier episodes — is describable as one
-// fixed-size Event.  Producers call obs::EventSink::emit(); nothing in the
-// simulator ever blocks or allocates on the emission path.
+// fixed-size Event.  Producers hand events to the run's obs::Probe
+// (obs/probe.hh); nothing in the simulator ever blocks on the emission
+// path.
 
 #include <cstdint>
 

@@ -7,11 +7,11 @@
 // tallies that keep counting even when the buffer overflows (exact totals
 // survive drops), and (3) the time-series samples produced by the gauge
 // Sampler.  Emission is a bounds-check and a push_back into pre-reserved
-// storage; with no sink installed, producers skip a single null check, so
+// storage; with no probe attached, producers skip a single null check, so
 // the instrumented simulator stays within noise of the bare one.
 //
-// Sinks are attached per run via MachineConfig::sink (non-owning pointer) or
-// passed directly to exporters; they are not thread-safe and must not be
+// A sink is attached to a run through an obs::Probe (src/obs/probe.hh) or
+// passed directly to exporters; it is not thread-safe and must not be
 // shared across concurrent core::simulate() calls (sweep runs).
 
 #include <array>
@@ -36,44 +36,22 @@ struct Sample {
   std::uint64_t remote_misses = 0;   ///< cumulative remote fetches by node
 };
 
-/// Streaming consumer of the event flow.  An observer registered on an
-/// EventSink sees every emitted event *before* ring-buffer capacity is
-/// applied, so derived aggregates (e.g. the profiler's per-page heat map)
-/// stay exact even when the buffer overflows and drops events.
-class EventObserver {
- public:
-  virtual ~EventObserver() = default;
-  virtual void on_event(const Event& e) = 0;
-};
-
 class EventSink {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   explicit EventSink(std::size_t capacity = kDefaultCapacity);
 
-  /// Attach a streaming observer (nullptr detaches).  Non-owning; survives
-  /// clear().  At most one observer per sink.
-  void set_observer(EventObserver* observer) { observer_ = observer; }
-  EventObserver* observer() const { return observer_; }
-
   /// Record one event; O(1), never allocates.  Once the buffer is full the
   /// event is dropped (oldest events are kept — the front of a trace is the
   /// part that explains how the run got where it is) but still tallied.
   void emit(const Event& e) {
-    if (observer_) observer_->on_event(e);
     ++tally_[static_cast<int>(e.kind)];
     if (events_.size() == capacity_) {
       ++dropped_;
       return;
     }
     events_.push_back(e);
-  }
-
-  void emit(EventKind kind, Cycle cycle, NodeId node,
-            VPageId page = kInvalidPage, std::uint64_t a = 0,
-            std::uint64_t b = 0, std::uint64_t c = 0) {
-    emit(Event{cycle, kind, node, page, a, b, c});
   }
 
   void add_sample(const Sample& s) { samples_.push_back(s); }
@@ -101,7 +79,6 @@ class EventSink {
 
  private:
   std::size_t capacity_;
-  EventObserver* observer_ = nullptr;  // non-owning
   std::vector<Event> events_;
   std::vector<Sample> samples_;
   std::array<std::uint64_t, kNumEventKinds> tally_{};

@@ -116,7 +116,7 @@ PageHeat& Profiler::page(VPageId p) {
   return h;
 }
 
-void Profiler::on_event(const obs::Event& e) {
+void Profiler::fold(const obs::Event& e) {
   if (e.node.value() >= nodes_.size()) nodes_.resize(e.node.value() + 1);
   NodeHeat& n = nodes_[e.node.value()];
   switch (e.kind) {
@@ -158,33 +158,17 @@ void Profiler::on_event(const obs::Event& e) {
       ++n.daemon_runs;
       if (e.c == 0) ++n.daemon_failures;
       break;
+    // Machine-wide protocol and robustness events carry no page heat;
+    // RunResult's counters and the event ring's tallies count them.
     case obs::EventKind::kRelocInterrupt:
-      ++proto_.reloc_interrupts;
-      break;
     case obs::EventKind::kDirInvalidation:
-      ++proto_.dir_invalidations;
-      proto_.inval_targets += e.b;
-      break;
     case obs::EventKind::kDirForward:
-      ++proto_.dir_forwards;
-      break;
     case obs::EventKind::kBarrierRelease:
-      ++proto_.barrier_releases;
-      break;
     case obs::EventKind::kFaultInjected:
-      ++proto_.faults_injected;
-      break;
     case obs::EventKind::kNack:
-      ++proto_.nacks;
-      break;
     case obs::EventKind::kRetry:
-      ++proto_.retries;
-      break;
     case obs::EventKind::kWatchdogTrip:
-      ++proto_.watchdog_trips;
-      break;
     case obs::EventKind::kSweepStraggler:
-      ++proto_.sweep_stragglers;
       break;
   }
   // No default: -Wswitch (promoted by ASCOMA_WERROR) forces a fold for every

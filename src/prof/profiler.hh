@@ -20,17 +20,17 @@
 //     attribution_mismatches() counts any access for which they do not
 //     (always 0 unless an instrumentation site is missed).
 //
-//   * Per-page heat — the profiler implements obs::EventObserver and, when
-//     registered on the run's EventSink, folds the event stream into
-//     per-page counters (faults, allocation modes, upgrades, evictions,
-//     suppressed remaps) and per-node back-off trajectories (threshold
-//     raises/drops, daemon runs).  Refetch and remote-fetch counts per page
-//     come from end_access().  Exact even when the sink's ring buffer
-//     overflows, because observers run on every emit.
+//   * Per-page heat — fold() takes every event of the run (forwarded by the
+//     run's obs::Probe) into per-page counters (faults, allocation modes,
+//     upgrades, evictions, suppressed remaps) and per-node back-off
+//     trajectories (threshold raises/drops, daemon runs).  Refetch and
+//     remote-fetch counts per page come from end_access().  The probe folds
+//     before any event ring applies its capacity, so the heat map is exact
+//     whether or not a ring is attached or overflows.
 //
-// Attach via MachineConfig::profiler (non-owning, like MachineConfig::sink).
-// A profiler never changes simulated behaviour — runs with and without one
-// are bit-identical.  Not thread-safe: do not share across concurrent
+// Attach via an obs::Probe (MachineConfig::probe, non-owning).  A profiler
+// never changes simulated behaviour — runs with and without one are
+// bit-identical.  Not thread-safe: do not share across concurrent
 // simulate() calls.
 //
 // write_profile(dir) dumps the whole profile as machine-readable artifacts
@@ -44,7 +44,7 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "obs/sink.hh"
+#include "obs/event.hh"
 #include "prof/histogram.hh"
 
 namespace ascoma::prof {
@@ -105,25 +105,6 @@ struct PageHeat {
   }
 };
 
-/// Machine-wide protocol/robustness census folded from the event stream.
-/// Every obs::EventKind has a fold: page-subject events land in PageHeat /
-/// NodeHeat, the rest land here (tools/lint_protocol.py statically verifies
-/// the switch in profiler.cc stays exhaustive).  Not part of the CSV/JSON
-/// dump schemas — exposed via Profiler::protocol_counters() for tests and
-/// future exporters.
-struct ProtocolCounters {
-  std::uint64_t reloc_interrupts = 0;   ///< kRelocInterrupt deliveries
-  std::uint64_t dir_invalidations = 0;  ///< kDirInvalidation episodes
-  std::uint64_t inval_targets = 0;      ///< sharers invalidated across them
-  std::uint64_t dir_forwards = 0;       ///< kDirForward 3-hop forwards
-  std::uint64_t barrier_releases = 0;   ///< kBarrierRelease episodes
-  std::uint64_t faults_injected = 0;    ///< kFaultInjected plan hits
-  std::uint64_t nacks = 0;              ///< kNack refusals observed
-  std::uint64_t retries = 0;            ///< kRetry retransmissions observed
-  std::uint64_t watchdog_trips = 0;     ///< kWatchdogTrip aborts (0 or 1)
-  std::uint64_t sweep_stragglers = 0;   ///< kSweepStraggler flags observed
-};
-
 /// Per-node policy trajectory (back-off epochs).
 struct NodeHeat {
   std::uint64_t threshold_raises = 0;
@@ -134,7 +115,7 @@ struct NodeHeat {
   std::uint64_t last_threshold = 0;   ///< threshold after the last move
 };
 
-class Profiler final : public obs::EventObserver {
+class Profiler {
  public:
   Profiler();
 
@@ -155,11 +136,13 @@ class Profiler final : public obs::EventObserver {
   /// marks a directory-counted conflict refetch.
   void end_access(AccessClass cls, VPageId page, Cycle end_to_end,
                   bool remote, bool refetch);
-  void cancel_access() { in_access_ = false; }
   bool in_access() const { return in_access_; }
 
-  // ---- heat-map event intake (obs::EventObserver) --------------------------
-  void on_event(const obs::Event& e) override;
+  // ---- heat-map event intake (forwarded by obs::Probe) ----------------------
+  /// Fold one event into the heat map.  Page-subject events land in
+  /// PageHeat, back-off and daemon events in NodeHeat; every other kind is
+  /// a listed no-op (tools/lint_protocol.py keeps the switch exhaustive).
+  void fold(const obs::Event& e);
 
   // ---- results -------------------------------------------------------------
   std::uint64_t accesses() const { return accesses_; }
@@ -178,7 +161,6 @@ class Profiler final : public obs::EventObserver {
   /// Heat rows for pages with any recorded activity, ascending page id.
   std::vector<PageHeat> page_heat() const;
   const std::vector<NodeHeat>& node_heat() const { return nodes_; }
-  const ProtocolCounters& protocol_counters() const { return proto_; }
 
   // ---- export --------------------------------------------------------------
   void write_latency_csv(std::ostream& os) const;
@@ -214,7 +196,6 @@ class Profiler final : public obs::EventObserver {
   /// page was last evicted; sentinel ~0ull = never.
   std::vector<std::uint64_t> page_last_epoch_;
   std::vector<NodeHeat> nodes_;
-  ProtocolCounters proto_;
 
   std::string workload_;
   std::string arch_;

@@ -149,8 +149,8 @@ void CoherentMemory::prof_net(Cycle t, Cycle arrival, NodeId src,
   // injected jitter.
   const Cycle delta = arrival - t;
   const Cycle fabric = std::min(delta, net_.uncontended_latency(src, dst));
-  prof_->add(prof::Component::kNetFabric, fabric);
-  if (delta > fabric) prof_->add(prof::Component::kNetQueue, delta - fabric);
+  probe_->add(prof::Component::kNetFabric, fabric);
+  if (delta > fabric) probe_->add(prof::Component::kNetQueue, delta - fabric);
 }
 
 Cycle CoherentMemory::use_net(Cycle t, NodeId src, NodeId dst) {
@@ -173,9 +173,9 @@ Cycle CoherentMemory::use_net(Cycle t, NodeId src, NodeId dst) {
     ++cur_retries_;
     watchdog_.note_retry();
     const Cycle resend = t + net_.retry_timeout() + backoff;
-    if (sink_)
-      sink_->emit(obs::EventKind::kRetry, resend, src, kInvalidPage, dst.value(),
-                  attempt);
+    if (probe_)
+      probe_->event(obs::EventKind::kRetry, resend, src, kInvalidPage,
+                    dst.value(), attempt);
     check_watchdog(resend);
     if (attempt >= cfg_.retry_max_attempts)
       throw_retry_exhausted("request", "", src, dst, resend);
@@ -205,10 +205,9 @@ Cycle CoherentMemory::request_engine(NodeId src, NodeId dst, BlockId block,
     ++cur_nacks_;
     watchdog_.note_nack();
     dir_.note_nack(block, src);
-    if (sink_)
-      sink_->emit(obs::EventKind::kNack, t, dst, cfg_.page_of_block(block),
-                  src.value(),
-                  free_at > t ? (free_at - t).value() : 0);
+    if (probe_)
+      probe_->event(obs::EventKind::kNack, t, dst, cfg_.page_of_block(block),
+                    src.value(), free_at > t ? (free_at - t).value() : 0);
     const Cycle nack_at = use_net(t, dst, src);  // NACK reply to requester
     const Cycle resend = nack_at + backoff;
     prof_add(prof::Component::kBackoff, nack_at, resend);
@@ -224,10 +223,10 @@ Cycle CoherentMemory::request_engine(NodeId src, NodeId dst, BlockId block,
 void CoherentMemory::check_watchdog(Cycle now) {
   if (!watchdog_.expired(now)) return;
   const fault::Watchdog::InFlight& tx = watchdog_.in_flight();
-  if (sink_)
-    sink_->emit(obs::EventKind::kWatchdogTrip, now, node_of(tx.proc),
-                cfg_.page_of(tx.addr), (now - tx.start).value(), tx.retries,
-                tx.nacks);
+  if (probe_)
+    probe_->event(obs::EventKind::kWatchdogTrip, now, node_of(tx.proc),
+                  cfg_.page_of(tx.addr), (now - tx.start).value(), tx.retries,
+                  tx.nacks);
   watchdog_.trip(now, dump_in_flight_state(now));
 }
 
@@ -305,10 +304,10 @@ CoherentMemory::Outcome CoherentMemory::access(std::uint32_t proc, Addr addr,
   background_ = background;
   cur_retries_ = 0;
   cur_nacks_ = 0;
-  // Record attribution only for the profiler-bracketed demand access in
+  // Record attribution only for the probe-bracketed demand access in
   // flight; store-buffer drains and unbracketed accesses (unit tests poking
   // the memory system directly) leave the helpers on their null path.
-  prof_on_ = prof_ != nullptr && !background && prof_->in_access();
+  prof_on_ = probe_ != nullptr && !background && probe_->in_access();
   if (!background && watchdog_.enabled())
     watchdog_.arm(proc, addr, is_store, now);
   Outcome o = access_impl(proc, addr, is_store, now);

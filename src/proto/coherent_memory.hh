@@ -33,8 +33,7 @@
 #include "mem/dram.hh"
 #include "mem/rac.hh"
 #include "net/network.hh"
-#include "obs/sink.hh"
-#include "prof/profiler.hh"
+#include "obs/probe.hh"
 #include "proto/directory.hh"
 #include "proto/refetch.hh"
 #include "sim/resource.hh"
@@ -50,21 +49,17 @@ class CoherentMemory {
   /// The machine must register the per-node page tables before any access.
   void set_page_tables(std::span<const vm::PageTable* const> tables);
 
-  /// Install an observability sink (nullptr detaches).  When set, directory
-  /// invalidation rounds, 3-hop dirty-owner forwards, and recovery traffic
-  /// (injected faults, NACKs, retries, watchdog trips) are emitted as
-  /// events.
-  void set_sink(obs::EventSink* sink) {
-    sink_ = sink;
-    net_.set_sink(sink);
+  /// Attach the run's probe (nullptr detaches); the network shares it.
+  /// Directory invalidation rounds, 3-hop dirty-owner forwards, and
+  /// recovery traffic (injected faults, NACKs, retries, watchdog trips) are
+  /// reported as events.  While a bracketed demand access is in flight, the
+  /// timing helpers attribute every cycle they add to the critical path to
+  /// its Component; background (store-buffer) transactions and accesses
+  /// outside a bracket record nothing.  Observation never changes timing.
+  void set_probe(obs::Probe* probe) {
+    probe_ = probe;
+    net_.set_probe(probe);
   }
-
-  /// Install a latency-attribution profiler (nullptr detaches).  While a
-  /// profiler-bracketed demand access is in flight, the timing helpers
-  /// attribute every cycle they add to the critical path to its Component;
-  /// background (store-buffer) transactions and accesses outside a bracket
-  /// record nothing.  Attribution never changes timing.
-  void set_profiler(prof::Profiler* p) { prof_ = p; }
 
   struct Outcome {
     Cycle done{0};          ///< completion cycle of the access
@@ -178,8 +173,8 @@ class CoherentMemory {
   // Checkpoint serialization (defined adjacently in coherent_memory.cc —
   // pairing check).  Covers every mutable hardware table: caches, resources,
   // directory, refetch counters, fault plan, watchdog, requester-side block
-  // state, and the functional coherence shadow.  The non-owning sink and
-  // profiler pointers are scratch and excluded.
+  // state, and the functional coherence shadow.  The non-owning probe
+  // pointer is scratch and excluded.
   void encode(store::Encoder& e) const;
   void decode(store::Decoder& d);
 
@@ -246,14 +241,14 @@ class CoherentMemory {
   /// Emit a directory-traffic event for `block` on behalf of `requester`.
   void note_dir_event(obs::EventKind kind, Cycle cycle, NodeId requester,
                       BlockId block, std::uint64_t arg) {
-    if (!sink_) return;
-    sink_->emit(kind, cycle, requester, cfg_.page_of_block(block),
-                block.value(), arg);
+    if (!probe_) return;
+    probe_->event(kind, cycle, requester, cfg_.page_of_block(block),
+                  block.value(), arg);
   }
 
   /// Attribute `to - from` critical-path cycles to `c` when recording is on.
   void prof_add(prof::Component c, Cycle from, Cycle to) {
-    if (prof_on_ && to > from) prof_->add(c, to - from);
+    if (prof_on_ && to > from) probe_->add(c, to - from);
   }
   /// Excess of an ack/grant join over the data path (`kInvalStall`).
   void prof_join(Cycle data_path, Cycle joined) {
@@ -263,8 +258,7 @@ class CoherentMemory {
   void prof_net(Cycle t, Cycle arrival, NodeId src, NodeId dst);
 
   bool background_ = false;
-  obs::EventSink* sink_ = nullptr;
-  prof::Profiler* prof_ = nullptr;  // non-owning
+  obs::Probe* probe_ = nullptr;  // non-owning
   bool prof_on_ = false;  ///< recording armed for the access in flight
 
   const MachineConfig cfg_;

@@ -74,22 +74,10 @@ std::string summary_line(const core::RunResult& r) {
   return os.str();
 }
 
-std::string summary_line(const core::RunResult& r,
-                         const obs::EventSink* sink) {
-  std::string line = summary_line(r);
-  if (sink) line += ", " + backoff_trajectory(r, sink);
-  return line;
-}
-
-std::string backoff_trajectory(const core::RunResult& r,
-                               const obs::EventSink* sink) {
+std::string backoff_trajectory(const core::RunResult& r) {
   const auto& k = r.stats.totals.kernel;
-  const std::uint64_t raises =
-      sink ? sink->count(obs::EventKind::kThresholdRaise)
-           : k.threshold_raises;
-  const std::uint64_t drops = sink
-                                  ? sink->count(obs::EventKind::kThresholdDrop)
-                                  : k.threshold_drops;
+  const std::uint64_t raises = k.threshold_raises;
+  const std::uint64_t drops = k.threshold_drops;
   const std::uint32_t final_max =
       r.final_threshold.empty()
           ? r.config.refetch_threshold

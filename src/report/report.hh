@@ -13,7 +13,6 @@
 #include "common/table.hh"
 #include "core/machine.hh"
 #include "core/sweep.hh"
-#include "obs/sink.hh"
 #include "prof/profiler.hh"
 
 namespace ascoma::report {
@@ -40,23 +39,15 @@ Table miss_breakdown_table(const std::vector<LabeledResult>& results);
 /// One-line human summary of a run (cycles, top buckets, miss locality).
 std::string summary_line(const core::RunResult& r);
 
-/// summary_line plus the back-off trajectory when an event sink recorded
-/// the run (threshold raises/drops are read from the event stream).
-std::string summary_line(const core::RunResult& r,
-                         const obs::EventSink* sink);
-
 /// The back-off trajectory of a run: initial -> final refetch threshold
 /// with escalation/relaxation counts, e.g.
 /// "back-off: threshold 64->128 (2 raises, 1 drop), relocation on 8/8
-///  nodes, 5 suppressed remaps".  Raise/drop counts come from the event
-/// stream when `sink` is attached (exact even under buffer overflow),
-/// otherwise from the aggregated KernelStats.
-std::string backoff_trajectory(const core::RunResult& r,
-                               const obs::EventSink* sink = nullptr);
+///  nodes, 5 suppressed remaps".  Counts come from the run's KernelStats.
+std::string backoff_trajectory(const core::RunResult& r);
 
 /// Per-access-class latency table sourced from a run's Profiler: a merged
 /// "all" headline row plus one row per access class with recorded samples.
-/// Requires a profiler attached to the run (MachineConfig::profiler).
+/// Requires a profiler attached to the run (through MachineConfig::probe).
 Table latency_table(const prof::Profiler& prof);
 
 /// CSV schema shared by the CLI and any scripting around the benches.  The

@@ -15,7 +15,7 @@
 #include "core/sweep.hh"
 #include "fault/invariants.hh"
 #include "fault/plan.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "workload/synthetic.hh"
 #include "workload/workload.hh"
 
@@ -172,9 +172,10 @@ TEST(ChaosSoak, RetryAndNackCountersReachTheRunStats) {
 TEST(ChaosSoak, EventTraceRecordsTheChaos) {
   const auto wl = chaos_workload();
   obs::EventSink sink;
+  obs::Probe probe(nullptr, &sink);
   MachineConfig cfg = chaos_config(ArchModel::kAsComa);
   cfg.fault_drop = 0.05;
-  cfg.sink = &sink;
+  cfg.probe = &probe;
   const core::RunResult r = core::simulate(cfg, wl);
   EXPECT_EQ(sink.count(obs::EventKind::kFaultInjected), r.faults_injected);
   EXPECT_GT(sink.count(obs::EventKind::kRetry), 0u);

@@ -17,7 +17,7 @@
 #include "fault/watchdog.hh"
 #include "net/network.hh"
 #include "obs/export.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "proto/coherent_memory.hh"
 #include "vm/home_map.hh"
 #include "vm/page_table.hh"
@@ -279,9 +279,10 @@ TEST_F(FaultyNetworkTest, JitterDelaysArrival) {
 
 TEST_F(FaultyNetworkTest, FaultEventsAreEmitted) {
   obs::EventSink sink;
+  obs::Probe probe(nullptr, &sink);
   plan_.add_rule({fault::FaultKind::kDrop, NodeId{0}, NodeId{1}, Cycle{0}, Cycle{50}});
   net_.set_fault_plan(&plan_);
-  net_.set_sink(&sink);
+  net_.set_probe(&probe);
   net_.try_deliver(Cycle{0}, NodeId{0}, NodeId{1});
   EXPECT_EQ(sink.count(obs::EventKind::kFaultInjected), 1u);
 }
@@ -332,7 +333,8 @@ TEST_F(FaultedMemoryTest, RequestRetriesThroughADropWindow) {
 TEST_F(FaultedMemoryTest, RetriesEmitEventsAndBackOffExponentially) {
   build();
   obs::EventSink sink;
-  cm_->set_sink(&sink);
+  obs::Probe probe(nullptr, &sink);
+  cm_->set_probe(&probe);
   cm_->fault_plan().add_rule({fault::FaultKind::kDrop, NodeId{0}, NodeId{1}, Cycle{0}, Cycle{2000}});
   const auto o = cm_->access(0, addr(VPageId{4}), false, Cycle{0});
   EXPECT_EQ(sink.count(obs::EventKind::kRetry), o.retries);
@@ -342,7 +344,8 @@ TEST_F(FaultedMemoryTest, RetriesEmitEventsAndBackOffExponentially) {
 TEST_F(FaultedMemoryTest, ForcedNackIsCountedEverywhere) {
   build();
   obs::EventSink sink;
-  cm_->set_sink(&sink);
+  obs::Probe probe(nullptr, &sink);
+  cm_->set_probe(&probe);
   // Home node 1 NACKs every request before cycle 500.
   cm_->fault_plan().add_rule(
       {fault::FaultKind::kNack, kInvalidNode, NodeId{1}, Cycle{0}, Cycle{500}});
@@ -380,7 +383,8 @@ TEST_F(FaultedMemoryTest, WatchdogTripsOnAPermanentDrop) {
   cfg_.watchdog_cycles = Cycle{5000};
   build();
   obs::EventSink sink;
-  cm_->set_sink(&sink);
+  obs::Probe probe(nullptr, &sink);
+  cm_->set_probe(&probe);
   cm_->fault_plan().add_rule({fault::FaultKind::kDrop, NodeId{0}, NodeId{1}, Cycle{0}, kNeverCycle});
   try {
     cm_->access(0, addr(VPageId{4}), false, Cycle{0});
@@ -530,7 +534,7 @@ TEST_F(FaultedMemoryTest, SweepReportsAreCappedButCountsAreExact) {
 
 TEST(CrashExporter, FlushWritesOnceAndOnlyOnce) {
   obs::EventSink sink;
-  sink.emit(obs::EventKind::kFaultInjected, Cycle{1}, NodeId{0});
+  sink.emit(obs::Event{Cycle{1}, obs::EventKind::kFaultInjected, NodeId{0}});
   const std::string path =
       ::testing::TempDir() + "/ascoma_crash_events.jsonl";
   std::remove(path.c_str());

@@ -8,7 +8,7 @@
 
 #include "core/machine.hh"
 #include "obs/export.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "workload/synthetic.hh"
 
 namespace ascoma::obs {
@@ -205,11 +205,11 @@ workload::SyntheticWorkload pressured_wl() {
   return workload::SyntheticWorkload(p);
 }
 
-MachineConfig pressured_cfg(EventSink* sink, Cycle sample_every = Cycle{0}) {
+MachineConfig pressured_cfg(Probe* probe, Cycle sample_every = Cycle{0}) {
   MachineConfig c;
   c.arch = ArchModel::kAsComa;
   c.memory_pressure = 0.90;
-  c.sink = sink;
+  c.probe = probe;
   c.sample_every = sample_every;
   return c;
 }
@@ -217,7 +217,8 @@ MachineConfig pressured_cfg(EventSink* sink, Cycle sample_every = Cycle{0}) {
 TEST(MachineObs, EventStreamMatchesKernelStats) {
   const auto w = pressured_wl();
   EventSink sink;
-  const auto r = core::simulate(pressured_cfg(&sink), w);
+  Probe probe(nullptr, &sink);
+  const auto r = core::simulate(pressured_cfg(&probe), w);
   const auto& k = r.stats.totals.kernel;
 
   // The paper's back-off narrative: at 90% pressure AS-COMA must raise its
@@ -239,7 +240,8 @@ TEST(MachineObs, EventStreamMatchesKernelStats) {
 TEST(MachineObs, AttachingASinkDoesNotChangeTheRun) {
   const auto w = pressured_wl();
   EventSink sink;
-  const auto observed = core::simulate(pressured_cfg(&sink, Cycle{10'000}), w);
+  Probe probe(nullptr, &sink);
+  const auto observed = core::simulate(pressured_cfg(&probe, Cycle{10'000}), w);
   const auto bare = core::simulate(pressured_cfg(nullptr), w);
   EXPECT_EQ(observed.cycles(), bare.cycles());
   EXPECT_EQ(observed.stats.totals.misses.total(),
@@ -250,7 +252,8 @@ TEST(MachineObs, AttachingASinkDoesNotChangeTheRun) {
 TEST(MachineObs, FinalSampleMatchesRunResult) {
   const auto w = pressured_wl();
   EventSink sink;
-  const auto r = core::simulate(pressured_cfg(&sink, Cycle{10'000}), w);
+  Probe probe(nullptr, &sink);
+  const auto r = core::simulate(pressured_cfg(&probe, Cycle{10'000}), w);
   ASSERT_FALSE(sink.samples().empty());
 
   // The last nodes() samples are the end-of-run snapshot.

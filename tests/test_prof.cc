@@ -10,13 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/machine.hh"
 #include "obs/export.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "prof/diff.hh"
 #include "prof/histogram.hh"
 #include "prof/profiler.hh"
@@ -131,7 +132,8 @@ TEST(Profiler, AttributionSumsMatchEndToEnd) {
   auto wl = hot_workload();
   Profiler prof;
   MachineConfig cfg = config(ArchModel::kAsComa, 0.7);
-  cfg.profiler = &prof;
+  obs::Probe probe(&prof);
+  cfg.probe = &probe;
   const core::RunResult r = core::simulate(cfg, wl);
   EXPECT_GT(r.cycles(), Cycle{0});
   EXPECT_GT(prof.accesses(), 0u);
@@ -152,7 +154,8 @@ TEST(Profiler, AttributionHoldsPerArchitecture) {
                          ArchModel::kAsComa}) {
     Profiler prof;
     MachineConfig cfg = config(arch, 0.6);
-    cfg.profiler = &prof;
+    obs::Probe probe(&prof);
+    cfg.probe = &probe;
     core::simulate(cfg, wl);
     EXPECT_EQ(prof.attribution_mismatches(), 0u) << to_string(arch);
     EXPECT_GT(prof.accesses(), 0u) << to_string(arch);
@@ -165,7 +168,8 @@ TEST(Profiler, AttachedProfilerDoesNotPerturbTheRun) {
   const core::RunResult a = core::simulate(plain, wl);
   Profiler prof;
   MachineConfig cfg = plain;
-  cfg.profiler = &prof;
+  obs::Probe probe(&prof);
+  cfg.probe = &probe;
   const core::RunResult b = core::simulate(cfg, wl);
   EXPECT_EQ(a.cycles(), b.cycles());
   EXPECT_EQ(a.stats.totals.misses.total(), b.stats.totals.misses.total());
@@ -177,19 +181,22 @@ TEST(Profiler, AttachedProfilerDoesNotPerturbTheRun) {
 
 // The per-page heat rows are folded from the event stream; their totals must
 // reproduce the aggregated kernel statistics exactly (the same invariant the
-// fault tests sweep), including when the sink's ring buffer overflows —
-// observers run on every emit, before the capacity drop.
+// fault tests sweep).  The probe folds every event into the profiler itself,
+// so the heat map needs no event ring, and stays exact when an attached
+// ring overflows — the fold runs before the ring's capacity drop.
 TEST(Profiler, HeatCountsMatchKernelStats) {
   auto wl = hot_workload();
-  for (std::size_t capacity : {std::size_t{1} << 20, std::size_t{8}}) {
-    obs::EventSink sink(capacity);
+  // 0 = a probe holding only the profiler; 8 = plus a ring that overflows.
+  for (std::size_t capacity : {std::size_t{0}, std::size_t{8}}) {
+    std::optional<obs::EventSink> sink;
+    if (capacity > 0) sink.emplace(capacity);
     Profiler prof;
+    obs::Probe probe(&prof, sink ? &*sink : nullptr);
     MachineConfig cfg = config(ArchModel::kAsComa, 0.8);
-    cfg.sink = &sink;
-    cfg.profiler = &prof;
+    cfg.probe = &probe;
     const core::RunResult r = core::simulate(cfg, wl);
-    if (capacity == 8) {
-      EXPECT_GT(sink.dropped(), 0u);
+    if (sink) {
+      EXPECT_GT(sink->dropped(), 0u);
     }
 
     std::uint64_t upgrades = 0, downgrades = 0, suppressed = 0, faults = 0;
@@ -221,7 +228,8 @@ TEST(Profiler, LatencyCsvRoundTripsThroughTheDiffParser) {
   auto wl = hot_workload(4);
   Profiler prof;
   MachineConfig cfg = config(ArchModel::kAsComa, 0.7);
-  cfg.profiler = &prof;
+  obs::Probe probe(&prof);
+  cfg.probe = &probe;
   core::simulate(cfg, wl);
 
   std::ostringstream os;
@@ -243,7 +251,8 @@ TEST(Profiler, WriteProfileEmitsAllArtifacts) {
   auto wl = hot_workload(4);
   Profiler prof;
   MachineConfig cfg = config(ArchModel::kAsComa, 0.7);
-  cfg.profiler = &prof;
+  obs::Probe probe(&prof);
+  cfg.probe = &probe;
   core::simulate(cfg, wl);
 
   const std::filesystem::path dir =
@@ -383,7 +392,8 @@ TEST(Report, CsvRowWithProfilerAppendsHistogramValues) {
   auto wl = hot_workload(4);
   Profiler prof;
   MachineConfig cfg = config(ArchModel::kAsComa, 0.7);
-  cfg.profiler = &prof;
+  obs::Probe probe(&prof);
+  cfg.probe = &probe;
   const core::RunResult r = core::simulate(cfg, wl);
   const std::string plain = report::csv_row("synthetic", "ASCOMA", r);
   const std::string with = report::csv_row("synthetic", "ASCOMA", r, prof);

@@ -19,7 +19,7 @@
 #include "common/check.hh"
 #include "core/canonical.hh"
 #include "store/codec.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "store/snapshot.hh"
 #include "workload/workload.hh"
 
@@ -68,11 +68,13 @@ TEST(Fingerprint, StableAndSensitive) {
   EXPECT_FALSE(a == fp(cfg, "radix", 1024, 16));
   EXPECT_FALSE(a == fp(cfg, "fft", 1025, 16));
   EXPECT_FALSE(a == fp(cfg, "fft", 1024, 8));
-  // The non-owning observability pointers never change results and must not
-  // change the fingerprint.
+  // The non-owning probe never changes results and must not change the
+  // fingerprint.
   k = cfg;
   obs::EventSink sink;
-  k.sink = &sink;
+  prof::Profiler profiler;
+  obs::Probe probe(&profiler, &sink);
+  k.probe = &probe;
   EXPECT_TRUE(a == fp(k, "fft", 1024, 16));
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/host.hh"
-#include "obs/sink.hh"
+#include "obs/probe.hh"
 #include "store/shutdown.hh"
 
 namespace ascoma::core {
@@ -192,10 +192,11 @@ TEST(SweepTelemetry, StragglerFlaggedAgainstMedian) {
   // 10, 10 and 80 ns -> job 2 exceeds 3x the 10 ns median.
   ScriptedClock clk({0, 0, 10, 10, 20, 20, 100});
   obs::EventSink sink;
+  obs::Probe probe(nullptr, &sink);
   SweepOptions opts;
   opts.threads = 1;
   opts.clock = &clk;
-  opts.sink = &sink;
+  opts.probe = &probe;
   const auto res = run_sweep(tiny_jobs(3), opts);
   ASSERT_EQ(res.size(), 3u);
   EXPECT_EQ(res[0].timing.wall, HostNs{10});

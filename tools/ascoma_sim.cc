@@ -69,8 +69,7 @@
 #include "core/machine.hh"
 #include "core/sweep.hh"
 #include "obs/export.hh"
-#include "obs/sink.hh"
-#include "prof/profiler.hh"
+#include "obs/probe.hh"
 #include "report/report.hh"
 #include "store/shutdown.hh"
 #include "store/snapshot.hh"
@@ -327,19 +326,21 @@ int main(int argc, char** argv) {
   }
 
   MachineConfig base;
+  // One probe watches the run.  It holds an event ring only when an export
+  // (--events/--perfetto/--metrics) will read one, and a profiler only for
+  // --profile; the profiler folds its heat map from the probe's events, so
+  // --profile alone needs no ring.
   std::optional<obs::EventSink> sink;
-  if (opt.observing() || opt.profiling()) {
-    // The profiler consumes the event stream (as the sink's observer) for
-    // its heat map, so --profile implies an in-memory sink even when no
-    // trace export was requested.
+  if (opt.observing()) {
     sink.emplace();
-    base.sink = &*sink;
-    if (opt.observing()) base.sample_every = opt.sample_every;
+    base.sample_every = opt.sample_every;
   }
   std::optional<prof::Profiler> profiler;
-  if (opt.profiling()) {
-    profiler.emplace();
-    base.profiler = &*profiler;
+  if (opt.profiling()) profiler.emplace();
+  std::optional<obs::Probe> probe;
+  if (sink || profiler) {
+    probe.emplace(profiler ? &*profiler : nullptr, sink ? &*sink : nullptr);
+    base.probe = &*probe;
   }
   if (opt.threshold) base.refetch_threshold = *opt.threshold;
   if (opt.seed) base.seed = *opt.seed;
@@ -456,7 +457,7 @@ int main(int argc, char** argv) {
     sopts.threads = opt.threads;
     sopts.progress = opt.progress;
     sopts.progress_interval_ms = opt.progress_interval_ms;
-    sopts.sink = sink ? &*sink : nullptr;
+    sopts.probe = base.probe;
     sopts.stop = store::shutdown_flag();
     std::vector<core::SweepResult> sweep;
     try {
@@ -537,9 +538,7 @@ int main(int argc, char** argv) {
       for (auto th : r.result.final_threshold) std::cout << ' ' << th;
       std::cout << '\n';
       std::cout << "  "
-                << report::backoff_trajectory(r.result,
-                                              sink ? &*sink : nullptr)
-                << '\n';
+                << report::backoff_trajectory(r.result) << '\n';
     }
   }
 

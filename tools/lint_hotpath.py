@@ -68,7 +68,7 @@ CLANG_TAGS = {  # [[clang::annotate("...")]] spellings (libclang front end)
 
 HOT_ALLOC_BOUNDARY = {
     # ring buffer reserve()d at construction; full buffer drops, never grows
-    "EventSink::emit",
+    "Probe::event",
     # telemetry samples, rate-limited by the Sampler period; amortized vector
     "EventSink::add_sample",
     # activity bitmap pre-sized by reserve_pages() at machine setup

@@ -123,7 +123,7 @@ def lint_event_folds(root: Path) -> list[str]:
         if kind not in folded:
             findings.append(
                 f"{profiler_cc}: EventKind::{kind} has no profiler fold "
-                f"(add a case to Profiler::on_event)"
+                f"(add a case to Profiler::fold)"
             )
     for kind in sorted(folded):
         if kind not in kinds:
@@ -131,9 +131,9 @@ def lint_event_folds(root: Path) -> list[str]:
                 f"{profiler_cc}: folds unknown EventKind::{kind} "
                 f"(removed from event.hh?)"
             )
-    if re.search(r"Profiler::on_event.*?default\s*:", prof, re.S):
+    if re.search(r"Profiler::fold.*?default\s*:", prof, re.S):
         findings.append(
-            f"{profiler_cc}: Profiler::on_event has a default: label — the "
+            f"{profiler_cc}: Profiler::fold has a default: label — the "
             f"switch must stay exhaustive so -Wswitch catches new kinds"
         )
     return findings
