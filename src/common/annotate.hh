@@ -3,12 +3,10 @@
 // Hot-path / determinism annotations (ARCHITECTURE.md §16).
 //
 // These macros mark the functions whose behaviour the static fence in
-// tools/lint_hotpath.py guards.  They expand to [[clang::annotate]] under
-// clang — so an AST tool can find them — and to nothing everywhere else;
-// either way they cost zero code and zero data (tests/test_annotate.cc
-// asserts both properties compile-time).  The regex front end of the linter
-// matches the macro tokens textually, so annotations work identically on a
-// tree that has never been compiled.
+// tools/lint_hotpath.py guards.  They expand to nothing on every compiler,
+// so they cost zero code and zero data (tests/test_annotate.cc asserts both
+// properties compile-time).  The linter matches the macro tokens textually,
+// so annotations work identically on a tree that has never been compiled.
 //
 // Placement: annotate the *declaration* a reader sees first (the one in the
 // header, or the definition for file-local functions), before the return
@@ -39,12 +37,6 @@
 //   pointer-keyed ordering may be reachable, except through
 //   DETERMINISM_BOUNDARY functions that sort before emitting.
 
-#if defined(__clang__)
-#define ASCOMA_ANNOTATE(tag) [[clang::annotate(tag)]]
-#else
-#define ASCOMA_ANNOTATE(tag)
-#endif
-
-#define ASCOMA_HOT_PATH ASCOMA_ANNOTATE("ascoma::hot_path")
-#define ASCOMA_SIGNAL_SAFE ASCOMA_ANNOTATE("ascoma::signal_safe")
-#define ASCOMA_DETERMINISM_SENSITIVE ASCOMA_ANNOTATE("ascoma::determinism_sensitive")
+#define ASCOMA_HOT_PATH
+#define ASCOMA_SIGNAL_SAFE
+#define ASCOMA_DETERMINISM_SENSITIVE

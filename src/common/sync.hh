@@ -33,8 +33,7 @@
 
 // ---------------------------------------------------------------------------
 // The attribute spellings.  Clang-only: gcc has no thread-safety analysis
-// and warns on the unknown attributes, so they compile away entirely —
-// the same shape as ASCOMA_ANNOTATE in annotate.hh.
+// and warns on the unknown attributes, so they compile away entirely.
 // ---------------------------------------------------------------------------
 
 #if defined(__clang__)

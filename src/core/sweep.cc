@@ -217,18 +217,10 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
   // multiple of the sweep median — the load-imbalance signal.
   if (opts.straggler_factor > 0.0 && results.size() >= 2) {
     const HostNs median = median_wall(results);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      SweepResult& r = results[i];
-      if (static_cast<double>(r.timing.wall.value()) <=
-          opts.straggler_factor * static_cast<double>(median.value()))
-        continue;
-      r.timing.straggler = true;
-      if (opts.probe != nullptr)
-        opts.probe->event(obs::EventKind::kSweepStraggler,
-                          r.result.stats.parallel_cycles, NodeId{0},
-                          kInvalidPage, r.timing.wall.value() / 1'000'000,
-                          median.value() / 1'000'000, i);
-    }
+    for (SweepResult& r : results)
+      r.timing.straggler =
+          static_cast<double>(r.timing.wall.value()) >
+          opts.straggler_factor * static_cast<double>(median.value());
   }
   return results;
 }

@@ -8,8 +8,8 @@
 // Besides the RunResults themselves the sweep records each job's host wall
 // time (ARCHITECTURE.md §14), can stream a single-line-JSON progress
 // heartbeat to stderr (`--progress` in the CLI), and flags straggler jobs
-// whose wall time exceeded a configurable multiple of the sweep median,
-// reporting a kSweepStraggler event to the options' probe.
+// whose wall time exceeded a configurable multiple of the sweep median
+// (SweepTiming::straggler).
 
 #include <atomic>
 #include <cstdint>
@@ -19,7 +19,6 @@
 
 #include "common/config.hh"
 #include "core/machine.hh"
-#include "obs/probe.hh"
 #include "core/host.hh"
 
 namespace ascoma::core {
@@ -57,7 +56,6 @@ struct SweepOptions {
   /// A job is a straggler when its wall time exceeds this multiple of the
   /// sweep median (needs >= 2 jobs); 0 disables the check.
   double straggler_factor = 3.0;
-  obs::Probe* probe = nullptr;  ///< kSweepStraggler
   HostClock* clock = nullptr;   ///< injectable for tests
   /// Cooperative stop flag (the CLI wires the SIGINT/SIGTERM handler here):
   /// when it reads true, workers finish their in-flight job and claim no
@@ -73,7 +71,7 @@ struct SweepOptions {
 std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                                    const SweepOptions& opts);
 
-/// Back-compat entry point: no progress, no straggler probe.
+/// Back-compat entry point: no progress, no straggler check.
 std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                                    unsigned threads = 0);
 

@@ -170,23 +170,4 @@ bool write_metrics_csv_file(const std::string& path, const EventSink& sink) {
                     [&](std::ostream& os) { write_metrics_csv(os, sink); });
 }
 
-std::size_t CrashExporter::flush() noexcept {
-  if (flushed_ || sink_ == nullptr) return 0;
-  flushed_ = true;
-  std::size_t written = 0;
-  try {
-    if (!events_path_.empty() && write_jsonl_file(events_path_, *sink_))
-      ++written;
-    if (!perfetto_path_.empty() &&
-        write_perfetto_file(perfetto_path_, *sink_, nodes_))
-      ++written;
-    if (!metrics_path_.empty() &&
-        write_metrics_csv_file(metrics_path_, *sink_))
-      ++written;
-  } catch (...) {
-    // A crash-path flush must never mask the original failure.
-  }
-  return written;
-}
-
 }  // namespace ascoma::obs

@@ -53,36 +53,4 @@ bool write_perfetto_file(const std::string& path, const EventSink& sink,
                          std::uint32_t nodes);
 bool write_metrics_csv_file(const std::string& path, const EventSink& sink);
 
-/// Post-mortem flusher: binds a sink to its configured export paths so that
-/// an abnormal termination (CheckFailure, WatchdogError) can still persist
-/// the trace that explains the failure.  flush() writes every configured
-/// path once; later calls are no-ops, so a crash handler may call it
-/// unconditionally and a successful run's regular export can take over.
-class CrashExporter {
- public:
-  CrashExporter() = default;
-  CrashExporter(const EventSink* sink, std::string events_path,
-                std::string perfetto_path, std::string metrics_path,
-                std::uint32_t nodes)
-      : sink_(sink),
-        events_path_(std::move(events_path)),
-        perfetto_path_(std::move(perfetto_path)),
-        metrics_path_(std::move(metrics_path)),
-        nodes_(nodes) {}
-
-  /// Returns the number of files written (0 when unbound, already flushed,
-  /// or no paths are configured).  Never throws.
-  std::size_t flush() noexcept;
-
-  bool flushed() const { return flushed_; }
-
- private:
-  const EventSink* sink_ = nullptr;
-  std::string events_path_;
-  std::string perfetto_path_;
-  std::string metrics_path_;
-  std::uint32_t nodes_ = 0;
-  bool flushed_ = false;
-};
-
 }  // namespace ascoma::obs

@@ -4,13 +4,12 @@
 //
 // A run is watched through one non-owning `obs::Probe*`
 // (MachineConfig::probe).  Every producer — core::Machine, the policies,
-// proto::CoherentMemory, net::Network and the sweep runner — hands its
-// events, gauge samples and latency attribution to the probe, and the probe
-// forwards them to whichever consumers it was built with:
+// proto::CoherentMemory and net::Network — hands its events, gauge samples
+// and latency attribution to the probe, and the probe forwards them to
+// whichever consumers it was built with:
 //
-//   * a prof::Profiler — folds every event into per-page heat and per-node
-//     back-off counters, and records the latency attribution of each
-//     bracketed demand access;
+//   * a prof::Profiler — folds every event into per-page heat, and records
+//     the latency attribution of each bracketed demand access;
 //   * an obs::EventSink — the bounded event ring and the gauge time series
 //     the JSONL / Perfetto / metrics exporters read.
 //

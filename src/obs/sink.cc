@@ -23,7 +23,6 @@ const char* to_string(EventKind k) {
     case EventKind::kNack: return "nack";
     case EventKind::kRetry: return "retry";
     case EventKind::kWatchdogTrip: return "watchdog_trip";
-    case EventKind::kSweepStraggler: return "sweep_straggler";
   }
   return "?";
 }
@@ -42,15 +41,13 @@ const char* arg_name(EventKind k, int i) {
     case EventKind::kBarrierRelease:
       return i == 0 ? "episode" : nullptr;
     case EventKind::kFaultInjected:
-      return i == 0 ? "kind" : i == 1 ? "dst" : "jitter";
+      return i == 0 ? "fault" : i == 1 ? "dst" : "jitter";
     case EventKind::kNack:
       return i == 0 ? "requester" : i == 1 ? "backlog" : nullptr;
     case EventKind::kRetry:
       return i == 0 ? "dst" : i == 1 ? "attempt" : nullptr;
     case EventKind::kWatchdogTrip:
       return i == 0 ? "elapsed" : i == 1 ? "retries" : "nacks";
-    case EventKind::kSweepStraggler:
-      return i == 0 ? "wall_ms" : i == 1 ? "median_ms" : "job";
     default:
       return nullptr;
   }

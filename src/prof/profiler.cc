@@ -18,13 +18,6 @@ std::uint64_t epoch_key(NodeId node, std::uint64_t raises) {
   return (static_cast<std::uint64_t>(node.value()) << 32) ^ raises;
 }
 
-void json_hist(std::ostream& os, const LatencyHistogram& h) {
-  os << "{\"count\":" << h.count() << ",\"sum\":" << h.sum()
-     << ",\"min\":" << h.min() << ",\"p50\":" << h.p50()
-     << ",\"p90\":" << h.p90() << ",\"p99\":" << h.p99()
-     << ",\"max\":" << h.max() << '}';
-}
-
 void csv_hist(std::ostream& os, const char* cls, const char* component,
               const LatencyHistogram& h) {
   os << obs::csv_field(cls) << ',' << obs::csv_field(component) << ','
@@ -117,8 +110,9 @@ PageHeat& Profiler::page(VPageId p) {
 }
 
 void Profiler::fold(const obs::Event& e) {
-  if (e.node.value() >= nodes_.size()) nodes_.resize(e.node.value() + 1);
-  NodeHeat& n = nodes_[e.node.value()];
+  if (e.node.value() >= node_raises_.size())
+    node_raises_.resize(e.node.value() + 1);
+  std::uint64_t& raises = node_raises_[e.node.value()];
   switch (e.kind) {
     case obs::EventKind::kPageFault:
       ++page(e.page).faults;
@@ -135,7 +129,7 @@ void Profiler::fold(const obs::Event& e) {
     case obs::EventKind::kDowngrade: {
       PageHeat& h = page(e.page);
       ++h.downgrades;
-      const std::uint64_t key = epoch_key(e.node, n.threshold_raises);
+      const std::uint64_t key = epoch_key(e.node, raises);
       if (page_last_epoch_[e.page.value()] != key) {
         page_last_epoch_[e.page.value()] = key;
         ++h.backoff_epochs;
@@ -144,22 +138,14 @@ void Profiler::fold(const obs::Event& e) {
     }
     case obs::EventKind::kRemapSuppressed:
       ++page(e.page).suppressed;
-      ++n.suppressed;
       break;
     case obs::EventKind::kThresholdRaise:
-      ++n.threshold_raises;
-      n.last_threshold = e.a;
+      ++raises;
       break;
+    // Events without page heat: RunResult's counters (the per-node back-off
+    // and daemon counts among them) and the event ring's tallies count them.
     case obs::EventKind::kThresholdDrop:
-      ++n.threshold_drops;
-      n.last_threshold = e.a;
-      break;
     case obs::EventKind::kDaemonRun:
-      ++n.daemon_runs;
-      if (e.c == 0) ++n.daemon_failures;
-      break;
-    // Machine-wide protocol and robustness events carry no page heat;
-    // RunResult's counters and the event ring's tallies count them.
     case obs::EventKind::kRelocInterrupt:
     case obs::EventKind::kDirInvalidation:
     case obs::EventKind::kDirForward:
@@ -168,7 +154,6 @@ void Profiler::fold(const obs::Event& e) {
     case obs::EventKind::kNack:
     case obs::EventKind::kRetry:
     case obs::EventKind::kWatchdogTrip:
-    case obs::EventKind::kSweepStraggler:
       break;
   }
   // No default: -Wswitch (promoted by ASCOMA_WERROR) forces a fold for every
@@ -231,68 +216,6 @@ void Profiler::write_heat_csv(std::ostream& os) const {
   }
 }
 
-void Profiler::write_latency_json(std::ostream& os) const {
-  os << "{\"schema\":\"ascoma.prof.latency/1\",\"workload\":\""
-     << obs::json_escape(workload_) << "\",\"arch\":\""
-     << obs::json_escape(arch_) << "\",\"accesses\":" << accesses_
-     << ",\"attribution_mismatches\":" << mismatches_ << ",\"all\":";
-  json_hist(os, merged_end_to_end());
-  os << ",\"classes\":[";
-  bool first = true;
-  for (int cls = 0; cls < kNumAccessClasses; ++cls) {
-    if (end_to_end_[cls].count() == 0) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"class\":\"" << to_string(static_cast<AccessClass>(cls))
-       << "\",\"total\":";
-    json_hist(os, end_to_end_[cls]);
-    os << ",\"components\":[";
-    bool cfirst = true;
-    for (int c = 0; c < kNumComponents; ++c) {
-      const auto& h = segments_[cls][c];
-      if (h.count() == 0) continue;
-      if (!cfirst) os << ',';
-      cfirst = false;
-      os << "{\"component\":\"" << to_string(static_cast<Component>(c))
-         << "\",\"hist\":";
-      json_hist(os, h);
-      os << '}';
-    }
-    os << "]}";
-  }
-  os << "\n]}\n";
-}
-
-void Profiler::write_heat_json(std::ostream& os) const {
-  os << "{\"schema\":\"ascoma.prof.heat/1\",\"pages\":[";
-  bool first = true;
-  for (const PageHeat& h : page_heat()) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"page\":" << h.page << ",\"accesses\":" << h.accesses
-       << ",\"faults\":" << h.faults << ",\"scoma_allocs\":" << h.scoma_allocs
-       << ",\"numa_allocs\":" << h.numa_allocs
-       << ",\"upgrades\":" << h.upgrades << ",\"downgrades\":" << h.downgrades
-       << ",\"suppressed\":" << h.suppressed
-       << ",\"refetches\":" << h.refetches
-       << ",\"remote_fetches\":" << h.remote_fetches
-       << ",\"backoff_epochs\":" << h.backoff_epochs << '}';
-  }
-  os << "\n],\"nodes\":[";
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const NodeHeat& h = nodes_[n];
-    if (n) os << ',';
-    os << "\n{\"node\":" << n
-       << ",\"threshold_raises\":" << h.threshold_raises
-       << ",\"threshold_drops\":" << h.threshold_drops
-       << ",\"daemon_runs\":" << h.daemon_runs
-       << ",\"daemon_failures\":" << h.daemon_failures
-       << ",\"suppressed\":" << h.suppressed
-       << ",\"last_threshold\":" << h.last_threshold << '}';
-  }
-  os << "\n]}\n";
-}
-
 void Profiler::write_summary_json(std::ostream& os) const {
   // Integers only (pressure as rounded percent): the dump must be
   // byte-stable across toolchains so CI can diff against committed
@@ -328,10 +251,7 @@ bool Profiler::write_profile(const std::string& dir) const {
   };
   return write("latency.csv",
                [&](std::ostream& os) { write_latency_csv(os); }) &&
-         write("latency.json",
-               [&](std::ostream& os) { write_latency_json(os); }) &&
          write("heat.csv", [&](std::ostream& os) { write_heat_csv(os); }) &&
-         write("heat.json", [&](std::ostream& os) { write_heat_json(os); }) &&
          write("summary.json",
                [&](std::ostream& os) { write_summary_json(os); });
 }

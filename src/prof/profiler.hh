@@ -22,9 +22,10 @@
 //
 //   * Per-page heat — fold() takes every event of the run (forwarded by the
 //     run's obs::Probe) into per-page counters (faults, allocation modes,
-//     upgrades, evictions, suppressed remaps) and per-node back-off
-//     trajectories (threshold raises/drops, daemon runs).  Refetch and
-//     remote-fetch counts per page come from end_access().  The probe folds
+//     upgrades, evictions, suppressed remaps, back-off epochs).  Refetch
+//     and remote-fetch counts per page come from end_access().  The
+//     per-node back-off trajectory is not repeated here: RunResult's
+//     per-node KernelStats and final thresholds hold it.  The probe folds
 //     before any event ring applies its capacity, so the heat map is exact
 //     whether or not a ring is attached or overflows.
 //
@@ -34,7 +35,7 @@
 // simulate() calls.
 //
 // write_profile(dir) dumps the whole profile as machine-readable artifacts
-// (latency.csv/json, heat.csv/json, summary.json); tools/ascoma_baseline_diff
+// (latency.csv, heat.csv, summary.json); tools/ascoma_baseline_diff
 // compares two such dumps and flags latency/percentile regressions.
 
 #include <array>
@@ -105,16 +106,6 @@ struct PageHeat {
   }
 };
 
-/// Per-node policy trajectory (back-off epochs).
-struct NodeHeat {
-  std::uint64_t threshold_raises = 0;
-  std::uint64_t threshold_drops = 0;
-  std::uint64_t daemon_runs = 0;
-  std::uint64_t daemon_failures = 0;  ///< runs that missed free_target
-  std::uint64_t suppressed = 0;
-  std::uint64_t last_threshold = 0;   ///< threshold after the last move
-};
-
 class Profiler {
  public:
   Profiler();
@@ -140,8 +131,9 @@ class Profiler {
 
   // ---- heat-map event intake (forwarded by obs::Probe) ----------------------
   /// Fold one event into the heat map.  Page-subject events land in
-  /// PageHeat, back-off and daemon events in NodeHeat; every other kind is
-  /// a listed no-op (tools/lint_protocol.py keeps the switch exhaustive).
+  /// PageHeat, threshold raises open a node's next back-off epoch; every
+  /// other kind is a listed no-op (tools/lint_protocol.py keeps the switch
+  /// exhaustive).
   void fold(const obs::Event& e);
 
   // ---- results -------------------------------------------------------------
@@ -160,13 +152,10 @@ class Profiler {
 
   /// Heat rows for pages with any recorded activity, ascending page id.
   std::vector<PageHeat> page_heat() const;
-  const std::vector<NodeHeat>& node_heat() const { return nodes_; }
 
   // ---- export --------------------------------------------------------------
   void write_latency_csv(std::ostream& os) const;
   void write_heat_csv(std::ostream& os) const;
-  void write_latency_json(std::ostream& os) const;
-  void write_heat_json(std::ostream& os) const;
   void write_summary_json(std::ostream& os) const;
 
   /// Header line of latency.csv / heat.csv (shared with diff and tests).
@@ -174,8 +163,7 @@ class Profiler {
   static std::string heat_csv_header();
 
   /// Write the whole profile into `dir` (created if missing): latency.csv,
-  /// latency.json, heat.csv, heat.json, summary.json.  Returns false on any
-  /// I/O failure.
+  /// heat.csv, summary.json.  Returns false on any I/O failure.
   bool write_profile(const std::string& dir) const;
 
  private:
@@ -195,7 +183,8 @@ class Profiler {
   /// Per page: (node, raise-count) key of the back-off epoch in which the
   /// page was last evicted; sentinel ~0ull = never.
   std::vector<std::uint64_t> page_last_epoch_;
-  std::vector<NodeHeat> nodes_;
+  /// Per node: threshold raises so far, the epoch half of that key.
+  std::vector<std::uint64_t> node_raises_;
 
   std::string workload_;
   std::string arch_;

@@ -111,14 +111,11 @@ Table latency_table(const prof::Profiler& prof) {
   return t;
 }
 
-std::string csv_header() {
-  return "workload,arch,pressure,cycles,ush_mem,k_base,k_overhd,u_instr,"
-         "u_lc_mem,sync,home,scoma,rac,cold,conf_capc,coherence,upgrades,"
-         "downgrades,suppressed";
-}
-
 std::string csv_header(bool with_latency) {
-  std::string h = csv_header();
+  std::string h =
+      "workload,arch,pressure,cycles,ush_mem,k_base,k_overhd,u_instr,"
+      "u_lc_mem,sync,home,scoma,rac,cold,conf_capc,coherence,upgrades,"
+      "downgrades,suppressed";
   if (with_latency) h += ",lat_min,lat_p50,lat_p99,lat_max";
   return h;
 }
@@ -150,8 +147,8 @@ std::string csv_row(const std::string& workload, const std::string& arch,
   return os.str();
 }
 
-std::string csv_header_walltime(bool with_latency) {
-  return csv_header(with_latency) + ",wall_ms,sim_rate";
+std::string csv_header_walltime() {
+  return csv_header() + ",wall_ms,sim_rate";
 }
 
 std::string csv_row(const std::string& workload, const std::string& arch,

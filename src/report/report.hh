@@ -50,11 +50,11 @@ std::string backoff_trajectory(const core::RunResult& r);
 /// Requires a profiler attached to the run (through MachineConfig::probe).
 Table latency_table(const prof::Profiler& prof);
 
-/// CSV schema shared by the CLI and any scripting around the benches.  The
-/// profiler overloads append min/p50/p99/max end-to-end latency columns
-/// after the existing ones, so the base schema stays a strict prefix.
-ASCOMA_DETERMINISM_SENSITIVE std::string csv_header();
-ASCOMA_DETERMINISM_SENSITIVE std::string csv_header(bool with_latency);
+/// CSV schema shared by the CLI and any scripting around the benches.
+/// `with_latency` (and the profiler csv_row) append min/p50/p99/max
+/// end-to-end latency columns after the existing ones, so the base schema
+/// stays a strict prefix.
+ASCOMA_DETERMINISM_SENSITIVE std::string csv_header(bool with_latency = false);
 ASCOMA_DETERMINISM_SENSITIVE std::string csv_row(const std::string& workload,
                                                  const std::string& arch,
                                                  const core::RunResult& r);
@@ -63,11 +63,11 @@ ASCOMA_DETERMINISM_SENSITIVE std::string csv_row(const std::string& workload,
                                                  const core::RunResult& r,
                                                  const prof::Profiler& prof);
 
-/// Telemetry variants: the base (or latency) schema plus integer `wall_ms`
-/// and `sim_rate` (simulated cycles per host wall second, rounded down)
+/// Telemetry variants: the base schema plus integer `wall_ms` and
+/// `sim_rate` (simulated cycles per host wall second, rounded down)
 /// columns.  Only the sweep-driven exports use these — the CLI's default
 /// schema stays byte-stable without them (the golden gate depends on it).
-std::string csv_header_walltime(bool with_latency = false);
+std::string csv_header_walltime();
 std::string csv_row(const std::string& workload, const std::string& arch,
                     const core::SweepResult& sr);
 

@@ -1,10 +1,10 @@
 #pragma once
 
-// Graceful-shutdown flag shared by the CLI, the sweep runner, and
-// obs::CrashExporter.  install_shutdown_handler() routes SIGINT and SIGTERM
-// to an async-signal-safe flag; nothing else happens in the handler.  The
+// Graceful-shutdown flag shared by the CLI and the sweep runner.
+// install_shutdown_handler() routes SIGINT and SIGTERM to an
+// async-signal-safe flag; nothing else happens in the handler.  The
 // sweep's workers poll the flag between jobs and drain in-flight work; the
-// CLI then flushes any registered crash exporters and exits 128+signal, and
+// CLI then writes any requested event exports and exits 128+signal, and
 // a checkpointed run stops at its next checkpoint and prints the --restore
 // command — so an operator Ctrl-C costs at most the jobs already running.
 

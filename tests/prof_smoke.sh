@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Profile-dump regression gate: the smoke workload's --profile dump must be
-# byte-identical to the committed baseline, all five files.  Attribution,
+# byte-identical to the committed baseline, all three files.  Attribution,
 # the heat fold and the dump format all show up here; refresh the baseline
 # (and justify the diff) only when one of them is *supposed* to move.
 #
@@ -17,7 +17,7 @@ trap 'rm -rf "$tmp"' EXIT
   --profile "$tmp/prof" > /dev/null
 
 status=0
-for f in latency.csv latency.json heat.csv heat.json summary.json; do
+for f in latency.csv heat.csv summary.json; do
   if ! cmp "$baseline/$f" "$tmp/prof/$f"; then
     echo "prof_smoke: $f diverged from $baseline/$f" >&2
     status=1

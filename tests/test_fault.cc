@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "fault/plan.hh"
 #include "fault/watchdog.hh"
 #include "net/network.hh"
-#include "obs/export.hh"
 #include "obs/probe.hh"
 #include "proto/coherent_memory.hh"
 #include "vm/home_map.hh"
@@ -528,30 +525,6 @@ TEST_F(FaultedMemoryTest, SweepReportsAreCappedButCountsAreExact) {
   EXPECT_FALSE(rep.ok());
   EXPECT_LE(rep.violations.size(), fault::InvariantReport::kMaxReported);
   EXPECT_GE(rep.total_violations, rep.violations.size());
-}
-
-// ---- crash exporter --------------------------------------------------------
-
-TEST(CrashExporter, FlushWritesOnceAndOnlyOnce) {
-  obs::EventSink sink;
-  sink.emit(obs::Event{Cycle{1}, obs::EventKind::kFaultInjected, NodeId{0}});
-  const std::string path =
-      ::testing::TempDir() + "/ascoma_crash_events.jsonl";
-  std::remove(path.c_str());
-  obs::CrashExporter crash(&sink, path, "", "", 4);
-  EXPECT_EQ(crash.flush(), 1u);
-  EXPECT_TRUE(crash.flushed());
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("fault_injected"), std::string::npos);
-  EXPECT_EQ(crash.flush(), 0u);  // idempotent
-  std::remove(path.c_str());
-}
-
-TEST(CrashExporter, UnboundFlushIsANoOp) {
-  obs::CrashExporter crash;
-  EXPECT_EQ(crash.flush(), 0u);
 }
 
 }  // namespace

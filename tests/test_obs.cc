@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "core/machine.hh"
 #include "obs/export.hh"
@@ -108,6 +110,24 @@ TEST(Sampler, ZeroPeriodDisables) {
 }
 
 // ---- exporters ------------------------------------------------------------
+
+// A JSONL row holds the fixed fields and the kind's argument slots as keys
+// of one object, so an argument named like a fixed field (or like another
+// slot) would give the row a duplicate key that JSON readers resolve to the
+// last value.
+TEST(Export, ArgNamesAreDistinctFromEachOtherAndTheFixedFields) {
+  const std::set<std::string> fixed = {"cycle", "kind", "node", "page"};
+  for (int k = 0; k < kNumEventKinds; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    std::set<std::string> seen;
+    for (int i = 0; i < 3; ++i) {
+      const char* name = arg_name(kind, i);
+      if (!name) continue;
+      EXPECT_EQ(fixed.count(name), 0u) << to_string(kind) << " arg " << i;
+      EXPECT_TRUE(seen.insert(name).second) << to_string(kind) << " arg " << i;
+    }
+  }
+}
 
 TEST(Export, JsonlGolden) {
   EventSink sink;

@@ -211,15 +211,31 @@ TEST(Profiler, HeatCountsMatchKernelStats) {
     EXPECT_EQ(downgrades, k.downgrades);
     EXPECT_EQ(suppressed, k.remap_suppressed);
     EXPECT_GT(faults, 0u);
-
-    std::uint64_t raises = 0, drops = 0;
-    for (const NodeHeat& n : prof.node_heat()) {
-      raises += n.threshold_raises;
-      drops += n.threshold_drops;
-    }
-    EXPECT_EQ(raises, k.threshold_raises);
-    EXPECT_EQ(drops, k.threshold_drops);
   }
+}
+
+// A page's back-off epochs count the distinct (node, threshold-raise) epochs
+// in which it was evicted: a second eviction in one epoch adds nothing, a
+// raise on the evicting node opens a new epoch, a raise elsewhere does not.
+TEST(Profiler, BackoffEpochsFollowTheEvictingNodesRaises) {
+  Profiler prof;
+  const VPageId page{5};
+  auto fold = [&](obs::EventKind kind, std::uint32_t node) {
+    prof.fold(obs::Event{Cycle{0}, kind, NodeId{node},
+                         kind == obs::EventKind::kDowngrade ? page
+                                                            : kInvalidPage});
+  };
+  auto epochs = [&] { return prof.page_heat().at(0).backoff_epochs; };
+  fold(obs::EventKind::kDowngrade, 0);
+  fold(obs::EventKind::kDowngrade, 0);
+  EXPECT_EQ(epochs(), 1u);
+  fold(obs::EventKind::kThresholdRaise, 1);
+  fold(obs::EventKind::kDowngrade, 0);
+  EXPECT_EQ(epochs(), 1u);
+  fold(obs::EventKind::kThresholdRaise, 0);
+  fold(obs::EventKind::kDowngrade, 0);
+  EXPECT_EQ(epochs(), 2u);
+  EXPECT_EQ(prof.page_heat().at(0).downgrades, 4u);
 }
 
 // ---- profile dump round trip -----------------------------------------------
@@ -259,8 +275,7 @@ TEST(Profiler, WriteProfileEmitsAllArtifacts) {
       std::filesystem::temp_directory_path() / "ascoma_prof_test_dump";
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(prof.write_profile(dir.string()));
-  for (const char* name : {"latency.csv", "latency.json", "heat.csv",
-                           "heat.json", "summary.json"})
+  for (const char* name : {"latency.csv", "heat.csv", "summary.json"})
     EXPECT_TRUE(std::filesystem::exists(dir / name)) << name;
   std::filesystem::remove_all(dir);
 }

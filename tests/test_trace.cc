@@ -1,6 +1,7 @@
 #include "trace/trace.hh"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -31,10 +32,13 @@ workload::SyntheticWorkload tiny_workload() {
   return workload::SyntheticWorkload(p);
 }
 
+// The pid keeps the names of trace tests running in parallel processes
+// (ctest -j) apart; the counter keeps one process's files apart.
 struct TempFile {
   TempFile() {
     path = ::testing::TempDir() + "/ascoma_trace_test_" +
-           std::to_string(counter++) + ".bin";
+           std::to_string(::getpid()) + "_" + std::to_string(counter++) +
+           ".bin";
   }
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;

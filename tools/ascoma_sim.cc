@@ -26,8 +26,10 @@
 //   --sample-every N    gauge sampling period in cycles (default 100000)
 //   --profile DIR       attribute every demand access's latency to hardware
 //                       components and dump histograms + per-page heat map
-//                       into DIR (latency.csv/json, heat.csv/json,
-//                       summary.json); compare dumps with ascoma_baseline_diff
+//                       into DIR (latency.csv, heat.csv, summary.json);
+//                       compare dumps with ascoma_baseline_diff
+//   A failed or interrupted run still writes its --events/--perfetto/--metrics
+//   files before exiting 1 or 128+signal, for post-mortem analysis.
 //
 // Sweep telemetry (ARCHITECTURE.md §14, measuring the simulator):
 //   --progress          single-line JSON heartbeat on stderr while the
@@ -40,8 +42,8 @@
 //   --checkpoint-file PATH where to write the snapshot (default ascoma.ckpt)
 //   --restore FILE      restore a snapshot and continue the interrupted run
 //                       (same config/workload enforced by fingerprint)
-//   SIGINT/SIGTERM drain in-flight jobs, flush any crash exporters, and
-//   exit 128+signal (a checkpointed run stops at its next checkpoint).
+//   SIGINT/SIGTERM drain in-flight jobs, write the event exports, and exit
+//   128+signal (a checkpointed run stops at its next checkpoint).
 //
 // Fault injection & robustness (defaults leave results bit-identical):
 //   --fault-drop P        per-message drop probability (0..1)
@@ -291,6 +293,38 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
+/// Writes each requested --events/--perfetto/--metrics file from the run's
+/// event ring, naming each written file on `log`.  The one export step of
+/// every exit: a successful run logs to stdout, a failed or interrupted one
+/// to stderr, so the trace leading up to the failure survives it.  Returns
+/// false when a file could not be written; true with no ring.
+bool write_exports(const Options& opt, const obs::EventSink* sink,
+                   std::uint32_t nodes, std::ostream& log) {
+  if (!sink) return true;
+  bool ok = true;
+  auto note = [&](const std::string& path, const char* what, bool written) {
+    if (written) {
+      log << what << " written to " << path << '\n';
+    } else {
+      std::cerr << "cannot write " << what << " file: " << path << '\n';
+      ok = false;
+    }
+  };
+  if (!opt.events_path.empty())
+    note(opt.events_path, "events JSONL",
+         obs::write_jsonl_file(opt.events_path, *sink));
+  if (!opt.perfetto_path.empty())
+    note(opt.perfetto_path, "Perfetto trace",
+         obs::write_perfetto_file(opt.perfetto_path, *sink, nodes));
+  if (!opt.metrics_path.empty())
+    note(opt.metrics_path, "metrics CSV",
+         obs::write_metrics_csv_file(opt.metrics_path, *sink));
+  if (sink->dropped() > 0)
+    std::cerr << "warning: event buffer overflow, " << sink->dropped()
+              << " events dropped (tallies remain exact)\n";
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -304,9 +338,9 @@ int main(int argc, char** argv) {
   if (!opt.trace_path.empty() && opt.progress)
     usage("--progress needs a generated workload, not --trace");
 
-  const bool direct_run =
+  const bool checkpointing =
       opt.checkpoint_every > Cycle{0} || !opt.restore_path.empty();
-  if (direct_run && (opt.archs.size() > 1 || opt.pressures.size() > 1))
+  if (checkpointing && (opt.archs.size() > 1 || opt.pressures.size() > 1))
     usage("--checkpoint-every/--restore need a single arch and pressure");
 
   store::install_shutdown_handler();
@@ -360,10 +394,12 @@ int main(int argc, char** argv) {
   base.nack_busy_cycles = opt.nack_busy;
   if (opt.check_invariants) base.check_invariants = *opt.check_invariants;
 
-  // Bind the sink to its export paths up front so an aborted run (watchdog
-  // trip, invariant failure) still leaves the trace on disk.
-  obs::CrashExporter crash(sink ? &*sink : nullptr, opt.events_path,
-                           opt.perfetto_path, opt.metrics_path, wl->nodes());
+  // Every failure and interrupt exit writes the event exports first.
+  const obs::EventSink* ring = sink ? &*sink : nullptr;
+  auto fail = [&](int code) {
+    write_exports(opt, ring, wl->nodes(), std::cerr);
+    return code;
+  };
 
   struct Row {
     ArchModel arch;
@@ -371,71 +407,54 @@ int main(int argc, char** argv) {
     core::RunResult result;
   };
   std::vector<Row> rows;
-  if (direct_run) {
-    // Checkpointed / restored single run: drive the Machine directly so the
-    // snapshot hooks are reachable (the sweep runner owns its machines).
-    MachineConfig cfg = base;
-    cfg.arch = opt.archs.front();
-    cfg.memory_pressure = opt.pressures.front();
+  if (!opt.trace_path.empty() || checkpointing) {
+    // In-process runs: a trace workload can't be reopened by name per sweep
+    // job, and the snapshot hooks need the Machine itself (the sweep runner
+    // owns its machines), so these drive one Machine per (arch, pressure).
     struct Interrupted {};
-    try {
-      core::Machine m(cfg, *wl);
-      if (!opt.restore_path.empty()) {
-        m.restore(store::read_snapshot_file(opt.restore_path));
-        std::cerr << "restored checkpoint " << opt.restore_path << '\n';
-      }
-      if (opt.checkpoint_every > Cycle{0}) {
-        // The callback outlives this block (it runs inside m.run()), so it
-        // owns its copy of the path.
-        m.set_checkpoint(
-            opt.checkpoint_every,
-            [path = opt.checkpoint_file](const store::Snapshot& snap,
-                                         Cycle at) {
-              store::write_snapshot_file(path, snap);
-              std::cerr << "checkpoint written to " << path << " at cycle "
-                        << at << '\n';
-              // Graceful interruption lands on a checkpoint boundary: the
-              // snapshot just written is the resume token.
-              if (store::shutdown_requested()) throw Interrupted{};
-            });
-      }
-      rows.push_back({cfg.arch, cfg.memory_pressure, m.run()});
-    } catch (const Interrupted&) {
-      if (crash.flush() > 0)
-        std::cerr << "event trace flushed for post-mortem analysis\n";
-      std::cerr << "interrupted; resume with: " << argv[0]
-                << " ... --restore " << opt.checkpoint_file << '\n';
-      return 128 + store::shutdown_signal();
-    } catch (const std::exception& e) {
-      std::cerr << "run failed: " << e.what() << '\n';
-      if (crash.flush() > 0)
-        std::cerr << "event trace flushed for post-mortem analysis\n";
-      return 1;
-    }
-  } else if (!opt.trace_path.empty()) {
-    // Trace workloads can't be reopened by name per sweep job, so they run
-    // serially in-process against the one loaded TraceWorkload.
     for (ArchModel arch : opt.archs) {
       for (double pressure : opt.pressures) {
         MachineConfig cfg = base;
         cfg.arch = arch;
         cfg.memory_pressure = pressure;
         try {
-          rows.push_back({arch, pressure, core::simulate(cfg, *wl)});
+          core::Machine m(cfg, *wl);
+          if (!opt.restore_path.empty()) {
+            m.restore(store::read_snapshot_file(opt.restore_path));
+            std::cerr << "restored checkpoint " << opt.restore_path << '\n';
+          }
+          if (opt.checkpoint_every > Cycle{0}) {
+            // The callback outlives this block (it runs inside m.run()), so
+            // it owns its copy of the path.
+            m.set_checkpoint(
+                opt.checkpoint_every,
+                [path = opt.checkpoint_file](const store::Snapshot& snap,
+                                             Cycle at) {
+                  store::write_snapshot_file(path, snap);
+                  std::cerr << "checkpoint written to " << path
+                            << " at cycle " << at << '\n';
+                  // Graceful interruption lands on a checkpoint boundary:
+                  // the snapshot just written is the resume token.
+                  if (store::shutdown_requested()) throw Interrupted{};
+                });
+          }
+          rows.push_back({arch, pressure, m.run()});
+        } catch (const Interrupted&) {
+          std::cerr << "interrupted; resume with: " << argv[0]
+                    << " ... --restore " << opt.checkpoint_file << '\n';
+          return fail(128 + store::shutdown_signal());
         } catch (const std::exception& e) {
           std::cerr << "run failed (" << to_string(arch) << ", "
                     << pressure * 100 << "%): " << e.what() << '\n';
-          if (crash.flush() > 0)
-            std::cerr << "event trace flushed for post-mortem analysis\n";
-          return 1;
+          return fail(1);
         }
         if (arch == ArchModel::kCcNuma) break;  // pressure-independent
       }
     }
   } else {
     // Generated workloads go through the sweep runner: same job order (and
-    // thus byte-identical CSV) as the old serial loop, but with per-job
-    // wall-time telemetry and an optional --progress heartbeat for free.
+    // thus byte-identical CSV) as a serial loop, but with per-job wall-time
+    // telemetry and an optional --progress heartbeat for free.
     std::vector<core::SweepJob> jobs;
     for (ArchModel arch : opt.archs) {
       for (double pressure : opt.pressures) {
@@ -457,28 +476,23 @@ int main(int argc, char** argv) {
     sopts.threads = opt.threads;
     sopts.progress = opt.progress;
     sopts.progress_interval_ms = opt.progress_interval_ms;
-    sopts.probe = base.probe;
     sopts.stop = store::shutdown_flag();
     std::vector<core::SweepResult> sweep;
     try {
       sweep = core::run_sweep(std::move(jobs), sopts);
     } catch (const std::exception& e) {
       std::cerr << "run failed: " << e.what() << '\n';
-      if (crash.flush() > 0)
-        std::cerr << "event trace flushed for post-mortem analysis\n";
-      return 1;
+      return fail(1);
     }
     if (store::shutdown_requested()) {
       // Graceful shutdown: in-flight jobs drained; the table/CSV would be
       // partial, so skip them.
-      if (crash.flush() > 0)
-        std::cerr << "event trace flushed for post-mortem analysis\n";
       std::size_t finished = 0;
       for (const auto& r : sweep)
         if (r.result.stats.parallel_cycles > Cycle{0}) ++finished;
       std::cerr << "interrupted: " << finished << '/' << sweep.size()
                 << " jobs finished\n";
-      return 128 + store::shutdown_signal();
+      return fail(128 + store::shutdown_signal());
     }
     rows.reserve(sweep.size());
     for (auto& r : sweep)
@@ -542,28 +556,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (sink) {
-    auto export_to = [](const std::string& path, const char* what, bool ok) {
-      if (!ok) {
-        std::cerr << "cannot write " << what << " file: " << path << '\n';
-        std::exit(1);
-      }
-      std::cout << what << " written to " << path << '\n';
-    };
-    if (!opt.events_path.empty())
-      export_to(opt.events_path, "events JSONL",
-                obs::write_jsonl_file(opt.events_path, *sink));
-    if (!opt.perfetto_path.empty())
-      export_to(opt.perfetto_path, "Perfetto trace",
-                obs::write_perfetto_file(opt.perfetto_path, *sink,
-                                         wl->nodes()));
-    if (!opt.metrics_path.empty())
-      export_to(opt.metrics_path, "metrics CSV",
-                obs::write_metrics_csv_file(opt.metrics_path, *sink));
-    if (sink->dropped() > 0)
-      std::cerr << "warning: event buffer overflow, " << sink->dropped()
-                << " events dropped (tallies remain exact)\n";
-  }
+  if (!write_exports(opt, ring, wl->nodes(), std::cout)) return 1;
 
   if (profiler) {
     if (!profiler->write_profile(opt.profile_dir)) {

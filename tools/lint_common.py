@@ -5,22 +5,19 @@ Each linter stays a single self-contained checker; what they share lives
 here so the bootstrap logic cannot drift between them:
 
 * ``strip_comments`` / ``iter_sources``   — the textual front end
-* ``load_libclang``                       — the AST front end bootstrap
-  (clang python bindings + build/compile_commands.json, or None)
 * ``repo_root``                           — the [repo-root] argv convention,
   with the shared usage error (exit 2) for a stray flag or a non-directory
 * ``report``                              — the shared findings/OK epilogue
 * ``write_src_tree``                      — materialize a fixture src/ tree
   for linters that walk a repo root rather than a text blob
 * the call-graph walker                   — ``Model``/``build_model``/
-  ``build_model_libclang``/``resolve_calls``/``walk``: the annotation-rooted
-  traversal behind lint_hotpath's hot-path/signal/determinism rules.
+  ``resolve_calls``/``walk``: the annotation-rooted traversal behind
+  lint_hotpath's hot-path/signal/determinism rules.
 
 Importable from the tools/ directory (the linters add it to sys.path when
 run as scripts from elsewhere).
 """
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -55,38 +52,15 @@ def repo_root(argv: list) -> Path:
     return Path(argv[0])
 
 
-def load_libclang(root: Path):
-    """(index, compdb) when the AST front end is usable, else None.
-
-    Usable means: the clang python bindings import AND
-    build/compile_commands.json exists with "arguments"-style entries.
-    Callers fall back to their regex front end on None.
-    """
-    try:
-        from clang import cindex
-        index = cindex.Index.create()
-    except Exception:
-        return None
-    compdb_path = root / "build" / "compile_commands.json"
-    if not compdb_path.exists():
-        return None
-    with open(compdb_path) as fh:
-        compdb = json.load(fh)
-    if compdb and "arguments" not in compdb[0]:
-        return None  # "command"-style entries: fall back
-    return index, compdb
-
-
-def report(tool: str, findings: list, ok_message: str, mode: str = None) -> int:
+def report(tool: str, findings: list, ok_message: str) -> int:
     """Print findings (or the OK line) in the shared format; return the
     process exit code (0 clean, 1 findings)."""
-    tag = f" [{mode}]" if mode else ""
     for f in findings:
         print(f"{tool}: {f}")
     if findings:
-        print(f"{tool}: {len(findings)} finding(s){tag}")
+        print(f"{tool}: {len(findings)} finding(s)")
         return 1
-    print(f"{tool}: OK{tag} ({ok_message})")
+    print(f"{tool}: OK ({ok_message})")
     return 0
 
 
@@ -102,12 +76,9 @@ def write_src_tree(root: Path, files: dict) -> None:
 # ============================================================================
 # The shared call-graph walker (formerly private to lint_hotpath.py).
 #
-# Two front ends build the same Model: ``build_model`` parses the tree
-# textually (regex; works on a never-compiled checkout, the operative mode
-# in CI where linting runs before configure), ``build_model_libclang``
-# parses the compilation database for AST-accurate call edges.  Both slice
-# function bodies out of the file text so every rule scan shares one
-# surface regardless of front end.
+# ``build_model`` parses the tree textually (regex), so it works on a
+# never-compiled checkout — CI lints before configure.  Function bodies are
+# sliced out of the file text, the one surface every rule scans.
 # ============================================================================
 
 CHECK_MACRO_RE = re.compile(r"\bASCOMA_CHECK(?:_MSG)?\s*\(")
@@ -115,7 +86,7 @@ CHECK_MACRO_RE = re.compile(r"\bASCOMA_CHECK(?:_MSG)?\s*\(")
 NOT_FUNC_NAMES = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
     "decltype", "static_assert", "else", "do", "new", "delete", "defined",
-    "assert", "ASCOMA_CHECK", "ASCOMA_CHECK_MSG", "ASCOMA_ANNOTATE",
+    "assert", "ASCOMA_CHECK", "ASCOMA_CHECK_MSG",
     "static_cast", "const_cast", "reinterpret_cast", "dynamic_cast",
     "noexcept", "alignas", "explicit", "operator",
 }
@@ -474,8 +445,7 @@ def resolve_calls(model: Model):
             return cands
 
         # Precision over recall: an ambiguous call with no usable type hint
-        # is dropped rather than fanned out to every same-named method —
-        # the libclang front end resolves those exactly.
+        # is dropped rather than fanned out to every same-named method.
         for m in RECEIVER_CALL_RE.finditer(fn.body):
             recv, method = m.group(1), m.group(2)
             matches = model.by_simple.get(method, [])
@@ -504,97 +474,6 @@ def resolve_calls(model: Model):
             elif matches and own_class:
                 callees.update(by_class_hint(own_class, name))
         fn.callees = sorted(callees - {fn.qual})
-
-
-def build_model_libclang(root: Path, index, compdb,
-                         clang_tags: dict = None) -> Model:
-    """AST-accurate roots and call edges; bodies for rule scanning are
-    sliced from the file text so both front ends share one rule surface.
-    ``clang_tags`` maps [[clang::annotate]] spellings -> root kind."""
-    from clang import cindex
-
-    if clang_tags is None:
-        clang_tags = {}
-    model = Model()
-    texts = {}
-    for entry in compdb:
-        src = Path(entry["file"])
-        try:
-            src.resolve().relative_to(root.resolve())
-        except ValueError:
-            continue
-        args = [a for a in entry["arguments"][1:] if a not in ("-c", "-o")]
-        tu = index.parse(str(src), args=args[:-1])
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind not in (cindex.CursorKind.FUNCTION_DECL,
-                                cindex.CursorKind.CXX_METHOD,
-                                cindex.CursorKind.CONSTRUCTOR,
-                                cindex.CursorKind.DESTRUCTOR):
-                continue
-            loc = cur.location
-            if loc.file is None:
-                continue
-            try:
-                rel = Path(loc.file.name).resolve().relative_to(
-                    root.resolve()).as_posix()
-            except ValueError:
-                continue
-            if not rel.startswith("src/"):
-                continue
-            parent = cur.semantic_parent
-            qual = cur.spelling
-            if parent is not None and parent.kind in (
-                    cindex.CursorKind.CLASS_DECL,
-                    cindex.CursorKind.STRUCT_DECL):
-                qual = f"{parent.spelling}::{cur.spelling}"
-            for child in cur.get_children():
-                if child.kind == cindex.CursorKind.ANNOTATE_ATTR and \
-                        child.spelling in clang_tags:
-                    model.roots.setdefault(
-                        clang_tags[child.spelling], set()).add(qual)
-            if "noreturn" in [c.spelling or "" for c in cur.get_children()] \
-                    or cur.is_definition() and "[[noreturn]]" in (
-                        cur.result_type.spelling or ""):
-                model.cold.add(qual)
-            if not cur.is_definition() or qual in model.defs:
-                continue
-            if loc.file.name not in texts:
-                texts[loc.file.name] = Path(loc.file.name).read_text()
-            text = texts[loc.file.name]
-            ext = cur.extent
-            body = text[ext.start.offset:ext.end.offset]
-            brace = body.find("{")
-            fn = Function(qual, rel, loc.line,
-                          strip_check_macros(body[brace + 1:-1])
-                          if brace >= 0 else "", body[:max(brace, 0)])
-            callees = set()
-            for sub in cur.walk_preorder():
-                if sub.kind != cindex.CursorKind.CALL_EXPR:
-                    continue
-                ref = sub.referenced
-                if ref is None:
-                    continue
-                cq = ref.spelling
-                rp = ref.semantic_parent
-                if rp is not None and rp.kind in (
-                        cindex.CursorKind.CLASS_DECL,
-                        cindex.CursorKind.STRUCT_DECL):
-                    cq = f"{rp.spelling}::{ref.spelling}"
-                callees.add(cq)
-            fn.callees = sorted(callees - {qual})
-            model.defs[qual] = fn
-            model.by_simple.setdefault(qual.split("::")[-1], []).append(qual)
-    # Member declarations for rules that need declared types (textual, same
-    # as the regex front end).
-    for path in iter_sources(root):
-        text = strip_comments(path.read_text())
-        for open_idx, close_idx, _ in class_spans(text):
-            for mm in MEMBER_RE.finditer(text[open_idx + 1:close_idx]):
-                if "(" in mm.group(1):
-                    continue
-                model.member_types.setdefault(
-                    mm.group(2), (last_class_hint(mm.group(1)), mm.group(1)))
-    return model
 
 
 def walk(model: Model, kind: str, boundary, scan):

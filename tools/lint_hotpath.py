@@ -29,13 +29,11 @@ R4 (seeded-RNG boundary) — no rand/random_device/host-clock use anywhere
    only draw randomness from the seeded RNG (src/common/rng.hh) and may
    never read host time.
 
-Two front ends, same findings format: libclang over
-build/compile_commands.json when the python bindings are importable
-(AST-accurate annotation discovery and call edges), else a regex fallback
-that parses the macro tokens and resolves callees by simple name with
-receiver-type hints (member/param/local declarations) plus an inheritance
-map for virtual dispatch.  The finding set is a zero baseline — any new
-finding fails.
+The front end is textual: it parses the macro tokens and resolves callees
+by simple name with receiver-type hints (member/param/local declarations)
+plus an inheritance map for virtual dispatch, so it runs on a tree that has
+never been compiled.  The finding set is a zero baseline — any new finding
+fails.
 
 Usage: tools/lint_hotpath.py [repo-root]    (exit 0 clean, 1 findings,
        tools/lint_hotpath.py --self-test     2 usage/internal error)
@@ -46,19 +44,13 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from lint_common import (Function, build_model, build_model_libclang,
-                         iter_sources, load_libclang, repo_root,
+from lint_common import (Function, build_model, iter_sources, repo_root,
                          strip_comments, walk)
 
 ANNOTATIONS = {
     "ASCOMA_HOT_PATH": "hot_path",
     "ASCOMA_SIGNAL_SAFE": "signal_safe",
     "ASCOMA_DETERMINISM_SENSITIVE": "determinism_sensitive",
-}
-CLANG_TAGS = {  # [[clang::annotate("...")]] spellings (libclang front end)
-    "ascoma::hot_path": "hot_path",
-    "ascoma::signal_safe": "signal_safe",
-    "ascoma::determinism_sensitive": "determinism_sensitive",
 }
 
 # ---- reasoned exemptions ----------------------------------------------------
@@ -222,16 +214,10 @@ def lint_rng_boundary(root: Path):
 
 
 def run(root: Path):
-    ast = load_libclang(root)
-    if ast is not None:
-        model = build_model_libclang(root, *ast, clang_tags=CLANG_TAGS)
-        mode = "libclang"
-    else:
-        model = build_model(root, annotations=ANNOTATIONS)
-        mode = "regex fallback"
+    model = build_model(root, annotations=ANNOTATIONS)
     findings = (lint_hot_alloc(model) + lint_signal_safe(model)
                 + lint_determinism(model) + lint_rng_boundary(root))
-    return findings, mode, model
+    return findings, model
 
 
 # ---- self-test --------------------------------------------------------------
@@ -354,7 +340,7 @@ def self_test() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         good = Path(tmp) / "good"
         write_src_tree(good, FIXTURE_PRISTINE)
-        findings, _, model = run(good)
+        findings, model = run(good)
         if findings:
             failures.append(f"pristine fixture not clean: {findings}")
         if len(model.roots.get("hot_path", ())) != 1 or \
@@ -364,7 +350,7 @@ def self_test() -> int:
 
         bad = Path(tmp) / "bad"
         write_src_tree(bad, FIXTURE_BAD)
-        findings, _, _ = run(bad)
+        findings, _ = run(bad)
         for rel, token, via in SELF_TEST_EXPECT:
             hit = [f for f in findings
                    if f.startswith(rel) and token in f and via in f]
@@ -393,14 +379,14 @@ def main() -> int:
         print(__doc__)
         return 2
     root = repo_root(argv)
-    findings, mode, model = run(root)
+    findings, model = run(root)
     for f in findings:
         print(f"lint_hotpath: {f}")
     if findings:
-        print(f"lint_hotpath: {len(findings)} finding(s) [{mode}]")
+        print(f"lint_hotpath: {len(findings)} finding(s)")
         return 1
     n_roots = sum(len(v) for v in model.roots.values())
-    print(f"lint_hotpath: OK [{mode}] ({n_roots} annotated roots; no "
+    print(f"lint_hotpath: OK ({n_roots} annotated roots; no "
           f"allocation on hot paths, signal handler primitive, determinism-"
           f"sensitive code ordered, host randomness/time fenced)")
     return 0

@@ -28,9 +28,8 @@ Enforces, over src/ (CI runs this on every push):
    sides of a field change; the codec's section length check catches the
    drift at runtime, this rule catches it at review time.
 
-Two front ends: libclang over build/compile_commands.json when the python
-bindings are importable (AST-accurate), else a regex fallback with the same
-findings format.  The finding set is a zero baseline — any new finding fails.
+The front end is textual (regex), so it runs on a tree that has never been
+compiled.  The finding set is a zero baseline — any new finding fails.
 
 Usage: tools/lint_types.py [repo-root]     (exit 0 clean, 1 findings,
        tools/lint_types.py --self-test      2 usage/internal error)
@@ -41,8 +40,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from lint_common import (iter_sources, load_libclang, repo_root,
-                         strip_comments)
+from lint_common import iter_sources, repo_root, strip_comments
 
 # Parameter-name suffixes that imply a dimension, and the strong type the
 # parameter should use instead.  Extend this table together with types.hh
@@ -85,7 +83,7 @@ CAST_ESCAPE_RE = re.compile(
     r"[^>]*>\s*\([^;,]*?(?:\.|->)value\(\)"
 )
 
-PARAM_FALLBACK_RE = re.compile(
+PARAM_RE = re.compile(
     r"(?:^|[(,])\s*((?:const\s+)?(?:std::)?"
     r"(?:u?int(?:8|16|32|64)_t|size_t|unsigned(?:\s+int)?))\s*&?\s*"
     r"([A-Za-z_]\w*)\s*(?=[,)])"
@@ -114,7 +112,7 @@ def lint_params_regex(root: Path) -> list:
             continue
         text = strip_comments(path.read_text())
         for lineno, line in enumerate(text.splitlines(), 1):
-            for m in PARAM_FALLBACK_RE.finditer(line):
+            for m in PARAM_RE.finditer(line):
                 name = m.group(2)
                 strong = dimension_of(name)
                 if strong is None:
@@ -124,50 +122,6 @@ def lint_params_regex(root: Path) -> list:
                     f"({m.group(1).strip()}) names a dimensioned quantity — "
                     f"use {strong}"
                 )
-    return findings
-
-
-def lint_params_libclang(root: Path, index, compdb) -> list:
-    from clang import cindex
-
-    findings = []
-    seen = set()
-    for entry in compdb:
-        src = Path(entry["file"])
-        try:
-            rel = src.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            continue
-        if not rel.startswith("src/") or rel.startswith("src/common/"):
-            continue
-        args = [a for a in entry["arguments"][1:] if a not in ("-c", "-o")]
-        tu = index.parse(str(src), args=args[:-1])
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind != cindex.CursorKind.PARM_DECL:
-                continue
-            loc = cur.location
-            if loc.file is None or Path(loc.file.name).resolve() != src.resolve():
-                continue
-            canon = cur.type.get_canonical()
-            if canon.kind not in (
-                cindex.TypeKind.UINT, cindex.TypeKind.ULONG,
-                cindex.TypeKind.ULONGLONG, cindex.TypeKind.USHORT,
-                cindex.TypeKind.UCHAR, cindex.TypeKind.INT,
-                cindex.TypeKind.LONG, cindex.TypeKind.LONGLONG,
-            ):
-                continue
-            strong = dimension_of(cur.spelling or "")
-            if strong is None:
-                continue
-            key = (rel, loc.line, cur.spelling)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(
-                f"{rel}:{loc.line}: bare-integer parameter '{cur.spelling}' "
-                f"({cur.type.spelling}) names a dimensioned quantity — "
-                f"use {strong}"
-            )
     return findings
 
 
@@ -250,16 +204,8 @@ def lint_encode_decode_pairs(root: Path) -> list:
 
 
 def run(root: Path) -> list:
-    ast = load_libclang(root)
-    if ast is not None:
-        findings = lint_params_libclang(root, *ast)
-        mode = "libclang"
-    else:
-        findings = lint_params_regex(root)
-        mode = "regex fallback"
-    findings += lint_cast_escapes(root)
-    findings += lint_encode_decode_pairs(root)
-    return findings, mode
+    return (lint_params_regex(root) + lint_cast_escapes(root)
+            + lint_encode_decode_pairs(root))
 
 
 SELF_TEST_BAD = """
@@ -284,8 +230,7 @@ def self_test(root: Path) -> int:
         bad_root = Path(tmp)
         from lint_common import write_src_tree
         write_src_tree(bad_root, {"src/sim/bad.hh": SELF_TEST_BAD})
-        findings = (lint_params_regex(bad_root) + lint_cast_escapes(bad_root)
-                    + lint_encode_decode_pairs(bad_root))
+        findings = run(bad_root)
     # encode_widget/decode_widget are adjacent and must NOT be flagged; the
     # bare 'encode' and 'decode_orphan' have no twins and must be.
     if any("encode_widget" in f for f in findings):
@@ -314,13 +259,13 @@ def main() -> int:
         print(__doc__)
         return 2
     root = repo_root(argv)
-    findings, mode = run(root)
+    findings = run(root)
     for f in findings:
         print(f"lint_types: {f}")
     if findings:
-        print(f"lint_types: {len(findings)} finding(s) [{mode}]")
+        print(f"lint_types: {len(findings)} finding(s)")
         return 1
-    print(f"lint_types: OK [{mode}] (no bare-integer dimension parameters; "
+    print(f"lint_types: OK (no bare-integer dimension parameters; "
           f"no static_cast escapes outside boundary files; all encode/decode "
           f"pairs adjacent)")
     return 0
