@@ -18,6 +18,12 @@ std::uint64_t epoch_key(NodeId node, std::uint64_t raises) {
   return (static_cast<std::uint64_t>(node.value()) << 32) ^ raises;
 }
 
+constexpr const char* kLatencyCsvHeader =
+    "class,component,count,sum,min,p50,p90,p99,max";
+constexpr const char* kHeatCsvHeader =
+    "page,accesses,faults,scoma_allocs,numa_allocs,upgrades,downgrades,"
+    "suppressed,refetches,remote_fetches,backoff_epochs";
+
 void csv_hist(std::ostream& os, const char* cls, const char* component,
               const LatencyHistogram& h) {
   os << obs::csv_field(cls) << ',' << obs::csv_field(component) << ','
@@ -182,17 +188,8 @@ std::vector<PageHeat> Profiler::page_heat() const {
 
 // ---- export ----------------------------------------------------------------
 
-std::string Profiler::latency_csv_header() {
-  return "class,component,count,sum,min,p50,p90,p99,max";
-}
-
-std::string Profiler::heat_csv_header() {
-  return "page,accesses,faults,scoma_allocs,numa_allocs,upgrades,downgrades,"
-         "suppressed,refetches,remote_fetches,backoff_epochs";
-}
-
 void Profiler::write_latency_csv(std::ostream& os) const {
-  os << latency_csv_header() << '\n';
+  os << kLatencyCsvHeader << '\n';
   csv_hist(os, "all", "total", merged_end_to_end());
   for (int cls = 0; cls < kNumAccessClasses; ++cls) {
     const auto ac = static_cast<AccessClass>(cls);
@@ -207,7 +204,7 @@ void Profiler::write_latency_csv(std::ostream& os) const {
 }
 
 void Profiler::write_heat_csv(std::ostream& os) const {
-  os << heat_csv_header() << '\n';
+  os << kHeatCsvHeader << '\n';
   for (const PageHeat& h : page_heat()) {
     os << h.page << ',' << h.accesses << ',' << h.faults << ','
        << h.scoma_allocs << ',' << h.numa_allocs << ',' << h.upgrades << ','

@@ -35,8 +35,9 @@
 // simulate() calls.
 //
 // write_profile(dir) dumps the whole profile as machine-readable artifacts
-// (latency.csv, heat.csv, summary.json); tools/ascoma_baseline_diff
-// compares two such dumps and flags latency/percentile regressions.
+// (latency.csv, heat.csv, summary.json); the simulation is deterministic, so
+// ProfSmoke.BitIdentical compares a smoke dump with baselines/prof_smoke
+// byte for byte.
 
 #include <array>
 #include <cstdint>
@@ -157,10 +158,6 @@ class Profiler {
   void write_latency_csv(std::ostream& os) const;
   void write_heat_csv(std::ostream& os) const;
   void write_summary_json(std::ostream& os) const;
-
-  /// Header line of latency.csv / heat.csv (shared with diff and tests).
-  static std::string latency_csv_header();
-  static std::string heat_csv_header();
 
   /// Write the whole profile into `dir` (created if missing): latency.csv,
   /// heat.csv, summary.json.  Returns false on any I/O failure.

@@ -47,10 +47,9 @@ const char* to_string(DirNext n) {
 
 namespace {
 
-// The protocol.  One row per (state, message, relation) triple; totality
-// over the full cross-product is enforced by the TransitionTable constructor
-// at startup and by tools/lint_protocol.py at lint time.  Keep each row's
-// triple on a single line — the lint script parses them textually.
+// The protocol.  One row per (state, message, relation) triple; the row
+// count is a static_assert below, and the TransitionTable constructor
+// rejects a duplicated or missing triple at startup.
 //
 // clang-format off
 constexpr Transition kProtocol[] = {

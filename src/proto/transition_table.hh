@@ -8,10 +8,10 @@
 // inspectable *data*, not branching code.  proto::Directory applies rows
 // mechanically (Directory::apply), proto::CoherentMemory branches on the
 // action bits a transition returned (instead of re-deriving them from entry
-// fields), tools/ascoma_modelcheck exhaustively explores the table's
-// message-level semantics, and tools/lint_protocol.py statically verifies
-// the table is total — every (state, message, relation) triple has exactly
-// one row in kProtocol.
+// fields), and tools/ascoma_modelcheck exhaustively explores the table's
+// message-level semantics.  The table is total — every (state, message,
+// relation) triple has exactly one row in kProtocol — by a static_assert on
+// the row count and the constructor's duplicate/missing-triple checks.
 //
 // Directory states are a *view* of a directory entry (Directory::Entry is
 // the ground truth): kUncached (no sharers, no owner), kShared (sharers,

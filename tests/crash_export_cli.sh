@@ -2,6 +2,8 @@
 # A run that fails still leaves its event exports: a watchdog trip under
 # heavy message loss exits 1, and the --events/--perfetto/--metrics files
 # hold the trace up to the trip (the last event is the watchdog_trip).
+# An export that fails is no silent success either: a --csv file that
+# cannot be written (/dev/full) exits 1 and names the file.
 #
 # Usage: crash_export_cli.sh <ascoma-binary>
 set -euo pipefail
@@ -28,8 +30,16 @@ grep -q '"kind":"watchdog_trip"' "$tmp/E" 2>/dev/null ||
 grep -q '"name":"watchdog_trip"' "$tmp/P" 2>/dev/null ||
   fail "no watchdog_trip event in the Perfetto trace"
 [[ -s "$tmp/M" ]] || fail "metrics CSV missing or empty"
+
+got=0
+"$bin" --workload em3d --pressure 50 --scale 0.05 --csv /dev/full \
+  >> "$tmp/out.txt" 2> "$tmp/csv.err" || got=$?
+[[ "$got" == 1 ]] || fail "--csv /dev/full: exit $got, want 1"
+grep -qx 'cannot write CSV file: /dev/full' "$tmp/csv.err" ||
+  fail "--csv /dev/full: no 'cannot write CSV file' message"
+cat "$tmp/csv.err" >> "$tmp/out.txt"
 if [[ "$status" -ne 0 ]]; then
   cat "$tmp/out.txt" >&2
   exit 1
 fi
-echo "crash_export_cli: failed run left its trace"
+echo "crash_export_cli: failed run left its trace; CSV write failure exits 1"

@@ -1,14 +1,15 @@
 // Latency-attribution profiler: histogram bucketing edge cases, the
 // attribution-sums-to-end-to-end invariant on real runs, heat-map counts
 // against the aggregated kernel statistics (exact even under event-buffer
-// overflow), profile-dump round trips, regression detection in the baseline
-// diff, and the obs exporter escaping audit the profiler's labels rely on.
+// overflow), the profile dump's layout, and the obs exporter escaping audit
+// the profiler's labels rely on.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -18,7 +19,6 @@
 #include "core/machine.hh"
 #include "obs/export.hh"
 #include "obs/probe.hh"
-#include "prof/diff.hh"
 #include "prof/histogram.hh"
 #include "prof/profiler.hh"
 #include "report/report.hh"
@@ -240,7 +240,7 @@ TEST(Profiler, BackoffEpochsFollowTheEvictingNodesRaises) {
 
 // ---- profile dump round trip -----------------------------------------------
 
-TEST(Profiler, LatencyCsvRoundTripsThroughTheDiffParser) {
+TEST(Profiler, LatencyCsvLeadsWithTheMergedHistogram) {
   auto wl = hot_workload(4);
   Profiler prof;
   MachineConfig cfg = config(ArchModel::kAsComa, 0.7);
@@ -250,17 +250,22 @@ TEST(Profiler, LatencyCsvRoundTripsThroughTheDiffParser) {
 
   std::ostringstream os;
   prof.write_latency_csv(os);
-  std::vector<LatencyRow> rows;
-  std::string error;
-  ASSERT_TRUE(parse_latency_csv(os.str(), rows, error)) << error;
-  ASSERT_FALSE(rows.empty());
+  std::istringstream is(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(is, line));
+  EXPECT_EQ(line, "class,component,count,sum,min,p50,p90,p99,max");
+  ASSERT_TRUE(std::getline(is, line));
+  std::vector<std::string> cells;
+  std::istringstream row(line);
+  for (std::string cell; std::getline(row, cell, ',');) cells.push_back(cell);
+  ASSERT_EQ(cells.size(), 9u) << line;
   // The merged headline row leads and matches the merged histogram.
-  EXPECT_EQ(rows.front().cls, "all");
-  EXPECT_EQ(rows.front().component, "total");
+  EXPECT_EQ(cells[0], "all");
+  EXPECT_EQ(cells[1], "total");
   const LatencyHistogram all = prof.merged_end_to_end();
-  EXPECT_EQ(rows.front().count, all.count());
-  EXPECT_EQ(rows.front().sum, all.sum());
-  EXPECT_EQ(rows.front().p99, all.p99());
+  EXPECT_EQ(cells[2], std::to_string(all.count()));
+  EXPECT_EQ(cells[3], std::to_string(all.sum()));
+  EXPECT_EQ(cells[7], std::to_string(all.p99()));
 }
 
 TEST(Profiler, WriteProfileEmitsAllArtifacts) {
@@ -271,125 +276,15 @@ TEST(Profiler, WriteProfileEmitsAllArtifacts) {
   cfg.probe = &probe;
   core::simulate(cfg, wl);
 
+  // The pid keeps build trees that run ctest on one host at once apart.
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ascoma_prof_test_dump";
+      std::filesystem::temp_directory_path() /
+      ("ascoma_prof_test_dump_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(prof.write_profile(dir.string()));
   for (const char* name : {"latency.csv", "heat.csv", "summary.json"})
     EXPECT_TRUE(std::filesystem::exists(dir / name)) << name;
   std::filesystem::remove_all(dir);
-}
-
-// ---- regression gate -------------------------------------------------------
-
-LatencyRow row(const std::string& cls, const std::string& component,
-               std::uint64_t count, std::uint64_t mean, std::uint64_t p99) {
-  LatencyRow r;
-  r.cls = cls;
-  r.component = component;
-  r.count = count;
-  r.sum = mean * count;
-  r.p99 = p99;
-  r.max = p99;
-  return r;
-}
-
-TEST(ProfDiff, FlagsSeededP99Regression) {
-  const std::vector<LatencyRow> base = {row("all", "total", 1000, 80, 200)};
-  // +25% p99 (and +50 cycles absolute): both gates trip.
-  const std::vector<LatencyRow> cand = {row("all", "total", 1000, 80, 250)};
-  const DiffReport rep = diff_baselines(base, cand, {});
-  EXPECT_EQ(rep.regressions(), 1u);
-  ASSERT_EQ(rep.findings.size(), 1u);
-  EXPECT_EQ(rep.findings[0].kind, DiffFinding::Kind::kP99Regression);
-  EXPECT_EQ(rep.findings[0].base_value, 200u);
-  EXPECT_EQ(rep.findings[0].cand_value, 250u);
-}
-
-TEST(ProfDiff, SmallRelativeGrowthPasses) {
-  const std::vector<LatencyRow> base = {row("all", "total", 1000, 80, 200)};
-  const std::vector<LatencyRow> cand = {row("all", "total", 1000, 80, 210)};
-  // +5% < 10% tol
-  EXPECT_EQ(diff_baselines(base, cand, {}).regressions(), 0u);
-}
-
-TEST(ProfDiff, AbsoluteFloorShieldsTinyHistograms) {
-  // 2 -> 4 cycles is +100% but only +2 absolute: under the 16-cycle floor.
-  const std::vector<LatencyRow> base = {row("l1_hit", "l1", 5000, 2, 2)};
-  const std::vector<LatencyRow> cand = {row("l1_hit", "l1", 5000, 4, 4)};
-  EXPECT_EQ(diff_baselines(base, cand, {}).regressions(), 0u);
-}
-
-TEST(ProfDiff, UnderMinCountRowsAreSkipped) {
-  const std::vector<LatencyRow> base = {row("rac_hit", "total", 8, 50, 100)};
-  const std::vector<LatencyRow> cand = {row("rac_hit", "total", 8, 500, 1000)};
-  const DiffReport rep = diff_baselines(base, cand, {});
-  EXPECT_EQ(rep.regressions(), 0u);
-  EXPECT_EQ(rep.rows_compared, 0u);
-}
-
-TEST(ProfDiff, MeanRegressionIsCaughtIndependently) {
-  // p99 steady, mean up 50%: the mean gate alone must fire.
-  const std::vector<LatencyRow> base = {row("all", "total", 1000, 100, 400)};
-  const std::vector<LatencyRow> cand = {row("all", "total", 1000, 150, 400)};
-  const DiffReport rep = diff_baselines(base, cand, {});
-  EXPECT_EQ(rep.regressions(), 1u);
-  EXPECT_EQ(rep.findings[0].kind, DiffFinding::Kind::kMeanRegression);
-}
-
-TEST(ProfDiff, NewAndVanishedRowsAreInformational) {
-  const std::vector<LatencyRow> base = {row("all", "total", 1000, 80, 200),
-                                        row("scoma_hit", "dram", 500, 30, 60)};
-  const std::vector<LatencyRow> cand = {row("all", "total", 1000, 80, 200),
-                                        row("rac_hit", "rac", 500, 10, 20)};
-  const DiffReport rep = diff_baselines(base, cand, {});
-  EXPECT_EQ(rep.regressions(), 0u);
-  ASSERT_EQ(rep.findings.size(), 2u);
-  EXPECT_FALSE(rep.findings[0].is_regression());
-  EXPECT_FALSE(rep.findings[1].is_regression());
-}
-
-TEST(ProfDiff, EndToEndDirectoryComparisonDetectsRegression) {
-  namespace fs = std::filesystem;
-  const fs::path root = fs::temp_directory_path() / "ascoma_diff_test";
-  fs::remove_all(root);
-  fs::create_directories(root / "base");
-  fs::create_directories(root / "cand");
-  const std::string header = Profiler::latency_csv_header();
-  {
-    std::ofstream os(root / "base" / "latency.csv");
-    os << header << "\nall,total,1000,80000,10,60,120,200,400\n";
-  }
-  {
-    std::ofstream os(root / "cand" / "latency.csv");
-    os << header << "\nall,total,1000,80000,10,60,120,300,600\n";
-  }
-  const DiffReport rep = diff_baselines((root / "base").string(),
-                                       (root / "cand").string(), {});
-  EXPECT_TRUE(rep.ok()) << rep.error;
-  EXPECT_EQ(rep.regressions(), 1u);
-
-  const DiffReport missing =
-      diff_baselines((root / "base").string(), (root / "nope").string(), {});
-  EXPECT_FALSE(missing.ok());
-  // A file where a profile directory is expected is an input error, too.
-  const DiffReport file = diff_baselines(
-      (root / "base").string(), (root / "cand" / "latency.csv").string(), {});
-  EXPECT_FALSE(file.ok());
-  EXPECT_NE(file.error.find("not a profile directory"), std::string::npos)
-      << file.error;
-  fs::remove_all(root);
-}
-
-TEST(ProfDiff, MalformedCsvIsRejected) {
-  std::vector<LatencyRow> rows;
-  std::string error;
-  EXPECT_FALSE(parse_latency_csv("not,a,header\n1,2,3\n", rows, error));
-  EXPECT_FALSE(error.empty());
-  error.clear();
-  EXPECT_FALSE(parse_latency_csv(
-      Profiler::latency_csv_header() + "\nall,total,1,2,3\n", rows, error));
-  EXPECT_FALSE(error.empty());
 }
 
 // ---- report latency columns ------------------------------------------------

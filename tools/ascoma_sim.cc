@@ -26,8 +26,7 @@
 //   --sample-every N    gauge sampling period in cycles (default 100000)
 //   --profile DIR       attribute every demand access's latency to hardware
 //                       components and dump histograms + per-page heat map
-//                       into DIR (latency.csv, heat.csv, summary.json);
-//                       compare dumps with ascoma_baseline_diff
+//                       into DIR (latency.csv, heat.csv, summary.json)
 //   A failed or interrupted run still writes its --events/--perfetto/--metrics
 //   files before exiting 1 or 128+signal, for post-mortem analysis.
 //
@@ -43,7 +42,8 @@
 //   --restore FILE      restore a snapshot and continue the interrupted run
 //                       (same config/workload enforced by fingerprint)
 //   SIGINT/SIGTERM drain in-flight jobs, write the event exports, and exit
-//   128+signal (a checkpointed run stops at its next checkpoint).
+//   128+signal (a checkpointed run stops at its next checkpoint, a --trace
+//   grid when its current run ends).
 //
 // Fault injection & robustness (defaults leave results bit-identical):
 //   --fault-drop P        per-message drop probability (0..1)
@@ -412,6 +412,9 @@ int main(int argc, char** argv) {
     // job, and the snapshot hooks need the Machine itself (the sweep runner
     // owns its machines), so these drive one Machine per (arch, pressure).
     struct Interrupted {};
+    std::size_t runs = 0;
+    for (ArchModel arch : opt.archs)
+      runs += arch == ArchModel::kCcNuma ? 1 : opt.pressures.size();
     for (ArchModel arch : opt.archs) {
       for (double pressure : opt.pressures) {
         MachineConfig cfg = base;
@@ -447,6 +450,13 @@ int main(int argc, char** argv) {
           std::cerr << "run failed (" << to_string(arch) << ", "
                     << pressure * 100 << "%): " << e.what() << '\n';
           return fail(1);
+        }
+        // Polled after every run, the last one too: like the sweep path, an
+        // interrupted grid prints no partial table.
+        if (store::shutdown_requested()) {
+          std::cerr << "interrupted: " << rows.size() << '/' << runs
+                    << " runs finished\n";
+          return fail(128 + store::shutdown_signal());
         }
         if (arch == ArchModel::kCcNuma) break;  // pressure-independent
       }
@@ -578,10 +588,6 @@ int main(int argc, char** argv) {
   if (!opt.csv_path.empty()) {
     const bool fresh = !std::ifstream(opt.csv_path).good();
     std::ofstream csv(opt.csv_path, std::ios::app);
-    if (!csv) {
-      std::cerr << "cannot open csv file\n";
-      return 1;
-    }
     // With a profiler attached the run was single-config (enforced at parse
     // time), so every row gets the same profiler's latency columns.
     if (fresh) csv << report::csv_header(profiler.has_value()) << '\n';
@@ -591,6 +597,11 @@ int main(int argc, char** argv) {
                                     *profiler)
                   : report::csv_row(wl->name(), to_string(r.arch), r.result))
           << '\n';
+    // A failed open or write (e.g. a full disk) leaves the stream bad.
+    if (!csv.flush()) {
+      std::cerr << "cannot write CSV file: " << opt.csv_path << '\n';
+      return 1;
+    }
     std::cout << "\nCSV appended to " << opt.csv_path << '\n';
   }
   return 0;
