@@ -301,6 +301,8 @@ struct MachineConfig {
   /// Validates internal consistency (power-of-two granularities, divisibility,
   /// sane fractions).  Returns an empty string if OK, else a diagnostic.
   std::string validate() const;
+
+  friend bool operator==(const MachineConfig&, const MachineConfig&) = default;
 };
 
 }  // namespace ascoma

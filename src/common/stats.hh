@@ -24,6 +24,8 @@ struct TimeBreakdown {
   void add(const TimeBreakdown& other);
   /// Fraction of total time in bucket b (0 if total is 0).
   double frac(TimeBucket b) const;
+
+  friend bool operator==(const TimeBreakdown&, const TimeBreakdown&) = default;
 };
 
 const char* to_string(TimeBucket b);
@@ -46,6 +48,8 @@ struct MissBreakdown {
   /// Misses requiring a remote fetch.
   std::uint64_t remote() const;
   void add(const MissBreakdown& other);
+
+  friend bool operator==(const MissBreakdown&, const MissBreakdown&) = default;
 };
 
 const char* to_string(MissSource s);
@@ -71,6 +75,8 @@ struct KernelStats {
   std::uint64_t nacks = 0;             ///< NACKs received from overloaded homes
 
   void add(const KernelStats& other);
+
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
 };
 
 /// Per-node statistics rolled up into a machine-wide RunStats by core::Machine.
@@ -86,6 +92,8 @@ struct NodeStats {
   std::uint64_t remote_pages_touched = 0;  ///< distinct remote pages accessed
 
   void add(const NodeStats& other);
+
+  friend bool operator==(const NodeStats&, const NodeStats&) = default;
 };
 
 /// Whole-run result (sum over nodes plus machine-level facts).
@@ -99,6 +107,8 @@ struct RunStats {
 
   /// Remote-overhead estimate per the paper's cost model of Section 2.1.
   double remote_overhead_cycles() const;
+
+  friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 
 }  // namespace ascoma

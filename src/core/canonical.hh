@@ -1,11 +1,9 @@
 #pragma once
 
-// Canonical byte encodings of a machine's configuration and results
-// (ARCHITECTURE.md §15).  Machine checkpoints embed the node-stats encoding
-// and stamp machine_fingerprint() into their header; tests compare
-// RunResults through encode_run_result().  The encoding is canonical: the
-// same logical value always yields the same bytes, so byte equality is
-// result equality.
+// Canonical byte encodings behind machine checkpoints (ARCHITECTURE.md §15).
+// Checkpoints embed the node-stats encoding and stamp machine_fingerprint()
+// into their header.  The encoding is canonical: the same logical value
+// always yields the same bytes.
 //
 // Every encode_* has its decode_* immediately after it (the lint pairing
 // rule): a field added to one side without the other fails review and, at
@@ -16,7 +14,6 @@
 
 #include "common/config.hh"
 #include "common/stats.hh"
-#include "core/machine.hh"
 #include "store/codec.hh"
 
 namespace ascoma::core {
@@ -28,14 +25,8 @@ inline constexpr std::uint32_t kCanonicalVersion = 1;
 
 // ---- canonical encodings ----------------------------------------------------
 
-void encode_config(store::Encoder& e, const MachineConfig& c);
-void decode_config(store::Decoder& d, MachineConfig* c);
-
 void encode_node_stats(store::Encoder& e, const NodeStats& s);
 void decode_node_stats(store::Decoder& d, NodeStats* s);
-
-void encode_run_result(store::Encoder& e, const RunResult& r);
-void decode_run_result(store::Decoder& d, RunResult* r);
 
 // ---- machine identity -------------------------------------------------------
 

@@ -556,7 +556,7 @@ RunResult Machine::run() {
     if (checkpoint_every_ > Cycle{0} && now >= next_checkpoint_) {
       store::Snapshot snap;
       save(&snap);
-      if (checkpoint_self_check_) self_check_snapshot(snap);
+      self_check_snapshot(snap);
       if (checkpoint_cb_) checkpoint_cb_(snap, now);
       while (next_checkpoint_ <= now) next_checkpoint_ += checkpoint_every_;
     }

@@ -69,6 +69,8 @@ struct RunResult {
 
   /// Makespan of the parallel phase.
   Cycle cycles() const { return stats.parallel_cycles; }
+
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
 class Machine {
@@ -120,15 +122,13 @@ class Machine {
   void restore(const store::Snapshot& snap);
 
   /// Arrange for run() to snapshot the machine every `every` cycles of
-  /// simulated time and hand the snapshot to `on_snapshot`.  When
-  /// `self_check` is set (the default) every snapshot is additionally
-  /// restored into a fresh scratch machine and re-saved; a byte difference
-  /// fails the run — encode/decode drift can then never produce a snapshot
-  /// that silently restores into a different machine.
+  /// simulated time and hand the snapshot to `on_snapshot`.  Every snapshot
+  /// is first restored into a fresh scratch machine and re-saved; a byte
+  /// difference fails the run — encode/decode drift can then never produce
+  /// a snapshot that silently restores into a different machine.
   void set_checkpoint(
       Cycle every,
-      std::function<void(const store::Snapshot&, Cycle)> on_snapshot,
-      bool self_check = true);
+      std::function<void(const store::Snapshot&, Cycle)> on_snapshot);
 
  private:
   class Evictor;
@@ -224,7 +224,6 @@ class Machine {
   Cycle checkpoint_every_{0};  ///< 0 = checkpointing off
   Cycle next_checkpoint_{0};
   std::function<void(const store::Snapshot&, Cycle)> checkpoint_cb_;
-  bool checkpoint_self_check_ = true;
 };
 
 /// One-shot convenience wrapper.

@@ -151,13 +151,12 @@ void Machine::restore(const store::Snapshot& snap) {
 }
 
 void Machine::set_checkpoint(
-    Cycle every, std::function<void(const store::Snapshot&, Cycle)> on_snapshot,
-    bool self_check) {
+    Cycle every,
+    std::function<void(const store::Snapshot&, Cycle)> on_snapshot) {
   ASCOMA_CHECK_MSG(every > Cycle{0}, "checkpoint period must be positive");
   checkpoint_every_ = every;
   next_checkpoint_ = every;
   checkpoint_cb_ = std::move(on_snapshot);
-  checkpoint_self_check_ = self_check;
 }
 
 void Machine::self_check_snapshot(const store::Snapshot& snap) const {

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
+#include <future>
 #include <iostream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/check.hh"
-#include "common/sync.hh"
 #include "workload/workload.hh"
 
 namespace ascoma::core {
@@ -87,18 +87,14 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
   std::atomic<std::size_t> done{0};
   std::atomic<std::uint64_t> cycles_done{0};
   std::atomic<bool> failed{false};
-  // First-thrower-wins slot; the exception_ptr crosses threads via err.mu
-  // and the pool join, never via the `failed` flag.
-  struct ErrorSlot {
-    Mutex mu;
-    std::exception_ptr first ASCOMA_GUARDED_BY(mu);
-  } err;
   const HostNs sweep_t0 = clock->now();
 
+  // Each worker owns every results[i] it claims until its future is ready;
+  // a failure travels back through that future.
   auto worker = [&] {
     for (;;) {
       // order: relaxed — `failed` is an advisory early-exit hint; the
-      // exception and all result state cross via err.mu and the join.
+      // exception and all result state cross via the worker's future.
       // order: acquire on `stop` — pairs with the release store in the
       // shutdown signal handler (store/shutdown.cc) and test setters, so a
       // worker observing the flag also observes everything written before
@@ -106,12 +102,11 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
       if (failed.load(std::memory_order_relaxed) ||
           (opts.stop != nullptr &&
            opts.stop->load(std::memory_order_acquire)))
-        break;
+        return;
       // order: relaxed — a job-claim ticket: only the RMW's atomicity
-      // matters (each index claimed once); results[i] is then exclusively
-      // this worker's until the join publishes it.
+      // matters (each index claimed once).
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) break;
+      if (i >= jobs.size()) return;
       try {
         auto wl = workload::make_workload(jobs[i].workload,
                                           jobs[i].workload_scale);
@@ -123,95 +118,56 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
         const HostNs t1 = clock->now();
         results[i].timing.wall = t1 - t0;
         // order: relaxed — monotonic progress telemetry, read by the
-        // heartbeat for display only; exact after the join.
+        // heartbeat for display only; exact once every future is ready.
         cycles_done.fetch_add(
             results[i].result.stats.parallel_cycles.value(),
             std::memory_order_relaxed);
         done.fetch_add(1, std::memory_order_relaxed);
       } catch (...) {
-        {
-          const LockGuard g(err.mu);
-          if (!err.first) err.first = std::current_exception();
-        }
         // order: relaxed — advisory early-exit hint only (see the loop
         // head); correctness does not depend on when peers observe it.
         failed.store(true, std::memory_order_relaxed);
-        break;
+        throw;
       }
     }
   };
 
-  // Progress heartbeat: one extra thread building single-line JSON at the
-  // configured cadence; woken early at shutdown so the sweep never waits on
-  // a sleeping reporter.
-  struct Heartbeat {
-    Mutex mu;
-    CondVar cv;
-    bool stop ASCOMA_GUARDED_BY(mu) = false;
-  } hb;
-  // Heartbeat-thread-private while it runs; the final-line read below
-  // happens after join(), a full happens-before edge — no guard needed.
-  std::uint64_t hb_seq = 0;
-  std::ostream* const out =
-      opts.progress_out != nullptr ? opts.progress_out : &std::cerr;
-  std::thread heartbeat;
-  if (opts.progress && !jobs.empty()) {
-    const auto interval =
-        std::chrono::milliseconds(std::max<std::uint32_t>(
-            opts.progress_interval_ms, 1));
-    heartbeat = std::thread([&, interval] {
-      for (;;) {
-        bool stop_now;
-        {
-          const LockGuard lk(hb.mu);
-          // Manual timed-wait loop instead of a predicate lambda so
-          // -Wthread-safety sees hb.stop read with hb.mu held; one timeout
-          // tick ends a round, a notify ends the thread.
-          while (!hb.stop) {
-            if (hb.cv.wait_for(hb.mu, interval) == std::cv_status::timeout)
-              break;
-          }
-          stop_now = hb.stop;
-        }
-        if (stop_now) break;
-        // Beat OUTSIDE the lock: formatting the line and streaming it to
-        // *out (possibly a pipe) must never stall the stopper.
-        // order: relaxed — monotonic telemetry reads for display only.
-        const std::string line = progress_line(
-            done.load(std::memory_order_relaxed), jobs.size(),
-            clock->now() - sweep_t0,
-            Cycle{cycles_done.load(std::memory_order_relaxed)}, hb_seq++);
-        *out << line << std::endl;
-      }
-    });
-  }
-
-  std::vector<std::thread> pool;
+  std::vector<std::future<void>> pool;
   pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  for (unsigned t = 0; t < threads; ++t)
+    pool.push_back(std::async(std::launch::async, worker));
 
-  if (heartbeat.joinable()) {
-    {
-      const LockGuard g(hb.mu);
-      hb.stop = true;
+  // The calling thread waits for the workers and, with progress on, beats
+  // whenever a wait outlasts the interval.
+  if (opts.progress && !jobs.empty()) {
+    std::ostream& out =
+        opts.progress_out != nullptr ? *opts.progress_out : std::cerr;
+    const auto interval = std::chrono::milliseconds(
+        std::max<std::uint32_t>(opts.progress_interval_ms, 1));
+    std::uint64_t seq = 0;
+    // order: relaxed — monotonic telemetry reads for display only; the
+    // final beat runs after every future is ready, so its reads are exact.
+    const auto beat = [&] {
+      out << progress_line(done.load(std::memory_order_relaxed),
+                           jobs.size(), clock->now() - sweep_t0,
+                           Cycle{cycles_done.load(std::memory_order_relaxed)},
+                           seq++)
+          << std::endl;
+    };
+    auto deadline = std::chrono::steady_clock::now() + interval;
+    for (const std::future<void>& f : pool) {
+      while (f.wait_until(deadline) == std::future_status::timeout) {
+        beat();
+        deadline = std::chrono::steady_clock::now() + interval;
+      }
     }
-    hb.cv.notify_all();
-    heartbeat.join();
     // Final line so a consumer always sees done == total (or the partial
     // count when a job threw).
-    // order: relaxed — all workers joined above, so these reads are exact;
-    // the joins are the happens-before edges.
-    const std::string line = progress_line(
-        done.load(std::memory_order_relaxed), jobs.size(),
-        clock->now() - sweep_t0,
-        Cycle{cycles_done.load(std::memory_order_relaxed)}, hb_seq);
-    *out << line << std::endl;
+    beat();
   }
-  {
-    const LockGuard g(err.mu);
-    if (err.first) std::rethrow_exception(err.first);
-  }
+  // Every worker has finished before get() rethrows a failure.
+  for (const std::future<void>& f : pool) f.wait();
+  for (std::future<void>& f : pool) f.get();
 
   // Straggler pass: flag jobs whose wall time exceeded the configured
   // multiple of the sweep median — the load-imbalance signal.

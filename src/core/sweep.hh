@@ -65,9 +65,10 @@ struct SweepOptions {
   const std::atomic<bool>* stop = nullptr;
 };
 
-/// Runs all jobs on up to `opts.threads` worker threads.  Results are
-/// returned in job order.  A job whose workload name is unknown throws
-/// (after all threads join).
+/// Runs all jobs on up to `opts.threads` worker threads; the calling thread
+/// waits and writes the progress heartbeat.  Results are returned in job
+/// order.  A job whose workload name is unknown throws (after every worker
+/// has finished).
 std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
                                    const SweepOptions& opts);
 

@@ -31,7 +31,7 @@ void PageCache::add_active(VPageId p) {
   reserve_pages(p.value() + 1);  // no-op when pre-sized at machine setup
   active_[p.value()] = 1;
   ++active_count_;
-  clock_.push_back(p);
+  clock_push(p);
 }
 
 void PageCache::remove_active(VPageId p) {
@@ -41,12 +41,29 @@ void PageCache::remove_active(VPageId p) {
   // The clock entry is removed lazily during rotation.
 }
 
+void PageCache::clock_push(VPageId p) {
+  if (clock_size_ == clock_.size()) {
+    std::vector<VPageId> grown(clock_.empty() ? 16 : 2 * clock_.size());
+    for (std::size_t i = 0; i < clock_size_; ++i) grown[i] = clock_at(i);
+    clock_.swap(grown);
+    clock_head_ = 0;
+  }
+  clock_[(clock_head_ + clock_size_) & (clock_.size() - 1)] = p;
+  ++clock_size_;
+}
+
 std::optional<VPageId> PageCache::rotate() {
-  while (!clock_.empty()) {
-    const VPageId p = clock_.front();
-    clock_.pop_front();
-    if (!is_active(p)) continue;  // stale entry
-    clock_.push_back(p);
+  const std::size_t mask = clock_.size() - 1;
+  while (clock_size_ != 0) {
+    const VPageId p = clock_[clock_head_];
+    clock_head_ = (clock_head_ + 1) & mask;
+    if (!is_active(p)) {  // stale entry
+      --clock_size_;
+      continue;
+    }
+    // Front to back: the back slot is the one just vacated when the ring
+    // is full, and a free slot otherwise.
+    clock_[(clock_head_ + clock_size_ - 1) & mask] = p;
     return p;
   }
   return std::nullopt;

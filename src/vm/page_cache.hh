@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -64,8 +63,8 @@ class PageCache {
     e.u32(capacity_);
     e.u64(free_.size());
     for (const FrameId f : free_) e.u32(f.value());
-    e.u64(clock_.size());
-    for (const VPageId p : clock_) e.u64(p.value());
+    e.u64(clock_size_);
+    for (std::size_t i = 0; i < clock_size_; ++i) e.u64(clock_at(i).value());
     e.u64(active_count_);
     for (std::uint64_t p = 0; p < active_.size(); ++p)
       if (active_[p] != 0) e.u64(p);
@@ -76,9 +75,10 @@ class PageCache {
     free_.clear();
     const std::uint64_t nfree = d.u64();
     for (std::uint64_t i = 0; i < nfree; ++i) free_.push_back(FrameId{d.u32()});
-    clock_.clear();
+    clock_head_ = 0;
+    clock_size_ = 0;
     const std::uint64_t nclock = d.u64();
-    for (std::uint64_t i = 0; i < nclock; ++i) clock_.push_back(VPageId{d.u64()});
+    for (std::uint64_t i = 0; i < nclock; ++i) clock_push(VPageId{d.u64()});
     std::fill(active_.begin(), active_.end(), 0);
     active_count_ = 0;
     const std::uint64_t nact = d.u64();
@@ -91,9 +91,20 @@ class PageCache {
   }
 
  private:
+  /// Entry `i` of the clock, counted from the front.
+  VPageId clock_at(std::size_t i) const {
+    return clock_[(clock_head_ + i) & (clock_.size() - 1)];
+  }
+  /// Append to the back of the clock, doubling the ring when it is full.
+  void clock_push(VPageId p);
+
   std::uint32_t capacity_;
   std::vector<FrameId> free_;
-  std::deque<VPageId> clock_;  // may contain stale entries (lazy deletion)
+  /// The clock list: a FIFO ring over a power-of-two vector, so rotation
+  /// never allocates.  May contain stale entries (lazy deletion).
+  std::vector<VPageId> clock_;
+  std::size_t clock_head_ = 0;
+  std::size_t clock_size_ = 0;
   /// Active-replica membership bitmap indexed by page (1 = active S-COMA
   /// replica on this node); grown only by reserve_pages().
   std::vector<std::uint8_t> active_;

@@ -182,10 +182,10 @@ TEST(ChaosSoak, EventTraceRecordsTheChaos) {
 }
 
 // The whole cross-thread sweep under chaos at once: a 4-worker sweep of
-// every architecture with fault injection enabled, with the progress
-// heartbeat beating on its own thread for the entire run.  Exercises every
-// lock and every release/acquire handshake of the sweep concurrently — the
-// CI TSan job runs this.
+// every architecture with fault injection enabled, with the calling thread
+// beating the progress heartbeat for the entire run.  Exercises every atomic
+// of the sweep and every hand-back through a worker's future concurrently —
+// the CI TSan job runs this.
 TEST(ChaosSoak, ThreadedFaultSweepRaceFree) {
   std::vector<core::SweepJob> jobs;
   for (ArchModel arch : kAllArchs) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/check.hh"
+#include "core/host.hh"
 
 namespace ascoma::vm {
 namespace {
@@ -99,6 +100,21 @@ TEST(PageCache, ReAddAfterRemoveWorks) {
   c.add_active(VPageId{5});
   EXPECT_TRUE(c.is_active(VPageId{5}));
   EXPECT_EQ(*c.rotate(), VPageId{5});
+}
+
+// The clock is a ring that grows only when full: the hand going round a
+// full clock never touches the heap, and growth keeps the FIFO order.
+TEST(PageCache, RotatingAFullClockAllocatesNothing) {
+  if (!core::alloc_hook_active()) GTEST_SKIP() << "alloc hook compiled out";
+  constexpr std::uint64_t kPages = 64;
+  PageCache c(kPages);
+  for (std::uint64_t p = 0; p < kPages; ++p) c.add_active(VPageId{p});
+  const std::uint64_t before = core::thread_alloc_count();
+  std::uint64_t out_of_order = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i)
+    if (c.rotate() != VPageId{i % kPages}) ++out_of_order;
+  EXPECT_EQ(core::thread_alloc_count(), before);
+  EXPECT_EQ(out_of_order, 0u);
 }
 
 TEST(PageCache, ZeroCapacity) {

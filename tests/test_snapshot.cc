@@ -1,10 +1,9 @@
 // Machine checkpoint/restore tests (ARCHITECTURE.md §15): for every
 // architecture model, a run interrupted at a checkpoint and resumed in a
 // fresh machine must finish with a bit-identical RunResult; snapshots must
-// refuse to restore into a differently-built machine; and the default-on
+// refuse to restore into a differently-built machine; and the always-on
 // self-check must hold (save → restore → save is byte-stable).  Also the
-// canonical encodings the snapshots are built on (core/canonical.hh): the
-// machine fingerprint and the RunResult encode/decode pair.
+// machine fingerprint the snapshots are stamped with (core/canonical.hh).
 
 #include "core/machine.hh"
 
@@ -33,13 +32,6 @@ MachineConfig config_for(ArchModel arch) {
   cfg.arch = arch;
   cfg.memory_pressure = 0.7;
   return cfg;
-}
-
-/// Canonical bytes of a RunResult — the equality the golden CSV depends on.
-std::vector<std::uint8_t> canon(const RunResult& r) {
-  store::Encoder e;
-  encode_run_result(e, r);
-  return e.bytes();
 }
 
 const std::vector<ArchModel> kAllArchs = {
@@ -78,22 +70,6 @@ TEST(Fingerprint, StableAndSensitive) {
   EXPECT_TRUE(a == fp(k, "fft", 1024, 16));
 }
 
-TEST(Canonical, RunResultEncodeDecodeEncodeIsByteStable) {
-  const auto wl = workload::make_workload("fft", kScale);
-  ASSERT_NE(wl, nullptr);
-  const RunResult r = simulate(config_for(ArchModel::kAsComa), *wl);
-  const std::vector<std::uint8_t> bytes = canon(r);
-
-  store::Decoder d(bytes);
-  RunResult back;
-  decode_run_result(d, &back);
-  EXPECT_TRUE(d.done());
-  EXPECT_EQ(back.cycles(), r.cycles());
-  EXPECT_EQ(back.per_node.size(), r.per_node.size());
-  EXPECT_EQ(back.config.arch, ArchModel::kAsComa);
-  EXPECT_EQ(canon(back), bytes);
-}
-
 TEST(Snapshot, FreshMachineSaveRestoreSaveIsByteStable) {
   const auto wl = workload::make_workload("fft", kScale);
   ASSERT_NE(wl, nullptr);
@@ -121,7 +97,7 @@ TEST(Snapshot, ResumedRunMatchesUninterruptedRunAllArchitectures) {
     Machine reference(cfg, *wl);
     const RunResult expect = reference.run();
 
-    // Checkpoint mid-run (self-check on by default: every snapshot must
+    // Checkpoint mid-run (the self-check is always on: every snapshot must
     // round-trip byte-identically through a scratch machine or the run
     // fails here).
     std::vector<store::Snapshot> snaps;
@@ -132,14 +108,14 @@ TEST(Snapshot, ResumedRunMatchesUninterruptedRunAllArchitectures) {
     const RunResult through = interrupted.run();
     ASSERT_GE(snaps.size(), 2u) << to_string(arch);
     // Checkpointing itself never changes simulated behaviour.
-    EXPECT_EQ(canon(through), canon(expect)) << to_string(arch);
+    EXPECT_TRUE(through == expect) << to_string(arch);
 
     // Resume from each snapshot — early and late — and finish the run.
     for (const store::Snapshot& snap : {snaps.front(), snaps.back()}) {
       Machine resumed(cfg, *wl);
       resumed.restore(snap);
       const RunResult got = resumed.run();
-      EXPECT_EQ(canon(got), canon(expect)) << to_string(arch);
+      EXPECT_TRUE(got == expect) << to_string(arch);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.hh"
 #include "core/host.hh"
 #include "obs/probe.hh"
 #include "store/shutdown.hh"
@@ -236,10 +237,29 @@ TEST(SweepTelemetry, ProgressHeartbeatAlwaysEndsComplete) {
   ASSERT_EQ(res.size(), 2u);
   const std::string text = out.str();
   ASSERT_NE(text, "");
-  // The final heartbeat (emitted after the pool joins) reports completion.
+  // The final heartbeat (emitted once every worker is done) reports completion.
   const std::size_t last = text.rfind("{\"sweep\"");
   ASSERT_NE(last, std::string::npos);
   EXPECT_NE(text.find("\"done\":2,\"total\":2", last), std::string::npos);
+}
+
+TEST(SweepTelemetry, FailedSweepBeatsItsPartialCountBeforeThrowing) {
+  // Job 1 names no workload.  Whichever worker claimed job 0 still runs it
+  // to the end, so the sweep's last line reports it done, and only then
+  // does the failure reach the caller.
+  std::vector<SweepJob> jobs = tiny_jobs(2);
+  jobs[1].workload = "no-such-program";
+  std::ostringstream out;
+  SweepOptions opts;
+  opts.threads = 2;
+  opts.progress = true;
+  opts.progress_interval_ms = 1;
+  opts.progress_out = &out;
+  EXPECT_THROW(run_sweep(jobs, opts), CheckFailure);
+  const std::string text = out.str();
+  const std::size_t last = text.rfind("{\"sweep\"");
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_NE(text.find("\"done\":1,\"total\":2", last), std::string::npos);
 }
 
 }  // namespace

@@ -309,8 +309,7 @@ def parse_params(text, open_paren):
 
 
 def build_model(root: Path, annotations: dict = None,
-                skip_files=("src/common/annotate.hh",
-                            "src/common/sync.hh")) -> Model:
+                skip_files=("src/common/annotate.hh",)) -> Model:
     """Textual front end.  ``annotations`` maps macro token -> root kind
     (e.g. {"ASCOMA_HOT_PATH": "hot_path"}); pass {} for a linter that only
     needs call edges.  ``skip_files`` are macro-definition files that are

