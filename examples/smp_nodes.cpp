@@ -3,7 +3,8 @@
 // processors per node at a fixed per-processor workload and shows where the
 // node's shared resources (bus, DRAM, DSM engine) saturate, and how the
 // sibling bus snoop turns some would-be remote traffic into cache-to-cache
-// transfers.
+// transfers.  The "bus util" column is node 0's Bus::utilization: the bus's
+// busy-cycle total over the run's cycles.
 //
 //   ./smp_nodes [pressure%]
 
@@ -42,8 +43,7 @@ int main(int argc, char** argv) {
 
     const double cycles = static_cast<double>(r.cycles().value());
     if (ppn == 1) base = cycles;
-    const double bus_util =
-        m.memory().bus(NodeId{0}).resource().utilization(r.cycles());
+    const double bus_util = m.memory().bus(NodeId{0}).utilization(r.cycles());
     t.add_row({std::to_string(ppn), std::to_string(4 * ppn),
                std::to_string(r.cycles().value()),
                std::to_string(m.memory().sibling_transfers()),

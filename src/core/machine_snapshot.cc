@@ -29,7 +29,10 @@ namespace {
 
 /// Bumped on any layout change below; restore refuses other versions.
 /// v2: the cmem coherence shadow is one stale-copy mask per block.
-constexpr std::uint32_t kSnapshotVersion = 2;
+/// v3: a Resource is its free-at cycle alone; the DRAM access count, the RAC
+/// fill count and the refetch total are gone, and the bus stores its busy
+/// total.
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 }  // namespace
 

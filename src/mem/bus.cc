@@ -1,5 +1,11 @@
 #include "mem/bus.hh"
 
-// Bus is header-only today; this TU anchors the library target and keeps a
-// home for future multi-master arbitration logic.
-namespace ascoma::mem {}
+namespace ascoma::mem {
+
+double Bus::utilization(Cycle horizon) const {
+  if (horizon == Cycle{0}) return 0.0;
+  return static_cast<double>(busy_.value()) /
+         static_cast<double>(horizon.value());
+}
+
+}  // namespace ascoma::mem

@@ -19,10 +19,10 @@ void L1Cache::touch_store(LineId line) {
   dirty_[i] = 1;
 }
 
-void L1Cache::reset() {
-  std::fill(tags_.begin(), tags_.end(), kEmpty);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  valid_count_ = 0;
+std::uint32_t L1Cache::valid_lines() const {
+  return static_cast<std::uint32_t>(
+      std::count_if(tags_.begin(), tags_.end(),
+                    [](std::uint64_t tag) { return tag != kEmpty; }));
 }
 
 }  // namespace ascoma::mem

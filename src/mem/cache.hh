@@ -56,11 +56,9 @@ class L1Cache {
       r.evicted = true;
       r.victim = LineId{tag};
       r.writeback = dirty_[i] != 0;
-      --valid_count_;
     }
     tag = line.value();
     dirty_[i] = dirty ? 1 : 0;
-    ++valid_count_;
     return r;
   }
 
@@ -73,7 +71,6 @@ class L1Cache {
     if (tags_[i] != line.value()) return false;
     tags_[i] = kEmpty;
     dirty_[i] = 0;
-    --valid_count_;
     return true;
   }
 
@@ -95,7 +92,6 @@ class L1Cache {
       tags_[i] = kEmpty;
       dirty_[i] = 0;
     }
-    valid_count_ -= r.valid_lines;
     return r;
   }
 
@@ -108,12 +104,13 @@ class L1Cache {
     const std::uint32_t i = index_of(line);
     return tags_[i] == line.value() && dirty_[i] != 0;
   }
-  std::uint32_t valid_lines() const { return valid_count_; }
+  /// Resident line count: a scan of every slot (tests, checkpoints).
+  std::uint32_t valid_lines() const;
 
   /// Snapshot of the resident line ids (invariant checker, tests).
   std::vector<LineId> valid_line_ids() const {
     std::vector<LineId> out;
-    out.reserve(valid_count_);
+    out.reserve(valid_lines());
     for (const std::uint64_t tag : tags_)
       if (tag != kEmpty) out.push_back(LineId{tag});
     return out;
@@ -122,7 +119,8 @@ class L1Cache {
   std::uint32_t num_lines() const { return static_cast<std::uint32_t>(tags_.size()); }
 
   // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  // Per slot: (tag, valid, dirty); an empty slot encodes tag 0.
+  // Per slot: (tag, valid, dirty); an empty slot encodes tag 0.  The
+  // trailing valid-line count lets decode cross-check the slots.
   void encode(store::Encoder& e) const {
     e.u64(tags_.size());
     for (std::size_t i = 0; i < tags_.size(); ++i) {
@@ -131,7 +129,7 @@ class L1Cache {
       e.b(valid);
       e.b(dirty_[i] != 0);
     }
-    e.u32(valid_count_);
+    e.u32(valid_lines());
   }
   void decode(store::Decoder& d) {
     if (d.u64() != tags_.size())
@@ -147,12 +145,9 @@ class L1Cache {
       dirty_[i] = valid && dirty ? 1 : 0;
       valid_count += valid ? 1 : 0;
     }
-    valid_count_ = d.u32();
-    if (valid_count_ != valid_count)
+    if (d.u32() != valid_count)
       throw store::CodecError("L1 valid-line count mismatch");
   }
-
-  void reset();
 
  private:
   /// Tag of an empty slot.  A line id is at most total_pages × lines_per_page,
@@ -167,7 +162,6 @@ class L1Cache {
   std::uint32_t index_mask_;
   std::vector<std::uint64_t> tags_;   ///< resident line id per slot, or kEmpty
   std::vector<std::uint8_t> dirty_;   ///< 1 when the slot's line is dirty
-  std::uint32_t valid_count_ = 0;
 };
 
 }  // namespace ascoma::mem

@@ -22,35 +22,27 @@ class Dram {
 
   /// Issue a block access at `now`; returns the completion cycle.
   Cycle access(Cycle now, BlockId block) {
-    ++accesses_;
     sim::Resource& bank = banks_[block.value() & bank_mask_];
     return bank.acquire_until(now, access_cycles_);
   }
 
   std::uint32_t banks() const { return static_cast<std::uint32_t>(banks_.size()); }
-  const sim::Resource& bank(std::uint32_t i) const { return banks_[i]; }
-  std::uint64_t accesses() const { return accesses_; }
 
   // Checkpoint serialization (encode/decode stay adjacent — pairing check).
   void encode(store::Encoder& e) const {
     e.u64(banks_.size());
     for (const sim::Resource& b : banks_) b.encode(e);
-    e.u64(accesses_);
   }
   void decode(store::Decoder& d) {
     if (d.u64() != banks_.size())
       throw store::CodecError("DRAM geometry mismatch");
     for (sim::Resource& b : banks_) b.decode(d);
-    accesses_ = d.u64();
   }
-
-  void reset();
 
  private:
   Cycle access_cycles_;
   std::uint64_t bank_mask_;  ///< banks - 1
   std::vector<sim::Resource> banks_;
-  std::uint64_t accesses_ = 0;
 };
 
 }  // namespace ascoma::mem

@@ -36,10 +36,4 @@ std::uint32_t Rac::invalidate_page(VPageId page) {
   return n;
 }
 
-void Rac::reset() {
-  for (Slot& s : slots_) s = Slot{};
-  hits_ = 0;
-  fills_ = 0;
-}
-
 }  // namespace ascoma::mem

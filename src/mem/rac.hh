@@ -33,7 +33,6 @@ class Rac {
     Slot& s = slots_[index_of(block)];
     s.tag = block;
     s.valid = true;
-    ++fills_;
   }
 
   /// Invalidate a block if present; true if it was present.
@@ -51,7 +50,6 @@ class Rac {
   std::uint32_t invalidate_page(VPageId page);
 
   std::uint64_t hits() const { return hits_; }
-  std::uint64_t fills() const { return fills_; }
   std::uint32_t entries() const { return static_cast<std::uint32_t>(slots_.size()); }
   void note_hit() { ++hits_; }
 
@@ -63,7 +61,6 @@ class Rac {
     return out;
   }
 
-
   // Checkpoint serialization (encode/decode stay adjacent — pairing check).
   void encode(store::Encoder& e) const {
     e.u64(slots_.size());
@@ -72,7 +69,6 @@ class Rac {
       e.b(s.valid);
     }
     e.u64(hits_);
-    e.u64(fills_);
   }
   void decode(store::Decoder& d) {
     if (d.u64() != slots_.size())
@@ -82,10 +78,7 @@ class Rac {
       s.valid = d.b();
     }
     hits_ = d.u64();
-    fills_ = d.u64();
   }
-
-  void reset();
 
  private:
   struct Slot {
@@ -101,7 +94,6 @@ class Rac {
   std::vector<Slot> slots_;
   std::uint32_t index_mask_;  ///< entries - 1 (unused when slots_ is empty)
   std::uint64_t hits_ = 0;
-  std::uint64_t fills_ = 0;
 };
 
 }  // namespace ascoma::mem

@@ -19,11 +19,8 @@ Network::Network(const MachineConfig& cfg)
       fabric_(fabric_latency(cfg)),
       port_occupancy_(cfg.net_port_occupancy),
       retry_timeout_(cfg.retry_timeout),
-      retry_max_attempts_(cfg.retry_max_attempts) {
-  ports_.reserve(cfg.nodes);
-  for (std::uint32_t n = 0; n < cfg.nodes; ++n)
-    ports_.emplace_back("net.port" + std::to_string(n));
-}
+      retry_max_attempts_(cfg.retry_max_attempts),
+      ports_(cfg.nodes) {}
 
 Network::Attempt Network::try_deliver(Cycle now, NodeId src, NodeId dst) {
   ASCOMA_CHECK(src.value() < ports_.size() && dst.value() < ports_.size());
@@ -73,12 +70,6 @@ Cycle Network::deliver_retransmitting(Cycle now, NodeId src, NodeId dst) {
     ++retransmits_;
     now += retry_timeout_;  // hardware retransmit after the loss timeout
   }
-}
-
-void Network::reset() {
-  for (auto& p : ports_) p.reset();
-  messages_ = 0;
-  retransmits_ = 0;
 }
 
 }  // namespace ascoma::net

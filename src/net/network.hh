@@ -117,8 +117,6 @@ class Network {
     retransmits_ = d.u64();
   }
 
-  void reset();
-
  private:
   /// deliver() with an enabled plan: try_deliver() until an attempt lands.
   Cycle deliver_retransmitting(Cycle now, NodeId src, NodeId dst);

@@ -40,6 +40,16 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
   net_.set_fault_plan(&plan_);
   const std::uint64_t blocks = dir_.total_blocks();
   const std::uint64_t pages = homes.total_pages();
+  // The large per-node tables come before the small components.  When a
+  // process builds machines one after another, this order lets malloc trim
+  // the heap a freed machine leaves behind, so the next one does not add
+  // to the peak RSS.  The explicit zero record makes the fill one memset;
+  // without it the value-initialising constructor copies the first record
+  // into the rest.
+  for (std::uint32_t n = 0; n < cfg.nodes; ++n) {
+    blocks_.emplace_back(pages, PageBlocks{});
+    remote_page_seen_.emplace_back(pages, 0);
+  }
   l1_.reserve(cfg.total_procs());
   for (std::uint32_t p = 0; p < cfg.total_procs(); ++p)
     l1_.push_back(std::make_unique<mem::L1Cache>(cfg));
@@ -47,11 +57,7 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
     rac_.push_back(std::make_unique<mem::Rac>(cfg));
     dram_.push_back(std::make_unique<mem::Dram>(cfg));
     bus_.push_back(std::make_unique<mem::Bus>(cfg));
-    engine_.emplace_back("engine" + std::to_string(n));
-    // The explicit zero record makes the fill one memset; without it the
-    // value-initialising constructor copies the first record into the rest.
-    blocks_.emplace_back(pages, PageBlocks{});
-    remote_page_seen_.emplace_back(pages, 0);
+    engine_.emplace_back();
   }
   remote_pages_touched_.assign(cfg.nodes, 0);
   if (cfg.check_invariants) stale_copies_.assign(blocks, 0);

@@ -8,16 +8,6 @@ RefetchTable::RefetchTable(std::uint64_t total_pages, std::uint32_t nodes)
       counts_(total_pages * nodes, 0),
       cumulative_(total_pages * nodes, 0) {}
 
-std::uint32_t RefetchTable::increment(VPageId page, NodeId node) {
-  ++total_;
-  ++cumulative_[idx(page, node)];
-  return ++counts_[idx(page, node)];
-}
-
-std::uint32_t RefetchTable::count(VPageId page, NodeId node) const {
-  return counts_[idx(page, node)];
-}
-
 std::uint32_t RefetchTable::cumulative(VPageId page, NodeId node) const {
   return cumulative_[idx(page, node)];
 }
@@ -30,19 +20,6 @@ std::uint64_t RefetchTable::pairs_at_least(std::uint32_t threshold) const {
   std::uint64_t n = 0;
   for (std::uint32_t c : cumulative_)
     if (c >= threshold) ++n;
-  return n;
-}
-
-std::uint64_t RefetchTable::pages_at_least(std::uint32_t threshold) const {
-  std::uint64_t n = 0;
-  for (std::uint64_t p = 0; p < pages_; ++p) {
-    for (std::uint32_t nd = 0; nd < nodes_; ++nd) {
-      if (cumulative_[p * nodes_ + nd] >= threshold) {
-        ++n;
-        break;
-      }
-    }
-  }
   return n;
 }
 

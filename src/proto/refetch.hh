@@ -20,11 +20,17 @@ class RefetchTable {
   RefetchTable(std::uint64_t total_pages, std::uint32_t nodes);
 
   /// Records one refetch; returns the new (resettable) count.
-  std::uint32_t increment(VPageId page, NodeId node);
+  std::uint32_t increment(VPageId page, NodeId node) {
+    const std::size_t i = idx(page, node);
+    ++cumulative_[i];
+    return ++counts_[i];
+  }
 
   /// Policy counter: reset when the page is remapped so post-remap behaviour
   /// is judged afresh.
-  std::uint32_t count(VPageId page, NodeId node) const;
+  std::uint32_t count(VPageId page, NodeId node) const {
+    return counts_[idx(page, node)];
+  }
 
   /// Census counter: never reset (drives Table 6).
   std::uint32_t cumulative(VPageId page, NodeId node) const;
@@ -32,13 +38,10 @@ class RefetchTable {
   /// Reset one page's policy counter for one node (performed on remap).
   void reset(VPageId page, NodeId node);
 
-  /// --- census helpers for Table 6 (use cumulative counts) ------------------
-  /// Number of (page, node) pairs with cumulative count >= threshold.
+  /// Census for Table 6: number of (page, node) pairs with cumulative count
+  /// >= threshold.
   std::uint64_t pairs_at_least(std::uint32_t threshold) const;
-  /// Number of distinct pages having some node with cumulative >= threshold.
-  std::uint64_t pages_at_least(std::uint32_t threshold) const;
 
-  std::uint64_t total_refetches() const { return total_; }
   std::uint64_t total_pages() const { return pages_; }
   std::uint32_t nodes() const { return nodes_; }
 
@@ -47,14 +50,12 @@ class RefetchTable {
     e.u64(counts_.size());
     for (const std::uint32_t c : counts_) e.u32(c);
     for (const std::uint32_t c : cumulative_) e.u32(c);
-    e.u64(total_);
   }
   void decode(store::Decoder& d) {
     if (d.u64() != counts_.size())
       throw store::CodecError("refetch table geometry mismatch");
     for (std::uint32_t& c : counts_) c = d.u32();
     for (std::uint32_t& c : cumulative_) c = d.u32();
-    total_ = d.u64();
   }
 
  private:
@@ -67,7 +68,6 @@ class RefetchTable {
   std::uint32_t nodes_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> cumulative_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace ascoma::proto

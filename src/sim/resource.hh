@@ -9,9 +9,10 @@
 // approximation used by occupancy-based architecture simulators and matches
 // the paper's statement that (for the network) "port contention (only)" is
 // modeled.
-
-#include <cstdint>
-#include <string>
+//
+// A Resource is one word: the cycle it next becomes free.  Queueing delay is
+// read from the probe's critical-path attribution (ARCHITECTURE.md §1), not
+// from per-resource counters, so a reservation writes nothing else.
 
 #include "common/types.hh"
 #include "store/codec.hh"
@@ -20,18 +21,12 @@ namespace ascoma::sim {
 
 class Resource {
  public:
-  Resource() = default;
-  explicit Resource(std::string name) : name_(std::move(name)) {}
-
   /// Reserves the resource for `duration` cycles starting at or after `now`.
   /// Returns the cycle at which service *starts* (>= now).  The caller's
   /// completion time is the returned value plus `duration`.
   Cycle acquire(Cycle now, Cycle duration) {
     const Cycle start = now > free_at_ ? now : free_at_;
     free_at_ = start + duration;
-    busy_cycles_ += duration;
-    wait_cycles_ += start - now;
-    ++transactions_;
     return start;
   }
 
@@ -41,37 +36,14 @@ class Resource {
   }
 
   Cycle free_at() const { return free_at_; }
-  std::uint64_t transactions() const { return transactions_; }
-  Cycle busy_cycles() const { return busy_cycles_; }
-  Cycle wait_cycles() const { return wait_cycles_; }
-  const std::string& name() const { return name_; }
-
-  /// Utilization over the interval [0, horizon].
-  double utilization(Cycle horizon) const;
 
   // Checkpoint serialization (ARCHITECTURE.md §15).  encode/decode pairs
   // stay adjacent so a field added to one side fails the lint pairing check.
-  void encode(store::Encoder& e) const {
-    e.u64(free_at_.value());
-    e.u64(busy_cycles_.value());
-    e.u64(wait_cycles_.value());
-    e.u64(transactions_);
-  }
-  void decode(store::Decoder& d) {
-    free_at_ = Cycle{d.u64()};
-    busy_cycles_ = Cycle{d.u64()};
-    wait_cycles_ = Cycle{d.u64()};
-    transactions_ = d.u64();
-  }
-
-  void reset();
+  void encode(store::Encoder& e) const { e.u64(free_at_.value()); }
+  void decode(store::Decoder& d) { free_at_ = Cycle{d.u64()}; }
 
  private:
-  std::string name_;
   Cycle free_at_{0};
-  Cycle busy_cycles_{0};
-  Cycle wait_cycles_{0};
-  std::uint64_t transactions_ = 0;
 };
 
 }  // namespace ascoma::sim

@@ -119,15 +119,6 @@ TEST(L1Cache, FlushBlockIgnoresOtherBlocksInSameSlots) {
   EXPECT_TRUE(c.probe(LineId{0}));
 }
 
-TEST(L1Cache, ResetClearsEverything) {
-  L1Cache c(small_cfg());
-  c.fill(LineId{1}, true);
-  c.fill(LineId{2}, false);
-  c.reset();
-  EXPECT_EQ(c.valid_lines(), 0u);
-  EXPECT_FALSE(c.probe(LineId{1}));
-}
-
 TEST(L1Cache, CapacityMatchesConfig) {
   L1Cache c(small_cfg());
   EXPECT_EQ(c.num_lines(), 512u);

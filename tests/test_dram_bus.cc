@@ -24,20 +24,9 @@ TEST(Dram, BlocksInterleaveAcrossBanks) {
 TEST(Dram, SameBankQueues) {
   MachineConfig cfg;
   Dram d(cfg);
-  EXPECT_EQ(d.access(Cycle{0}, BlockId{0}), Cycle{30});
+  EXPECT_EQ(d.access(Cycle{0}, BlockId{0}), Cycle{30});  // banks start free
   EXPECT_EQ(d.access(Cycle{0}, BlockId{4}), Cycle{60});  // block 4 -> bank 0 again
   EXPECT_EQ(d.access(Cycle{0}, BlockId{8}), Cycle{90});
-}
-
-TEST(Dram, CountsAccesses) {
-  MachineConfig cfg;
-  Dram d(cfg);
-  d.access(Cycle{0}, BlockId{0});
-  d.access(Cycle{0}, BlockId{1});
-  EXPECT_EQ(d.accesses(), 2u);
-  d.reset();
-  EXPECT_EQ(d.accesses(), 0u);
-  EXPECT_EQ(d.access(Cycle{0}, BlockId{0}), Cycle{30});  // banks cleared too
 }
 
 TEST(Bus, TransactOccupiesBus) {
@@ -45,7 +34,6 @@ TEST(Bus, TransactOccupiesBus) {
   Bus b(cfg);
   EXPECT_EQ(b.transact(Cycle{0}), cfg.bus_occupancy);
   EXPECT_EQ(b.transact(Cycle{0}), 2 * cfg.bus_occupancy);  // queued behind first
-  EXPECT_EQ(b.transactions(), 2u);
 }
 
 TEST(Bus, ShortTransactionIsHalf) {
@@ -54,13 +42,18 @@ TEST(Bus, ShortTransactionIsHalf) {
   EXPECT_EQ(b.transact_short(Cycle{0}), Cycle{5});
 }
 
-TEST(Bus, ResetClears) {
+TEST(Bus, BusyCyclesSumFullAndShortTransactions) {
   MachineConfig cfg;
   Bus b(cfg);
   b.transact(Cycle{0});
-  b.reset();
-  EXPECT_EQ(b.transactions(), 0u);
-  EXPECT_EQ(b.transact(Cycle{0}), cfg.bus_occupancy);
+  b.transact_short(Cycle{100});
+  const Cycle busy = cfg.bus_occupancy + (cfg.bus_occupancy + Cycle{1}) / 2;
+  EXPECT_EQ(b.busy_cycles(), busy);
+  const Cycle horizon{200};
+  EXPECT_DOUBLE_EQ(b.utilization(horizon),
+                   static_cast<double>(busy.value()) /
+                       static_cast<double>(horizon.value()));
+  EXPECT_EQ(b.utilization(Cycle{0}), 0.0);
 }
 
 }  // namespace

@@ -216,13 +216,11 @@ TEST_F(FaultyNetworkTest, FastPathMatchesAttemptPath) {
   EXPECT_EQ(plan_.decisions(), fabric_messages);  // the plan path ran
   EXPECT_EQ(plan_.injected(), 0u);
   EXPECT_EQ(net_.messages(), fast.messages());
-  for (NodeId n{0}; n.value() < cfg_.nodes; ++n) {
-    EXPECT_EQ(net_.input_port(n).transactions(),
-              fast.input_port(n).transactions());
-    EXPECT_EQ(net_.input_port(n).busy_cycles(),
-              fast.input_port(n).busy_cycles());
-  }
-  EXPECT_EQ(fast.input_port(NodeId{1}).transactions(), 4u);
+  for (NodeId n{0}; n.value() < cfg_.nodes; ++n)
+    EXPECT_EQ(net_.input_port(n).free_at(), fast.input_port(n).free_at());
+  // Port 1's last reservation is the late message, which found it free.
+  EXPECT_EQ(fast.input_port(NodeId{1}).free_at(),
+            Cycle{400} + fast.min_one_way_latency() - cfg_.net_interface_cycles);
 }
 
 TEST_F(FaultyNetworkTest, DroppedMessageIsReportedToTheCaller) {
@@ -232,7 +230,7 @@ TEST_F(FaultyNetworkTest, DroppedMessageIsReportedToTheCaller) {
   EXPECT_TRUE(a.dropped);
   EXPECT_EQ(plan_.drops(), 1u);
   // The drop never reached the destination port.
-  EXPECT_EQ(net_.input_port(NodeId{1}).transactions(), 0u);
+  EXPECT_EQ(net_.input_port(NodeId{1}).free_at(), Cycle{0});
 }
 
 TEST_F(FaultyNetworkTest, DeliverRetransmitsPastTheDropWindow) {
@@ -258,7 +256,11 @@ TEST_F(FaultyNetworkTest, DuplicateOccupiesTheDestinationPortTwice) {
   net_.set_fault_plan(&plan_);
   const auto a = net_.try_deliver(Cycle{0}, NodeId{0}, NodeId{1});
   EXPECT_FALSE(a.dropped);
-  EXPECT_EQ(net_.input_port(NodeId{1}).transactions(), 2u);
+  // Two back-to-back reservations from the cycle the message reaches port 1.
+  EXPECT_EQ(net_.input_port(NodeId{1}).free_at(),
+            a.arrival - cfg_.net_interface_cycles);
+  EXPECT_EQ(a.arrival, Cycle{0} + net_.min_one_way_latency() +
+                           cfg_.net_port_occupancy);
   // The real copy is serialized behind the spurious one.
   net::Network clean(cfg_);
   EXPECT_GT(a.arrival, clean.try_deliver(Cycle{0}, NodeId{0}, NodeId{1}).arrival);

@@ -43,16 +43,18 @@ TEST(Network, CountsMessages) {
   n.deliver(Cycle{0}, NodeId{1}, NodeId{0});
   n.deliver(Cycle{0}, NodeId{3}, NodeId{3});  // loopback still counted
   EXPECT_EQ(n.messages(), 3u);
-  n.reset();
-  EXPECT_EQ(n.messages(), 0u);
 }
 
+// A delivery holds only the destination's input port: it stays busy until
+// the message has crossed it, and the source's port is untouched.
 TEST(Network, PortUtilizationTracked) {
   MachineConfig cfg;
   Network n(cfg);
-  n.deliver(Cycle{0}, NodeId{0}, NodeId{1});
-  EXPECT_EQ(n.input_port(NodeId{1}).transactions(), 1u);
-  EXPECT_EQ(n.input_port(NodeId{0}).transactions(), 0u);
+  const Cycle arrival = n.deliver(Cycle{0}, NodeId{0}, NodeId{1});
+  EXPECT_EQ(n.input_port(NodeId{1}).free_at(),
+            arrival - cfg.net_interface_cycles);
+  EXPECT_EQ(n.input_port(NodeId{0}).free_at(), Cycle{0});
+  EXPECT_EQ(n.input_port(NodeId{2}).free_at(), Cycle{0});
 }
 
 }  // namespace

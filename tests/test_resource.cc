@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace ascoma::sim {
 namespace {
+
+// A reservation writes one word: the resource is its free-at cycle alone.
+static_assert(sizeof(Resource) == sizeof(Cycle));
+static_assert(std::is_trivially_copyable_v<Resource>);
 
 TEST(Resource, UncontendedStartsImmediately) {
   Resource r;
@@ -31,36 +37,10 @@ TEST(Resource, AcquireUntilReturnsCompletion) {
   EXPECT_EQ(r.acquire_until(Cycle{0}, Cycle{5}), Cycle{15});
 }
 
-TEST(Resource, TracksWaitAndBusyCycles) {
-  Resource r;
-  r.acquire(Cycle{0}, Cycle{10});
-  r.acquire(Cycle{0}, Cycle{10});  // waits 10
-  EXPECT_EQ(r.busy_cycles(), Cycle{20});
-  EXPECT_EQ(r.wait_cycles(), Cycle{10});
-  EXPECT_EQ(r.transactions(), 2u);
-}
-
-TEST(Resource, Utilization) {
-  Resource r;
-  r.acquire(Cycle{0}, Cycle{25});
-  EXPECT_DOUBLE_EQ(r.utilization(Cycle{100}), 0.25);
-  EXPECT_DOUBLE_EQ(r.utilization(Cycle{0}), 0.0);
-}
-
 TEST(Resource, ZeroDurationIsFree) {
   Resource r;
   EXPECT_EQ(r.acquire(Cycle{5}, Cycle{0}), Cycle{5});
   EXPECT_EQ(r.free_at(), Cycle{5});
-}
-
-TEST(Resource, ResetClearsState) {
-  Resource r("bus");
-  r.acquire(Cycle{0}, Cycle{10});
-  r.reset();
-  EXPECT_EQ(r.free_at(), Cycle{0});
-  EXPECT_EQ(r.busy_cycles(), Cycle{0});
-  EXPECT_EQ(r.transactions(), 0u);
-  EXPECT_EQ(r.name(), "bus");
 }
 
 }  // namespace

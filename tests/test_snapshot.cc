@@ -149,8 +149,10 @@ TEST(Snapshot, RestoreRefusesTamperedBytes) {
 }
 
 // Version 2 changed the cmem section's coherence shadow to one stale-copy
-// mask per block.  A snapshot tagged version 1 must be refused with a typed
-// error, never misread or crashed on.
+// mask per block; version 3 shrank every Resource to its free-at cycle and
+// dropped the DRAM, RAC and refetch totals.  A snapshot tagged with an
+// older version must be refused with a typed error, never misread or crashed
+// on.
 TEST(Snapshot, RestoreRefusesVersion1) {
   const auto wl = workload::make_workload("fft", kScale);
   Machine a(config_for(ArchModel::kAsComa), *wl);
@@ -161,12 +163,14 @@ TEST(Snapshot, RestoreRefusesVersion1) {
   // length, the tag, and the u64 section length, as a little-endian u32.
   store::Decoder d(snap.bytes);
   d.begin_section("meta");
-  ASSERT_EQ(d.u32(), 2u);
+  ASSERT_EQ(d.u32(), 3u);
   constexpr std::size_t kVersionAt = 8 + 4 + 8;
-  snap.bytes[kVersionAt] = 1;
-
-  Machine b(config_for(ArchModel::kAsComa), *wl);
-  EXPECT_THROW(b.restore(snap), store::CodecError);
+  for (const std::uint8_t old : {std::uint8_t{1}, std::uint8_t{2}}) {
+    store::Snapshot stale = snap;
+    stale.bytes[kVersionAt] = old;
+    Machine b(config_for(ArchModel::kAsComa), *wl);
+    EXPECT_THROW(b.restore(stale), store::CodecError) << "version " << +old;
+  }
 }
 
 TEST(Snapshot, RestoreRefusesAfterRun) {

@@ -66,13 +66,13 @@ INT_TYPE_RE = re.compile(
 # a new entry needs a reason of the same kind.
 CAST_BOUNDARY_FILES = {
     "src/arch/backoff_kernel.hh",  # geometric daemon-period scaling
+    "src/mem/bus.cc",              # utilization ratio
     "src/common/stats.cc",         # time-bucket / miss-fraction ratios
     "src/common/types.hh",         # IdVector's size_t bridge
     "src/mem/cache.hh",            # set-index bit math on line numbers
     "src/mem/rac.hh",              # set-index bit math on block numbers
     "src/prof/profiler.cc",        # perf-baseline JSON exporter
     "src/report/report.cc",        # CSV/latency-table exporter
-    "src/sim/resource.cc",         # utilization ratio
     "src/trace/trace.cc",          # fixed-width binary trace header I/O
     "src/core/sweep.cc",           # per-job sim-rate / ETA / median math
 }
