@@ -20,7 +20,6 @@
 // transition logic exhaustively; this class owns the simulator-facing glue
 // (time, stats, the hot-page-churn detector).
 
-#include <algorithm>
 #include <vector>
 
 #include "arch/backoff_kernel.hh"
@@ -53,48 +52,6 @@ class AsComaPolicy final : public Policy {
   void reserve_pages(std::uint64_t total_pages) override {
     if (total_pages > downgraded_at_.size())
       downgraded_at_.resize(total_pages, kNeverDowngraded);
-  }
-
-  // Checkpoint serialization.  `downgraded_at_` is written as (page, cycle)
-  // pairs in ascending page order so the byte image is canonical and
-  // independent of the array's capacity (encode/decode adjacent — pairing
-  // check).
-  void encode(store::Encoder& e) const override {
-    Policy::encode(e);
-    const BackoffState& st = kernel_.state();
-    e.u32(st.threshold);
-    e.b(st.relocation_enabled);
-    e.b(st.thrashing);
-    e.b(st.backed_off_once);
-    e.u32(st.success_streak);
-    e.u64(last_backoff_.value());
-    std::uint64_t n = 0;
-    for (const Cycle when : downgraded_at_)
-      if (when != kNeverDowngraded) ++n;
-    e.u64(n);
-    for (std::uint64_t p = 0; p < downgraded_at_.size(); ++p) {
-      if (downgraded_at_[p] == kNeverDowngraded) continue;
-      e.u64(p);
-      e.u64(downgraded_at_[p].value());
-    }
-  }
-  void decode(store::Decoder& d) override {
-    Policy::decode(d);
-    BackoffState st{};
-    st.threshold = d.u32();
-    st.relocation_enabled = d.b();
-    st.thrashing = d.b();
-    st.backed_off_once = d.b();
-    st.success_streak = d.u32();
-    kernel_.restore(st);
-    last_backoff_ = Cycle{d.u64()};
-    std::fill(downgraded_at_.begin(), downgraded_at_.end(), kNeverDowngraded);
-    const std::uint64_t n = d.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const VPageId page{d.u64()};
-      reserve_pages(page.value() + 1);
-      downgraded_at_[page.value()] = Cycle{d.u64()};
-    }
   }
 
  private:

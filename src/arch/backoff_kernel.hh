@@ -84,8 +84,8 @@ class BackoffKernel {
       st_.relocation_enabled = false;
       step.escalated = true;
     }
-    // Clamp in double before the cast: the factor can arrive through a
-    // checkpoint's decoded config, and a product beyond u64 is undefined.
+    // Clamp in double before the cast: the configured factor may be any
+    // value >= 1, and a product beyond u64 is undefined.
     const double grown =
         static_cast<double>(period->value()) * s_.backoff_factor;
     *period = grown < static_cast<double>(s_.period_max.value())
@@ -135,7 +135,7 @@ class BackoffKernel {
 
   const BackoffSettings& settings() const { return s_; }
   const BackoffState& state() const { return st_; }
-  /// Restore a snapshot (model-checker decode; mutation tests).
+  /// Overwrite the state (model-checker decode; mutation tests).
   void restore(const BackoffState& st) { st_ = st; }
 
  private:

@@ -16,7 +16,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "obs/probe.hh"
-#include "store/codec.hh"
 #include "vm/page_cache.hh"
 #include "vm/pageout_daemon.hh"
 
@@ -78,18 +77,6 @@ class Policy {
 
   std::uint32_t threshold() const { return threshold_; }
   bool relocation_enabled() const { return relocation_enabled_; }
-
-  // Checkpoint serialization.  The base pair covers the fields every model
-  // shares; stateful policies (AS-COMA, VC-NUMA) extend both sides in lock
-  // step (encode/decode adjacent — pairing check).
-  virtual void encode(store::Encoder& e) const {
-    e.u32(threshold_);
-    e.b(relocation_enabled_);
-  }
-  virtual void decode(store::Decoder& d) {
-    threshold_ = d.u32();
-    relocation_enabled_ = d.b();
-  }
 
  protected:
   /// Record a back-off escalation / relaxation: bumps the kernel counter and

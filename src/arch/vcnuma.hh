@@ -13,7 +13,6 @@
 // modeled — not the victim-cache integration with the processor cache, which
 // requires non-commodity hardware.
 
-#include <algorithm>
 #include <vector>
 
 #include "arch/policy.hh"
@@ -46,39 +45,6 @@ class VcNumaPolicy final : public Policy {
   // Exposed for tests/ablation.
   std::uint64_t window_replacements() const { return window_replacements_; }
   std::uint64_t evaluations() const { return evaluations_; }
-
-  // Checkpoint serialization.  `benefit_` is written as (page, earned) pairs
-  // in ascending page order, nonzero counters only, so the byte image is
-  // canonical and independent of the array's capacity (encode/decode
-  // adjacent — pairing check).
-  void encode(store::Encoder& e) const override {
-    Policy::encode(e);
-    std::uint64_t n = 0;
-    for (const std::uint32_t earned : benefit_)
-      if (earned != 0) ++n;
-    e.u64(n);
-    for (std::uint64_t p = 0; p < benefit_.size(); ++p) {
-      if (benefit_[p] == 0) continue;
-      e.u64(p);
-      e.u32(benefit_[p]);
-    }
-    e.u64(window_replacements_);
-    e.u64(window_earned_);
-    e.u64(evaluations_);
-  }
-  void decode(store::Decoder& d) override {
-    Policy::decode(d);
-    std::fill(benefit_.begin(), benefit_.end(), 0u);
-    const std::uint64_t n = d.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const VPageId page{d.u64()};
-      reserve_pages(page.value() + 1);
-      benefit_[page.value()] = d.u32();
-    }
-    window_replacements_ = d.u64();
-    window_earned_ = d.u64();
-    evaluations_ = d.u64();
-  }
 
  private:
   void evaluate(PolicyEnv& env);

@@ -1,6 +1,6 @@
 #pragma once
 
-// Hot-path / determinism annotations (ARCHITECTURE.md §16).
+// Hot-path / determinism annotations (ARCHITECTURE.md §15).
 //
 // These macros mark the functions whose behaviour the static fence in
 // tools/lint_hotpath.py guards.  They expand to nothing on every compiler,
@@ -32,10 +32,10 @@
 //   no throw, no allocation.
 //
 // ASCOMA_DETERMINISM_SENSITIVE
-//   Feeds a bit-reproducible artifact (the golden CSV, the event stream,
-//   the checkpoint codec).  No iteration over unordered containers and no
-//   pointer-keyed ordering may be reachable, except through
-//   DETERMINISM_BOUNDARY functions that sort before emitting.
+//   Feeds a bit-reproducible artifact (the golden CSV, the event stream).
+//   No iteration over unordered containers and no pointer-keyed ordering
+//   may be reachable, except through DETERMINISM_BOUNDARY functions that
+//   sort before emitting.
 
 #define ASCOMA_HOT_PATH
 #define ASCOMA_SIGNAL_SAFE

@@ -147,8 +147,7 @@ struct MachineConfig {
   // concurrent simulate() calls.
   obs::Probe* probe = nullptr;
   // Gauge sampling period in cycles (0 disables sampling); samples reach
-  // the probe's event ring.  Part of the machine's identity: the sampler
-  // clock is checkpointed.
+  // the probe's event ring.
   Cycles sample_every{0};
 
   // ---- robustness / fault injection (src/fault) ----------------------------

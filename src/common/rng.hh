@@ -66,16 +66,6 @@ class Rng {
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
 
-  /// Generator state, exposed for checkpoint/restore (store layer): a
-  /// restored Rng continues the exact sequence the saved one would have.
-  struct State {
-    std::uint64_t s[4];
-  };
-  State state() const { return State{{s_[0], s_[1], s_[2], s_[3]}}; }
-  void set_state(const State& st) {
-    for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -1,10 +1,10 @@
-#include "store/shutdown.hh"
+#include "common/shutdown.hh"
 
 #include <atomic>
 
 #include "common/annotate.hh"
 
-namespace ascoma::store {
+namespace ascoma {
 
 namespace {
 
@@ -52,4 +52,4 @@ void set_shutdown_requested(int signal) {
   g_requested.store(signal != 0, std::memory_order_release);
 }
 
-}  // namespace ascoma::store
+}  // namespace ascoma

@@ -4,14 +4,13 @@
 // install_shutdown_handler() routes SIGINT and SIGTERM to an
 // async-signal-safe flag; nothing else happens in the handler.  The
 // sweep's workers poll the flag between jobs and drain in-flight work; the
-// CLI then writes any requested event exports and exits 128+signal, and
-// a checkpointed run stops at its next checkpoint and prints the --restore
-// command — so an operator Ctrl-C costs at most the jobs already running.
+// CLI then writes any requested event exports and exits 128+signal — so an
+// operator Ctrl-C costs at most the jobs already running.
 
 #include <atomic>
 #include <csignal>
 
-namespace ascoma::store {
+namespace ascoma {
 
 /// Install the SIGINT/SIGTERM handler (idempotent).  A second delivery of
 /// either signal restores the default disposition, so a stuck drain can
@@ -31,4 +30,4 @@ int shutdown_signal();
 /// Test hook: simulate or clear a delivery without raising a real signal.
 void set_shutdown_requested(int signal);
 
-}  // namespace ascoma::store
+}  // namespace ascoma

@@ -118,11 +118,10 @@ Machine::Machine(MachineConfig cfg, const workload::Workload& workload)
   }
   daemon_period_.assign(cfg_.nodes, cfg_.daemon_period);
   next_daemon_.assign(cfg_.nodes, cfg_.daemon_period);
-  rebuild_daemon_gate();
+  daemon_gate_.assign(cfg_.nodes, kNeverCycle);
+  for (NodeId n{0}; n.value() < cfg_.nodes; ++n)
+    if (policies_[n]->runs_daemon()) daemon_gate_[n] = next_daemon_[n];
   waiting_in_barrier_.assign(cfg_.total_procs(), 0);
-  // Sized here (not in run()) so a pre-run snapshot has the same shape as a
-  // mid-run one.
-  ops_consumed_.assign(cfg_.total_procs(), 0);
 }
 
 Machine::~Machine() = default;
@@ -271,12 +270,6 @@ Cycle Machine::maybe_run_daemon(std::uint32_t proc, Cycle now) {
   next_daemon_[node] = now + cost + daemon_period_[node];
   daemon_gate_[node] = next_daemon_[node];
   return cost;
-}
-
-void Machine::rebuild_daemon_gate() {
-  daemon_gate_.assign(cfg_.nodes, kNeverCycle);
-  for (NodeId n{0}; n.value() < cfg_.nodes; ++n)
-    if (policies_[n]->runs_daemon()) daemon_gate_[n] = next_daemon_[n];
 }
 
 Cycle Machine::handle_relocation(std::uint32_t proc, VPageId page,
@@ -527,17 +520,13 @@ RunResult Machine::run() {
     profiler->set_meta(wl_.name(), to_string(cfg_.arch),
                        cfg_.memory_pressure, cfg_.seed);
 
-  if (!resumed_) {
-    streams_.clear();
-    // Workloads receive the workload stream of the top-level seed (the
-    // identity mapping, by definition) and split per-proc internally; the
-    // fault layer draws from its own component_seed stream.
-    const std::uint64_t wl_seed =
-        cfg_.component_seed(MachineConfig::kSeedStreamWorkload);
-    for (std::uint32_t p = 0; p < cfg_.total_procs(); ++p)
-      streams_.push_back(wl_.stream(p, wl_seed));
-    ops_consumed_.assign(cfg_.total_procs(), 0);
-  }
+  // Workloads receive the workload stream of the top-level seed (the
+  // identity mapping, by definition) and split per-proc internally; the
+  // fault layer draws from its own component_seed stream.
+  const std::uint64_t wl_seed =
+      cfg_.component_seed(MachineConfig::kSeedStreamWorkload);
+  for (std::uint32_t p = 0; p < cfg_.total_procs(); ++p)
+    streams_.push_back(wl_.stream(p, wl_seed));
 
   while (!sched_.all_done()) {
     const std::uint32_t p = sched_.pick();
@@ -551,16 +540,6 @@ RunResult Machine::run() {
       sampler_.advance(now);
     }
 
-    // Periodic checkpoint.  Taken at the top of an iteration so the snapshot
-    // always captures a machine between operations, never mid-transaction.
-    if (checkpoint_every_ > Cycle{0} && now >= next_checkpoint_) {
-      store::Snapshot snap;
-      save(&snap);
-      self_check_snapshot(snap);
-      if (checkpoint_cb_) checkpoint_cb_(snap, now);
-      while (next_checkpoint_ <= now) next_checkpoint_ += checkpoint_every_;
-    }
-
     // Demand-driven, rate-limited pageout-daemon tick for this node.  The
     // gate is one compare; only a crossing pays for the daemon's checks.
     if (now >= daemon_gate_[node_of(p)]) {
@@ -571,9 +550,7 @@ RunResult Machine::run() {
       }
     }
 
-    const Op op = streams_[p]->next();
-    ++ops_consumed_[p];
-    execute_op(p, op);
+    execute_op(p, streams_[p]->next());
     if (sched_.is_done(p)) end_cycle_ = std::max(end_cycle_, now);
   }
 

@@ -17,7 +17,6 @@
 //   core::RunResult r = core::simulate(cfg, *wl);
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "sim/barrier.hh"
 #include "sim/lock.hh"
 #include "sim/scheduler.hh"
-#include "store/snapshot.hh"
 #include "vm/home_map.hh"
 #include "vm/page_cache.hh"
 #include "vm/page_table.hh"
@@ -107,29 +105,6 @@ class Machine {
     return NodeId{smp_ ? proc / cfg_.procs_per_node : proc};
   }
 
-  // --- crash-safe checkpointing (ARCHITECTURE.md §15) -----------------------
-  /// Serialize the complete mutable machine state (scheduler, caches,
-  /// directory, VM tables, policies, RNG-stream positions, stats) into a
-  /// versioned tagged snapshot.  Callable mid-run (from the checkpoint hook)
-  /// or between runs.
-  ASCOMA_DETERMINISM_SENSITIVE void save(store::Snapshot* snap) const;
-
-  /// Restore a snapshot into this machine.  The machine must be freshly
-  /// constructed from the *same* config and workload (verified via a
-  /// fingerprint in the snapshot header; mismatch throws store::CodecError)
-  /// and not yet run.  A subsequent run() continues the interrupted run and
-  /// produces a bit-identical RunResult.
-  void restore(const store::Snapshot& snap);
-
-  /// Arrange for run() to snapshot the machine every `every` cycles of
-  /// simulated time and hand the snapshot to `on_snapshot`.  Every snapshot
-  /// is first restored into a fresh scratch machine and re-saved; a byte
-  /// difference fails the run — encode/decode drift can then never produce
-  /// a snapshot that silently restores into a different machine.
-  void set_checkpoint(
-      Cycle every,
-      std::function<void(const store::Snapshot&, Cycle)> on_snapshot);
-
  private:
   class Evictor;
 
@@ -163,10 +138,6 @@ class Machine {
   /// last invocation.  Returns kernel cycles spent (0 if it did not run).
   Cycle maybe_run_daemon(std::uint32_t proc, Cycle now);
 
-  /// Derive daemon_gate_ from next_daemon_ and each node's
-  /// Policy::runs_daemon (construction and restore).
-  void rebuild_daemon_gate();
-
   void execute_op(std::uint32_t p, const Op& op);
   void release_barrier(Cycle release);
 
@@ -196,14 +167,7 @@ class Machine {
   sim::Barrier barrier_;
   sim::LockTable locks_;
 
-  /// Verify a freshly-taken snapshot round-trips byte-identically through a
-  /// scratch machine (the checkpoint self-check).
-  void self_check_snapshot(const store::Snapshot& snap) const;
-
   std::vector<std::unique_ptr<workload::OpStream>> streams_;
-  /// next() calls made per processor stream — the restore fast-forward count
-  /// (streams are deterministic in the seed, so position = call count).
-  std::vector<std::uint64_t> ops_consumed_;
   std::vector<NodeStats> node_stats_;
   /// Per-processor store-buffer entries (completion cycle per slot); only
   /// used when cfg_.blocking_stores is false.
@@ -211,19 +175,13 @@ class Machine {
   IdVector<NodeId, Cycle> daemon_period_;
   IdVector<NodeId, Cycle> next_daemon_;
   /// The event loop's one-compare daemon test: next_daemon_ on nodes whose
-  /// policy runs the pageout daemon, kNeverCycle on the rest.  Derived
-  /// state, never serialized.
+  /// policy runs the pageout daemon, kNeverCycle on the rest.
   IdVector<NodeId, Cycle> daemon_gate_;
   std::vector<std::uint8_t> waiting_in_barrier_;
   obs::Probe* probe_ = nullptr;  ///< non-owning; null = observation off
   obs::Sampler sampler_;
   bool ran_ = false;
-  bool resumed_ = false;  ///< restore() ran; run() continues mid-stream
-  Cycle end_cycle_{0};    ///< max completion cycle seen so far
-
-  Cycle checkpoint_every_{0};  ///< 0 = checkpointing off
-  Cycle next_checkpoint_{0};
-  std::function<void(const store::Snapshot&, Cycle)> checkpoint_cb_;
+  Cycle end_cycle_{0};  ///< max completion cycle seen so far
 };
 
 /// One-shot convenience wrapper.

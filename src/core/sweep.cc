@@ -96,7 +96,7 @@ std::vector<SweepResult> run_sweep(std::vector<SweepJob> jobs,
       // order: relaxed — `failed` is an advisory early-exit hint; the
       // exception and all result state cross via the worker's future.
       // order: acquire on `stop` — pairs with the release store in the
-      // shutdown signal handler (store/shutdown.cc) and test setters, so a
+      // shutdown signal handler (common/shutdown.cc) and test setters, so a
       // worker observing the flag also observes everything written before
       // the stop was requested.
       if (failed.load(std::memory_order_relaxed) ||

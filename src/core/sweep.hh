@@ -61,7 +61,7 @@ struct SweepOptions {
   /// when it reads true, workers finish their in-flight job and claim no
   /// further jobs.  Ordering contract:
   /// the setter must publish with a release store (the shutdown handler in
-  /// store/shutdown.cc does); workers poll with acquire loads.
+  /// common/shutdown.cc does); workers poll with acquire loads.
   const std::atomic<bool>* stop = nullptr;
 };
 

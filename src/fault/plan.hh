@@ -26,7 +26,6 @@
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::fault {
 
@@ -84,30 +83,6 @@ class FaultPlan {
 
   /// Forget counters and rewind the RNG to the seed (rule set is kept).
   void reset();
-
-  // Checkpoint serialization: RNG position + census.  Probabilities and rules
-  // come from the config / test setup and must already match; the rule count
-  // is written as a drift check (encode/decode adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    const Rng::State st = rng_.state();
-    for (int i = 0; i < 4; ++i) e.u64(st.s[i]);
-    e.u64(rules_.size());
-    e.u64(decisions_);
-    e.u64(drops_);
-    e.u64(duplicates_);
-    e.u64(jitters_);
-  }
-  void decode(store::Decoder& d) {
-    Rng::State st{};
-    for (int i = 0; i < 4; ++i) st.s[i] = d.u64();
-    rng_.set_state(st);
-    if (d.u64() != rules_.size())
-      throw store::CodecError("fault plan rule count mismatch");
-    decisions_ = d.u64();
-    drops_ = d.u64();
-    duplicates_ = d.u64();
-    jitters_ = d.u64();
-  }
 
  private:
   bool rule_matches(const TargetRule& r, FaultKind kind, Cycle now,

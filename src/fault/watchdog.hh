@@ -19,7 +19,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::fault {
 
@@ -72,28 +71,6 @@ class Watchdog {
   /// state gathered by the tripping layer; it is appended to the in-flight
   /// description.
   [[noreturn]] void trip(Cycle now, const std::string& state_dump);
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.b(tx_.active);
-    e.u32(tx_.proc);
-    e.u64(tx_.addr.value());
-    e.b(tx_.is_store);
-    e.u64(tx_.start.value());
-    e.u32(tx_.retries);
-    e.u32(tx_.nacks);
-    e.u64(trips_);
-  }
-  void decode(store::Decoder& d) {
-    tx_.active = d.b();
-    tx_.proc = d.u32();
-    tx_.addr = Addr{d.u64()};
-    tx_.is_store = d.b();
-    tx_.start = Cycle{d.u64()};
-    tx_.retries = d.u32();
-    tx_.nacks = d.u32();
-    trips_ = d.u64();
-  }
 
  private:
   Cycle bound_{0};

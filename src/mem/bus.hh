@@ -8,7 +8,6 @@
 #include "common/config.hh"
 #include "common/types.hh"
 #include "sim/resource.hh"
-#include "store/codec.hh"
 
 namespace ascoma::mem {
 
@@ -28,16 +27,6 @@ class Bus {
   Cycle busy_cycles() const { return busy_; }
   /// Share of [0, horizon] the bus was held (0 for a zero horizon).
   double utilization(Cycle horizon) const;
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    res_.encode(e);
-    e.u64(busy_.value());
-  }
-  void decode(store::Decoder& d) {
-    res_.decode(d);
-    busy_ = Cycle{d.u64()};
-  }
 
  private:
   Cycle hold(Cycle now, Cycle duration) {

@@ -21,7 +21,6 @@
 #include "common/check.hh"
 #include "common/config.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::mem {
 
@@ -104,7 +103,7 @@ class L1Cache {
     const std::uint32_t i = index_of(line);
     return tags_[i] == line.value() && dirty_[i] != 0;
   }
-  /// Resident line count: a scan of every slot (tests, checkpoints).
+  /// Resident line count: a scan of every slot (tests, invariant checker).
   std::uint32_t valid_lines() const;
 
   /// Snapshot of the resident line ids (invariant checker, tests).
@@ -117,37 +116,6 @@ class L1Cache {
   }
 
   std::uint32_t num_lines() const { return static_cast<std::uint32_t>(tags_.size()); }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  // Per slot: (tag, valid, dirty); an empty slot encodes tag 0.  The
-  // trailing valid-line count lets decode cross-check the slots.
-  void encode(store::Encoder& e) const {
-    e.u64(tags_.size());
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-      const bool valid = tags_[i] != kEmpty;
-      e.u64(valid ? tags_[i] : 0);
-      e.b(valid);
-      e.b(dirty_[i] != 0);
-    }
-    e.u32(valid_lines());
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != tags_.size())
-      throw store::CodecError("L1 geometry mismatch");
-    std::uint32_t valid_count = 0;
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-      const std::uint64_t tag = d.u64();
-      const bool valid = d.b();
-      const bool dirty = d.b();
-      if (valid && (tag == kEmpty || (tag & index_mask_) != i))
-        throw store::CodecError("L1 tag does not belong to its slot");
-      tags_[i] = valid ? tag : kEmpty;
-      dirty_[i] = valid && dirty ? 1 : 0;
-      valid_count += valid ? 1 : 0;
-    }
-    if (d.u32() != valid_count)
-      throw store::CodecError("L1 valid-line count mismatch");
-  }
 
  private:
   /// Tag of an empty slot.  A line id is at most total_pages × lines_per_page,

@@ -12,7 +12,6 @@
 #include "common/config.hh"
 #include "common/types.hh"
 #include "sim/resource.hh"
-#include "store/codec.hh"
 
 namespace ascoma::mem {
 
@@ -27,17 +26,6 @@ class Dram {
   }
 
   std::uint32_t banks() const { return static_cast<std::uint32_t>(banks_.size()); }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(banks_.size());
-    for (const sim::Resource& b : banks_) b.encode(e);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != banks_.size())
-      throw store::CodecError("DRAM geometry mismatch");
-    for (sim::Resource& b : banks_) b.decode(d);
-  }
 
  private:
   Cycle access_cycles_;

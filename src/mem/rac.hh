@@ -13,7 +13,6 @@
 
 #include "common/config.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::mem {
 
@@ -59,25 +58,6 @@ class Rac {
     for (const Slot& s : slots_)
       if (s.valid) out.push_back(s.tag);
     return out;
-  }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(slots_.size());
-    for (const Slot& s : slots_) {
-      e.u64(s.tag.value());
-      e.b(s.valid);
-    }
-    e.u64(hits_);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != slots_.size())
-      throw store::CodecError("RAC geometry mismatch");
-    for (Slot& s : slots_) {
-      s.tag = BlockId{d.u64()};
-      s.valid = d.b();
-    }
-    hits_ = d.u64();
   }
 
  private:

@@ -34,7 +34,6 @@
 #include "fault/plan.hh"
 #include "obs/probe.hh"
 #include "sim/resource.hh"
-#include "store/codec.hh"
 
 namespace ascoma::net {
 
@@ -99,23 +98,6 @@ class Network {
 
   /// True when an enabled fault plan is attached (messages may fault).
   bool faulty() const { return plan_ != nullptr && plan_->enabled(); }
-
-  // Checkpoint serialization: port resources + counters.  The fault plan is
-  // owned (and serialized) by the machine, not here (encode/decode adjacent —
-  // pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(ports_.size());
-    for (const sim::Resource& p : ports_) p.encode(e);
-    e.u64(messages_);
-    e.u64(retransmits_);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != ports_.size())
-      throw store::CodecError("network geometry mismatch");
-    for (sim::Resource& p : ports_) p.decode(d);
-    messages_ = d.u64();
-    retransmits_ = d.u64();
-  }
 
  private:
   /// deliver() with an enabled plan: try_deliver() until an attempt lands.

@@ -22,7 +22,6 @@
 #include "common/annotate.hh"
 #include "common/types.hh"
 #include "obs/event.hh"
-#include "store/codec.hh"
 
 namespace ascoma::obs {
 
@@ -103,17 +102,6 @@ class Sampler {
 
   void advance(Cycle now) {
     while (next_ <= now) next_ += period_;
-  }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(period_.value());
-    e.u64(next_.value());
-  }
-  void decode(store::Decoder& d) {
-    if (Cycle{d.u64()} != period_)
-      throw store::CodecError("sampler period mismatch");
-    next_ = Cycle{d.u64()};
   }
 
  private:

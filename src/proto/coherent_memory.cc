@@ -671,130 +671,4 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
   return fo;
 }
 
-namespace {
-
-using PageBlocks = CoherentMemory::PageBlocks;
-using BlockTable = IdVector<NodeId, IdVector<VPageId, PageBlocks>>;
-
-// The snapshot stores three byte tables per (node, block) — touch (0 never,
-// 1 fetched, 2 invalidated), ever fetched, S-COMA valid — so its format
-// does not depend on how the fields are packed in memory.  `get(pb, i)`
-// yields block i's byte; `put(pb, m, x)` stores byte `x` under bit mask `m`.
-template <class Get>
-void encode_block_table(store::Encoder& e, const BlockTable& t,
-                        std::uint32_t bpp, Get get) {
-  for (const auto& per_node : t)
-    for (const PageBlocks& pb : per_node)
-      for (std::uint32_t i = 0; i < bpp; ++i) e.u8(get(pb, i));
-}
-
-template <class Put>
-void decode_block_table(store::Decoder& d, BlockTable& t, std::uint32_t bpp,
-                        std::uint8_t max_value, const char* field, Put put) {
-  for (auto& per_node : t)
-    for (PageBlocks& pb : per_node)
-      for (std::uint32_t i = 0; i < bpp; ++i) {
-        const std::uint8_t x = d.u8();
-        if (x > max_value)
-          throw store::CodecError(std::string("cmem: bad ") + field +
-                                  " byte " + std::to_string(x));
-        put(pb, std::uint64_t{1} << i, x);
-      }
-}
-
-std::uint8_t bit_of(std::uint64_t mask, std::uint32_t i) {
-  return static_cast<std::uint8_t>((mask >> i) & 1u);
-}
-void set_bit(std::uint64_t& mask, std::uint64_t m, bool on) {
-  mask = on ? mask | m : mask & ~m;
-}
-
-constexpr std::uint8_t kTouchFetched = 1;
-constexpr std::uint8_t kTouchInvalidated = 2;
-
-}  // namespace
-
-void CoherentMemory::encode(store::Encoder& e) const {
-  e.begin_section("cmem");
-  e.u32(static_cast<std::uint32_t>(l1_.size()));
-  for (const auto& c : l1_) c->encode(e);
-  e.u32(static_cast<std::uint32_t>(rac_.size()));
-  for (const auto& r : rac_) r->encode(e);
-  for (const auto& dr : dram_) dr->encode(e);
-  for (const auto& b : bus_) b->encode(e);
-  for (const sim::Resource& r : engine_) r.encode(e);
-  plan_.encode(e);
-  watchdog_.encode(e);
-  net_.encode(e);
-  dir_.encode(e);
-  refetch_.encode(e);
-  const std::uint32_t bpp = cfg_.blocks_per_page();
-  encode_block_table(e, blocks_, bpp,
-                     [](const PageBlocks& pb, std::uint32_t i) {
-                       return bit_of(pb.fetched, i) ? kTouchFetched
-                              : bit_of(pb.invalidated, i) ? kTouchInvalidated
-                                                          : std::uint8_t{0};
-                     });
-  encode_block_table(e, blocks_, bpp,
-                     [](const PageBlocks& pb, std::uint32_t i) {
-                       return bit_of(pb.ever_fetched, i);
-                     });
-  encode_block_table(e, blocks_, bpp,
-                     [](const PageBlocks& pb, std::uint32_t i) {
-                       return bit_of(pb.scoma_valid, i);
-                     });
-  for (const auto& per_node : remote_page_seen_)
-    for (const std::uint8_t v : per_node) e.u8(v);
-  for (const std::uint64_t v : remote_pages_touched_) e.u64(v);
-  e.u64(wb_local_);
-  e.u64(wb_remote_);
-  e.u64(sibling_transfers_);
-  e.u64(net_retries_);
-  e.u64(nacks_);
-  for (const std::uint64_t v : stale_copies_) e.u64(v);
-  e.end_section();
-}
-
-void CoherentMemory::decode(store::Decoder& d) {
-  d.begin_section("cmem");
-  if (d.u32() != l1_.size())
-    throw store::CodecError("coherent memory processor count mismatch");
-  for (const auto& c : l1_) c->decode(d);
-  if (d.u32() != rac_.size())
-    throw store::CodecError("coherent memory node count mismatch");
-  for (const auto& r : rac_) r->decode(d);
-  for (const auto& dr : dram_) dr->decode(d);
-  for (const auto& b : bus_) b->decode(d);
-  for (sim::Resource& r : engine_) r.decode(d);
-  plan_.decode(d);
-  watchdog_.decode(d);
-  net_.decode(d);
-  dir_.decode(d);
-  refetch_.decode(d);
-  const std::uint32_t bpp = cfg_.blocks_per_page();
-  decode_block_table(d, blocks_, bpp, kTouchInvalidated, "touch",
-                     [](PageBlocks& pb, std::uint64_t m, std::uint8_t x) {
-                       set_bit(pb.fetched, m, x == kTouchFetched);
-                       set_bit(pb.invalidated, m, x == kTouchInvalidated);
-                     });
-  decode_block_table(d, blocks_, bpp, 1, "ever-fetched",
-                     [](PageBlocks& pb, std::uint64_t m, std::uint8_t x) {
-                       set_bit(pb.ever_fetched, m, x != 0);
-                     });
-  decode_block_table(d, blocks_, bpp, 1, "S-COMA valid",
-                     [](PageBlocks& pb, std::uint64_t m, std::uint8_t x) {
-                       set_bit(pb.scoma_valid, m, x != 0);
-                     });
-  for (auto& per_node : remote_page_seen_)
-    for (std::uint8_t& v : per_node) v = d.u8();
-  for (std::uint64_t& v : remote_pages_touched_) v = d.u64();
-  wb_local_ = d.u64();
-  wb_remote_ = d.u64();
-  sibling_transfers_ = d.u64();
-  net_retries_ = d.u64();
-  nacks_ = d.u64();
-  for (std::uint64_t& v : stale_copies_) v = d.u64();
-  d.end_section();
-}
-
 }  // namespace ascoma::proto

@@ -170,14 +170,6 @@ class CoherentMemory {
            ((stale_copies_[b] >> node.value()) & 1u) != 0;
   }
 
-  // Checkpoint serialization (defined adjacently in coherent_memory.cc —
-  // pairing check).  Covers every mutable hardware table: caches, resources,
-  // directory, refetch counters, fault plan, watchdog, requester-side block
-  // state, and the functional coherence shadow.  The non-owning probe
-  // pointer is scratch and excluded.
-  void encode(store::Encoder& e) const;
-  void decode(store::Decoder& d);
-
  private:
   /// `b`'s bit of a PageBlocks mask.
   std::uint64_t block_mask(BlockId b) const {

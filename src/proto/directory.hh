@@ -25,7 +25,6 @@
 #include "common/check.hh"
 #include "common/types.hh"
 #include "proto/transition_table.hh"
-#include "store/codec.hh"
 
 namespace ascoma::proto {
 
@@ -166,29 +165,6 @@ class Directory {
 
   /// Structural invariant check over one entry (throws CheckFailure).
   void check_entry(BlockId b) const;
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(entries_.size());
-    for (const Entry& en : entries_) {
-      e.u64(en.sharers);
-      e.u32(en.owner.value());
-    }
-    e.u64(invalidations_);
-    e.u64(forwards_);
-    e.u64(nacks_);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != entries_.size())
-      throw store::CodecError("directory geometry mismatch");
-    for (Entry& en : entries_) {
-      en.sharers = d.u64();
-      en.owner = NodeId{d.u32()};
-    }
-    invalidations_ = d.u64();
-    forwards_ = d.u64();
-    nacks_ = d.u64();
-  }
 
  private:
   struct Entry {

@@ -11,7 +11,6 @@
 
 #include "common/check.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::proto {
 
@@ -44,19 +43,6 @@ class RefetchTable {
 
   std::uint64_t total_pages() const { return pages_; }
   std::uint32_t nodes() const { return nodes_; }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(counts_.size());
-    for (const std::uint32_t c : counts_) e.u32(c);
-    for (const std::uint32_t c : cumulative_) e.u32(c);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != counts_.size())
-      throw store::CodecError("refetch table geometry mismatch");
-    for (std::uint32_t& c : counts_) c = d.u32();
-    for (std::uint32_t& c : cumulative_) c = d.u32();
-  }
 
  private:
   std::size_t idx(VPageId page, NodeId node) const {

@@ -11,7 +11,6 @@
 
 #include "common/check.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::sim {
 
@@ -33,33 +32,6 @@ class Barrier {
 
   std::uint64_t episodes() const { return episodes_; }
   std::uint32_t waiting() const { return arrived_count_; }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u32(participants_);
-    for (std::uint32_t p = 0; p < participants_; ++p) {
-      e.b(arrived_[p]);
-      e.b(departed_[p]);
-      e.u64(arrival_cycle_[p].value());
-    }
-    e.u32(arrived_count_);
-    e.u32(departed_count_);
-    e.u64(max_arrival_.value());
-    e.u64(episodes_);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u32() != participants_)
-      throw store::CodecError("barrier size mismatch");
-    for (std::uint32_t p = 0; p < participants_; ++p) {
-      arrived_[p] = d.b();
-      departed_[p] = d.b();
-      arrival_cycle_[p] = Cycle{d.u64()};
-    }
-    arrived_count_ = d.u32();
-    departed_count_ = d.u32();
-    max_arrival_ = Cycle{d.u64()};
-    episodes_ = d.u64();
-  }
 
  private:
   std::optional<Cycle> maybe_release();

@@ -4,7 +4,6 @@
 // Lock service time abstracts the underlying fetch&op traffic; contended
 // waits are charged to the SYNC bucket by the machine loop.
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -13,7 +12,6 @@
 
 #include "common/check.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::sim {
 
@@ -41,48 +39,6 @@ class LockTable {
   bool is_held(std::uint64_t lock_id) const;
   std::uint64_t acquisitions() const { return acquisitions_; }
   std::uint64_t contended_acquisitions() const { return contended_; }
-
-  // Checkpoint serialization.  Locks are written sorted by id so the byte
-  // image is canonical despite the unordered map (encode/decode adjacent —
-  // pairing check).
-  void encode(store::Encoder& e) const {
-    std::vector<std::uint64_t> ids;
-    ids.reserve(locks_.size());
-    for (const auto& [id, st] : locks_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    e.u64(ids.size());
-    for (const std::uint64_t id : ids) {
-      const LockState& st = locks_.at(id);
-      e.u64(id);
-      e.b(st.held);
-      e.u32(st.holder);
-      e.u64(st.waiters.size());
-      for (const auto& [proc, enq] : st.waiters) {
-        e.u32(proc);
-        e.u64(enq.value());
-      }
-    }
-    e.u64(acquisitions_);
-    e.u64(contended_);
-  }
-  void decode(store::Decoder& d) {
-    locks_.clear();
-    const std::uint64_t n = d.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t id = d.u64();
-      LockState st;
-      st.held = d.b();
-      st.holder = d.u32();
-      const std::uint64_t waiters = d.u64();
-      for (std::uint64_t w = 0; w < waiters; ++w) {
-        const std::uint32_t proc = d.u32();
-        st.waiters.emplace_back(proc, Cycle{d.u64()});
-      }
-      locks_.emplace(id, std::move(st));
-    }
-    acquisitions_ = d.u64();
-    contended_ = d.u64();
-  }
 
  private:
   struct LockState {

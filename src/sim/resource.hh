@@ -15,7 +15,6 @@
 // from per-resource counters, so a reservation writes nothing else.
 
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::sim {
 
@@ -36,11 +35,6 @@ class Resource {
   }
 
   Cycle free_at() const { return free_at_; }
-
-  // Checkpoint serialization (ARCHITECTURE.md §15).  encode/decode pairs
-  // stay adjacent so a field added to one side fails the lint pairing check.
-  void encode(store::Encoder& e) const { e.u64(free_at_.value()); }
-  void decode(store::Decoder& d) { free_at_ = Cycle{d.u64()}; }
 
  private:
   Cycle free_at_{0};

@@ -10,9 +10,8 @@
 //
 // pick() runs once per simulated operation, so it is a branch-free argmin
 // over a dense key array: a runnable processor's key is its ready cycle, a
-// blocked or done one's is kNotRunnable.  The keys are derived state —
-// set_ready/block/finish maintain them, decode() rebuilds them, and they are
-// never serialized.
+// blocked or done one's is kNotRunnable.  The keys are derived state that
+// set_ready/block/finish maintain.
 
 #include <cstdint>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "common/annotate.hh"
 #include "common/check.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::sim {
 
@@ -69,12 +67,6 @@ class Scheduler {
                      "deadlock: all live processors are blocked");
     return best;
   }
-
-  // Checkpoint serialization (defined adjacently in scheduler.cc — pairing
-  // check).  decode() rejects an unknown state byte or a live count that
-  // disagrees with the states, and rebuilds the pick() keys.
-  void encode(store::Encoder& e) const;
-  void decode(store::Decoder& d);
 
  private:
   enum class State : std::uint8_t { kRunnable, kBlocked, kDone };

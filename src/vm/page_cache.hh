@@ -7,14 +7,12 @@
 // plus the clock list of active S-COMA pages implement the 4.4BSD-style
 // allocation the paper builds on.
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/check.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::vm {
 
@@ -53,42 +51,6 @@ class PageCache {
   /// is responsible for ref-bit handling and for calling remove_active() on
   /// eviction.
   std::optional<VPageId> rotate();
-
-  // Checkpoint serialization.  `free_` and `clock_` are order-sensitive (the
-  // allocator and second-chance clock depend on their sequence) and are
-  // written in order; `active_` is membership-only, so its set pages are
-  // written in ascending order for a canonical byte image independent of the
-  // bitmap's capacity (encode/decode adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u32(capacity_);
-    e.u64(free_.size());
-    for (const FrameId f : free_) e.u32(f.value());
-    e.u64(clock_size_);
-    for (std::size_t i = 0; i < clock_size_; ++i) e.u64(clock_at(i).value());
-    e.u64(active_count_);
-    for (std::uint64_t p = 0; p < active_.size(); ++p)
-      if (active_[p] != 0) e.u64(p);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u32() != capacity_)
-      throw store::CodecError("page cache geometry mismatch");
-    free_.clear();
-    const std::uint64_t nfree = d.u64();
-    for (std::uint64_t i = 0; i < nfree; ++i) free_.push_back(FrameId{d.u32()});
-    clock_head_ = 0;
-    clock_size_ = 0;
-    const std::uint64_t nclock = d.u64();
-    for (std::uint64_t i = 0; i < nclock; ++i) clock_push(VPageId{d.u64()});
-    std::fill(active_.begin(), active_.end(), 0);
-    active_count_ = 0;
-    const std::uint64_t nact = d.u64();
-    for (std::uint64_t i = 0; i < nact; ++i) {
-      const VPageId p{d.u64()};
-      reserve_pages(p.value() + 1);
-      active_[p.value()] = 1;
-      ++active_count_;
-    }
-  }
 
  private:
   /// Entry `i` of the clock, counted from the front.

@@ -9,7 +9,6 @@
 
 #include "common/check.hh"
 #include "common/types.hh"
-#include "store/codec.hh"
 
 namespace ascoma::vm {
 
@@ -40,29 +39,6 @@ class PageTable {
   std::uint64_t mapped_pages() const { return mapped_; }
   std::uint64_t scoma_pages() const { return scoma_; }
   std::uint64_t total_pages() const { return entries_.size(); }
-
-  // Checkpoint serialization (encode/decode stay adjacent — pairing check).
-  void encode(store::Encoder& e) const {
-    e.u64(entries_.size());
-    for (const Entry& en : entries_) {
-      e.u8(static_cast<std::uint8_t>(en.mode));
-      e.b(en.referenced);
-      e.u32(en.frame.value());
-    }
-    e.u64(mapped_);
-    e.u64(scoma_);
-  }
-  void decode(store::Decoder& d) {
-    if (d.u64() != entries_.size())
-      throw store::CodecError("page table geometry mismatch");
-    for (Entry& en : entries_) {
-      en.mode = static_cast<PageMode>(d.u8());
-      en.referenced = d.b();
-      en.frame = FrameId{d.u32()};
-    }
-    mapped_ = d.u64();
-    scoma_ = d.u64();
-  }
 
  private:
   struct Entry {

@@ -1,4 +1,3 @@
-#include "common/rng.hh"
 #include "workload/splash.hh"
 
 namespace ascoma::workload {
@@ -12,8 +11,8 @@ namespace ascoma::workload {
 // page-cache churn at high memory pressure.
 GeneratorStream BarnesWorkload::generate(std::uint32_t proc,
                                          std::uint64_t seed) const {
+  (void)seed;  // deterministic tree-build and force-pass pattern
   OpFactory b(page_bytes(), line_bytes());
-  Rng rng(seed, mix64(0xBA27E5, proc));
 
   const std::uint64_t H = home_pages_;
   const VPageId my_base = partition_base(NodeId{proc});
@@ -60,7 +59,6 @@ GeneratorStream BarnesWorkload::generate(std::uint32_t proc,
       co_yield b.compute(Cycle{10});
     }
     co_yield b.barrier();
-    (void)rng;
   }
 }
 

@@ -247,55 +247,5 @@ TEST(L1Cache, FlushMatchesReferenceModel) {
   }
 }
 
-TEST(L1Cache, CheckpointRoundTripAfterInvalidations) {
-  MachineConfig cfg = small_cfg();
-  L1Cache c(cfg);
-  for (LineId l{0}; l.value() < 300; ++l) c.fill(l, l.value() % 3 == 0);
-  for (LineId l{0}; l.value() < 300; l = l + 7) c.invalidate_line(l);
-  for (BlockId b{32}; b.value() < 64; ++b) c.flush_block(b);  // page 1
-  c.invalidate_block(BlockId{2});
-
-  store::Encoder e;
-  c.encode(e);
-  L1Cache back(cfg);
-  back.fill(LineId{400}, true);  // state the decode must overwrite
-  store::Decoder d(e.bytes());
-  back.decode(d);
-  EXPECT_EQ(back.valid_lines(), c.valid_lines());
-  EXPECT_EQ(back.valid_line_ids(), c.valid_line_ids());
-  for (LineId l{0}; l.value() < 1024; ++l) {
-    EXPECT_EQ(back.probe(l), c.probe(l)) << l.value();
-    EXPECT_EQ(back.line_dirty(l), c.line_dirty(l)) << l.value();
-  }
-  // Re-encoding the restored cache gives the same bytes (empty slots as 0).
-  store::Encoder again;
-  back.encode(again);
-  EXPECT_EQ(again.bytes(), e.bytes());
-  // An invalidated slot holds no tag: line 0 was invalidated, so neither it
-  // nor a line that shares its slot may probe as present.
-  EXPECT_FALSE(back.probe(LineId{0}));
-  EXPECT_FALSE(back.probe(LineId{512}));
-}
-
-TEST(L1Cache, DecodeRejectsInconsistentSlots) {
-  MachineConfig cfg = small_cfg();
-  L1Cache c(cfg);
-  store::Encoder e;
-  c.encode(e);
-  // Slot 0 starts after the u64 slot count: tag (8 B), valid, dirty.
-  std::vector<std::uint8_t> wrong_slot = e.bytes();
-  wrong_slot[8] = 1;       // tag 1 belongs in slot 1, not slot 0
-  wrong_slot[8 + 8] = 1;   // valid
-  store::Decoder d1(wrong_slot);
-  L1Cache back(cfg);
-  EXPECT_THROW(back.decode(d1), store::CodecError);
-
-  // The trailing valid-line count must agree with the slots.
-  std::vector<std::uint8_t> wrong_count = e.bytes();
-  wrong_count[wrong_count.size() - 4] = 1;
-  store::Decoder d2(wrong_count);
-  EXPECT_THROW(back.decode(d2), store::CodecError);
-}
-
 }  // namespace
 }  // namespace ascoma::mem

@@ -10,7 +10,6 @@
 #include "common/check.hh"
 #include "common/rng.hh"
 #include "fault/invariants.hh"
-#include "store/codec.hh"
 
 namespace ascoma::proto {
 namespace {
@@ -415,49 +414,6 @@ TEST(CoherentMemory, FlushMatchesFullScanReference) {
     }
 }
 
-// The per-page block masks go to the snapshot as per-block byte tables and
-// come back exactly: encode -> decode into a fresh instance -> encode is
-// byte-identical, and every (node, block) query agrees.
-TEST(CoherentMemory, BlockStateCheckpointRoundTrip) {
-  for (const std::uint32_t ppn : {1u, 2u}) {
-    SCOPED_TRACE(::testing::Message() << "procs_per_node " << ppn);
-    Rng rng(ppn);
-    RandomMachine m(ppn, rng);
-    Cycle t{0};
-    for (int round = 0; round < 20; ++round) {
-      t = m.run(rng, 200, t);
-      const auto [node, page] = m.remote_pair(rng);
-      m.cm->flush_page(node, page, t);
-    }
-    t = m.run(rng, 100, t);  // leave some blocks fetched after the flushes
-
-    store::Encoder e;
-    m.cm->encode(e);
-    Rng rng2(ppn);
-    RandomMachine fresh(ppn, rng2);
-    store::Decoder d(e.bytes());
-    fresh.cm->decode(d);
-    store::Encoder e2;
-    fresh.cm->encode(e2);
-    EXPECT_EQ(e.bytes(), e2.bytes());
-
-    std::uint64_t fetched = 0, scoma = 0;
-    const std::uint64_t blocks = m.cm->directory().total_blocks();
-    for (NodeId n{0}; n.value() < RandomMachine::kNodes; ++n)
-      for (BlockId b{0}; b.value() < blocks; ++b) {
-        ASSERT_EQ(fresh.cm->block_fetched(n, b), m.cm->block_fetched(n, b))
-            << "node " << n << " block " << b;
-        ASSERT_EQ(fresh.cm->scoma_block_valid(n, b),
-                  m.cm->scoma_block_valid(n, b))
-            << "node " << n << " block " << b;
-        fetched += m.cm->block_fetched(n, b) ? 1 : 0;
-        scoma += m.cm->scoma_block_valid(n, b) ? 1 : 0;
-      }
-    EXPECT_GT(fetched, 0u);
-    EXPECT_GT(scoma, 0u);
-  }
-}
-
 TEST(CoherentMemory, ConstructorRejectsMoreThan64BlocksPerPage) {
   MachineConfig cfg;
   cfg.nodes = 2;
@@ -553,28 +509,6 @@ TEST_F(CoherentMemoryTest, CoherenceShadowKeepsWritersCopyCurrent) {
   EXPECT_FALSE(cm_->shadow_stale(NodeId{0}, b));
   for (NodeId n{1}; n.value() < 4; ++n)
     EXPECT_TRUE(cm_->shadow_stale(n, b)) << "node " << n;
-}
-
-TEST_F(CoherentMemoryTest, CoherenceShadowSurvivesCheckpoint) {
-  pts_[0]->map_numa(VPageId{4});
-  cm_->access(0, addr(VPageId{4}, 0), false, Cycle{0});
-  cm_->access(1, addr(VPageId{4}, 0), true, Cycle{500});
-  store::Encoder e;
-  cm_->encode(e);
-
-  CoherentMemory restored(cfg_, homes_);
-  std::vector<const vm::PageTable*> ptrs;
-  for (auto& pt : pts_) ptrs.push_back(pt.get());
-  restored.set_page_tables(ptrs);
-  store::Decoder d(e.bytes());
-  restored.decode(d);
-  EXPECT_TRUE(d.done());
-
-  // The same tamper as CoherenceShadowCatchesStaleCopies, after the round
-  // trip: the restored mask must still know node 0's copy is stale.
-  restored.l1(0).fill(cfg_.line_of(addr(VPageId{4}, 0)), false);
-  EXPECT_THROW(restored.access(0, addr(VPageId{4}, 0), false, Cycle{1000}),
-               ascoma::CheckFailure);
 }
 
 TEST_F(CoherentMemoryTest, AccessToUnmappedPageThrows) {

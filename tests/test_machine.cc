@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.hh"
 #include "workload/synthetic.hh"
 #include "workload/workload.hh"
@@ -71,13 +73,26 @@ TEST(Machine, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.totals.kernel.upgrades, b.stats.totals.kernel.upgrades);
 }
 
-TEST(Machine, CcNumaIsPressureInvariant) {
-  auto wl = hot_workload();
+// The sweeps and the CLI run CC-NUMA at one pressure and report it for
+// every pressure, so the whole result must be bit-identical across
+// pressures.  Only the pressure itself and the frame count it sizes differ.
+void expect_ccnuma_pressure_invariant(const workload::Workload& wl) {
+  SCOPED_TRACE(wl.name());
   const RunResult lo = simulate(config(ArchModel::kCcNuma, 0.1), wl);
-  const RunResult hi = simulate(config(ArchModel::kCcNuma, 0.9), wl);
+  RunResult hi = simulate(config(ArchModel::kCcNuma, 0.9), wl);
   EXPECT_EQ(lo.cycles(), hi.cycles());
+  hi.config = lo.config;
+  hi.stats.frames_per_node = lo.stats.frames_per_node;
+  hi.stats.memory_pressure = lo.stats.memory_pressure;
+  EXPECT_TRUE(hi == lo) << "results differ beyond the pressure fields";
   EXPECT_EQ(lo.stats.totals.kernel.upgrades, 0u);
   EXPECT_EQ(lo.stats.totals.kernel.daemon_runs, 0u);
+}
+
+TEST(Machine, CcNumaIsPressureInvariant) {
+  expect_ccnuma_pressure_invariant(hot_workload());
+  for (const std::string& name : workload::workload_names())
+    expect_ccnuma_pressure_invariant(*workload::make_workload(name, 0.1));
 }
 
 TEST(Machine, AsComaMatchesScomaAtLowPressure) {

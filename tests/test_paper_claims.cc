@@ -51,7 +51,7 @@ std::map<std::string, double> PaperClaims::cache_;
 // §5: "At low memory pressures, AS-COMA acts like S-COMA and outperforms
 // other hybrid architectures."
 TEST_F(PaperClaims, AsComaActsLikeScomaAtLowPressure) {
-  for (const std::string wl : {"em3d", "radix", "lu"}) {
+  for (const std::string& wl : workload::workload_names()) {
     const double scoma = run(wl, ArchModel::kScoma, 0.10);
     const double ascoma = run(wl, ArchModel::kAsComa, 0.10);
     EXPECT_DOUBLE_EQ(ascoma, scoma) << wl;

@@ -7,7 +7,6 @@
 
 #include "common/check.hh"
 #include "common/rng.hh"
-#include "store/codec.hh"
 
 namespace ascoma::sim {
 namespace {
@@ -172,82 +171,6 @@ TEST(Scheduler, MatchesReferenceModel) {
       }
     }
   }
-}
-
-/// Encodes `s` and returns the byte buffer.
-std::vector<std::uint8_t> encoded(const Scheduler& s) {
-  store::Encoder e;
-  s.encode(e);
-  return e.bytes();
-}
-
-TEST(Scheduler, DecodeRejectsCorruptState) {
-  Scheduler s(3);
-  s.set_ready(1, Cycle{7});
-  s.block(2);
-  const std::vector<std::uint8_t> good = encoded(s);
-  // Layout: u64 count, 3 x u64 ready, 3 x u8 state, u32 live.
-  const std::size_t state_at = 8 + 3 * 8;
-  const std::size_t live_at = state_at + 3;
-  {
-    Scheduler t(3);
-    store::Decoder d(good);
-    EXPECT_NO_THROW(t.decode(d));
-  }
-  {
-    std::vector<std::uint8_t> bad = good;
-    bad[state_at + 1] = 3;  // no such state
-    Scheduler t(3);
-    store::Decoder d(bad);
-    EXPECT_THROW(t.decode(d), store::CodecError);
-  }
-  {
-    std::vector<std::uint8_t> bad = good;
-    bad[live_at] = 2;  // three unfinished procs
-    Scheduler t(3);
-    store::Decoder d(bad);
-    EXPECT_THROW(t.decode(d), store::CodecError);
-  }
-  {
-    std::vector<std::uint8_t> bad = good;
-    bad[state_at] = 2;  // proc 0 done, but live still says 3
-    Scheduler t(3);
-    store::Decoder d(bad);
-    EXPECT_THROW(t.decode(d), store::CodecError);
-  }
-  {
-    std::vector<std::uint8_t> bad = good;
-    for (std::size_t i = 8; i < 16; ++i) bad[i] = 0xFF;  // runnable proc 0
-    Scheduler t(3);                                       // at the ~0 key
-    store::Decoder d(bad);
-    EXPECT_THROW(t.decode(d), store::CodecError);
-  }
-}
-
-TEST(Scheduler, DecodeRebuildsPickOrder) {
-  Scheduler s(4);
-  s.set_ready(0, Cycle{50});
-  s.set_ready(1, Cycle{5});  // earliest, but blocked below
-  s.set_ready(2, Cycle{20});
-  s.set_ready(3, Cycle{20});
-  s.block(1);
-  s.finish(0);
-  const std::vector<std::uint8_t> bytes = encoded(s);
-
-  Scheduler t(4);  // fresh: every proc runnable at cycle 0
-  store::Decoder d(bytes);
-  t.decode(d);
-  EXPECT_EQ(encoded(t), bytes);
-  EXPECT_EQ(t.live(), 3u);
-  EXPECT_EQ(t.pick(), 2u);  // proc 1's stale cycle 5 and done proc 0 ignored
-  t.set_ready(2, Cycle{30});
-  EXPECT_EQ(t.pick(), 3u);
-  t.set_ready(1, Cycle{15});
-  EXPECT_EQ(t.pick(), 1u);
-  t.block(1);
-  t.block(2);
-  t.block(3);
-  EXPECT_THROW(t.pick(), CheckFailure);
 }
 
 }  // namespace

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "common/check.hh"
+#include "common/shutdown.hh"
 #include "core/host.hh"
 #include "obs/probe.hh"
-#include "store/shutdown.hh"
 
 namespace ascoma::core {
 namespace {
@@ -150,19 +150,19 @@ TEST(Sweep, StopFromAnotherThreadLeavesNoPartialResult) {
   // the workers' acquire loads, next to their job claims and result writes.
   const Cycle full = run_sweep(tiny_jobs(1), 1)[0].result.cycles();
   ASSERT_GT(full, Cycle{0});
-  store::set_shutdown_requested(0);
+  set_shutdown_requested(0);
   SweepOptions opts;
   opts.threads = 4;
-  opts.stop = store::shutdown_flag();
+  opts.stop = shutdown_flag();
   const std::vector<SweepJob> jobs = tiny_jobs(12);
   std::thread stopper([] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    store::set_shutdown_requested(SIGINT);
+    set_shutdown_requested(SIGINT);
   });
   const auto res = run_sweep(jobs, opts);
   stopper.join();
-  EXPECT_TRUE(store::shutdown_requested());
-  store::set_shutdown_requested(0);
+  EXPECT_TRUE(shutdown_requested());
+  set_shutdown_requested(0);
   ASSERT_EQ(res.size(), jobs.size());
   for (std::size_t i = 0; i < res.size(); ++i) {
     if (res[i].job.label.empty()) {  // never claimed: untouched

@@ -35,15 +35,9 @@
 //                       sweep runs (jobs done/total, sim-rate, ETA)
 //   --progress-interval-ms N   heartbeat period (default 1000)
 //
-// Checkpoints (ARCHITECTURE.md §15):
-//   --checkpoint-every N   snapshot the machine every N simulated cycles
-//                       (single arch/pressure; atomic write + self-check)
-//   --checkpoint-file PATH where to write the snapshot (default ascoma.ckpt)
-//   --restore FILE      restore a snapshot and continue the interrupted run
-//                       (same config/workload enforced by fingerprint)
+// Graceful shutdown (ARCHITECTURE.md §14):
 //   SIGINT/SIGTERM drain in-flight jobs, write the event exports, and exit
-//   128+signal (a checkpointed run stops at its next checkpoint, a --trace
-//   grid when its current run ends).
+//   128+signal (a --trace grid stops when its current run ends).
 //
 // Fault injection & robustness (defaults leave results bit-identical):
 //   --fault-drop P        per-message drop probability (0..1)
@@ -67,14 +61,13 @@
 #include <string>
 #include <vector>
 
+#include "common/shutdown.hh"
 #include "common/table.hh"
 #include "core/machine.hh"
 #include "core/sweep.hh"
 #include "obs/export.hh"
 #include "obs/probe.hh"
 #include "report/report.hh"
-#include "store/shutdown.hh"
-#include "store/snapshot.hh"
 #include "trace/trace.hh"
 #include "workload/workload.hh"
 
@@ -111,9 +104,6 @@ struct Options {
   Cycle watchdog_cycles{0};
   Cycle nack_busy{0};
   std::optional<bool> check_invariants;
-  Cycle checkpoint_every{0};
-  std::string checkpoint_file = "ascoma.ckpt";
-  std::string restore_path;
 
   bool observing() const {
     return !events_path.empty() || !perfetto_path.empty() ||
@@ -145,8 +135,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
       "                  [--fault-jitter-cycles N] [--fault-seed N]\n"
       "                  [--watchdog-cycles N] [--nack-busy N]\n"
       "                  [--check-invariants | --no-check-invariants]\n"
-      "                  [--checkpoint-every N] [--checkpoint-file PATH]\n"
-      "                  [--restore FILE]\n"
       "workloads:";
   for (const auto& n : workload::workload_names()) std::cerr << ' ' << n;
   std::cerr << "\narchitectures: ccnuma scoma rnuma vcnuma ascoma all\n";
@@ -274,14 +262,6 @@ Options parse(int argc, char** argv) {
       o.check_invariants = true;
     } else if (a == "--no-check-invariants") {
       o.check_invariants = false;
-    } else if (a == "--checkpoint-every") {
-      o.checkpoint_every = Cycle{parse_u64(need_value(i), "--checkpoint-every")};
-      if (o.checkpoint_every == Cycle{0})
-        usage("--checkpoint-every must be > 0");
-    } else if (a == "--checkpoint-file") {
-      o.checkpoint_file = need_value(i);
-    } else if (a == "--restore") {
-      o.restore_path = need_value(i);
     } else if (a == "--verbose") {
       o.verbose = true;
     } else if (a == "--help" || a == "-h") {
@@ -338,12 +318,7 @@ int main(int argc, char** argv) {
   if (!opt.trace_path.empty() && opt.progress)
     usage("--progress needs a generated workload, not --trace");
 
-  const bool checkpointing =
-      opt.checkpoint_every > Cycle{0} || !opt.restore_path.empty();
-  if (checkpointing && (opt.archs.size() > 1 || opt.pressures.size() > 1))
-    usage("--checkpoint-every/--restore need a single arch and pressure");
-
-  store::install_shutdown_handler();
+  install_shutdown_handler();
 
   // Resolve the workload (generator or trace).
   std::unique_ptr<workload::Workload> wl;
@@ -407,11 +382,9 @@ int main(int argc, char** argv) {
     core::RunResult result;
   };
   std::vector<Row> rows;
-  if (!opt.trace_path.empty() || checkpointing) {
+  if (!opt.trace_path.empty()) {
     // In-process runs: a trace workload can't be reopened by name per sweep
-    // job, and the snapshot hooks need the Machine itself (the sweep runner
-    // owns its machines), so these drive one Machine per (arch, pressure).
-    struct Interrupted {};
+    // job, so these drive one Machine per (arch, pressure).
     std::size_t runs = 0;
     for (ArchModel arch : opt.archs)
       runs += arch == ArchModel::kCcNuma ? 1 : opt.pressures.size();
@@ -421,31 +394,7 @@ int main(int argc, char** argv) {
         cfg.arch = arch;
         cfg.memory_pressure = pressure;
         try {
-          core::Machine m(cfg, *wl);
-          if (!opt.restore_path.empty()) {
-            m.restore(store::read_snapshot_file(opt.restore_path));
-            std::cerr << "restored checkpoint " << opt.restore_path << '\n';
-          }
-          if (opt.checkpoint_every > Cycle{0}) {
-            // The callback outlives this block (it runs inside m.run()), so
-            // it owns its copy of the path.
-            m.set_checkpoint(
-                opt.checkpoint_every,
-                [path = opt.checkpoint_file](const store::Snapshot& snap,
-                                             Cycle at) {
-                  store::write_snapshot_file(path, snap);
-                  std::cerr << "checkpoint written to " << path
-                            << " at cycle " << at << '\n';
-                  // Graceful interruption lands on a checkpoint boundary:
-                  // the snapshot just written is the resume token.
-                  if (store::shutdown_requested()) throw Interrupted{};
-                });
-          }
-          rows.push_back({arch, pressure, m.run()});
-        } catch (const Interrupted&) {
-          std::cerr << "interrupted; resume with: " << argv[0]
-                    << " ... --restore " << opt.checkpoint_file << '\n';
-          return fail(128 + store::shutdown_signal());
+          rows.push_back({arch, pressure, core::simulate(cfg, *wl)});
         } catch (const std::exception& e) {
           std::cerr << "run failed (" << to_string(arch) << ", "
                     << pressure * 100 << "%): " << e.what() << '\n';
@@ -453,10 +402,10 @@ int main(int argc, char** argv) {
         }
         // Polled after every run, the last one too: like the sweep path, an
         // interrupted grid prints no partial table.
-        if (store::shutdown_requested()) {
+        if (shutdown_requested()) {
           std::cerr << "interrupted: " << rows.size() << '/' << runs
                     << " runs finished\n";
-          return fail(128 + store::shutdown_signal());
+          return fail(128 + shutdown_signal());
         }
         if (arch == ArchModel::kCcNuma) break;  // pressure-independent
       }
@@ -486,7 +435,7 @@ int main(int argc, char** argv) {
     sopts.threads = opt.threads;
     sopts.progress = opt.progress;
     sopts.progress_interval_ms = opt.progress_interval_ms;
-    sopts.stop = store::shutdown_flag();
+    sopts.stop = shutdown_flag();
     std::vector<core::SweepResult> sweep;
     try {
       sweep = core::run_sweep(std::move(jobs), sopts);
@@ -494,7 +443,7 @@ int main(int argc, char** argv) {
       std::cerr << "run failed: " << e.what() << '\n';
       return fail(1);
     }
-    if (store::shutdown_requested()) {
+    if (shutdown_requested()) {
       // Graceful shutdown: in-flight jobs drained; the table/CSV would be
       // partial, so skip them.
       std::size_t finished = 0;
@@ -502,7 +451,7 @@ int main(int argc, char** argv) {
         if (r.result.stats.parallel_cycles > Cycle{0}) ++finished;
       std::cerr << "interrupted: " << finished << '/' << sweep.size()
                 << " jobs finished\n";
-      return fail(128 + store::shutdown_signal());
+      return fail(128 + shutdown_signal());
     }
     rows.reserve(sweep.size());
     for (auto& r : sweep)

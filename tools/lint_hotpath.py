@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hot-path & determinism static fence (ARCHITECTURE.md §16; CI runs this
+"""Hot-path & determinism static fence (ARCHITECTURE.md §15; CI runs this
 on every push, before the build).
 
 The simulator core is annotated with the zero-cost attributes from
@@ -19,7 +19,7 @@ R2 (ASCOMA_SIGNAL_SAFE) — async-signal context: no mutexes, no
    primitives.
 
 R3 (ASCOMA_DETERMINISM_SENSITIVE) — code feeding a bit-reproducible
-   artifact (golden CSV, event stream, checkpoint codec) must not iterate
+   artifact (golden CSV, event stream, metric exports) must not iterate
    unordered containers or order by pointer keys, except through
    DETERMINISM_BOUNDARY functions that sort before emitting.
 
@@ -78,10 +78,7 @@ HOT_ALLOC_BOUNDARY = {
 
 SIGNAL_BOUNDARY = set()  # nothing exempted: the handler must stay primitive
 
-DETERMINISM_BOUNDARY = {
-    # collects the unordered map's lock ids and sorts before emitting
-    "LockTable::encode",
-}
+DETERMINISM_BOUNDARY = set()  # nothing exempted
 
 # The only files allowed to touch host randomness/time: the seeded RNG and
 # the host-side telemetry that never feeds simulated state.

@@ -20,14 +20,6 @@ Enforces, over src/ (CI runs this on every push):
    geometric period scaling).  Anywhere else, casting a strong type's raw
    value is a smell: use the named conversions.
 
-3. Encode/decode pairing (ARCHITECTURE.md §15): every serialization function
-   taking a ``store::Encoder&`` must have its decode twin — same name with
-   ``encode`` -> ``decode``, taking a ``store::Decoder&`` — declared or
-   defined within ENCODE_DECODE_MAX_GAP lines *after* it in the same file,
-   and vice versa.  Textual adjacency is what makes a reviewer see both
-   sides of a field change; the codec's section length check catches the
-   drift at runtime, this rule catches it at review time.
-
 The front end is textual (regex), so it runs on a tree that has never been
 compiled.  The finding set is a zero baseline — any new finding fails.
 
@@ -146,65 +138,11 @@ def lint_cast_escapes(root: Path) -> list:
     return findings
 
 
-# ---- rule 3: encode/decode pairing ------------------------------------------
-
-# A signature (declaration or definition) that takes the codec's Encoder or
-# Decoder by reference.  Call sites pass values, not types, so they never
-# match.
-# \s includes newlines: signatures that wrap after the function name (long
-# parameter types) still match when scanned over the whole file text.
-ENCODE_SIG_RE = re.compile(r"\b(\w*encode\w*)\s*\(\s*(?:ascoma::)?(?:store::)?Encoder\s*&")
-DECODE_SIG_RE = re.compile(r"\b(\w*decode\w*)\s*\(\s*(?:ascoma::)?(?:store::)?Decoder\s*&")
-
-# Widest allowed distance from an encode signature to its decode twin (keep
-# the bound tight enough that "adjacent" stays meaningful).
-ENCODE_DECODE_MAX_GAP = 80
-
-
-def lint_encode_decode_pairs(root: Path) -> list:
-    findings = []
-    for path in iter_sources(root):
-        rel = path.relative_to(root).as_posix()
-        text = strip_comments(path.read_text())
-        encodes = []  # (lineno, name)
-        decodes = []
-        for m in ENCODE_SIG_RE.finditer(text):
-            encodes.append((text.count("\n", 0, m.start()) + 1, m.group(1)))
-        for m in DECODE_SIG_RE.finditer(text):
-            decodes.append((text.count("\n", 0, m.start()) + 1, m.group(1)))
-        for lineno, name in encodes:
-            twin = name.replace("encode", "decode")
-            if not any(
-                d_name == twin and lineno < d_line <= lineno + ENCODE_DECODE_MAX_GAP
-                for d_line, d_name in decodes
-            ):
-                findings.append(
-                    f"{rel}:{lineno}: '{name}(store::Encoder&)' has no "
-                    f"'{twin}(store::Decoder&)' within "
-                    f"{ENCODE_DECODE_MAX_GAP} lines after it — keep "
-                    f"encode/decode pairs textually adjacent"
-                )
-        for lineno, name in decodes:
-            twin = name.replace("decode", "encode")
-            if not any(
-                e_name == twin and lineno - ENCODE_DECODE_MAX_GAP <= e_line < lineno
-                for e_line, e_name in encodes
-            ):
-                findings.append(
-                    f"{rel}:{lineno}: '{name}(store::Decoder&)' has no "
-                    f"'{twin}(store::Encoder&)' within "
-                    f"{ENCODE_DECODE_MAX_GAP} lines before it — keep "
-                    f"encode/decode pairs textually adjacent"
-                )
-    return findings
-
-
 # ---- driver -----------------------------------------------------------------
 
 
 def run(root: Path) -> list:
-    return (lint_params_regex(root) + lint_cast_escapes(root)
-            + lint_encode_decode_pairs(root))
+    return lint_params_regex(root) + lint_cast_escapes(root)
 
 
 SELF_TEST_BAD = """
@@ -213,10 +151,6 @@ void advance(std::uint64_t now_cycles, std::uint32_t home_node);
 void map_page(uint64_t page, std::size_t frame);
 void sleep_for(std::uint64_t wall_ns);
 inline double f(Cycle c) { return static_cast<double>(c.value()); }
-void encode(store::Encoder& e);
-void encode_widget(store::Encoder& e, const Widget& w);
-void decode_widget(store::Decoder& d, Widget* w);
-void decode_orphan(store::Decoder& d);
 }
 """
 
@@ -230,14 +164,8 @@ def self_test(root: Path) -> int:
         from lint_common import write_src_tree
         write_src_tree(bad_root, {"src/sim/bad.hh": SELF_TEST_BAD})
         findings = run(bad_root)
-    # encode_widget/decode_widget are adjacent and must NOT be flagged; the
-    # bare 'encode' and 'decode_orphan' have no twins and must be.
-    if any("encode_widget" in f for f in findings):
-        print("lint_types: SELF-TEST FAILED — flagged a paired encode")
-        return 1
     wanted = ["now_cycles", "home_node", "'page'", "'frame'", "wall_ns",
-              "static_cast escape", "'encode(store::Encoder&)' has no",
-              "'decode_orphan(store::Decoder&)' has no"]
+              "static_cast escape"]
     missing = [w for w in wanted if not any(w in f for f in findings)]
     if missing:
         print(f"lint_types: SELF-TEST FAILED — did not flag: {missing}")
@@ -265,8 +193,7 @@ def main() -> int:
         print(f"lint_types: {len(findings)} finding(s)")
         return 1
     print(f"lint_types: OK (no bare-integer dimension parameters; "
-          f"no static_cast escapes outside boundary files; all encode/decode "
-          f"pairs adjacent)")
+          f"no static_cast escapes outside boundary files)")
     return 0
 
 
