@@ -135,7 +135,7 @@ class BackoffKernel {
 
   const BackoffSettings& settings() const { return s_; }
   const BackoffState& state() const { return st_; }
-  /// Overwrite the state (model-checker decode; mutation tests).
+  /// Overwrite the state (policy-checker decode; mutation tests).
   void restore(const BackoffState& st) { st_ = st; }
 
  private:

@@ -3,20 +3,15 @@
 // Model-agnostic explicit-state exploration core.
 //
 // The search (BFS for minimal counterexamples, DFS for quick deep probes,
-// canonical-encoding visited set, partial-order reduction on invisible
-// successors) is independent of *what* is being checked; explore_model()
-// below is the template both checkers instantiate:
-//
-//   * check::Model       — the message-level coherence-protocol model
-//                          (explorer.hh keeps the original explore() entry);
-//   * check::PolicyModel — the AS-COMA adaptive-policy model
-//                          (policy_model.hh).
+// canonical-encoding visited set) is independent of *what* is being
+// checked; explore_model() below is the template that check::PolicyModel
+// (policy_model.hh) instantiates.
 //
 // A model type M must provide:
 //
 //   using StateT     = ...;   // .encode() -> std::string (canonical, lossless)
 //   using ActionT    = ...;   // .format() -> std::string (trace line)
-//   using SuccessorT = ...;   // fields: state, action, invisible
+//   using SuccessorT = ...;   // fields: state, action
 //
 //   StateT initial() const;
 //   StateT decode(const std::string& enc) const;       // inverse of encode()
@@ -38,8 +33,7 @@
 namespace ascoma::check {
 
 struct ExploreOptions {
-  bool dfs = false;       ///< depth-first instead of breadth-first
-  bool por = true;        ///< partial-order reduction on invisible steps
+  bool dfs = false;  ///< depth-first instead of breadth-first
   std::uint64_t max_states = 2'000'000;  ///< visited-set cap (then truncated)
 };
 
@@ -50,10 +44,11 @@ struct ExploreResult {
   std::vector<std::string> trace;  ///< action sequence reaching the violation
   std::string final_dump;  ///< rendering of the violating state
   std::uint64_t states = 0;       ///< distinct states visited
-  std::uint64_t transitions = 0;  ///< edges explored (post-reduction)
+  std::uint64_t transitions = 0;  ///< edges explored
   std::uint64_t finals = 0;       ///< quiescent-complete states reached
 
-  /// Multi-line report (verdict, stats, counterexample if any).
+  /// Multi-line report (verdict, stats, counterexample if any); defined in
+  /// policy_model.cc.
   std::string report() const;
 };
 
@@ -158,17 +153,6 @@ struct GenericSearch {
           return;
         }
         continue;
-      }
-
-      // Partial-order reduction: one invisible successor is an ample set.
-      if (opts.por) {
-        for (auto& suc : sucs) {
-          if (!suc.invisible) continue;
-          SuccessorT only = std::move(suc);
-          sucs.clear();
-          sucs.push_back(std::move(only));
-          break;
-        }
       }
 
       for (const SuccessorT& suc : sucs) {

@@ -7,6 +7,26 @@
 
 namespace ascoma::check {
 
+// ---- search report ----------------------------------------------------------
+
+std::string ExploreResult::report() const {
+  std::ostringstream os;
+  if (ok) {
+    os << (truncated ? "INCONCLUSIVE (state cap hit)" : "PASS") << ": "
+       << states << " states, " << transitions << " transitions, " << finals
+       << " final states\n";
+    return os.str();
+  }
+  os << "VIOLATION: " << violation << "\n";
+  os << "counterexample (" << trace.size() << " steps):\n";
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    os << "  " << (i + 1) << ". " << trace[i] << "\n";
+  os << "violating state:\n" << final_dump;
+  os << "explored " << states << " states, " << transitions
+     << " transitions before the violation\n";
+  return os.str();
+}
+
 // ---- names ------------------------------------------------------------------
 
 const char* to_string(PolicyMutation m) {
@@ -171,11 +191,20 @@ std::string PolicyAction::format() const {
 
 // ---- model ------------------------------------------------------------------
 
+std::string PolicyCheckConfig::range_error() const {
+  if (nodes < 1 || nodes > 4) return "nodes must be 1..4";
+  if (pages_per_node < 1 || pages_per_node > 4) return "pages must be 1..4";
+  if (pool_frames < 1 || pool_frames > 3) return "frames must be 1..3";
+  // The per-node budgets are one byte each in the state encoding.
+  if (touches > 0xff) return "touches must be at most 255";
+  if (daemon_runs > 0xff) return "daemon-runs must be at most 255";
+  return "";
+}
+
 PolicyModel::PolicyModel(const PolicyCheckConfig& cfg)
     : cfg_(cfg), set_(cfg.settings()) {
-  ASCOMA_CHECK(cfg_.nodes >= 1 && cfg_.nodes <= 4);
-  ASCOMA_CHECK(cfg_.pages_per_node >= 1 && cfg_.pages_per_node <= 4);
-  ASCOMA_CHECK(cfg_.pool_frames >= 1 && cfg_.pool_frames <= 3);
+  const std::string why = cfg_.range_error();
+  ASCOMA_CHECK_MSG(why.empty(), why);
 }
 
 PolicyState PolicyModel::initial() const {

@@ -3,11 +3,11 @@
 // Abstract-state model of the AS-COMA adaptive policy layer for exhaustive
 // checking (tools/ascoma_policycheck).
 //
-// PR 4's protocol checker covers the coherence layer; this model covers the
-// paper's actual contribution — the per-node policy state machine: S-COMA-
-// first allocation while the free pool lasts, CC-NUMA -> S-COMA upgrade on
-// the refetch threshold, and the pageout-daemon back-off that converges to
-// pure CC-NUMA behaviour under sustained memory pressure (PAPER.md §1–§2).
+// The model covers the paper's contribution — the per-node policy state
+// machine: S-COMA-first allocation while the free pool lasts, CC-NUMA ->
+// S-COMA upgrade on the refetch threshold, and the pageout-daemon back-off
+// that converges to pure CC-NUMA behaviour under sustained memory pressure
+// (PAPER.md §1–§2).
 // The back-off/relaxation transitions are not re-derived: the model drives
 // the very arch::BackoffKernel the simulator's AsComaPolicy executes,
 // instantiated with tiny abstract constants (threshold 1 step from max,
@@ -99,6 +99,10 @@ struct PolicyCheckConfig {
   bool ordered = true;
   PolicyMutation mutation = PolicyMutation::kNone;
 
+  /// Why a field is out of range, or "" when every field is in range.
+  /// PolicyModel's constructor throws CheckFailure on a non-empty reason.
+  std::string range_error() const;
+
   /// Abstract kernel constants: threshold 1 (initial) or 2 (max), daemon
   /// period 4 -> 8 -> 16 cycles, two healthy runs per relaxation step.
   arch::BackoffSettings settings() const {
@@ -185,7 +189,6 @@ struct PolicyAction {
 struct PolicySuccessor {
   PolicyState state;
   PolicyAction action;
-  bool invisible = false;  ///< never set: every policy step is observable
 };
 
 /// The policy model: pure functions from a state to its successors and

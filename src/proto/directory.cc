@@ -5,10 +5,9 @@
 
 namespace ascoma::proto {
 
-Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes,
-                     const TransitionTable* table)
+Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes)
     : nodes_(nodes),
-      table_(table != nullptr ? table : &TransitionTable::pristine()),
+      table_(&TransitionTable::pristine()),
       entries_(total_blocks) {
   ASCOMA_CHECK_MSG(nodes >= 1 && nodes <= 64,
                    "directory sharer mask supports up to 64 nodes");

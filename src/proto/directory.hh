@@ -12,9 +12,7 @@
 //
 // Transitions are not coded here: every request is resolved by looking up
 // the (DirState, ProtoMsg, ReqRel) row of a TransitionTable and applying its
-// action bits mechanically (apply()).  The simulator runs against
-// TransitionTable::pristine(); the model checker constructs Directories
-// over mutated tables to study known-bad protocols.
+// action bits mechanically (apply()) against TransitionTable::pristine().
 
 #include <bit>
 #include <cstdint>
@@ -93,10 +91,7 @@ class NodeMask {
 
 class Directory {
  public:
-  /// `table` selects the protocol (nullptr = TransitionTable::pristine()).
-  /// The table must outlive the directory.
-  Directory(std::uint64_t total_blocks, std::uint32_t nodes,
-            const TransitionTable* table = nullptr);
+  Directory(std::uint64_t total_blocks, std::uint32_t nodes);
 
   struct FetchResult {
     bool was_in_copyset = false;  ///< requester held the block before this
@@ -148,7 +143,6 @@ class Directory {
 
   std::uint64_t total_blocks() const { return entries_.size(); }
   std::uint32_t nodes() const { return nodes_; }
-  const TransitionTable& table() const { return *table_; }
 
   std::uint64_t invalidations_sent() const { return invalidations_; }
   std::uint64_t forwards() const { return forwards_; }
@@ -194,6 +188,8 @@ class Directory {
                                           NodeMask* invalidate);
 
   std::uint32_t nodes_;
+  /// Always TransitionTable::pristine(); held so apply()'s row lookup is
+  /// one pointer load.
   const TransitionTable* table_;
   IdVector<BlockId, Entry> entries_;
   std::uint64_t invalidations_ = 0;

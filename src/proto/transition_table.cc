@@ -1,7 +1,5 @@
 #include "proto/transition_table.hh"
 
-#include <sstream>
-
 #include "common/check.hh"
 
 namespace ascoma::proto {
@@ -145,8 +143,9 @@ constexpr Transition kProtocol[] = {
    "owner flush: its writeback makes home memory current"},
 
   // ---- NACK: home refused to queue the request ----------------------------
-  // A NACKed request performed no transition; every legal row is a no-op.
-  // The model checker's kNackMutatesDirectory study edits these rows.
+  // A NACKed request performed no transition; every legal row is a no-op
+  // (TransitionTable.NackRowsAreNoOps and
+  // Directory.NackLeavesEveryReachableEntryUnchanged hold them to it).
   {DirState::kUncached, ProtoMsg::kNack, ReqRel::kNone,
    act::kNone, DirNext::kUncached,
    "NACK leaves the entry untouched"},
@@ -203,37 +202,6 @@ TransitionTable::TransitionTable() {
 const TransitionTable& TransitionTable::pristine() {
   static const TransitionTable table;
   return table;
-}
-
-std::string TransitionTable::describe() const {
-  std::ostringstream os;
-  for (const Transition& t : rows_) {
-    os << to_string(t.state) << " x " << to_string(t.msg) << " x "
-       << to_string(t.rel) << " -> " << to_string(t.next);
-    if (t.fatal()) {
-      os << " [unreachable: " << t.why << "]";
-    } else {
-      os << " {";
-      const char* sep = "";
-      const auto flag = [&](std::uint32_t bit, const char* name) {
-        if (t.has(bit)) {
-          os << sep << name;
-          sep = ",";
-        }
-      };
-      flag(act::kForwardOwner, "forward-owner");
-      flag(act::kInvalSharers, "inval-sharers");
-      flag(act::kInvalOwner, "inval-owner");
-      flag(act::kClearOwner, "clear-owner");
-      flag(act::kAddSharer, "add-sharer");
-      flag(act::kSetOwner, "set-owner");
-      flag(act::kRemoveSharer, "remove-sharer");
-      flag(act::kDataFromHome, "data-from-home");
-      os << "}  // " << t.why;
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace ascoma::proto

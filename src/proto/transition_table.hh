@@ -8,10 +8,9 @@
 // inspectable *data*, not branching code.  proto::Directory applies rows
 // mechanically (Directory::apply), proto::CoherentMemory branches on the
 // action bits a transition returned (instead of re-deriving them from entry
-// fields), and tools/ascoma_modelcheck exhaustively explores the table's
-// message-level semantics.  The table is total — every (state, message,
-// relation) triple has exactly one row in kProtocol — by a static_assert on
-// the row count and the constructor's duplicate/missing-triple checks.
+// fields).  The table is total — every (state, message, relation) triple has
+// exactly one row in kProtocol — by a static_assert on the row count and the
+// constructor's duplicate/missing-triple checks.
 //
 // Directory states are a *view* of a directory entry (Directory::Entry is
 // the ground truth): kUncached (no sharers, no owner), kShared (sharers,
@@ -20,12 +19,10 @@
 // whether the requester already appears in the entry.  Rows whose triple
 // cannot arise under the protocol invariants (e.g. a sharer bit in an
 // uncached entry) are declared with act::kFatal: reaching one is itself a
-// protocol violation, and the model checker reports it as such when a
-// mutated table makes one reachable.
+// protocol violation, and Directory::apply throws CheckFailure on it.
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 namespace ascoma::proto {
 
@@ -99,8 +96,7 @@ struct Transition {
 /// The full protocol table, indexed by (state, message, relation).  The
 /// constructor ingests a row list and enforces totality: every triple
 /// covered exactly once (throws common::CheckFailure otherwise).  The
-/// pristine() singleton holds the protocol as shipped; the model checker
-/// copies it and edits rows to study known-bad mutations.
+/// pristine() singleton holds the protocol as shipped.
 class TransitionTable {
  public:
   /// Builds the pristine protocol (the kProtocol row list).
@@ -110,17 +106,8 @@ class TransitionTable {
     return rows_[index(s, m, r)];
   }
 
-  /// Mutable row access — only for protocol-mutation studies (the model
-  /// checker and its tests); the simulator consults pristine() rows.
-  Transition& row(DirState s, ProtoMsg m, ReqRel r) {
-    return rows_[index(s, m, r)];
-  }
-
   /// The protocol as shipped (shared immutable singleton).
   static const TransitionTable& pristine();
-
-  /// Human-readable dump, one row per line (for docs and debugging).
-  std::string describe() const;
 
   static constexpr int kNumRows =
       kNumDirStates * kNumProtoMsgs * kNumReqRels;

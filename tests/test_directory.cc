@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/check.hh"
+#include "proto/transition_table.hh"
 
 namespace ascoma::proto {
 namespace {
@@ -131,6 +134,91 @@ TEST(Directory, BoundsChecked) {
   Directory d(4, 2);
   EXPECT_THROW(d.gets(BlockId{4}, NodeId{0}), ascoma::CheckFailure);
   EXPECT_THROW(d.gets(BlockId{0}, NodeId{2}), ascoma::CheckFailure);
+}
+
+// ---- the transition table ---------------------------------------------------
+
+TEST(TransitionTable, TotalAndSelfConsistent) {
+  const TransitionTable& t = TransitionTable::pristine();
+  int fatal = 0;
+  for (int s = 0; s < kNumDirStates; ++s) {
+    for (int m = 0; m < kNumProtoMsgs; ++m) {
+      for (int r = 0; r < kNumReqRels; ++r) {
+        const Transition& row =
+            t.lookup(static_cast<DirState>(s), static_cast<ProtoMsg>(m),
+                     static_cast<ReqRel>(r));
+        EXPECT_EQ(static_cast<int>(row.state), s);
+        EXPECT_EQ(static_cast<int>(row.msg), m);
+        EXPECT_EQ(static_cast<int>(row.rel), r);
+        ASSERT_NE(row.why, nullptr);
+        if (row.fatal()) {
+          ++fatal;
+          EXPECT_EQ(row.next, DirNext::kFatal);
+          EXPECT_EQ(row.actions, act::kFatal)
+              << "a fatal row must carry no other action bits";
+        } else {
+          EXPECT_NE(row.next, DirNext::kFatal);
+        }
+      }
+    }
+  }
+  EXPECT_GT(fatal, 0) << "some triples are unreachable by construction";
+}
+
+// A NACKed request performed no transition, so its row may neither act on
+// the entry nor promise a different state.
+TEST(TransitionTable, NackRowsAreNoOps) {
+  const TransitionTable& t = TransitionTable::pristine();
+  for (int s = 0; s < kNumDirStates; ++s) {
+    for (int r = 0; r < kNumReqRels; ++r) {
+      const Transition& row = t.lookup(static_cast<DirState>(s),
+                                       ProtoMsg::kNack, static_cast<ReqRel>(r));
+      if (row.fatal()) continue;
+      EXPECT_EQ(row.actions, act::kNone)
+          << to_string(row.state) << " x NACK x " << to_string(row.rel);
+      EXPECT_EQ(static_cast<int>(row.next), s)
+          << to_string(row.state) << " x NACK x " << to_string(row.rel);
+    }
+  }
+}
+
+// The same property through Directory::note_nack: from every (state,
+// relation) pair the protocol can reach, a NACK leaves the entry as it was
+// and is counted once.
+TEST(Directory, NackLeavesEveryReachableEntryUnchanged) {
+  struct Scenario {
+    DirState state;
+    ReqRel rel;
+    NodeId requester;
+  };
+  // Node 0 (and node 1 when shared) hold the block; node 2 holds nothing.
+  const Scenario scenarios[] = {
+      {DirState::kUncached, ReqRel::kNone, NodeId{2}},
+      {DirState::kShared, ReqRel::kNone, NodeId{2}},
+      {DirState::kShared, ReqRel::kSharer, NodeId{0}},
+      {DirState::kExclusive, ReqRel::kNone, NodeId{2}},
+      {DirState::kExclusive, ReqRel::kOwner, NodeId{0}},
+  };
+  for (const Scenario& sc : scenarios) {
+    Directory d(1, 3);
+    if (sc.state == DirState::kShared) {
+      d.gets(BlockId{0}, NodeId{0});
+      d.gets(BlockId{0}, NodeId{1});
+    } else if (sc.state == DirState::kExclusive) {
+      d.getx(BlockId{0}, NodeId{0});
+    }
+    ASSERT_EQ(d.state_of(BlockId{0}), sc.state);
+    ASSERT_EQ(d.rel_of(BlockId{0}, sc.requester), sc.rel);
+    const NodeId owner = d.owner(BlockId{0});
+    const std::uint64_t sharers = d.sharer_mask(BlockId{0});
+
+    d.note_nack(BlockId{0}, sc.requester);
+    EXPECT_EQ(d.owner(BlockId{0}), owner)
+        << to_string(sc.state) << " x NACK x " << to_string(sc.rel);
+    EXPECT_EQ(d.sharer_mask(BlockId{0}), sharers)
+        << to_string(sc.state) << " x NACK x " << to_string(sc.rel);
+    EXPECT_EQ(d.nacks(), 1u);
+  }
 }
 
 }  // namespace

@@ -20,14 +20,15 @@
 //   ascoma_policycheck --nodes 1 --pages 4 --frames 2 --touches 6
 //   ascoma_policycheck --mutation upgrade-while-disabled   # must report
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "check/policy_model.hh"
+#include "parse_number.hh"
 
 namespace {
 
@@ -39,8 +40,10 @@ void usage(std::ostream& os) {
         "  --pages N            remote pages per node, 1..4 (default 2)\n"
         "  --frames N           S-COMA pool frames per node, 1..3 "
         "(default 1)\n"
-        "  --touches N          page-touch budget per node (default 4)\n"
-        "  --daemon-runs N      pageout-daemon budget per node (default 6)\n"
+        "  --touches N          page-touch budget per node, 0..255 "
+        "(default 4)\n"
+        "  --daemon-runs N      pageout-daemon budget per node, 0..255 "
+        "(default 6)\n"
         "  --mutation NAME      check a known-bad policy mutation\n"
         "                       (none|threshold-never-raised|"
         "period-not-lengthened|\n"
@@ -64,76 +67,68 @@ struct Args {
   bool quiet = false;
 };
 
-bool parse_args(int argc, char** argv, Args* a) {
+[[noreturn]] void usage_error(const std::string& error) {
+  std::cerr << "error: " << error << "\n\n";
+  usage(std::cerr);
+  std::exit(2);
+}
+
+template <typename T>
+T parse_or_exit(const char* v, const std::string& what) {
+  const std::optional<T> n = ascoma::cli::parse_number<T>(v);
+  if (!n) usage_error("bad value for " + what + ": '" + v + "'");
+  return *n;
+}
+
+Args parse_args(int argc, char** argv) {
+  Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        return nullptr;
-      }
+      if (i + 1 >= argc) usage_error(arg + " needs a value");
       return argv[++i];
     };
+    auto u32 = [&]() { return parse_or_exit<std::uint32_t>(value(), arg); };
     if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       std::exit(0);
     } else if (arg == "--nodes") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->cfg.nodes = static_cast<std::uint32_t>(std::atoi(v));
+      a.cfg.nodes = u32();
     } else if (arg == "--pages") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->cfg.pages_per_node = static_cast<std::uint32_t>(std::atoi(v));
+      a.cfg.pages_per_node = u32();
     } else if (arg == "--frames") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->cfg.pool_frames = static_cast<std::uint32_t>(std::atoi(v));
+      a.cfg.pool_frames = u32();
     } else if (arg == "--touches") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->cfg.touches = static_cast<std::uint32_t>(std::atoi(v));
+      a.cfg.touches = u32();
     } else if (arg == "--daemon-runs") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->cfg.daemon_runs = static_cast<std::uint32_t>(std::atoi(v));
+      a.cfg.daemon_runs = u32();
     } else if (arg == "--mutation") {
       const char* v = value();
-      if (v == nullptr) return false;
-      if (!check::parse_policy_mutation(v, &a->cfg.mutation)) {
-        std::cerr << "unknown mutation: " << v << "\n";
-        return false;
-      }
+      if (!check::parse_policy_mutation(v, &a.cfg.mutation))
+        usage_error(std::string("unknown mutation: ") + v);
     } else if (arg == "--dfs") {
-      a->opts.dfs = true;
+      a.opts.dfs = true;
     } else if (arg == "--full-interleaving") {
-      a->cfg.ordered = false;
+      a.cfg.ordered = false;
     } else if (arg == "--max-states") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->opts.max_states = static_cast<std::uint64_t>(std::atoll(v));
+      a.opts.max_states = parse_or_exit<std::uint64_t>(value(), arg);
     } else if (arg == "--trace-out") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a->trace_out = v;
+      a.trace_out = value();
     } else if (arg == "--quiet") {
-      a->quiet = true;
+      a.quiet = true;
     } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return false;
+      usage_error("unknown option: " + arg);
     }
   }
-  return true;
+  const std::string why = a.cfg.range_error();
+  if (!why.empty()) usage_error(why);
+  return a;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args a;
-  if (!parse_args(argc, argv, &a)) {
-    usage(std::cerr);
-    return 2;
-  }
+  const Args a = parse_args(argc, argv);
 
   const check::PolicyModel model(a.cfg);
   const check::ExploreResult res = check::explore_model(model, a.opts);

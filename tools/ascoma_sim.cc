@@ -50,7 +50,6 @@
 //   --check-invariants / --no-check-invariants
 //                         post-run coherence sweep (default on)
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -67,6 +66,7 @@
 #include "core/sweep.hh"
 #include "obs/export.hh"
 #include "obs/probe.hh"
+#include "parse_number.hh"
 #include "report/report.hh"
 #include "trace/trace.hh"
 #include "workload/workload.hh"
@@ -145,13 +145,9 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 template <typename T>
 T parse_number(const std::string& s, const char* what) {
-  T value{};
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto r = std::from_chars(first, last, value);
-  if (r.ec != std::errc{} || r.ptr != last)
-    usage(std::string("bad value for ") + what + ": '" + s + "'");
-  return value;
+  const std::optional<T> v = cli::parse_number<T>(s);
+  if (!v) usage(std::string("bad value for ") + what + ": '" + s + "'");
+  return *v;
 }
 
 double parse_double(const std::string& s, const char* what) {

@@ -8,8 +8,8 @@ profiler/heat-map layer, and kNumEventKinds equals the enumerator count.
 
 Transition-table totality is not linted here: the compiler and the tests own
 it (a static_assert on the row count, TransitionTable()'s throw on a missing
-or duplicated triple, and TransitionTable.TotalAndSelfConsistent for the
-fatal rows; see ARCHITECTURE.md §12).
+or duplicated triple, and TransitionTable.TotalAndSelfConsistent in
+tests/test_directory.cc for the fatal rows; see ARCHITECTURE.md §12).
 
 Usage: tools/lint_protocol.py [repo-root]       (exit 0 clean, 1 findings,
                                                  2 usage error: a flag or
