@@ -67,6 +67,9 @@ std::uint64_t MachineConfig::effective_fault_seed() const {
 std::string MachineConfig::validate() const {
   std::ostringstream err;
   if (nodes == 0) err << "nodes must be > 0; ";
+  if (nodes > kMaxNodes)
+    err << "nodes must be <= " << kMaxNodes
+        << " (one sharer bit per node in a u64 directory entry); ";
   if (procs_per_node == 0 || procs_per_node > 16)
     err << "procs_per_node must be in [1, 16]; ";
   if (!is_pow2(page_bytes.value())) err << "page_bytes must be a power of two; ";

@@ -52,6 +52,10 @@ struct MachineConfig {
   /// Cap on page_bytes / block_bytes: requester-side block state keeps one
   /// bit per block of a page in a u64 (proto::CoherentMemory).
   static constexpr std::uint32_t kMaxBlocksPerPage = 64;
+  /// Cap on `nodes`: the directory keeps one sharer bit per node in a u64
+  /// (proto::Directory), and the coherence shadow's row of a block fits in
+  /// one word.
+  static constexpr std::uint32_t kMaxNodes = 64;
 
   // ---- L1 cache (Table 3) -------------------------------------------------
   ByteCount l1_bytes{16 * 1024};   ///< direct-mapped, write-back

@@ -574,9 +574,9 @@ RunResult Machine::run() {
     // Node-level censuses are attributed to the node's first processor so
     // machine-wide sums remain correct.
     if (p % cfg_.procs_per_node == 0) {
-      const NodeId n = node_of(p);
-      r.per_node[p].remote_pages_touched = cmem_->remote_pages_touched(n);
-      r.remote_page_node_pairs += cmem_->remote_pages_touched(n);
+      const std::uint64_t touched = cmem_->remote_pages_touched(node_of(p));
+      r.per_node[p].remote_pages_touched = touched;
+      r.remote_page_node_pairs += touched;
     }
     r.stats.totals.add(r.per_node[p]);
   }

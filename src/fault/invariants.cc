@@ -63,19 +63,17 @@ InvariantReport check_coherence_invariants(
   Reporter out(report);
 
   // --- directory structure: at most one exclusive claim per block -----------
+  // The owner of an exclusive entry is its lowest sharer bit, so it is in
+  // range whenever the sharer bits are, and one sharer makes the copyset
+  // exactly the owner.
   for (BlockId b{0}; b.value() < blocks; ++b) {
-    const NodeId owner = dir.owner(b);
     const std::uint64_t mask = dir.sharer_mask(b);
     if (cfg.nodes < 64 && (mask >> cfg.nodes) != 0) {
       out.next() << "block " << b << ": sharer bit beyond node count ("
                  << dir.describe(b) << ")";
       out.commit();
     }
-    if (owner == kInvalidNode) continue;
-    if (owner.value() >= cfg.nodes) {
-      out.next() << "block " << b << ": owner " << owner << " out of range";
-      out.commit();
-    } else if (mask != (std::uint64_t{1} << owner.value())) {
+    if (dir.exclusive(b) && !std::has_single_bit(mask)) {
       out.next() << "block " << b
                  << ": exclusive owner must be the sole sharer ("
                  << dir.describe(b) << ")";
@@ -88,9 +86,9 @@ InvariantReport check_coherence_invariants(
   // from the page's directory entries, then compared with the node's
   // PageBlocks masks: S-COMA valid and fetched bits need copyset membership,
   // and on a remote page copyset membership needs a fetched bit (the page
-  // flush releases exactly the fetched blocks).
-  // One slot per possible node: Directory caps the node count at 64.
-  std::array<std::uint64_t, 64> copyset{};
+  // flush releases exactly the fetched blocks).  An S-COMA valid bit is a
+  // fetched bit of an S-COMA page, so it is reported with its fetched bit.
+  std::array<std::uint64_t, MachineConfig::kMaxNodes> copyset{};
   for (VPageId p{0}; p.value() < pages; ++p) {
     const BlockId first = cfg.first_block_of_page(p);
     std::fill_n(copyset.begin(), cfg.nodes, 0);
@@ -101,7 +99,7 @@ InvariantReport check_coherence_invariants(
     for (NodeId n{0}; n.value() < cfg.nodes; ++n) {
       const proto::CoherentMemory::PageBlocks& pb = cmem.page_blocks(n, p);
       const std::uint64_t cs = copyset[n.value()];
-      const std::uint64_t bad_scoma = pb.scoma_valid & ~cs;
+      const std::uint64_t bad_scoma = cmem.scoma_valid(n, p) & ~cs;
       const std::uint64_t bad_fetched = pb.fetched & ~cs;
       const std::uint64_t bad_member = n == home ? 0 : cs & ~pb.fetched;
       for (std::uint64_t bad = bad_scoma | bad_fetched | bad_member; bad != 0;

@@ -40,16 +40,13 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
   net_.set_fault_plan(&plan_);
   const std::uint64_t blocks = dir_.total_blocks();
   const std::uint64_t pages = homes.total_pages();
-  // The large per-node tables come before the small components.  When a
-  // process builds machines one after another, this order lets malloc trim
-  // the heap a freed machine leaves behind, so the next one does not add
-  // to the peak RSS.  The explicit zero record makes the fill one memset;
-  // without it the value-initialising constructor copies the first record
-  // into the rest.
-  for (std::uint32_t n = 0; n < cfg.nodes; ++n) {
+  // The order of the per-node tables and the small components does not
+  // matter: with 24-byte records, both orders measured the same peak RSS in
+  // a process that builds machines one after another.  The explicit zero
+  // record makes the fill one memset; without it the value-initialising
+  // constructor copies the first record into the rest.
+  for (std::uint32_t n = 0; n < cfg.nodes; ++n)
     blocks_.emplace_back(pages, PageBlocks{});
-    remote_page_seen_.emplace_back(pages, 0);
-  }
   l1_.reserve(cfg.total_procs());
   for (std::uint32_t p = 0; p < cfg.total_procs(); ++p)
     l1_.push_back(std::make_unique<mem::L1Cache>(cfg));
@@ -59,19 +56,40 @@ CoherentMemory::CoherentMemory(const MachineConfig& cfg,
     bus_.push_back(std::make_unique<mem::Bus>(cfg));
     engine_.emplace_back();
   }
-  remote_pages_touched_.assign(cfg.nodes, 0);
-  if (cfg.check_invariants) stale_copies_.assign(blocks, 0);
+  if (cfg.check_invariants) {
+    shadow_row_log2_ =
+        static_cast<std::uint32_t>(std::countr_zero(std::bit_ceil(cfg.nodes)));
+    stale_copies_.assign(((blocks << shadow_row_log2_) + 63) / 64, 0);
+  }
 }
+
+std::uint64_t CoherentMemory::remote_pages_touched(NodeId n) const {
+  std::uint64_t touched = 0;
+  for (VPageId p{0}; p.value() < blocks_[n].size(); ++p)
+    if (blocks_[n][p].ever_fetched != 0 && home_of_page(p) != n) ++touched;
+  return touched;
+}
+
+// A shadow row of bit_ceil(nodes) bits must fit in one word.
+static_assert(MachineConfig::kMaxNodes <= 64);
 
 void CoherentMemory::shadow_commit_store(NodeId node, BlockId b) {
   if (stale_copies_.empty()) return;
+  // Every node but the writer: the row's low `nodes` bits, less `node`.
   const std::uint64_t all_nodes = ~std::uint64_t{0} >> (64 - cfg_.nodes);
-  stale_copies_[b] = all_nodes & ~(std::uint64_t{1} << node.value());
+  const std::uint64_t row_bits =
+      ~std::uint64_t{0} >> (64 - (std::uint32_t{1} << shadow_row_log2_));
+  const std::uint64_t pos = shadow_row(b);
+  std::uint64_t& w = stale_copies_[pos >> 6];
+  const auto off = static_cast<std::uint32_t>(pos & 63);
+  w = (w & ~(row_bits << off)) |
+      ((all_nodes & ~(std::uint64_t{1} << node.value())) << off);
 }
 
 void CoherentMemory::shadow_fetch(NodeId node, BlockId b) {
   if (stale_copies_.empty()) return;
-  stale_copies_[b] &= ~(std::uint64_t{1} << node.value());
+  const std::uint64_t pos = shadow_row(b) + node.value();
+  stale_copies_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
 }
 
 void CoherentMemory::fail_stale_copy(NodeId node, BlockId b,
@@ -96,7 +114,6 @@ void CoherentMemory::apply_invalidation(NodeId s, BlockId b) {
   // Fetched -> Invalidated; Never and Invalidated stay as they are.
   PageBlocks& pb = blocks_[s][cfg_.page_of_block(b)];
   const std::uint64_t m = block_mask(b);
-  pb.scoma_valid &= ~m;
   pb.invalidated |= pb.fetched & m;
   pb.fetched &= ~m;
 }
@@ -338,11 +355,6 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
                    "access to unmapped page (kernel must fault first)");
   const NodeId home = home_of_page(page);
 
-  if (home != node && !remote_page_seen_[node][page]) {
-    remote_page_seen_[node][page] = 1;
-    ++remote_pages_touched_[node];
-  }
-
   Outcome o;
   mem::L1Cache& l1 = *l1_[proc];
 
@@ -492,7 +504,7 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   ASCOMA_CHECK_MSG(home != node, "non-home mapping mode on the home node");
 
   if (mode == PageMode::kScoma &&
-      block_bit(blocks_[node][page].scoma_valid, block)) {
+      block_bit(blocks_[node][page].fetched, block)) {
     if (!is_store || dir_.owner(block) == node) {
       // Supplied from the local page cache at local-memory latency.
       shadow_check_local(node, block, "scoma page cache");
@@ -619,7 +631,6 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
 
   // Install the arriving 4-line chunk at its destination.
   if (mode == PageMode::kScoma) {
-    pb.scoma_valid |= m;
     if (!background_) dram_[node]->access(o.done, block);  // page-cache write
   } else {
     rac_[node]->fill(block);
@@ -640,13 +651,13 @@ CoherentMemory::FlushOutcome CoherentMemory::flush_page(NodeId node,
   // On a remote page the node's fetched blocks are exactly its copyset
   // blocks (PageBlocks), and a valid L1 line implies copyset membership, so
   // the held mask names every block with lines or a directory entry to
-  // release.  Back to Never with the S-COMA bits clear; only the sticky
-  // ever-fetched bits survive (a refetch is then an induced cold miss).
+  // release.  Back to Never, which also clears every S-COMA valid bit;
+  // only the sticky ever-fetched bits survive (a refetch is then an induced
+  // cold miss).
   PageBlocks& pb = blocks_[node][page];
   std::uint64_t held = pb.fetched;
   pb.fetched = 0;
   pb.invalidated = 0;
-  pb.scoma_valid = 0;
   const BlockId first = cfg_.first_block_of_page(page);
   const std::uint32_t q0 = node.value() * ppn_;
   for (; held != 0; held &= held - 1) {

@@ -133,17 +133,28 @@ class CoherentMemory {
   /// the node is in the block's directory copyset: the remote-fetch path is
   /// the only way in, and an invalidation or a page flush the only ways
   /// out.  fault::check_coherence_invariants checks both directions.
+  ///
+  /// A block's S-COMA valid bit is not stored: it is the `fetched` bit of a
+  /// page mapped kScoma (scoma_valid()).  A fetch into an S-COMA page sets
+  /// `fetched`, an invalidation clears it, and the kernel flushes the page
+  /// (clearing every `fetched` bit) before each upgrade, downgrade and
+  /// unmap, so no bit fetched in one mode survives into another.
   struct PageBlocks {
     std::uint64_t fetched;       ///< holds a copy fetched from the home
     std::uint64_t invalidated;   ///< fetched, then invalidated by the home
     std::uint64_t ever_fetched;  ///< sticky (induced-cold classification)
-    std::uint64_t scoma_valid;   ///< S-COMA valid bit
   };
   const PageBlocks& page_blocks(NodeId n, VPageId p) const {
     return blocks_[n][p];
   }
-  bool scoma_block_valid(NodeId n, BlockId b) const {
-    return block_bit(blocks_[n][cfg_.page_of_block(b)].scoma_valid, b);
+  /// The S-COMA valid blocks of (`n`, `p`): the fetched blocks of a page
+  /// mapped kScoma, none otherwise.
+  std::uint64_t scoma_valid(NodeId n, VPageId p) const {
+    const std::uint64_t fetched = blocks_[n][p].fetched;
+    // A fetched bit means an access ran, so the page tables are registered.
+    return fetched != 0 && page_tables_[n]->mode(p) == PageMode::kScoma
+               ? fetched
+               : 0;
   }
   bool block_fetched(NodeId n, BlockId b) const {
     return block_bit(blocks_[n][cfg_.page_of_block(b)].fetched, b);
@@ -151,10 +162,11 @@ class CoherentMemory {
   const MachineConfig& config() const { return cfg_; }
   NodeId home_of_page(VPageId p) const { return homes_.home_of(p); }
 
-  /// Distinct remote pages this node has ever accessed (Table 5 census).
-  std::uint64_t remote_pages_touched(NodeId n) const {
-    return remote_pages_touched_[n];
-  }
+  /// Distinct remote pages this node has ever accessed (Table 5 census):
+  /// the remote pages with a non-zero `ever_fetched` mask.  A node's first
+  /// access to a remote page is always a remote fetch, since its L1, RAC
+  /// and S-COMA frame hold nothing of the page before one.
+  std::uint64_t remote_pages_touched(NodeId n) const;
 
   /// Identity on 1-processor nodes; smp_ keeps the compiler from folding
   /// the test back into the divide (see core::Machine::node_of).
@@ -166,8 +178,9 @@ class CoherentMemory {
   /// stale: another node stored to `b` since `node` last fetched it.
   /// Always false with the shadow off.
   bool shadow_stale(NodeId node, BlockId b) const {
-    return !stale_copies_.empty() &&
-           ((stale_copies_[b] >> node.value()) & 1u) != 0;
+    if (stale_copies_.empty()) return false;
+    const std::uint64_t pos = shadow_row(b) + node.value();
+    return ((stale_copies_[pos >> 6] >> (pos & 63)) & 1u) != 0;
   }
 
  private:
@@ -180,7 +193,8 @@ class CoherentMemory {
   }
 
   /// Apply an invalidation of `b` at node `s` (state only, no timing):
-  /// every processor L1 on the node, the RAC, and the S-COMA valid bit.
+  /// every processor L1 on the node, the RAC, and the fetched bit (the
+  /// S-COMA valid bit of an S-COMA page).
   void apply_invalidation(NodeId s, BlockId b);
 
   /// Invalidate `line` in the L1s of `proc`'s siblings (bus snoop on store).
@@ -273,8 +287,6 @@ class CoherentMemory {
   // Requester-side block state, one PageBlocks per (node, page), in one
   // vector per node (one large table would be re-faulted on every run).
   IdVector<NodeId, IdVector<VPageId, PageBlocks>> blocks_;
-  IdVector<NodeId, IdVector<PageId, std::uint8_t>> remote_page_seen_;
-  IdVector<NodeId, std::uint64_t> remote_pages_touched_;
 
   std::uint64_t wb_local_ = 0;
   std::uint64_t wb_remote_ = 0;
@@ -285,11 +297,16 @@ class CoherentMemory {
   std::uint32_t cur_nacks_ = 0;    ///< scratch: NACKs of the access in flight
 
   // ---- functional coherence shadow (check_invariants) ----------------------
-  // One mask per block of the nodes whose copy is stale: a committed store
+  // One row per block of the nodes whose copy is stale: a committed store
   // by node X marks every other node stale, and a fetch by node Y clears
   // Y's bit.  Any access satisfied from node-local state must find its
   // node's bit clear — a missed invalidation anywhere shows up as a stale
-  // hit immediately.
+  // hit immediately.  A row is W = bit_ceil(nodes) bits (node n at bit n),
+  // packed 64 / W rows to a word, so a row never straddles two words.
+  /// Bit position of `b`'s row in the packed shadow.
+  std::uint64_t shadow_row(BlockId b) const {
+    return b.value() << shadow_row_log2_;
+  }
   void shadow_commit_store(NodeId node, BlockId b);
   void shadow_fetch(NodeId node, BlockId b);
   void shadow_check_local(NodeId node, BlockId b, const char* where) const {
@@ -299,7 +316,8 @@ class CoherentMemory {
   /// CheckFailure.
   [[noreturn]] void fail_stale_copy(NodeId node, BlockId b,
                                     const char* where) const;
-  IdVector<BlockId, std::uint64_t> stale_copies_;
+  std::uint32_t shadow_row_log2_ = 0;  ///< log2(W)
+  std::vector<std::uint64_t> stale_copies_;
 };
 
 }  // namespace ascoma::proto

@@ -2,37 +2,43 @@
 
 #include <bit>
 
+#include "common/config.hh"
 
 namespace ascoma::proto {
+
+// One sharer bit per node in a u64 sharer word.
+static_assert(MachineConfig::kMaxNodes <= 64);
 
 Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes)
     : nodes_(nodes),
       table_(&TransitionTable::pristine()),
-      entries_(total_blocks) {
-  ASCOMA_CHECK_MSG(nodes >= 1 && nodes <= 64,
-                   "directory sharer mask supports up to 64 nodes");
+      sharers_(total_blocks),
+      exclusive_((total_blocks + 63) / 64) {
+  ASCOMA_CHECK_MSG(nodes >= 1 && nodes <= MachineConfig::kMaxNodes,
+                   "directory sharer mask supports up to "
+                       << MachineConfig::kMaxNodes << " nodes");
 }
 
 void Directory::note_nack(BlockId b, NodeId requester) {
-  ASCOMA_CHECK(b.value() < entries_.size() && requester.value() < nodes_);
+  ASCOMA_CHECK(b.value() < sharers_.size() && requester.value() < nodes_);
   apply(b, ProtoMsg::kNack, requester, nullptr, nullptr);
   ++nacks_;
 }
 
 std::uint32_t Directory::sharer_count(BlockId b) const {
-  ASCOMA_CHECK(b.value() < entries_.size());
-  return static_cast<std::uint32_t>(std::popcount(entries_[b].sharers));
+  ASCOMA_CHECK(b.value() < sharers_.size());
+  return static_cast<std::uint32_t>(std::popcount(sharers_[b]));
 }
 
 std::string Directory::describe(BlockId b) const {
-  ASCOMA_CHECK(b.value() < entries_.size());
-  const Entry& e = entries_[b];
+  ASCOMA_CHECK(b.value() < sharers_.size());
+  const std::uint64_t sharers = sharers_[b];
   std::string out = "owner=";
-  out += e.owner == kInvalidNode ? "-" : std::to_string(e.owner.value());
+  out += exclusive(b) ? std::to_string(owner(b).value()) : "-";
   out += " sharers={";
   bool first = true;
   for (NodeId n{0}; n.value() < nodes_; ++n) {
-    if ((e.sharers & bit(n)) == 0) continue;
+    if ((sharers & bit(n)) == 0) continue;
     if (!first) out += ',';
     out += std::to_string(n.value());
     first = false;
@@ -42,14 +48,15 @@ std::string Directory::describe(BlockId b) const {
 }
 
 void Directory::check_entry(BlockId b) const {
-  ASCOMA_CHECK(b.value() < entries_.size());
-  const Entry& e = entries_[b];
-  if (e.owner != kInvalidNode) {
-    ASCOMA_CHECK_MSG(e.owner.value() < nodes_, "owner out of range");
-    ASCOMA_CHECK_MSG(e.sharers == bit(e.owner),
-                     "exclusive block must have exactly its owner as sharer");
-  }
-  ASCOMA_CHECK_MSG((e.sharers >> nodes_) == 0, "sharer bit beyond node count");
+  ASCOMA_CHECK(b.value() < sharers_.size());
+  const std::uint64_t sharers = sharers_[b];
+  // The owner is the lowest sharer bit, so an in-range copyset keeps it in
+  // range and one sharer makes the copyset exactly the owner.
+  ASCOMA_CHECK_MSG(nodes_ == 64 || (sharers >> nodes_) == 0,
+                   "sharer bit beyond node count");
+  if (exclusive(b))
+    ASCOMA_CHECK_MSG(std::has_single_bit(sharers),
+                     "exclusive block must have exactly one sharer");
 }
 
 }  // namespace ascoma::proto

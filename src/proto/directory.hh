@@ -5,10 +5,15 @@
 // block's home node (Figure 1's "Directory State" storage), but since homes
 // never move we store all entries in one flat array indexed by global block.
 //
-// State encoding: `sharers` is a bitmask of nodes holding a (possibly
-// partial) copy; `owner` is the node holding the block exclusive/dirty, or
-// kInvalidNode when the home memory is current.  Invariant: owner valid
-// implies sharers == {owner}.
+// State encoding: one sharer word per block, a bitmask of the nodes holding
+// a (possibly partial) copy, and one exclusive bit per block in a separate
+// bit array.  The exclusive bit set means one node holds the block
+// exclusive/dirty and home memory is stale; that node is the entry's only
+// sharer, so owner() is the lowest set bit of the sharer word and no owner
+// field exists to disagree with the copyset.  Bit clear: home memory is
+// current.  Exclusive with other than exactly one sharer is the one
+// malformed state the encoding admits; check_entry() and the end-of-run
+// sweep reject it.
 //
 // Transitions are not coded here: every request is resolved by looking up
 // the (DirState, ProtoMsg, ReqRel) row of a TransitionTable and applying its
@@ -123,25 +128,32 @@ class Directory {
   bool flush_node(BlockId b, NodeId node);
 
   bool in_copyset(BlockId b, NodeId node) const {
-    ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
-    return (entries_[b].sharers & bit(node)) != 0;
+    ASCOMA_CHECK(b.value() < sharers_.size() && node.value() < nodes_);
+    return (sharers_[b] & bit(node)) != 0;
   }
-  NodeId owner(BlockId b) const { return entries_[b].owner; }
-  std::uint64_t sharer_mask(BlockId b) const { return entries_[b].sharers; }
+  /// A node holds `b` exclusive/dirty (it is then the only sharer).
+  bool exclusive(BlockId b) const {
+    return ((exclusive_[b.value() >> 6] >> (b.value() & 63)) & 1u) != 0;
+  }
+  /// The exclusive holder of `b`, or kInvalidNode when home is current.
+  NodeId owner(BlockId b) const {
+    return exclusive(b) ? lowest_node(sharers_[b]) : kInvalidNode;
+  }
+  std::uint64_t sharer_mask(BlockId b) const { return sharers_[b]; }
   std::uint32_t sharer_count(BlockId b) const;
 
   /// Coherence state of `b`'s entry as the transition table views it.
   DirState state_of(BlockId b) const {
-    ASCOMA_CHECK(b.value() < entries_.size());
-    return state_of(entries_[b]);
+    ASCOMA_CHECK(b.value() < sharers_.size());
+    return state_of(sharers_[b], exclusive(b));
   }
   /// `node`'s relation to `b`'s entry as the transition table views it.
   ReqRel rel_of(BlockId b, NodeId node) const {
-    ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
-    return rel_of(entries_[b], node);
+    ASCOMA_CHECK(b.value() < sharers_.size() && node.value() < nodes_);
+    return rel_of(sharers_[b], exclusive(b), node);
   }
 
-  std::uint64_t total_blocks() const { return entries_.size(); }
+  std::uint64_t total_blocks() const { return sharers_.size(); }
   std::uint32_t nodes() const { return nodes_; }
 
   std::uint64_t invalidations_sent() const { return invalidations_; }
@@ -161,20 +173,24 @@ class Directory {
   void check_entry(BlockId b) const;
 
  private:
-  struct Entry {
-    std::uint64_t sharers = 0;
-    NodeId owner = kInvalidNode;
-  };
-
   static std::uint64_t bit(NodeId n) { return std::uint64_t{1} << n.value(); }
-
-  static DirState state_of(const Entry& e) {
-    if (e.owner != kInvalidNode) return DirState::kExclusive;
-    return e.sharers == 0 ? DirState::kUncached : DirState::kShared;
+  static NodeId lowest_node(std::uint64_t sharers) {
+    return NodeId(static_cast<std::uint32_t>(std::countr_zero(sharers)));
   }
-  ReqRel rel_of(const Entry& e, NodeId node) const {
-    if (e.owner == node) return ReqRel::kOwner;
-    return (e.sharers & bit(node)) != 0 ? ReqRel::kSharer : ReqRel::kNone;
+
+  static DirState state_of(std::uint64_t sharers, bool exclusive) {
+    if (exclusive) return DirState::kExclusive;
+    return sharers == 0 ? DirState::kUncached : DirState::kShared;
+  }
+  static ReqRel rel_of(std::uint64_t sharers, bool exclusive, NodeId node) {
+    if ((sharers & bit(node)) == 0) return ReqRel::kNone;
+    return exclusive && lowest_node(sharers) == node ? ReqRel::kOwner
+                                                     : ReqRel::kSharer;
+  }
+  void set_exclusive(BlockId b, bool on) {
+    std::uint64_t& w = exclusive_[b.value() >> 6];
+    const std::uint64_t m = std::uint64_t{1} << (b.value() & 63);
+    w = on ? w | m : w & ~m;
   }
 
   /// Look up the row for (`b`'s state, `msg`, requester relation), apply its
@@ -191,7 +207,8 @@ class Directory {
   /// Always TransitionTable::pristine(); held so apply()'s row lookup is
   /// one pointer load.
   const TransitionTable* table_;
-  IdVector<BlockId, Entry> entries_;
+  IdVector<BlockId, std::uint64_t> sharers_;  ///< one sharer word per block
+  std::vector<std::uint64_t> exclusive_;      ///< one bit per block
   std::uint64_t invalidations_ = 0;
   std::uint64_t forwards_ = 0;
   std::uint64_t nacks_ = 0;
@@ -205,8 +222,10 @@ inline const Transition& Directory::apply(BlockId b, ProtoMsg msg,
                                           NodeId requester,
                                           NodeId* dirty_owner,
                                           NodeMask* invalidate) {
-  Entry& e = entries_[b];
-  const Transition& t = table_->lookup(state_of(e), msg, rel_of(e, requester));
+  std::uint64_t& sharers = sharers_[b];
+  const bool excl = exclusive(b);
+  const Transition& t = table_->lookup(state_of(sharers, excl), msg,
+                                       rel_of(sharers, excl, requester));
   ASCOMA_CHECK_MSG(!t.fatal(), "protocol table row declared unreachable was "
                                "hit: "
                                    << to_string(t.state) << " x "
@@ -215,26 +234,29 @@ inline const Transition& Directory::apply(BlockId b, ProtoMsg msg,
                                    << ")");
   // Reads first: forwards and invalidations observe the pre-transition entry.
   if (t.has(act::kForwardOwner)) {
-    if (dirty_owner != nullptr) *dirty_owner = e.owner;
+    if (dirty_owner != nullptr)
+      *dirty_owner = excl ? lowest_node(sharers) : kInvalidNode;
     ++forwards_;
   }
   if (t.has(act::kInvalSharers)) {
-    std::uint64_t to_inval = e.sharers & ~bit(requester);
-    if (e.owner != kInvalidNode) to_inval &= ~bit(e.owner);
+    // Every sharer but the requester and the owner (the lowest sharer bit
+    // of an exclusive entry).
+    std::uint64_t to_inval = sharers & ~bit(requester);
+    if (excl) to_inval &= sharers - 1;
     if (invalidate != nullptr) *invalidate = NodeMask{to_inval};
     invalidations_ += std::popcount(to_inval);
   }
   if (t.has(act::kInvalOwner)) ++invalidations_;  // the owner also loses it
   // Then the entry rewrite.
-  if (t.has(act::kClearOwner)) e.owner = kInvalidNode;
-  if (t.has(act::kAddSharer)) e.sharers |= bit(requester);
-  if (t.has(act::kRemoveSharer)) e.sharers &= ~bit(requester);
+  if (t.has(act::kClearOwner)) set_exclusive(b, false);
+  if (t.has(act::kAddSharer)) sharers |= bit(requester);
+  if (t.has(act::kRemoveSharer)) sharers &= ~bit(requester);
   if (t.has(act::kSetOwner)) {
-    e.sharers = bit(requester);
-    e.owner = requester;
+    sharers = bit(requester);
+    set_exclusive(b, true);
   }
   // The table's next-state column is a checked promise, not an input.
-  const DirState after = state_of(e);
+  const DirState after = state_of(sharers, exclusive(b));
   const bool next_ok =
       t.next == DirNext::kSharedOrUncached
           ? (after == DirState::kShared || after == DirState::kUncached)
@@ -248,18 +270,18 @@ inline const Transition& Directory::apply(BlockId b, ProtoMsg msg,
 }
 
 inline Directory::FetchResult Directory::gets(BlockId b, NodeId requester) {
-  ASCOMA_CHECK(b.value() < entries_.size() && requester.value() < nodes_);
+  ASCOMA_CHECK(b.value() < sharers_.size() && requester.value() < nodes_);
   FetchResult r;
-  r.was_in_copyset = (entries_[b].sharers & bit(requester)) != 0;
+  r.was_in_copyset = (sharers_[b] & bit(requester)) != 0;
   r.actions =
       apply(b, ProtoMsg::kGetS, requester, &r.dirty_owner, nullptr).actions;
   return r;
 }
 
 inline Directory::GetxResult Directory::getx(BlockId b, NodeId requester) {
-  ASCOMA_CHECK(b.value() < entries_.size() && requester.value() < nodes_);
+  ASCOMA_CHECK(b.value() < sharers_.size() && requester.value() < nodes_);
   GetxResult r;
-  r.was_in_copyset = (entries_[b].sharers & bit(requester)) != 0;
+  r.was_in_copyset = (sharers_[b] & bit(requester)) != 0;
   r.actions =
       apply(b, ProtoMsg::kGetX, requester, &r.dirty_owner, &r.invalidate)
           .actions;
@@ -267,8 +289,9 @@ inline Directory::GetxResult Directory::getx(BlockId b, NodeId requester) {
 }
 
 inline bool Directory::flush_node(BlockId b, NodeId node) {
-  ASCOMA_CHECK(b.value() < entries_.size() && node.value() < nodes_);
-  const bool was_owner = rel_of(entries_[b], node) == ReqRel::kOwner;
+  ASCOMA_CHECK(b.value() < sharers_.size() && node.value() < nodes_);
+  const bool was_owner =
+      rel_of(sharers_[b], exclusive(b), node) == ReqRel::kOwner;
   apply(b, ProtoMsg::kFlush, node, nullptr, nullptr);
   return was_owner;
 }

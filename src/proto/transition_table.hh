@@ -12,9 +12,10 @@
 // exactly one row in kProtocol — by a static_assert on the row count and the
 // constructor's duplicate/missing-triple checks.
 //
-// Directory states are a *view* of a directory entry (Directory::Entry is
-// the ground truth): kUncached (no sharers, no owner), kShared (sharers,
-// no owner — home memory current), kExclusive (one owner, dirty).  The
+// Directory states are a *view* of a directory entry (the Directory's
+// sharer word and exclusive bit are the ground truth): kUncached (no
+// sharers, not exclusive), kShared (sharers, not exclusive — home memory
+// current), kExclusive (one sharer, the owner, dirty).  The
 // requester relation splits rows that transition differently depending on
 // whether the requester already appears in the entry.  Rows whose triple
 // cannot arise under the protocol invariants (e.g. a sharer bit in an
@@ -66,7 +67,7 @@ inline constexpr std::uint32_t kInvalSharers = 1u << 1;
 /// The forwarded-to owner also loses its copy (GETX; counts one
 /// invalidation).
 inline constexpr std::uint32_t kInvalOwner = 1u << 2;
-/// Clear the owner field: home memory becomes current (downgrade/writeback).
+/// Clear the exclusive bit: home memory becomes current (downgrade/writeback).
 inline constexpr std::uint32_t kClearOwner = 1u << 3;
 /// Add the requester to the copyset.
 inline constexpr std::uint32_t kAddSharer = 1u << 4;

@@ -7,6 +7,7 @@
 #include <span>
 
 #include "common/check.hh"
+#include "common/config.hh"
 
 namespace ascoma::trace {
 
@@ -92,7 +93,8 @@ TraceWorkload::TraceWorkload(const std::string& path) {
   total_pages_ = get<std::uint64_t>(is);
   page_bytes_ = ByteCount{get<std::uint32_t>(is)};
   line_bytes_ = ByteCount{get<std::uint32_t>(is)};
-  ASCOMA_CHECK_MSG(nodes_ > 0 && nodes_ <= 64, "bad node count in trace");
+  ASCOMA_CHECK_MSG(nodes_ > 0 && nodes_ <= MachineConfig::kMaxNodes,
+                   "bad node count in trace");
   ASCOMA_CHECK_MSG(total_pages_ > 0, "empty address space in trace");
   // Checked before the machine sizes its per-page tables from this count.
   ASCOMA_CHECK_MSG(total_pages_ <= kMaxPagesPerNode * nodes_,

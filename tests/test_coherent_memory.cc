@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -412,6 +413,46 @@ TEST(CoherentMemory, FlushMatchesFullScanReference) {
                                         << " seed " << seed);
       check_flush_against_full_scan(ppn, seed);
     }
+}
+
+// remote_pages_touched is derived from the ever-fetched masks; the
+// reference is the set of (node, remote page) pairs the test itself
+// accessed.  Page flushes in between make later touches of a page refetch
+// into cleared state, which must not count it twice.
+TEST(CoherentMemory, RemotePagesTouchedCountsEveryRemotePageAccessed) {
+  for (const std::uint32_t ppn : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "procs_per_node " << ppn);
+    Rng rng(11 + ppn);
+    RandomMachine m(ppn, rng);
+    const MachineConfig& cfg = m.cfg;
+    std::set<std::pair<NodeId, VPageId>> touched;
+    Cycle t{0};
+    for (int round = 0; round < 150; ++round) {
+      for (int i = 0; i < 4; ++i) {
+        const auto proc =
+            static_cast<std::uint32_t>(rng.below(cfg.total_procs()));
+        const VPageId page{rng.below(RandomMachine::kPages)};
+        const Addr a{page.value() * cfg.page_bytes.value() +
+                     rng.below(cfg.lines_per_page()) * cfg.line_bytes.value()};
+        t = m.cm->access(proc, a, rng.chance(0.3), t + Cycle{1}).done;
+        const NodeId node = m.cm->node_of(proc);
+        if (m.homes.home_of(page) != node) touched.emplace(node, page);
+      }
+      const auto [node, page] = m.remote_pair(rng);
+      m.cm->flush_page(node, page, t);
+      for (NodeId n{0}; n.value() < RandomMachine::kNodes; ++n) {
+        std::uint64_t want = 0;
+        for (const auto& [tn, tp] : touched) want += tn == n ? 1 : 0;
+        ASSERT_EQ(m.cm->remote_pages_touched(n), want)
+            << "round " << round << " node " << n;
+      }
+    }
+    // Every remote page of every node was reached.
+    EXPECT_EQ(touched.size(),
+              RandomMachine::kNodes * (RandomMachine::kPages -
+                                       RandomMachine::kPages /
+                                           RandomMachine::kNodes));
+  }
 }
 
 TEST(CoherentMemory, ConstructorRejectsMoreThan64BlocksPerPage) {

@@ -168,6 +168,17 @@ TEST(Config, ValidateRejectsMoreThan64BlocksPerPage) {
   }
 }
 
+// The directory keeps one sharer bit per node in a u64: a larger machine is
+// a config error, reported with the others before any table is sized.
+TEST(Config, ValidateRejectsMoreThan64Nodes) {
+  MachineConfig cfg;
+  cfg.nodes = MachineConfig::kMaxNodes;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.nodes = MachineConfig::kMaxNodes + 1;
+  const std::string err = cfg.validate();
+  EXPECT_NE(err.find("nodes must be <= 64"), std::string::npos) << err;
+}
+
 TEST(Config, ValidateCatchesBadPressure) {
   MachineConfig cfg;
   cfg.memory_pressure = 0.0;

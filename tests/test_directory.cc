@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.hh"
+#include "common/rng.hh"
 #include "proto/transition_table.hh"
 
 namespace ascoma::proto {
@@ -134,6 +137,97 @@ TEST(Directory, BoundsChecked) {
   Directory d(4, 2);
   EXPECT_THROW(d.gets(BlockId{4}, NodeId{0}), ascoma::CheckFailure);
   EXPECT_THROW(d.gets(BlockId{0}, NodeId{2}), ascoma::CheckFailure);
+}
+
+// The directory stores a sharer word per block and an exclusive bit per
+// block, deriving the owner as the lowest sharer.  The reference keeps the
+// two fields that encoding replaced — an owner and a sharer mask — and
+// applies the protocol to them by hand.  Random GETS, GETX, flush and NACK
+// steps must agree on every result, entry and census.
+struct RefEntry {
+  NodeId owner = kInvalidNode;
+  std::uint64_t sharers = 0;
+};
+
+void check_against_reference(std::uint32_t nodes) {
+  SCOPED_TRACE(::testing::Message() << nodes << " nodes");
+  // 130 blocks span three words of the exclusive bit array; the steps
+  // favour the blocks next to a word edge.
+  constexpr std::uint64_t kBlocks = 130;
+  const std::uint64_t hot[] = {0, 1, 63, 64, 65, 127, 128, 129};
+  Directory d(kBlocks, nodes);
+  std::vector<RefEntry> ref(kBlocks);
+  std::uint64_t invalidations = 0, forwards = 0, nacks = 0;
+  const auto bit = [](NodeId n) { return std::uint64_t{1} << n.value(); };
+  const NodeId last{nodes - 1};
+  Rng rng(nodes);
+  bool last_node_owned = false;
+  for (int step = 0; step < 20000; ++step) {
+    const BlockId b{rng.chance(0.7) ? hot[rng.below(8)] : rng.below(kBlocks)};
+    // The highest node often, so a 64-node entry has node 63 as owner.
+    const NodeId n = rng.chance(0.2)
+                         ? last
+                         : NodeId{static_cast<std::uint32_t>(rng.below(nodes))};
+    RefEntry& e = ref[b.value()];
+    const bool held = (e.sharers & bit(n)) != 0;
+    const std::uint64_t kind = rng.below(4);
+    SCOPED_TRACE(::testing::Message() << "step " << step << " kind " << kind
+                                      << " block " << b << " node " << n);
+    if (kind == 0) {  // GETS
+      const auto r = d.gets(b, n);
+      EXPECT_EQ(r.was_in_copyset, held);
+      const NodeId fwd =
+          e.owner != kInvalidNode && e.owner != n ? e.owner : kInvalidNode;
+      EXPECT_EQ(r.dirty_owner, fwd);
+      forwards += fwd != kInvalidNode ? 1 : 0;
+      e.owner = kInvalidNode;
+      e.sharers |= bit(n);
+    } else if (kind == 1) {  // GETX
+      const auto r = d.getx(b, n);
+      EXPECT_EQ(r.was_in_copyset, held);
+      NodeId fwd = kInvalidNode;
+      std::uint64_t inval = 0;
+      if (e.owner == kInvalidNode) {
+        inval = e.sharers & ~bit(n);
+      } else if (e.owner != n) {
+        fwd = e.owner;
+        ++forwards;
+        ++invalidations;  // the forwarded-to owner loses its copy
+      }
+      EXPECT_EQ(r.dirty_owner, fwd);
+      EXPECT_EQ(r.invalidate.bits(), inval);
+      invalidations += static_cast<std::uint64_t>(std::popcount(inval));
+      e.owner = n;
+      e.sharers = bit(n);
+      if (n == last) last_node_owned = true;
+    } else if (kind == 2) {  // flush
+      EXPECT_EQ(d.flush_node(b, n), e.owner == n);
+      if (e.owner == n) e.owner = kInvalidNode;
+      e.sharers &= ~bit(n);
+    } else {  // NACK: no transition
+      d.note_nack(b, n);
+      ++nacks;
+    }
+    ASSERT_EQ(d.owner(b), e.owner);
+    ASSERT_EQ(d.sharer_mask(b), e.sharers);
+    ASSERT_EQ(d.exclusive(b), e.owner != kInvalidNode);
+    ASSERT_EQ(d.sharer_count(b),
+              static_cast<std::uint32_t>(std::popcount(e.sharers)));
+    d.check_entry(b);
+  }
+  EXPECT_TRUE(last_node_owned);
+  for (BlockId b{0}; b.value() < kBlocks; ++b) {
+    EXPECT_EQ(d.owner(b), ref[b.value()].owner) << "block " << b;
+    EXPECT_EQ(d.sharer_mask(b), ref[b.value()].sharers) << "block " << b;
+  }
+  EXPECT_EQ(d.invalidations_sent(), invalidations);
+  EXPECT_EQ(d.forwards(), forwards);
+  EXPECT_EQ(d.nacks(), nacks);
+}
+
+TEST(Directory, MatchesOwnerAndSharersReference) {
+  for (const std::uint32_t nodes : {1u, 8u, 64u})
+    check_against_reference(nodes);
 }
 
 // ---- the transition table ---------------------------------------------------

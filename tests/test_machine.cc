@@ -219,6 +219,23 @@ TEST(Machine, RelocationCensusCountsHotPages) {
   EXPECT_LE(r.relocated_pairs, r.remote_page_node_pairs);
 }
 
+// MachineConfig::kMaxNodes nodes: node 63 fills the directory's sharer word
+// and the coherence shadow's row is a whole word.  The run ends with the
+// invariant sweep.
+TEST(Machine, SixtyFourNodesRunClean) {
+  workload::SyntheticParams p;
+  p.nodes = MachineConfig::kMaxNodes;
+  p.home_pages = 2;
+  p.remote_pages = 4;
+  p.iterations = 2;
+  p.write_fraction = 0.3;
+  const workload::SyntheticWorkload wl(p);
+  const RunResult r = simulate(config(ArchModel::kAsComa, 0.5), wl);
+  EXPECT_EQ(r.stats.nodes, MachineConfig::kMaxNodes);
+  EXPECT_GT(r.remote_page_node_pairs, 0u);
+  EXPECT_GT(r.stats.totals.misses.total(), 0u);
+}
+
 TEST(Machine, RunIsSingleShot) {
   auto wl = hot_workload(1);
   Machine m(config(ArchModel::kAsComa, 0.5), wl);
