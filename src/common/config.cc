@@ -107,16 +107,11 @@ std::string MachineConfig::validate() const {
   if (!blocking_stores && store_buffer_entries == 0)
     err << "store buffer needs at least one entry; ";
   auto prob_ok = [](double p) { return p >= 0.0 && p <= 1.0; };
-  if (!prob_ok(fault_drop)) err << "fault_drop must be in [0, 1]; ";
-  if (!prob_ok(fault_dup)) err << "fault_dup must be in [0, 1]; ";
   if (!prob_ok(fault_jitter)) err << "fault_jitter must be in [0, 1]; ";
   if (fault_jitter > 0.0 && fault_jitter_cycles == Cycles{0})
     err << "fault_jitter_cycles must be > 0 when jitter is enabled; ";
-  if (retry_timeout == Cycles{0}) err << "retry_timeout must be > 0; ";
-  if (retry_backoff_base == Cycles{0}) err << "retry_backoff_base must be > 0; ";
-  if (retry_backoff_max < retry_backoff_base)
-    err << "retry_backoff_max must be >= retry_backoff_base; ";
-  if (retry_max_attempts == 0) err << "retry_max_attempts must be > 0; ";
+  if (fault_jitter_cycles > kMaxJitterCycles)
+    err << "fault_jitter_cycles must be <= " << kMaxJitterCycles << "; ";
   return err.str();
 }
 

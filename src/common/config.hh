@@ -154,45 +154,27 @@ struct MachineConfig {
   // the probe's event ring.
   Cycles sample_every{0};
 
-  // ---- robustness / fault injection (src/fault) ----------------------------
-  // All fault knobs default *off*; the zero-fault configuration is
-  // bit-identical to a build without the fault layer.  Probabilities apply
-  // per network message; decisions are drawn from a dedicated RNG stream
+  // ---- network jitter (net::Network) ----------------------------------------
+  // Seeded random message delay, the one perturbation used to measure
+  // run-to-run variability; the fabric itself is lossless, as in the paper.
+  // Off by default, and a run without jitter makes no draw.  Each message
+  // entering the fabric is delayed, with probability `fault_jitter`, by a
+  // uniform 1..fault_jitter_cycles cycles drawn from a dedicated RNG stream
   // derived from the top-level `seed` (or `fault_seed` when nonzero), so a
-  // faulted run replays exactly.
-  double fault_drop = 0.0;        ///< P(message lost in the fabric)
-  double fault_dup = 0.0;         ///< P(message delivered twice)
+  // jittered run replays exactly.
   double fault_jitter = 0.0;      ///< P(message delayed by random jitter)
   Cycles fault_jitter_cycles{64}; ///< max injected jitter per message
   std::uint64_t fault_seed = 0;   ///< 0 = derive from `seed` (component_seed)
-
-  // Loss recovery: a sender that hears nothing for `retry_timeout` cycles
-  // retransmits.  Protocol-level retries (request paths) additionally back
-  // off exponentially from `retry_backoff_base`, doubling per attempt and
-  // capping at `retry_backoff_max`; `retry_max_attempts` is a hard backstop
-  // that fails the run rather than spinning forever.
-  Cycles retry_timeout{128};
-  Cycles retry_backoff_base{32};
-  Cycles retry_backoff_max{4096};
-  std::uint32_t retry_max_attempts = 4096;
-
-  /// A home whose DSM engine is backlogged more than this many cycles past a
-  /// request's arrival NACKs the request instead of queueing it; the
-  /// requester retries with capped exponential backoff.  0 disables
-  /// overload NACKs (the paper's infinite-queue model).
-  Cycles nack_busy_cycles{0};
-
-  /// Forward-progress watchdog: a single memory transaction outstanding for
-  /// more than this many cycles (retry/NACK livelock, fault storm) fails the
-  /// run with a fault::WatchdogError carrying a dump of in-flight protocol
-  /// state.  0 disables the watchdog.
-  Cycles watchdog_cycles{0};
+  /// Cap on fault_jitter_cycles.  2^20 cycles is thousands of remote-miss
+  /// latencies, and with every message of a paper-length run (well under
+  /// 2^40) delayed by the cap the clock still stays below 2^64.
+  static constexpr Cycles kMaxJitterCycles{std::uint64_t{1} << 20};
 
   // ---- misc ----------------------------------------------------------------
   /// Top-level RNG seed.  Every stochastic component derives its own stream
   /// from this one number: workload op streams consume it directly (each
   /// generator splits per-process streams via rng.hh's mix64), and fault
-  /// injection uses component_seed(kSeedStreamFault).  One seed reproduces
+  /// jitter uses component_seed(kSeedStreamFault).  One seed reproduces
   /// the whole run.
   std::uint64_t seed = 0xA5C0'0A15ull;
   bool check_invariants = true;         ///< enable protocol invariant checks
@@ -207,15 +189,9 @@ struct MachineConfig {
   /// Seed for the component stream `tag`, derived from the top-level seed.
   std::uint64_t component_seed(std::uint64_t tag) const;
 
-  /// The seed the fault layer actually uses (`fault_seed`, or the derived
+  /// The seed network jitter actually uses (`fault_seed`, or the derived
   /// fault stream of the top-level seed when unset).
   std::uint64_t effective_fault_seed() const;
-
-  /// True when any fault-injection probability is nonzero (targeted rules
-  /// added directly to a fault::FaultPlan count separately).
-  bool faults_configured() const {
-    return fault_drop > 0.0 || fault_dup > 0.0 || fault_jitter > 0.0;
-  }
 
   // ---- derived quantities ---------------------------------------------------
   std::uint32_t lines_per_block() const {

@@ -71,8 +71,10 @@ struct KernelStats {
   std::uint64_t threshold_drops = 0;   ///< back-off relaxations
   std::uint64_t remap_suppressed = 0;  ///< relocation requests ignored
   std::uint64_t refetch_notifications = 0;  ///< threshold crossings signalled
-  std::uint64_t net_retries = 0;       ///< request retransmissions after drops
-  std::uint64_t nacks = 0;             ///< NACKs received from overloaded homes
+  // Always 0: the fabric is lossless and homes never refuse a request.
+  // Kept only because the benchmark's digest (simbench) reads them.
+  std::uint64_t net_retries = 0;
+  std::uint64_t nacks = 0;
 
   void add(const KernelStats& other);
 

@@ -404,8 +404,6 @@ void Machine::execute_op(std::uint32_t p, const Op& op) {
         ready = o.done;
       }
 
-      s.kernel.net_retries += o.retries;
-      s.kernel.nacks += o.nacks;
       if (o.counted_miss) {
         ++s.misses[o.source];
         if (o.induced_cold) ++s.induced_cold_misses;
@@ -521,8 +519,8 @@ RunResult Machine::run() {
                        cfg_.memory_pressure, cfg_.seed);
 
   // Workloads receive the workload stream of the top-level seed (the
-  // identity mapping, by definition) and split per-proc internally; the
-  // fault layer draws from its own component_seed stream.
+  // identity mapping, by definition) and split per-proc internally; network
+  // jitter draws from its own component_seed stream.
   const std::uint64_t wl_seed =
       cfg_.component_seed(MachineConfig::kSeedStreamWorkload);
   for (std::uint32_t p = 0; p < cfg_.total_procs(); ++p)
@@ -599,10 +597,7 @@ RunResult Machine::run() {
   r.directory_forwards = cmem_->directory().forwards();
   r.writebacks_local = cmem_->writebacks_local();
   r.writebacks_remote = cmem_->writebacks_remote();
-  r.net_retransmits = cmem_->network().retransmits();
-  r.net_retries = cmem_->net_retries();
-  r.nacks = cmem_->nacks_received();
-  r.faults_injected = cmem_->fault_plan().injected();
+  r.faults_injected = cmem_->network().jitters();
   r.invariants_checked = invariants_checked;
   return r;
 }

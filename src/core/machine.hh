@@ -58,10 +58,7 @@ struct RunResult {
   std::uint64_t directory_forwards = 0;
   std::uint64_t writebacks_local = 0;
   std::uint64_t writebacks_remote = 0;
-  std::uint64_t net_retransmits = 0;    ///< fire-and-forget retransmissions
-  std::uint64_t net_retries = 0;        ///< protocol-level retries after drops
-  std::uint64_t nacks = 0;              ///< NACKs issued by overloaded homes
-  std::uint64_t faults_injected = 0;    ///< messages dropped/duplicated/jittered
+  std::uint64_t faults_injected = 0;    ///< messages delayed by jitter
   bool invariants_checked = false;      ///< post-run sweep ran (and passed)
   MachineConfig config;                 ///< effective (post-derivation) config
 

@@ -6,11 +6,10 @@
 // stale *reads* the moment they happen; this module instead sweeps the whole
 // machine state — directory entries, per-node L1/RAC/S-COMA residency, page
 // tables and page-cache frame accounting — and cross-checks the structures
-// against each other.  It exists for the fault-injection work: a bug in the
-// retry/NACK paths that silently corrupts metadata (a node left in a copyset
-// after a flush, a mapped S-COMA page without a frame, two nodes believing
-// they own a block) may never be *read* through during a short run, but a
-// sweep finds it immediately.
+// against each other.  A protocol bug that silently corrupts metadata (a
+// node left in a copyset after a flush, a mapped S-COMA page without a
+// frame, two nodes believing they own a block) may never be *read* through
+// during a short run, but a sweep finds it immediately.
 //
 // The checker only reads state, reports instead of throwing, and is
 // O(blocks + pages * nodes) — intended for end-of-run validation and

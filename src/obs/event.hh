@@ -30,13 +30,9 @@ enum class EventKind : std::uint8_t {
   kDirInvalidation,  ///< directory invalidated sharers (page, a=blk, b=#tgt)
   kDirForward,       ///< 3-hop forward to a dirty owner (page, a=blk, b=own)
   kBarrierRelease,   ///< all processors arrived; barrier released (a=episode)
-  kFaultInjected,    ///< fault plan hit a message (a=fault, b=dst, c=jitter)
-  kNack,             ///< overloaded home NACKed a request (a=req, b=backlog)
-  kRetry,            ///< requester retransmitted after loss (a=dst, b=attempt)
-  kWatchdogTrip,     ///< forward-progress bound exceeded (a=elapsed,
-                     ///<  b=retries, c=nacks); the run aborts after this
+  kFaultInjected,    ///< network jitter delayed a message (a=dst, b=jitter)
 };
-inline constexpr int kNumEventKinds = 17;
+inline constexpr int kNumEventKinds = 14;
 
 /// Short stable identifier ("page_fault", "upgrade", ...) used by exporters.
 const char* to_string(EventKind k);

@@ -20,9 +20,6 @@ const char* to_string(EventKind k) {
     case EventKind::kDirForward: return "dir_forward";
     case EventKind::kBarrierRelease: return "barrier_release";
     case EventKind::kFaultInjected: return "fault_injected";
-    case EventKind::kNack: return "nack";
-    case EventKind::kRetry: return "retry";
-    case EventKind::kWatchdogTrip: return "watchdog_trip";
   }
   return "?";
 }
@@ -41,13 +38,7 @@ const char* arg_name(EventKind k, int i) {
     case EventKind::kBarrierRelease:
       return i == 0 ? "episode" : nullptr;
     case EventKind::kFaultInjected:
-      return i == 0 ? "fault" : i == 1 ? "dst" : "jitter";
-    case EventKind::kNack:
-      return i == 0 ? "requester" : i == 1 ? "backlog" : nullptr;
-    case EventKind::kRetry:
-      return i == 0 ? "dst" : i == 1 ? "attempt" : nullptr;
-    case EventKind::kWatchdogTrip:
-      return i == 0 ? "elapsed" : i == 1 ? "retries" : "nacks";
+      return i == 0 ? "dst" : i == 1 ? "jitter" : nullptr;
     default:
       return nullptr;
   }

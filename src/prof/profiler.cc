@@ -43,7 +43,6 @@ const char* to_string(Component c) {
     case Component::kDram: return "dram";
     case Component::kNetFabric: return "net_fabric";
     case Component::kNetQueue: return "net_queue";
-    case Component::kBackoff: return "backoff";
     case Component::kInvalStall: return "inval_stall";
     case Component::kVmFault: return "vm_fault";
     case Component::kVmKernel: return "vm_kernel";
@@ -157,9 +156,6 @@ void Profiler::fold(const obs::Event& e) {
     case obs::EventKind::kDirForward:
     case obs::EventKind::kBarrierRelease:
     case obs::EventKind::kFaultInjected:
-    case obs::EventKind::kNack:
-    case obs::EventKind::kRetry:
-    case obs::EventKind::kWatchdogTrip:
       break;
   }
   // No default: -Wswitch (promoted by ASCOMA_WERROR) forces a fold for every

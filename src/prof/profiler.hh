@@ -61,12 +61,11 @@ enum class Component : std::uint8_t {
   kDram,        ///< DRAM bank access (home, owner, or page-cache frame)
   kNetFabric,   ///< uncontended network traversal (NI + switches + wires)
   kNetQueue,    ///< input-port contention and injected jitter
-  kBackoff,     ///< retry timeouts and NACK exponential-backoff waits
   kInvalStall,  ///< waiting for invalidation acks beyond the data return
   kVmFault,     ///< kernel page-fault base cost (K-BASE share of the access)
   kVmKernel,    ///< kernel remap/eviction/daemon overhead on the access path
 };
-inline constexpr int kNumComponents = 12;
+inline constexpr int kNumComponents = 11;
 
 /// Paper-aligned classification of a demand access.
 enum class AccessClass : std::uint8_t {

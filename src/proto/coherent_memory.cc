@@ -13,31 +13,17 @@ namespace ascoma::proto {
 // A plain record, so filling the per-node vectors with zeros is a memset.
 static_assert(std::is_trivial_v<CoherentMemory::PageBlocks>);
 
-void CoherentMemory::throw_retry_exhausted(const char* what,
-                                           const char* dst_label, NodeId src,
-                                           NodeId dst, Cycle now) const {
-  throw fault::WatchdogError(
-      std::string(what) + " retry budget exhausted (" +
-      std::to_string(cfg_.retry_max_attempts) + " attempts, node " +
-      std::to_string(src.value()) + " -> " + dst_label +
-      std::to_string(dst.value()) + ")\n  " + watchdog_.describe_in_flight() +
-      "\n" + dump_in_flight_state(now));
-}
-
 CoherentMemory::CoherentMemory(const MachineConfig& cfg,
                                const vm::HomeMap& homes)
     : cfg_(cfg),
       homes_(homes),
       ppn_(cfg.procs_per_node),
       smp_(cfg.procs_per_node > 1),
-      plan_(cfg),
-      watchdog_(cfg.watchdog_cycles),
       net_(cfg),
       dir_(homes.total_pages() * cfg.blocks_per_page(), cfg.nodes),
       refetch_(homes.total_pages(), cfg.nodes) {
   ASCOMA_CHECK_MSG(cfg.blocks_per_page() <= MachineConfig::kMaxBlocksPerPage,
                    "page_bytes / block_bytes exceeds the block-mask width");
-  net_.set_fault_plan(&plan_);
   const std::uint64_t blocks = dir_.total_blocks();
   const std::uint64_t pages = homes.total_pages();
   // The order of the per-node tables and the small components does not
@@ -178,99 +164,9 @@ void CoherentMemory::prof_net(Cycle t, Cycle arrival, NodeId src,
 
 Cycle CoherentMemory::use_net(Cycle t, NodeId src, NodeId dst) {
   if (background_) return src == dst ? t : t + net_.min_one_way_latency();
-  if (!net_.faulty()) {
-    const Cycle r = net_.deliver_fault_free(t, src, dst);
-    prof_net(t, r, src, dst);
-    return r;
-  }
-  // Protocol-visible retransmission: the sender detects a dropped request by
-  // timeout and re-issues it after a capped exponential backoff.
-  Cycle backoff = cfg_.retry_backoff_base;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    const net::Network::Attempt a = net_.try_deliver(t, src, dst);
-    if (!a.dropped) {
-      prof_net(t, a.arrival, src, dst);
-      return a.arrival;
-    }
-    ++net_retries_;
-    ++cur_retries_;
-    watchdog_.note_retry();
-    const Cycle resend = t + net_.retry_timeout() + backoff;
-    if (probe_)
-      probe_->event(obs::EventKind::kRetry, resend, src, kInvalidPage,
-                    dst.value(), attempt);
-    check_watchdog(resend);
-    if (attempt >= cfg_.retry_max_attempts)
-      throw_retry_exhausted("request", "", src, dst, resend);
-    prof_add(prof::Component::kBackoff, t, resend);
-    t = resend;
-    backoff = std::min(backoff * 2, cfg_.retry_backoff_max);
-  }
-}
-
-Cycle CoherentMemory::request_engine(NodeId src, NodeId dst, BlockId block,
-                                     Cycle t) {
-  t = use_net(t, src, dst);
-  if (background_ ||
-      (cfg_.nack_busy_cycles == Cycle{0} && !plan_.enabled()))
-    return use_engine(dst, t);
-  // NACK-on-overload: a home engine whose backlog exceeds the threshold (or
-  // a fault rule forcing a NACK) refuses the request; the requester backs
-  // off and re-sends.  Directory state is untouched by a NACKed request.
-  Cycle backoff = cfg_.retry_backoff_base;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    const Cycle free_at = engine_[dst].free_at();
-    const bool overloaded =
-        cfg_.nack_busy_cycles > Cycle{0} &&
-        free_at > t + cfg_.nack_busy_cycles;
-    if (!overloaded && !plan_.nack_forced(t, dst)) break;
-    ++nacks_;
-    ++cur_nacks_;
-    watchdog_.note_nack();
-    dir_.note_nack(block, src);
-    if (probe_)
-      probe_->event(obs::EventKind::kNack, t, dst, cfg_.page_of_block(block),
-                    src.value(), free_at > t ? (free_at - t).value() : 0);
-    const Cycle nack_at = use_net(t, dst, src);  // NACK reply to requester
-    const Cycle resend = nack_at + backoff;
-    prof_add(prof::Component::kBackoff, nack_at, resend);
-    check_watchdog(resend);
-    if (attempt >= cfg_.retry_max_attempts)
-      throw_retry_exhausted("NACK", "home ", src, dst, resend);
-    t = use_net(resend, src, dst);  // re-issued request
-    backoff = std::min(backoff * 2, cfg_.retry_backoff_max);
-  }
-  return use_engine(dst, t);
-}
-
-void CoherentMemory::check_watchdog(Cycle now) {
-  if (!watchdog_.expired(now)) return;
-  const fault::Watchdog::InFlight& tx = watchdog_.in_flight();
-  if (probe_)
-    probe_->event(obs::EventKind::kWatchdogTrip, now, node_of(tx.proc),
-                  cfg_.page_of(tx.addr), (now - tx.start).value(), tx.retries,
-                  tx.nacks);
-  watchdog_.trip(now, dump_in_flight_state(now));
-}
-
-std::string CoherentMemory::dump_in_flight_state(Cycle now) const {
-  std::ostringstream os;
-  os << "protocol state at cycle " << now << ":";
-  const fault::Watchdog::InFlight& tx = watchdog_.in_flight();
-  if (tx.active) {
-    const BlockId b = cfg_.block_of(tx.addr);
-    const VPageId page = cfg_.page_of(tx.addr);
-    os << "\n  block " << b << " (page " << page << ", home "
-       << home_of_page(page) << "): " << dir_.describe(b);
-  }
-  for (NodeId n{0}; n.value() < cfg_.nodes; ++n)
-    os << "\n  node " << n << ": engine free_at=" << engine_[n].free_at()
-       << ", input port free_at=" << net_.input_port(n).free_at();
-  os << "\n  faults injected=" << plan_.injected()
-     << " (drops=" << plan_.drops() << " dups=" << plan_.duplicates()
-     << " jitters=" << plan_.jitters() << "), nacks=" << nacks_
-     << ", retries=" << net_retries_;
-  return os.str();
+  const Cycle r = net_.deliver(t, src, dst);
+  prof_net(t, r, src, dst);
+  return r;
 }
 
 Cycle CoherentMemory::invalidate_targets(NodeMask targets, BlockId block,
@@ -325,19 +221,12 @@ CoherentMemory::Outcome CoherentMemory::access(std::uint32_t proc, Addr addr,
                                                bool is_store, Cycle now,
                                                bool background) {
   background_ = background;
-  cur_retries_ = 0;
-  cur_nacks_ = 0;
   // Record attribution only for the probe-bracketed demand access in
   // flight; store-buffer drains and unbracketed accesses (unit tests poking
   // the memory system directly) leave the helpers on their null path.
   prof_on_ = probe_ != nullptr && !background && probe_->in_access();
-  if (!background && watchdog_.enabled())
-    watchdog_.arm(proc, addr, is_store, now);
-  Outcome o = access_impl(proc, addr, is_store, now);
-  watchdog_.disarm();
+  const Outcome o = access_impl(proc, addr, is_store, now);
   prof_on_ = false;
-  o.retries = cur_retries_;
-  o.nacks = cur_nacks_;
   return o;
 }
 
@@ -379,7 +268,8 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
     Cycle t = use_bus(node, now);
     t = use_engine(node, t);
     if (home != node) {
-      t = request_engine(node, home, block, t);
+      t = use_net(t, node, home);  // request to the home
+      t = use_engine(home, t);
       o.remote = true;
     }
     t += cfg_.dir_lookup_cycles;
@@ -523,7 +413,8 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
     shadow_commit_store(node, block);
     Cycle t = use_bus(node, now);
     t = use_engine(node, t);
-    t = request_engine(node, home, block, t);
+    t = use_net(t, node, home);  // request to the home
+  t = use_engine(home, t);
     t += cfg_.dir_lookup_cycles;
     prof_add(prof::Component::kDirectory, Cycle{0}, cfg_.dir_lookup_cycles);
     auto gx = dir_.getx(block, node);
@@ -564,7 +455,8 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
   const bool prior_fetched = (pb.fetched & m) != 0;
   Cycle t = use_bus(node, now);
   t = use_engine(node, t);
-  t = request_engine(node, home, block, t);
+  t = use_net(t, node, home);  // request to the home
+  t = use_engine(home, t);
   t += cfg_.dir_lookup_cycles;
   prof_add(prof::Component::kDirectory, Cycle{0}, cfg_.dir_lookup_cycles);
 

@@ -21,13 +21,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/types.hh"
-#include "fault/plan.hh"
-#include "fault/watchdog.hh"
 #include "mem/bus.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -51,11 +48,11 @@ class CoherentMemory {
 
   /// Attach the run's probe (nullptr detaches); the network shares it.
   /// Directory invalidation rounds, 3-hop dirty-owner forwards, and
-  /// recovery traffic (injected faults, NACKs, retries, watchdog trips) are
-  /// reported as events.  While a bracketed demand access is in flight, the
-  /// timing helpers attribute every cycle they add to the critical path to
-  /// its Component; background (store-buffer) transactions and accesses
-  /// outside a bracket record nothing.  Observation never changes timing.
+  /// jittered messages are reported as events.  While a bracketed demand
+  /// access is in flight, the timing helpers attribute every cycle they add
+  /// to the critical path to its Component; background (store-buffer)
+  /// transactions and accesses outside a bracket record nothing.
+  /// Observation never changes timing.
   void set_probe(obs::Probe* probe) {
     probe_ = probe;
     net_.set_probe(probe);
@@ -72,8 +69,6 @@ class CoherentMemory {
     bool induced_cold = false;  ///< cold miss re-created by a page flush
     bool counted_refetch = false;  ///< directory incremented the counter
     std::uint32_t page_refetch_count = 0;  ///< post-access counter value
-    std::uint32_t retries = 0;  ///< request retransmissions after drops
-    std::uint32_t nacks = 0;    ///< NACKs received from overloaded homes
   };
 
   /// Execute one load/store by processor `proc` to byte address `addr` at
@@ -113,16 +108,10 @@ class CoherentMemory {
   RefetchTable& refetch() { return refetch_; }
   const Directory& directory() const { return dir_; }
   const RefetchTable& refetch() const { return refetch_; }
-  fault::FaultPlan& fault_plan() { return plan_; }
-  const fault::FaultPlan& fault_plan() const { return plan_; }
-  fault::Watchdog& watchdog() { return watchdog_; }
-  const fault::Watchdog& watchdog() const { return watchdog_; }
 
   std::uint64_t writebacks_local() const { return wb_local_; }
   std::uint64_t writebacks_remote() const { return wb_remote_; }
   std::uint64_t sibling_transfers() const { return sibling_transfers_; }
-  std::uint64_t net_retries() const { return net_retries_; }
-  std::uint64_t nacks_received() const { return nacks_; }
 
   // --- requester-side state (invariant checker, tests) ----------------------
   /// One (node, page)'s requester-side block state: bit i describes block
@@ -212,8 +201,8 @@ class CoherentMemory {
   /// Writeback of a dirty victim line evicted by an L1 fill (fire & forget).
   void victim_writeback(std::uint32_t proc, LineId victim_line, Cycle now);
 
-  /// Body of access(); the public wrapper arms the watchdog and folds the
-  /// per-transaction retry/NACK counts into the Outcome.
+  /// Body of access(); the public wrapper sets the background and
+  /// attribution flags around it.
   Outcome access_impl(std::uint32_t proc, Addr addr, bool is_store, Cycle now);
 
   // Timing steps that honour background mode (no reservations, minimum
@@ -223,26 +212,6 @@ class CoherentMemory {
   Cycle use_engine(NodeId n, Cycle t);
   Cycle use_dram(NodeId n, Cycle t, BlockId b);
   Cycle use_net(Cycle t, NodeId src, NodeId dst);
-
-  /// Reliable request from `src` to `dst`'s DSM engine: network-level
-  /// retransmission on drops plus NACK/backoff retry while the engine is
-  /// overloaded (or the fault plan forces a NACK).  Returns the cycle at
-  /// which the engine has accepted the request.
-  Cycle request_engine(NodeId src, NodeId dst, BlockId block, Cycle t);
-
-  /// Fail the run if the armed transaction has exceeded the watchdog bound
-  /// at `now`; the thrown WatchdogError carries a dump of in-flight
-  /// protocol state (directory entry, engine backlogs, input ports).
-  void check_watchdog(Cycle now);
-
-  /// Protocol-state dump for watchdog trips and retry-budget failures.
-  std::string dump_in_flight_state(Cycle now) const;
-
-  /// Cold failure for an exhausted retry budget (`what` = "request"/"NACK");
-  /// builds the message and in-flight dump off the hot retry loops.
-  [[noreturn]] void throw_retry_exhausted(const char* what,
-                                          const char* dst_label, NodeId src,
-                                          NodeId dst, Cycle now) const;
 
   /// Emit a directory-traffic event for `block` on behalf of `requester`.
   void note_dir_event(obs::EventKind kind, Cycle cycle, NodeId requester,
@@ -278,8 +247,6 @@ class CoherentMemory {
   IdVector<NodeId, std::unique_ptr<mem::Dram>> dram_;  // per node
   IdVector<NodeId, std::unique_ptr<mem::Bus>> bus_;    // per node
   IdVector<NodeId, sim::Resource> engine_;              // per node
-  fault::FaultPlan plan_;
-  fault::Watchdog watchdog_;
   net::Network net_;
   Directory dir_;
   RefetchTable refetch_;
@@ -291,10 +258,6 @@ class CoherentMemory {
   std::uint64_t wb_local_ = 0;
   std::uint64_t wb_remote_ = 0;
   std::uint64_t sibling_transfers_ = 0;
-  std::uint64_t net_retries_ = 0;  ///< request retransmissions (all procs)
-  std::uint64_t nacks_ = 0;        ///< NACKs received (all procs)
-  std::uint32_t cur_retries_ = 0;  ///< scratch: retries of the access in flight
-  std::uint32_t cur_nacks_ = 0;    ///< scratch: NACKs of the access in flight
 
   // ---- functional coherence shadow (check_invariants) ----------------------
   // One row per block of the nodes whose copy is stale: a committed store

@@ -19,12 +19,6 @@ Directory::Directory(std::uint64_t total_blocks, std::uint32_t nodes)
                        << MachineConfig::kMaxNodes << " nodes");
 }
 
-void Directory::note_nack(BlockId b, NodeId requester) {
-  ASCOMA_CHECK(b.value() < sharers_.size() && requester.value() < nodes_);
-  apply(b, ProtoMsg::kNack, requester, nullptr, nullptr);
-  ++nacks_;
-}
-
 std::uint32_t Directory::sharer_count(BlockId b) const {
   ASCOMA_CHECK(b.value() < sharers_.size());
   return static_cast<std::uint32_t>(std::popcount(sharers_[b]));

@@ -159,14 +159,8 @@ class Directory {
   std::uint64_t invalidations_sent() const { return invalidations_; }
   std::uint64_t forwards() const { return forwards_; }
 
-  /// Record a NACK issued on behalf of `b`'s entry (the home refused to
-  /// queue `requester`'s request — overload or injected fault).  The table's
-  /// NACK rows carry no actions: a NACKed request performed no transition.
-  void note_nack(BlockId b, NodeId requester);
-  std::uint64_t nacks() const { return nacks_; }
-
-  /// Human-readable entry state ("owner=2 sharers={0,2}") for watchdog dumps
-  /// and invariant reports.
+  /// Human-readable entry state ("owner=2 sharers={0,2}") for invariant
+  /// reports.
   std::string describe(BlockId b) const;
 
   /// Structural invariant check over one entry (throws CheckFailure).
@@ -211,7 +205,6 @@ class Directory {
   std::vector<std::uint64_t> exclusive_;      ///< one bit per block
   std::uint64_t invalidations_ = 0;
   std::uint64_t forwards_ = 0;
-  std::uint64_t nacks_ = 0;
 };
 
 // The per-request transitions (and the flush that a page remap applies to

@@ -18,7 +18,6 @@ const char* to_string(ProtoMsg m) {
     case ProtoMsg::kGetS: return "GETS";
     case ProtoMsg::kGetX: return "GETX";
     case ProtoMsg::kFlush: return "FLUSH";
-    case ProtoMsg::kNack: return "NACK";
   }
   return "?";
 }
@@ -141,38 +140,6 @@ constexpr Transition kProtocol[] = {
   {DirState::kExclusive, ProtoMsg::kFlush, ReqRel::kOwner,
    act::kRemoveSharer | act::kClearOwner, DirNext::kUncached,
    "owner flush: its writeback makes home memory current"},
-
-  // ---- NACK: home refused to queue the request ----------------------------
-  // A NACKed request performed no transition; every legal row is a no-op
-  // (TransitionTable.NackRowsAreNoOps and
-  // Directory.NackLeavesEveryReachableEntryUnchanged hold them to it).
-  {DirState::kUncached, ProtoMsg::kNack, ReqRel::kNone,
-   act::kNone, DirNext::kUncached,
-   "NACK leaves the entry untouched"},
-  {DirState::kUncached, ProtoMsg::kNack, ReqRel::kSharer,
-   act::kFatal, DirNext::kFatal,
-   "an uncached entry has an empty copyset"},
-  {DirState::kUncached, ProtoMsg::kNack, ReqRel::kOwner,
-   act::kFatal, DirNext::kFatal,
-   "an uncached entry has no owner"},
-  {DirState::kShared, ProtoMsg::kNack, ReqRel::kNone,
-   act::kNone, DirNext::kShared,
-   "NACK leaves the entry untouched"},
-  {DirState::kShared, ProtoMsg::kNack, ReqRel::kSharer,
-   act::kNone, DirNext::kShared,
-   "NACK leaves the entry untouched"},
-  {DirState::kShared, ProtoMsg::kNack, ReqRel::kOwner,
-   act::kFatal, DirNext::kFatal,
-   "a shared entry has no owner"},
-  {DirState::kExclusive, ProtoMsg::kNack, ReqRel::kNone,
-   act::kNone, DirNext::kExclusive,
-   "NACK leaves the entry untouched"},
-  {DirState::kExclusive, ProtoMsg::kNack, ReqRel::kSharer,
-   act::kFatal, DirNext::kFatal,
-   "an exclusive entry's only sharer is the owner itself"},
-  {DirState::kExclusive, ProtoMsg::kNack, ReqRel::kOwner,
-   act::kNone, DirNext::kExclusive,
-   "NACK leaves the entry untouched"},
 };
 // clang-format on
 

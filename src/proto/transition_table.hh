@@ -32,8 +32,8 @@ enum class DirState : std::uint8_t { kUncached, kShared, kExclusive };
 inline constexpr int kNumDirStates = 3;
 
 /// Protocol message classes a directory entry reacts to.
-enum class ProtoMsg : std::uint8_t { kGetS, kGetX, kFlush, kNack };
-inline constexpr int kNumProtoMsgs = 4;
+enum class ProtoMsg : std::uint8_t { kGetS, kGetX, kFlush };
+inline constexpr int kNumProtoMsgs = 3;
 
 /// Requester's relation to the entry when the message is processed.
 enum class ReqRel : std::uint8_t { kNone, kSharer, kOwner };

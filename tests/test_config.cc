@@ -224,6 +224,23 @@ TEST(Config, ValidateCatchesBadThresholds) {
   EXPECT_NE(cfg.validate(), "");
 }
 
+// The jitter cap keeps a fully jittered paper-length run far from
+// wrapping the 64-bit cycle clock.
+TEST(Config, ValidateCapsJitterCycles) {
+  MachineConfig cfg;
+  cfg.fault_jitter = 0.5;
+  cfg.fault_jitter_cycles = MachineConfig::kMaxJitterCycles;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.fault_jitter_cycles = MachineConfig::kMaxJitterCycles + Cycles{1};
+  EXPECT_NE(cfg.validate().find("fault_jitter_cycles must be <= 1048576"),
+            std::string::npos)
+      << cfg.validate();
+  cfg.fault_jitter_cycles = Cycles{~std::uint64_t{0}};
+  EXPECT_NE(cfg.validate(), "");
+  cfg.fault_jitter_cycles = Cycles{0};
+  EXPECT_NE(cfg.validate(), "");  // zero with jitter enabled
+}
+
 TEST(Config, ParseArchModel) {
   ArchModel m;
   EXPECT_TRUE(parse_arch_model("ccnuma", &m));

@@ -142,8 +142,8 @@ TEST(Directory, BoundsChecked) {
 // The directory stores a sharer word per block and an exclusive bit per
 // block, deriving the owner as the lowest sharer.  The reference keeps the
 // two fields that encoding replaced — an owner and a sharer mask — and
-// applies the protocol to them by hand.  Random GETS, GETX, flush and NACK
-// steps must agree on every result, entry and census.
+// applies the protocol to them by hand.  Random GETS, GETX and flush steps
+// must agree on every result, entry and census.
 struct RefEntry {
   NodeId owner = kInvalidNode;
   std::uint64_t sharers = 0;
@@ -157,7 +157,7 @@ void check_against_reference(std::uint32_t nodes) {
   const std::uint64_t hot[] = {0, 1, 63, 64, 65, 127, 128, 129};
   Directory d(kBlocks, nodes);
   std::vector<RefEntry> ref(kBlocks);
-  std::uint64_t invalidations = 0, forwards = 0, nacks = 0;
+  std::uint64_t invalidations = 0, forwards = 0;
   const auto bit = [](NodeId n) { return std::uint64_t{1} << n.value(); };
   const NodeId last{nodes - 1};
   Rng rng(nodes);
@@ -170,7 +170,7 @@ void check_against_reference(std::uint32_t nodes) {
                          : NodeId{static_cast<std::uint32_t>(rng.below(nodes))};
     RefEntry& e = ref[b.value()];
     const bool held = (e.sharers & bit(n)) != 0;
-    const std::uint64_t kind = rng.below(4);
+    const std::uint64_t kind = rng.below(3);
     SCOPED_TRACE(::testing::Message() << "step " << step << " kind " << kind
                                       << " block " << b << " node " << n);
     if (kind == 0) {  // GETS
@@ -200,13 +200,10 @@ void check_against_reference(std::uint32_t nodes) {
       e.owner = n;
       e.sharers = bit(n);
       if (n == last) last_node_owned = true;
-    } else if (kind == 2) {  // flush
+    } else {  // flush
       EXPECT_EQ(d.flush_node(b, n), e.owner == n);
       if (e.owner == n) e.owner = kInvalidNode;
       e.sharers &= ~bit(n);
-    } else {  // NACK: no transition
-      d.note_nack(b, n);
-      ++nacks;
     }
     ASSERT_EQ(d.owner(b), e.owner);
     ASSERT_EQ(d.sharer_mask(b), e.sharers);
@@ -222,7 +219,6 @@ void check_against_reference(std::uint32_t nodes) {
   }
   EXPECT_EQ(d.invalidations_sent(), invalidations);
   EXPECT_EQ(d.forwards(), forwards);
-  EXPECT_EQ(d.nacks(), nacks);
 }
 
 TEST(Directory, MatchesOwnerAndSharersReference) {
@@ -257,62 +253,6 @@ TEST(TransitionTable, TotalAndSelfConsistent) {
     }
   }
   EXPECT_GT(fatal, 0) << "some triples are unreachable by construction";
-}
-
-// A NACKed request performed no transition, so its row may neither act on
-// the entry nor promise a different state.
-TEST(TransitionTable, NackRowsAreNoOps) {
-  const TransitionTable& t = TransitionTable::pristine();
-  for (int s = 0; s < kNumDirStates; ++s) {
-    for (int r = 0; r < kNumReqRels; ++r) {
-      const Transition& row = t.lookup(static_cast<DirState>(s),
-                                       ProtoMsg::kNack, static_cast<ReqRel>(r));
-      if (row.fatal()) continue;
-      EXPECT_EQ(row.actions, act::kNone)
-          << to_string(row.state) << " x NACK x " << to_string(row.rel);
-      EXPECT_EQ(static_cast<int>(row.next), s)
-          << to_string(row.state) << " x NACK x " << to_string(row.rel);
-    }
-  }
-}
-
-// The same property through Directory::note_nack: from every (state,
-// relation) pair the protocol can reach, a NACK leaves the entry as it was
-// and is counted once.
-TEST(Directory, NackLeavesEveryReachableEntryUnchanged) {
-  struct Scenario {
-    DirState state;
-    ReqRel rel;
-    NodeId requester;
-  };
-  // Node 0 (and node 1 when shared) hold the block; node 2 holds nothing.
-  const Scenario scenarios[] = {
-      {DirState::kUncached, ReqRel::kNone, NodeId{2}},
-      {DirState::kShared, ReqRel::kNone, NodeId{2}},
-      {DirState::kShared, ReqRel::kSharer, NodeId{0}},
-      {DirState::kExclusive, ReqRel::kNone, NodeId{2}},
-      {DirState::kExclusive, ReqRel::kOwner, NodeId{0}},
-  };
-  for (const Scenario& sc : scenarios) {
-    Directory d(1, 3);
-    if (sc.state == DirState::kShared) {
-      d.gets(BlockId{0}, NodeId{0});
-      d.gets(BlockId{0}, NodeId{1});
-    } else if (sc.state == DirState::kExclusive) {
-      d.getx(BlockId{0}, NodeId{0});
-    }
-    ASSERT_EQ(d.state_of(BlockId{0}), sc.state);
-    ASSERT_EQ(d.rel_of(BlockId{0}, sc.requester), sc.rel);
-    const NodeId owner = d.owner(BlockId{0});
-    const std::uint64_t sharers = d.sharer_mask(BlockId{0});
-
-    d.note_nack(BlockId{0}, sc.requester);
-    EXPECT_EQ(d.owner(BlockId{0}), owner)
-        << to_string(sc.state) << " x NACK x " << to_string(sc.rel);
-    EXPECT_EQ(d.sharer_mask(BlockId{0}), sharers)
-        << to_string(sc.state) << " x NACK x " << to_string(sc.rel);
-    EXPECT_EQ(d.nacks(), 1u);
-  }
 }
 
 }  // namespace

@@ -39,14 +39,11 @@
 //   SIGINT/SIGTERM drain in-flight jobs, write the event exports, and exit
 //   128+signal (a --trace grid stops when its current run ends).
 //
-// Fault injection & robustness (defaults leave results bit-identical):
-//   --fault-drop P        per-message drop probability (0..1)
-//   --fault-dup P         per-message duplication probability (0..1)
+// Network jitter & checking (defaults leave results bit-identical):
 //   --fault-jitter P      per-message jitter probability (0..1)
-//   --fault-jitter-cycles N   max injected jitter per message (default 64)
-//   --fault-seed N        fault RNG seed (default: derived from --seed)
-//   --watchdog-cycles N   fail any transaction outstanding > N cycles
-//   --nack-busy N         homes NACK requests when backlogged > N cycles
+//   --fault-jitter-cycles N   max injected jitter per message, 1..2^20
+//                         (default 64)
+//   --fault-seed N        jitter RNG seed (default: derived from --seed)
 //   --check-invariants / --no-check-invariants
 //                         post-run coherence sweep (default on)
 
@@ -96,13 +93,9 @@ struct Options {
   bool progress = false;
   std::uint32_t progress_interval_ms = 1000;
   Cycle sample_every{100'000};
-  double fault_drop = 0.0;
-  double fault_dup = 0.0;
   double fault_jitter = 0.0;
   std::optional<Cycle> fault_jitter_cycles;
   std::optional<std::uint64_t> fault_seed;
-  Cycle watchdog_cycles{0};
-  Cycle nack_busy{0};
   std::optional<bool> check_invariants;
 
   bool observing() const {
@@ -131,9 +124,8 @@ std::vector<std::string> split(const std::string& s, char sep) {
       "                  [--events PATH] [--perfetto PATH] [--metrics PATH]\n"
       "                  [--profile DIR] [--sample-every N] [--verbose]\n"
       "                  [--progress] [--progress-interval-ms N]\n"
-      "                  [--fault-drop P] [--fault-dup P] [--fault-jitter P]\n"
-      "                  [--fault-jitter-cycles N] [--fault-seed N]\n"
-      "                  [--watchdog-cycles N] [--nack-busy N]\n"
+      "                  [--fault-jitter P] [--fault-jitter-cycles N]\n"
+      "                  [--fault-seed N]\n"
       "                  [--check-invariants | --no-check-invariants]\n"
       "workloads:";
   for (const auto& n : workload::workload_names()) std::cerr << ' ' << n;
@@ -232,14 +224,6 @@ Options parse(int argc, char** argv) {
     } else if (a == "--sample-every") {
       o.sample_every = Cycle{parse_u64(need_value(i), "--sample-every")};
       if (o.sample_every == Cycle{0}) usage("--sample-every must be > 0");
-    } else if (a == "--fault-drop") {
-      o.fault_drop = parse_double(need_value(i), "--fault-drop");
-      if (!(o.fault_drop >= 0.0 && o.fault_drop <= 1.0))
-        usage("--fault-drop must be in [0,1]");
-    } else if (a == "--fault-dup") {
-      o.fault_dup = parse_double(need_value(i), "--fault-dup");
-      if (!(o.fault_dup >= 0.0 && o.fault_dup <= 1.0))
-        usage("--fault-dup must be in [0,1]");
     } else if (a == "--fault-jitter") {
       o.fault_jitter = parse_double(need_value(i), "--fault-jitter");
       if (!(o.fault_jitter >= 0.0 && o.fault_jitter <= 1.0))
@@ -248,12 +232,11 @@ Options parse(int argc, char** argv) {
       o.fault_jitter_cycles = Cycle{parse_u64(need_value(i), "--fault-jitter-cycles")};
       if (*o.fault_jitter_cycles == Cycle{0})
         usage("--fault-jitter-cycles must be > 0");
+      if (*o.fault_jitter_cycles > MachineConfig::kMaxJitterCycles)
+        usage("--fault-jitter-cycles must be <= " +
+              std::to_string(MachineConfig::kMaxJitterCycles.value()));
     } else if (a == "--fault-seed") {
       o.fault_seed = parse_u64(need_value(i), "--fault-seed");
-    } else if (a == "--watchdog-cycles") {
-      o.watchdog_cycles = Cycle{parse_u64(need_value(i), "--watchdog-cycles")};
-    } else if (a == "--nack-busy") {
-      o.nack_busy = Cycle{parse_u64(need_value(i), "--nack-busy")};
     } else if (a == "--check-invariants") {
       o.check_invariants = true;
     } else if (a == "--no-check-invariants") {
@@ -355,14 +338,10 @@ int main(int argc, char** argv) {
     base.blocking_stores = false;
     base.store_buffer_entries = *opt.store_buffer;
   }
-  base.fault_drop = opt.fault_drop;
-  base.fault_dup = opt.fault_dup;
   base.fault_jitter = opt.fault_jitter;
   if (opt.fault_jitter_cycles)
     base.fault_jitter_cycles = *opt.fault_jitter_cycles;
   if (opt.fault_seed) base.fault_seed = *opt.fault_seed;
-  base.watchdog_cycles = opt.watchdog_cycles;
-  base.nack_busy_cycles = opt.nack_busy;
   if (opt.check_invariants) base.check_invariants = *opt.check_invariants;
 
   // Every failure and interrupt exit writes the event exports first.
@@ -491,15 +470,11 @@ int main(int argc, char** argv) {
                 << " induced_cold=" << r.result.stats.totals.induced_cold_misses
                 << " net_msgs=" << r.result.net_messages
                 << " invals=" << r.result.directory_invalidations << '\n';
-      // Printed only when the robustness features were exercised so the
-      // zero-fault output stays byte-identical to prior releases.
-      if (r.result.config.faults_configured() ||
-          r.result.config.nack_busy_cycles > Cycle{0} ||
-          r.result.config.watchdog_cycles > Cycles{0}) {
-        std::cout << "  fault layer: injected=" << r.result.faults_injected
-                  << " retransmits=" << r.result.net_retransmits
-                  << " retries=" << r.result.net_retries
-                  << " nacks=" << r.result.nacks << " invariants="
+      // Printed only for a jittered run so the default output stays
+      // byte-identical to prior releases.
+      if (r.result.config.fault_jitter > 0.0) {
+        std::cout << "  jitter: delayed=" << r.result.faults_injected
+                  << " invariants="
                   << (r.result.invariants_checked ? "checked" : "skipped")
                   << '\n';
       }

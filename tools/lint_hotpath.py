@@ -72,8 +72,6 @@ HOT_ALLOC_BOUNDARY = {
     # cold growth for direct-construction tests; pre-sized in simulator runs
     # (VcNumaPolicy::grow_for is only called from the un-fenced step loop)
     "AsComaPolicy::grow_for",
-    # watchdog diagnostics: reached only after the expiry guard fired
-    "CoherentMemory::check_watchdog",
 }
 
 SIGNAL_BOUNDARY = set()  # nothing exempted: the handler must stay primitive
