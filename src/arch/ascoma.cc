@@ -11,56 +11,26 @@ PageMode AsComaPolicy::initial_mode(PolicyEnv& env) {
   return PageMode::kNuma;
 }
 
-void AsComaPolicy::back_off(PolicyEnv& env) {
-  if (!env.cfg.ascoma_backoff) return;  // ablation: back-off disabled
-  // Thrashing: equally-hot pages would only replace each other.  Back off —
-  // but escalate at most once per daemon period: the back-off is a pageout
-  // daemon decision, and a burst of suppressed remaps within one period is
-  // one signal, not many.
-  const bool period_elapsed = env.now >= last_backoff_ + env.daemon_period;
-  const BackoffStep step =
-      kernel_.on_pressure(period_elapsed, &env.daemon_period);
-  sync_from_kernel();
-  if (step.accepted) last_backoff_ = env.now;
-  if (step.escalated) note_threshold_raise(env);
-}
-
-bool AsComaPolicy::should_relocate(PolicyEnv& env, VPageId page,
-                                   std::uint32_t refetches) {
-  if (!Policy::should_relocate(env, page, refetches)) return false;
-  // Re-upgrade detector: this page was itself downgraded recently, so the
-  // page cache is churning equally-hot pages.  Let the upgrade proceed (the
-  // page has re-earned the full threshold) but escalate the back-off so the
-  // churn rate decays toward zero.
-  if (env.cfg.ascoma_backoff && page.value() < downgraded_at_.size() &&
-      downgraded_at_[page.value()] != kNeverDowngraded) {
-    if (env.now - downgraded_at_[page.value()] <= 2 * env.daemon_period)
-      back_off(env);
-    downgraded_at_[page.value()] = kNeverDowngraded;
-  }
-  return relocation_enabled_;  // back_off may have just disabled remapping
-}
-
-void AsComaPolicy::on_replacement(PolicyEnv& env, VPageId victim) {
-  if (victim.value() >= downgraded_at_.size()) grow_for(victim);
-  downgraded_at_[victim.value()] = env.now;
-}
-
 void AsComaPolicy::on_remap_suppressed(PolicyEnv& env) {
   if (!env.cfg.ascoma_backoff) return;
   // A suppressed remap means the pool is drained *right now* — evidence that
   // memory is tight (stop S-COMA-first allocation), but not yet that the
   // cache holds only hot pages.  Only a pageout-daemon run that fails to
-  // find cold pages (back_off via on_daemon_result) escalates the threshold;
-  // if the daemon keeps succeeding (a phase-structured program like lu),
-  // remapping continues at the pool-refill rate.
+  // find cold pages (on_daemon_result) escalates the threshold; if the
+  // daemon keeps succeeding (a phase-structured program like lu), remapping
+  // continues at the pool-refill rate.
   kernel_.mark_thrashing();
 }
 
 void AsComaPolicy::on_daemon_result(PolicyEnv& env, const vm::DaemonResult& r) {
   if (!r.met_target) {
-    kernel_.clear_streak();
-    back_off(env);
+    // Thrashing: equally-hot pages would only replace each other.  The
+    // machine runs the daemon at most once per (stretched) period, so this
+    // escalates at most once per period.
+    if (!env.cfg.ascoma_backoff) return;  // ablation: back-off disabled
+    const BackoffStep step = kernel_.on_pressure(&env.daemon_period);
+    sync_from_kernel();
+    if (step.escalated) note_threshold_raise(env);
     return;
   }
 

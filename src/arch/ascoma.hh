@@ -8,19 +8,19 @@
 //    in thrash back-off — new pages are mapped CC-NUMA and must earn an
 //    upgrade via the refetch threshold.
 //
-// 2. Adaptive replacement back-off: when the pageout daemon cannot refill
-//    the pool to free_target it (a) raises the refetch threshold, (b)
-//    stretches the daemon period, and (c) under sustained pressure disables
-//    CC-NUMA -> S-COMA remapping entirely, converging to CC-NUMA behaviour.
-//    When the daemon later finds ample cold pages (a program phase change),
-//    the threshold steps back down and remapping resumes.
+// 2. Adaptive replacement back-off: when the pageout daemon's first pass
+//    cannot refill the pool to free_min — too few cold pages, the cache
+//    holds only hot pages replacing each other — it (a) raises the refetch
+//    threshold, (b) stretches the daemon period, and (c) under sustained
+//    pressure disables CC-NUMA -> S-COMA remapping entirely, converging to
+//    CC-NUMA behaviour.  When the daemon later finds ample cold pages (a
+//    program phase change), the threshold steps back down and remapping
+//    resumes.
 //
 // The back-off/relaxation state machine itself lives in BackoffKernel
 // (backoff_kernel.hh) so check::PolicyModel can explore the exact same
 // transition logic exhaustively; this class owns the simulator-facing glue
-// (time, stats, the hot-page-churn detector).
-
-#include <vector>
+// (the ablation switches, stats and events).
 
 #include "arch/backoff_kernel.hh"
 #include "arch/policy.hh"
@@ -40,22 +40,13 @@ class AsComaPolicy final : public Policy {
   ArchModel model() const override { return ArchModel::kAsComa; }
 
   PageMode initial_mode(PolicyEnv& env) override;
-  bool should_relocate(PolicyEnv& env, VPageId page,
-                       std::uint32_t refetches) override;
   void on_daemon_result(PolicyEnv& env, const vm::DaemonResult& r) override;
-  void on_replacement(PolicyEnv& env, VPageId victim) override;
   void on_remap_suppressed(PolicyEnv& env) override;
 
   bool thrashing() const { return kernel_.thrashing(); }
   const BackoffKernel& kernel() const { return kernel_; }
 
-  void reserve_pages(std::uint64_t total_pages) override {
-    if (total_pages > downgraded_at_.size())
-      downgraded_at_.resize(total_pages, kNeverDowngraded);
-  }
-
  private:
-  void back_off(PolicyEnv& env);
   /// Mirror the kernel's threshold/remap decision into the Policy base
   /// fields the rest of the simulator reads.
   void sync_from_kernel() {
@@ -63,21 +54,7 @@ class AsComaPolicy final : public Policy {
     relocation_enabled_ = kernel_.relocation_enabled();
   }
 
-  /// "no recorded downgrade" sentinel — simulated time never reaches 2^64-1.
-  static constexpr Cycle kNeverDowngraded{~std::uint64_t{0}};
-
-  /// Cold growth for direct-construction uses (tests) that never call
-  /// reserve_pages(); simulator runs pre-size the array at machine setup, so
-  /// the hot mutators below stay allocation-free.
-  void grow_for(VPageId page) { reserve_pages(page.value() + 1); }
-
   BackoffKernel kernel_;
-  Cycle last_backoff_{0};
-  /// Downgrade timestamps indexed by page (kNeverDowngraded = absent): a
-  /// page re-earning its upgrade shortly after being evicted means the cache
-  /// is churning equally-hot pages — the paper's "replacing hot pages with
-  /// other hot pages" thrash signature.
-  std::vector<Cycle> downgraded_at_;
 };
 
 }  // namespace ascoma::arch

@@ -3,18 +3,17 @@
 // The AS-COMA adaptive back-off state machine, extracted as a pure value
 // type so the same transition logic can be (a) executed by AsComaPolicy in
 // the timing simulator and (b) exhaustively explored by check::PolicyModel
-// (tools/ascoma_policycheck).  The kernel is deliberately time-free: the
-// caller decides whether a daemon period has elapsed since the last accepted
-// back-off (the rate-limit input), so the checker can enumerate both answers
-// without modelling absolute time.
+// (tools/ascoma_policycheck).  The kernel is time-free: its one input on
+// the pressure side is a failed pageout-daemon run, and the machine already
+// spaces daemon runs one (possibly stretched) daemon period apart, so the
+// kernel sees at most one pressure signal per period.
 //
-// Pressure side (pageout daemon missed its free target, or hot-page churn
-// was detected): mark the node thrashing and — at most once per daemon
-// period — raise the refetch threshold one increment, or once the threshold
-// is saturated disable CC-NUMA -> S-COMA remapping entirely; every accepted
-// back-off also stretches the daemon period geometrically.  Under sustained
-// pressure the node therefore converges monotonically to pure CC-NUMA
-// behaviour (paper §2).
+// Pressure side (the daemon's first pass found too few cold pages): mark
+// the node thrashing, reset the healthy streak, and raise the refetch
+// threshold one increment, or once the threshold is saturated disable
+// CC-NUMA -> S-COMA remapping entirely; every back-off also stretches the
+// daemon period geometrically.  Under sustained pressure the node
+// therefore converges monotonically to pure CC-NUMA behaviour (paper §2).
 //
 // Recovery side (daemon met its target and found genuinely cold pages): the
 // relaxation is hysteretic — `relax_streak` consecutive healthy runs are one
@@ -47,7 +46,6 @@ struct BackoffState {
   std::uint32_t threshold = 0;
   bool relocation_enabled = true;
   bool thrashing = false;
-  bool backed_off_once = false;    ///< a back-off has ever been accepted
   std::uint32_t success_streak = 0;  ///< healthy daemon runs since failure
 
   friend bool operator==(const BackoffState&, const BackoffState&) = default;
@@ -55,7 +53,7 @@ struct BackoffState {
 
 /// What one kernel step did (drives KernelStats / event emission).
 struct BackoffStep {
-  bool accepted = false;   ///< not absorbed by the per-period rate limit
+  bool accepted = false;   ///< a relaxation step (healthy streak complete)
   bool escalated = false;  ///< threshold raised or remapping disabled
   bool relaxed = false;    ///< threshold lowered or remapping re-enabled
 };
@@ -66,16 +64,12 @@ class BackoffKernel {
     st_.threshold = s.initial_threshold;
   }
 
-  /// Thrash signal (daemon failure or hot-page churn).  `period_elapsed`
-  /// tells the kernel whether a full daemon period has passed since the last
-  /// accepted back-off; a burst of signals within one period is one signal.
-  /// `period` is the node's live daemon period, stretched in place.
-  BackoffStep on_pressure(bool period_elapsed, Cycle* period) {
+  /// Thrash signal: a daemon run failed.  `period` is the node's live
+  /// daemon period, stretched in place.
+  BackoffStep on_pressure(Cycle* period) {
     BackoffStep step;
     st_.thrashing = true;
-    if (st_.backed_off_once && !period_elapsed) return step;
-    st_.backed_off_once = true;
-    step.accepted = true;
+    st_.success_streak = 0;
     if (st_.threshold <= s_.threshold_max - s_.increment) {
       st_.threshold += s_.increment;
       step.escalated = true;
@@ -120,10 +114,6 @@ class BackoffKernel {
       st_.thrashing = false;
     return step;
   }
-
-  /// A daemon failure resets the healthy streak even when the back-off
-  /// itself is rate-limited (AsComaPolicy::on_daemon_result).
-  void clear_streak() { st_.success_streak = 0; }
 
   /// Direct thrash mark without escalation (suppressed remap: the pool is
   /// drained right now, but the cache may not yet hold only hot pages).

@@ -76,8 +76,7 @@ std::string PolicyState::encode() const {
   for (const Node& n : nodes) {
     enc.push_back(static_cast<char>(n.backoff.threshold));
     enc.push_back(static_cast<char>((n.backoff.relocation_enabled ? 1 : 0) |
-                                    (n.backoff.thrashing ? 2 : 0) |
-                                    (n.backoff.backed_off_once ? 4 : 0)));
+                                    (n.backoff.thrashing ? 2 : 0)));
     enc.push_back(static_cast<char>(n.backoff.success_streak));
     ASCOMA_CHECK(n.period.value() <= 0xff);
     enc.push_back(static_cast<char>(n.period.value()));
@@ -104,7 +103,6 @@ PolicyState PolicyModel::decode(const std::string& enc) const {
     const std::uint8_t flags = next();
     n.backoff.relocation_enabled = (flags & 1) != 0;
     n.backoff.thrashing = (flags & 2) != 0;
-    n.backoff.backed_off_once = (flags & 4) != 0;
     n.backoff.success_streak = next();
     n.period = Cycle{next()};
     n.touches_left = next();
@@ -172,10 +170,7 @@ std::string PolicyAction::format() const {
       }
       break;
     case Type::kDaemonFail:
-      os << ": pageout daemon misses its free target ";
-      os << (outcome == Outcome::kSamePeriod
-                 ? "(within the back-off period: absorbed)"
-                 : "(a full period after the last back-off)");
+      os << ": pageout daemon misses its free target";
       break;
     case Type::kDaemonOk:
       os << ": pageout daemon meets its target ";
@@ -245,10 +240,7 @@ bool PolicyModel::node_steps(const PolicyState& s, std::uint32_t n,
     for (std::uint32_t p = 0; p < cfg_.pages_per_node; ++p)
       apply_touch(s, n, p, out);
   if (nd.daemon_left > 0) {
-    apply_daemon_fail(s, n, /*period_elapsed=*/true, out);
-    // Within the rate-limit period only matters once a back-off happened.
-    if (nd.backoff.backed_off_once)
-      apply_daemon_fail(s, n, /*period_elapsed=*/false, out);
+    apply_daemon_fail(s, n, out);
     apply_daemon_ok(s, n, /*victim=*/-1, out);
     for (std::uint32_t p = 0; p < cfg_.pages_per_node; ++p)
       if (static_cast<PageState>(nd.pages[p].mode) == PageState::kScoma)
@@ -324,13 +316,10 @@ void PolicyModel::apply_touch(const PolicyState& s, std::uint32_t n,
 }
 
 void PolicyModel::apply_daemon_fail(const PolicyState& s, std::uint32_t n,
-                                    bool period_elapsed,
                                     std::vector<PolicySuccessor>* out) const {
   PolicySuccessor suc;
   suc.state = s;
   suc.action.type = PolicyAction::Type::kDaemonFail;
-  suc.action.outcome = period_elapsed ? PolicyAction::Outcome::kNewPeriod
-                                      : PolicyAction::Outcome::kSamePeriod;
   suc.action.node = static_cast<std::uint8_t>(n);
   PolicyState::Node& nd = suc.state.nodes[n];
   --nd.daemon_left;
@@ -339,8 +328,7 @@ void PolicyModel::apply_daemon_fail(const PolicyState& s, std::uint32_t n,
   const Cycle old_period = nd.period;
   arch::BackoffKernel kernel(set_);
   kernel.restore(old);
-  kernel.clear_streak();  // AsComaPolicy::on_daemon_result, failure path
-  const arch::BackoffStep step = kernel.on_pressure(period_elapsed, &nd.period);
+  kernel.on_pressure(&nd.period);
   arch::BackoffState now = kernel.state();
 
   // Seeded bugs: drop one of the escalation's effects.
@@ -353,29 +341,27 @@ void PolicyModel::apply_daemon_fail(const PolicyState& s, std::uint32_t n,
   auto fail = [&](const char* why) {
     if (suc.state.violation.empty()) suc.state.violation = why;
   };
-  if (step.accepted) {
-    // Back-off monotonicity: pressure never relaxes anything.
-    if (now.threshold < old.threshold)
-      fail("back-off lowered the refetch threshold under pressure");
-    if (!old.relocation_enabled && now.relocation_enabled)
-      fail("back-off re-enabled remapping under pressure");
-    if (nd.period < old_period)
-      fail("back-off shortened the daemon period under pressure");
-    // Escalation progress: until fully converged to CC-NUMA (threshold at
-    // max, remapping disabled), an accepted pressure step must raise the
-    // threshold or disable remapping.  This is what makes convergence under
-    // sustained reclaim failure inevitable.
-    const bool was_converged =
-        old.threshold >= set_.threshold_max && !old.relocation_enabled;
-    const bool raised = now.threshold > old.threshold;
-    const bool disabled = old.relocation_enabled && !now.relocation_enabled;
-    if (!was_converged && !raised && !disabled)
-      fail("accepted back-off neither raised the threshold nor disabled "
-           "remapping (no convergence to CC-NUMA)");
-    // Period monotonicity until saturation.
-    if (old_period < set_.period_max && !(nd.period > old_period))
-      fail("accepted back-off did not lengthen the daemon period");
-  }
+  // Back-off monotonicity: pressure never relaxes anything.
+  if (now.threshold < old.threshold)
+    fail("back-off lowered the refetch threshold under pressure");
+  if (!old.relocation_enabled && now.relocation_enabled)
+    fail("back-off re-enabled remapping under pressure");
+  if (nd.period < old_period)
+    fail("back-off shortened the daemon period under pressure");
+  // Escalation progress: until fully converged to CC-NUMA (threshold at
+  // max, remapping disabled), a pressure step must raise the threshold or
+  // disable remapping.  This is what makes convergence under sustained
+  // reclaim failure inevitable.
+  const bool was_converged =
+      old.threshold >= set_.threshold_max && !old.relocation_enabled;
+  const bool raised = now.threshold > old.threshold;
+  const bool disabled = old.relocation_enabled && !now.relocation_enabled;
+  if (!was_converged && !raised && !disabled)
+    fail("back-off neither raised the threshold nor disabled remapping (no "
+         "convergence to CC-NUMA)");
+  // Period monotonicity until saturation.
+  if (old_period < set_.period_max && !(nd.period > old_period))
+    fail("back-off did not lengthen the daemon period");
   if (!nd.backoff.thrashing)
     fail("daemon failure did not mark the node thrashing");
   out->push_back(std::move(suc));
@@ -392,7 +378,7 @@ void PolicyModel::apply_daemon_ok(const PolicyState& s, std::uint32_t n,
   --nd.daemon_left;
   if (victim >= 0) {
     // The daemon reclaims an S-COMA frame: the page falls back to CC-NUMA
-    // (AsComaPolicy::on_replacement) and must re-earn any upgrade.
+    // (Machine::evict_scoma_page) and must re-earn any upgrade.
     PolicyState::Page& pg = nd.pages[static_cast<std::size_t>(victim)];
     pg.mode = static_cast<std::uint8_t>(PageState::kNuma);
     pg.refetches = 0;

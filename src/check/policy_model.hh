@@ -24,18 +24,19 @@
 //                         rule; CC-NUMA touches count refetches and attempt
 //                         the threshold upgrade; pool-drained upgrades are
 //                         suppressed and mark the node thrashing;
-//   * daemon run fails  — BackoffKernel::on_pressure, explored both within
-//                         the rate-limit period and after it elapses;
+//   * daemon run fails  — BackoffKernel::on_pressure (the machine spaces
+//                         daemon runs a full period apart, so every failure
+//                         is a fresh back-off);
 //   * daemon run succeeds — BackoffKernel::on_healthy, optionally reclaiming
 //                         one S-COMA page (the downgrade victim).
 //
 // Checked properties (the paper's §2 claims, as transition assertions plus
 // state invariants; violations carry BFS-minimal counterexamples):
-//   * back-off monotonicity — an accepted pressure step never lowers the
-//     threshold and, until fully converged, must raise it or disable
-//     remapping; the daemon period must lengthen until saturated;
+//   * back-off monotonicity — a pressure step never lowers the threshold
+//     and, until fully converged, must raise it or disable remapping; the
+//     daemon period must lengthen until saturated;
 //   * convergence to CC-NUMA — with the threshold saturated, the next
-//     accepted pressure step disables remapping; no S-COMA-first allocation
+//     pressure step disables remapping; no S-COMA-first allocation
 //     and no upgrades while thrashing/disabled;
 //   * recovery — an accepted healthy step never raises the threshold or
 //     lengthens the period, must make relaxation progress until full
@@ -171,8 +172,6 @@ struct PolicyAction {
     kUpgrade,       ///< threshold reached -> remapped to S-COMA
     kUpgradeDenied, ///< threshold reached but remapping is disabled
     kSuppressed,    ///< threshold reached but the pool is drained
-    kSamePeriod,    ///< failure within the rate-limit period (absorbed)
-    kNewPeriod,     ///< failure after the period elapsed (escalates)
     kReclaim,       ///< healthy run downgrades an S-COMA victim
     kNoVictim,      ///< healthy run with no S-COMA page to reclaim
   };
@@ -217,7 +216,6 @@ class PolicyModel {
   void apply_touch(const PolicyState& s, std::uint32_t n, std::uint32_t p,
                    std::vector<PolicySuccessor>* out) const;
   void apply_daemon_fail(const PolicyState& s, std::uint32_t n,
-                         bool period_elapsed,
                          std::vector<PolicySuccessor>* out) const;
   void apply_daemon_ok(const PolicyState& s, std::uint32_t n, int victim,
                        std::vector<PolicySuccessor>* out) const;

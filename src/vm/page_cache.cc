@@ -29,42 +29,43 @@ void PageCache::reserve_pages(std::uint64_t total_pages) {
 void PageCache::add_active(VPageId p) {
   ASCOMA_CHECK_MSG(!is_active(p), "page already active");
   reserve_pages(p.value() + 1);  // no-op when pre-sized at machine setup
-  active_[p.value()] = 1;
+  if (++last_gen_ == 0) ++last_gen_;  // 0 marks an inactive page
+  active_[p.value()] = last_gen_;
   ++active_count_;
-  clock_push(p);
+  clock_push(ClockEntry{p, last_gen_});
 }
 
 void PageCache::remove_active(VPageId p) {
   ASCOMA_CHECK_MSG(is_active(p), "removing inactive page");
   active_[p.value()] = 0;
   --active_count_;
-  // The clock entry is removed lazily during rotation.
+  // The clock entry is dropped lazily during rotation.
 }
 
-void PageCache::clock_push(VPageId p) {
+void PageCache::clock_push(ClockEntry e) {
   if (clock_size_ == clock_.size()) {
-    std::vector<VPageId> grown(clock_.empty() ? 16 : 2 * clock_.size());
+    std::vector<ClockEntry> grown(clock_.empty() ? 16 : 2 * clock_.size());
     for (std::size_t i = 0; i < clock_size_; ++i) grown[i] = clock_at(i);
     clock_.swap(grown);
     clock_head_ = 0;
   }
-  clock_[(clock_head_ + clock_size_) & (clock_.size() - 1)] = p;
+  clock_[(clock_head_ + clock_size_) & (clock_.size() - 1)] = e;
   ++clock_size_;
 }
 
 std::optional<VPageId> PageCache::rotate() {
   const std::size_t mask = clock_.size() - 1;
   while (clock_size_ != 0) {
-    const VPageId p = clock_[clock_head_];
+    const ClockEntry e = clock_[clock_head_];
     clock_head_ = (clock_head_ + 1) & mask;
-    if (!is_active(p)) {  // stale entry
+    if (active_[e.page.value()] != e.gen) {  // stale entry
       --clock_size_;
       continue;
     }
     // Front to back: the back slot is the one just vacated when the ring
     // is full, and a free slot otherwise.
-    clock_[(clock_head_ + clock_size_ - 1) & mask] = p;
-    return p;
+    clock_[(clock_head_ + clock_size_ - 1) & mask] = e;
+    return e.page;
   }
   return std::nullopt;
 }

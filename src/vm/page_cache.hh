@@ -25,9 +25,9 @@ class PageCache {
   std::uint32_t free_frames() const { return static_cast<std::uint32_t>(free_.size()); }
   std::uint32_t active_pages() const { return active_count_; }
 
-  /// Pre-size the activity bitmap for `total_pages` shared pages.  Called at
-  /// machine setup so add_active() never grows the bitmap on the fault path;
-  /// safe to call again with a larger count.
+  /// Pre-size the per-page activity array for `total_pages` shared pages.
+  /// Called at machine setup so add_active() never grows the array on the
+  /// fault path; safe to call again with a larger count.
   void reserve_pages(std::uint64_t total_pages);
 
   /// Take a frame from the free pool (nullopt when drained).
@@ -47,29 +47,37 @@ class PageCache {
   }
 
   /// Second-chance clock traversal: returns the next candidate page and
-  /// rotates it to the back, or nullopt when the list is empty.  The caller
-  /// is responsible for ref-bit handling and for calling remove_active() on
-  /// eviction.
+  /// rotates it to the back, or nullopt when the list is empty.  Each active
+  /// page comes up once per lap.  The caller is responsible for ref-bit
+  /// handling and for calling remove_active() on eviction.
   std::optional<VPageId> rotate();
 
  private:
+  /// A clock entry is live while its generation is the page's current one.
+  struct ClockEntry {
+    VPageId page;
+    std::uint32_t gen;
+  };
   /// Entry `i` of the clock, counted from the front.
-  VPageId clock_at(std::size_t i) const {
+  ClockEntry clock_at(std::size_t i) const {
     return clock_[(clock_head_ + i) & (clock_.size() - 1)];
   }
   /// Append to the back of the clock, doubling the ring when it is full.
-  void clock_push(VPageId p);
+  void clock_push(ClockEntry e);
 
   std::uint32_t capacity_;
   std::vector<FrameId> free_;
   /// The clock list: a FIFO ring over a power-of-two vector, so rotation
-  /// never allocates.  May contain stale entries (lazy deletion).
-  std::vector<VPageId> clock_;
+  /// never allocates.  Entries of removed pages stay until rotation reaches
+  /// them (lazy deletion); a page removed and added again before then gets
+  /// a new generation, so its old entry is stale too.
+  std::vector<ClockEntry> clock_;
   std::size_t clock_head_ = 0;
   std::size_t clock_size_ = 0;
-  /// Active-replica membership bitmap indexed by page (1 = active S-COMA
-  /// replica on this node); grown only by reserve_pages().
-  std::vector<std::uint8_t> active_;
+  /// Per-page generation of the page's live clock entry (0 = not an active
+  /// S-COMA replica on this node); grown only by reserve_pages().
+  std::vector<std::uint32_t> active_;
+  std::uint32_t last_gen_ = 0;
   std::uint32_t active_count_ = 0;
 };
 

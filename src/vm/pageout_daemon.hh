@@ -5,9 +5,9 @@
 // The daemon keeps the free page pool between free_min and free_target:
 // whenever free frames drop below free_min it scans the clock list of
 // S-COMA pages, clearing reference bits and evicting pages whose bit was
-// already clear, until free_target frames are free or the scan gives up.
-// A run that cannot reach free_target is the thrashing signal AS-COMA's
-// back-off policy consumes.
+// already clear, until free_target frames are free or two passes are done.
+// A run whose first pass cannot lift the pool to free_min found too few
+// cold pages: that is the thrashing signal AS-COMA's back-off consumes.
 
 #include <cstdint>
 
@@ -32,6 +32,9 @@ class EvictionHandler {
 struct DaemonResult {
   std::uint32_t scanned = 0;
   std::uint32_t reclaimed = 0;
+  /// Free frames >= free_min after one pass of the clock (as many scans as
+  /// there were active pages at entry): the run found enough cold pages.
+  /// Second-pass evictions of just-cleared pages do not count.
   bool met_target = false;
   /// Cold pages seen this run (ref bit already clear) — the signal AS-COMA
   /// uses to relax its back-off when a program phase change frees pages.
@@ -49,7 +52,7 @@ class PageoutDaemon {
 
   /// One daemon invocation: scan (at most two full passes of the clock),
   /// second-chance pages with their reference bit set, evict cold pages
-  /// until the pool reaches free_target.
+  /// until the pool reaches free_target; the verdict is the first pass's.
   DaemonResult run(PageCache& cache, PageTable& pt, EvictionHandler& handler);
 
   std::uint32_t free_min() const { return free_min_; }

@@ -16,6 +16,14 @@ trap 'rm -rf "$tmp"' EXIT
 "$bin" --workload em3d --arch all --pressure 30,70 --scale 0.1 \
   --seed 42 --threads 1 --csv "$tmp/run.csv" > /dev/null
 
+# AS-COMA rows where the pageout daemon's verdict drives the back-off, so a
+# change to the thrash signal or the back-off shows up here too.
+for wp in barnes:70 radix:90 lu:90; do
+  "$bin" --workload "${wp%%:*}" --arch ascoma --pressure "${wp##*:}" \
+    --scale 0.25 --seed 42 --threads 1 --csv "$tmp/${wp%%:*}.csv" > /dev/null
+  tail -n +2 "$tmp/${wp%%:*}.csv" >> "$tmp/run.csv"
+done
+
 if ! diff -u "$baseline" "$tmp/run.csv"; then
   echo "golden_default_run: output diverged from $baseline" >&2
   exit 1

@@ -176,13 +176,12 @@ TEST(Machine, AsComaEscalatesWhenDaemonFindsNoColdPages) {
   MachineConfig cfg = config(ArchModel::kAsComa, 0.93);
   cfg.daemon_period = Cycle{5'000};  // hot pages stay referenced across runs
   const RunResult r = simulate(cfg, wl);
-  if (r.stats.totals.kernel.daemon_reclaim_failures > 0) {
-    EXPECT_GT(r.stats.totals.kernel.threshold_raises, 0u);
-    bool raised = false;
-    for (std::uint32_t t : r.final_threshold)
-      raised |= t > r.config.refetch_threshold;
-    EXPECT_TRUE(raised);
-  }
+  ASSERT_GT(r.stats.totals.kernel.daemon_reclaim_failures, 0u);
+  EXPECT_GT(r.stats.totals.kernel.threshold_raises, 0u);
+  bool raised = false;
+  for (std::uint32_t t : r.final_threshold)
+    raised |= t > r.config.refetch_threshold;
+  EXPECT_TRUE(raised);
 }
 
 TEST(Machine, AsComaSuppressesRemapsUnderPressure) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "obs/export.hh"
 #include "obs/probe.hh"
 #include "workload/synthetic.hh"
+#include "workload/workload.hh"
 
 namespace ascoma::obs {
 namespace {
@@ -290,6 +292,40 @@ TEST(MachineObs, FinalSampleMatchesRunResult) {
   EXPECT_GT(samples.size(), static_cast<std::size_t>(r.stats.nodes));
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_LE(samples[i - 1].cycle, samples[i].cycle);
+}
+
+TEST(MachineObs, ThresholdRaisesAreADaemonPeriodApart) {
+  // AS-COMA backs off only on a failed pageout-daemon run, and the machine
+  // gates a node's next daemon run one daemon period, as stretched by that
+  // back-off, after the last: the gate is the back-off's only rate limit.
+  const auto w = workload::make_workload("barnes", 1.0);
+  EventSink sink;
+  Probe probe(nullptr, &sink);
+  MachineConfig c;
+  c.arch = ArchModel::kAsComa;
+  c.memory_pressure = 0.70;
+  c.probe = &probe;
+  const auto r = core::simulate(c, *w);
+  ASSERT_EQ(sink.dropped(), 0u);
+  // Without relaxations a node's period only grows, one factor per raise.
+  ASSERT_EQ(r.stats.totals.kernel.threshold_drops, 0u);
+
+  std::vector<std::vector<Cycle>> raises(r.stats.nodes);
+  for (const Event& e : sink.sorted_events())
+    if (e.kind == EventKind::kThresholdRaise)
+      raises[e.node.value()].push_back(e.cycle);
+  std::size_t gaps = 0;
+  for (const std::vector<Cycle>& at : raises) {
+    Cycle period = c.daemon_period;
+    for (std::size_t i = 1; i < at.size(); ++i, ++gaps) {
+      period = std::min(c.daemon_period_max,
+                        Cycle{static_cast<Cycle::rep>(
+                            static_cast<double>(period.value()) *
+                            c.daemon_backoff_factor)});
+      EXPECT_GE(at[i] - at[i - 1], period) << "raise " << i;
+    }
+  }
+  EXPECT_GT(gaps, 0u);  // nodes back off more than once at this length
 }
 
 }  // namespace

@@ -74,6 +74,19 @@ TEST(PageCache, RemoveActiveSkipsStaleClockEntries) {
   EXPECT_EQ(*c.rotate(), VPageId{20});  // 10 never reappears
 }
 
+TEST(PageCache, ReAddedPageHasOneClockEntry) {
+  PageCache c(4);
+  c.add_active(VPageId{10});
+  c.add_active(VPageId{20});
+  // 10 leaves and comes back before its old clock entry is rotated out.
+  c.remove_active(VPageId{10});
+  c.add_active(VPageId{10});
+  EXPECT_EQ(*c.rotate(), VPageId{20});
+  EXPECT_EQ(*c.rotate(), VPageId{10});
+  EXPECT_EQ(*c.rotate(), VPageId{20});  // one lap: 10 came up once
+  EXPECT_EQ(*c.rotate(), VPageId{10});
+}
+
 TEST(PageCache, RotateEmptyReturnsNothing) {
   PageCache c(4);
   EXPECT_FALSE(c.rotate().has_value());

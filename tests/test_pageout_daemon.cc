@@ -81,10 +81,27 @@ TEST(PageoutDaemon, EvictsReferencedPagesOnSecondPass) {
   f.pt.set_ref_bit(VPageId{1});
   PageoutDaemon d(1, 1);
   const auto r = d.run(f.cache, f.pt, f.evictor);
-  // First pass clears both bits; second pass evicts one.
-  EXPECT_TRUE(r.met_target);
+  // First pass clears both bits; second pass evicts one.  The first pass
+  // found no cold page, so the run is a failure (paper §3).
+  EXPECT_FALSE(r.met_target);
   EXPECT_EQ(r.reclaimed, 1u);
   EXPECT_GE(r.scanned, 3u);
+  EXPECT_EQ(f.evictor.evicted, (std::vector<VPageId>{VPageId{0}}));
+}
+
+TEST(PageoutDaemon, FirstPassReachingFreeMinMeetsTarget) {
+  Fixture f(4, 4);  // 0 free
+  f.pt.set_ref_bit(VPageId{0});
+  f.pt.set_ref_bit(VPageId{1});
+  f.pt.set_ref_bit(VPageId{2});
+  PageoutDaemon d(1, 2);
+  const auto r = d.run(f.cache, f.pt, f.evictor);
+  // The first pass evicts cold page 3 (free_min reached); the second pass
+  // then evicts the just-cleared page 0 to reach free_target.
+  EXPECT_TRUE(r.met_target);
+  EXPECT_EQ(r.reclaimed, 2u);
+  EXPECT_EQ(r.cold_pages_seen, 2u);
+  EXPECT_EQ(f.evictor.evicted, (std::vector<VPageId>{VPageId{3}, VPageId{0}}));
 }
 
 TEST(PageoutDaemon, ReportsFailureWhenNothingToEvict) {

@@ -174,24 +174,6 @@ TEST(AsComa, HugeBackoffFactorSaturatesAtPeriodMax) {
   EXPECT_EQ(f.period, f.cfg.daemon_period_max);
 }
 
-TEST(AsComa, BackOffIsRateLimitedPerDaemonPeriod) {
-  PolicyFixture f;
-  AsComaPolicy p(f.cfg);
-  vm::DaemonResult fail;
-  fail.met_target = false;
-  auto e = f.env(Cycle{0});
-  p.on_daemon_result(e, fail);
-  const auto t1 = p.threshold();
-  EXPECT_GT(t1, f.cfg.refetch_threshold);
-  // Burst of thrash signals within the same period: one escalation only.
-  for (int i = 0; i < 50; ++i) p.on_daemon_result(e, fail);
-  EXPECT_EQ(p.threshold(), t1);
-  // After a period elapses, the next signal escalates again.
-  auto later = f.env(f.period + Cycle{1});
-  p.on_daemon_result(later, fail);
-  EXPECT_GT(p.threshold(), t1);
-}
-
 TEST(AsComa, SuppressionMarksThrashingWithoutEscalating) {
   PolicyFixture f;
   AsComaPolicy p(f.cfg);

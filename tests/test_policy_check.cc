@@ -132,34 +132,23 @@ arch::BackoffSettings tiny() { return PolicyCheckConfig{}.settings(); }
 TEST(BackoffKernel, PressureEscalatesThenDisablesRemapping) {
   arch::BackoffKernel k(tiny());
   Cycle period = tiny().initial_period;
-  auto s1 = k.on_pressure(true, &period);
-  EXPECT_TRUE(s1.accepted);
+  auto s1 = k.on_pressure(&period);
   EXPECT_TRUE(s1.escalated);
   EXPECT_EQ(k.threshold(), 2u);
   EXPECT_TRUE(k.relocation_enabled());
   EXPECT_EQ(period, Cycle{8});
-  auto s2 = k.on_pressure(true, &period);
+  auto s2 = k.on_pressure(&period);
   EXPECT_TRUE(s2.escalated);
   EXPECT_FALSE(k.relocation_enabled());  // converged to CC-NUMA
-  auto s3 = k.on_pressure(true, &period);
-  EXPECT_TRUE(s3.accepted);
+  auto s3 = k.on_pressure(&period);
   EXPECT_FALSE(s3.escalated);  // nothing left to escalate
   EXPECT_EQ(period, Cycle{16});  // saturated at period_max
-}
-
-TEST(BackoffKernel, RateLimitAbsorbsSamePeriodSignals) {
-  arch::BackoffKernel k(tiny());
-  Cycle period = tiny().initial_period;
-  EXPECT_TRUE(k.on_pressure(true, &period).accepted);
-  EXPECT_FALSE(k.on_pressure(false, &period).accepted);
-  EXPECT_EQ(k.threshold(), 2u);  // unchanged by the absorbed signal
-  EXPECT_TRUE(k.on_pressure(true, &period).accepted);
 }
 
 TEST(BackoffKernel, RecoveryIsHystereticAndClearsThrashing) {
   arch::BackoffKernel k(tiny());
   Cycle period = tiny().initial_period;
-  k.on_pressure(true, &period);
+  k.on_pressure(&period);
   EXPECT_TRUE(k.thrashing());
   EXPECT_FALSE(k.on_healthy(true, &period).accepted);  // streak 1 of 2
   auto s = k.on_healthy(true, &period);
@@ -173,10 +162,10 @@ TEST(BackoffKernel, RecoveryIsHystereticAndClearsThrashing) {
 TEST(BackoffKernel, ColdEvidenceRequiredAndFailureResetsStreak) {
   arch::BackoffKernel k(tiny());
   Cycle period = tiny().initial_period;
-  k.on_pressure(true, &period);
+  k.on_pressure(&period);
   EXPECT_FALSE(k.on_healthy(false, &period).accepted);  // no cold evidence
   EXPECT_FALSE(k.on_healthy(true, &period).accepted);   // streak 1 of 2
-  k.clear_streak();                                     // a failure intervenes
+  k.on_pressure(&period);                               // a failure intervenes
   EXPECT_FALSE(k.on_healthy(true, &period).accepted);   // back to 1 of 2
   EXPECT_TRUE(k.on_healthy(true, &period).accepted);
 }

@@ -62,16 +62,13 @@ HOT_ALLOC_BOUNDARY = {
     "Probe::event",
     # telemetry samples, rate-limited by the Sampler period; amortized vector
     "EventSink::add_sample",
-    # activity bitmap pre-sized by reserve_pages() at machine setup; the
+    # activity array pre-sized by reserve_pages() at machine setup; the
     # clock ring doubles only when full, so it allocates O(log n) times a run
     "PageCache::add_active",
     # setup-time sizing; no-op on the fault path once pre-sized
     "PageCache::reserve_pages",
     # push_back bounded by capacity (double release is a checked failure)
     "PageCache::release",
-    # cold growth for direct-construction tests; pre-sized in simulator runs
-    # (VcNumaPolicy::grow_for is only called from the un-fenced step loop)
-    "AsComaPolicy::grow_for",
 }
 
 SIGNAL_BOUNDARY = set()  # nothing exempted: the handler must stay primitive
