@@ -13,29 +13,29 @@
 //    holds only hot pages replacing each other — it (a) raises the refetch
 //    threshold, (b) stretches the daemon period, and (c) under sustained
 //    pressure disables CC-NUMA -> S-COMA remapping entirely, converging to
-//    CC-NUMA behaviour.  When the daemon later finds ample cold pages (a
+//    CC-NUMA behaviour.  When the daemon later refills the pool again (a
 //    program phase change), the threshold steps back down and remapping
 //    resumes.
 //
-// The back-off/relaxation state machine itself lives in BackoffKernel
-// (backoff_kernel.hh) so check::PolicyModel can explore the exact same
-// transition logic exhaustively; this class owns the simulator-facing glue
-// (the ablation switches, stats and events).
+// check::PolicyModel explores this class itself: it restore()s each
+// explored node state into a real AsComaPolicy and steps it through the
+// same calls core::Machine makes.
 
-#include "arch/backoff_kernel.hh"
 #include "arch/policy.hh"
 
 namespace ascoma::arch {
 
 class AsComaPolicy final : public Policy {
  public:
-  explicit AsComaPolicy(const MachineConfig& cfg)
-      : Policy(cfg),
-        kernel_(BackoffSettings{cfg.refetch_threshold, cfg.threshold_increment,
-                                cfg.threshold_max, cfg.daemon_period,
-                                cfg.daemon_period_max,
-                                cfg.daemon_backoff_factor,
-                                /*relax_streak=*/3}) {}
+  /// The policy's complete mutable state (the policy checker's state key).
+  struct State {
+    std::uint32_t threshold = 0;
+    bool relocation_enabled = true;
+    bool thrashing = false;
+    std::uint32_t success_streak = 0;  ///< healthy daemon runs since failure
+  };
+
+  explicit AsComaPolicy(const MachineConfig& cfg) : Policy(cfg) {}
 
   ArchModel model() const override { return ArchModel::kAsComa; }
 
@@ -43,18 +43,27 @@ class AsComaPolicy final : public Policy {
   void on_daemon_result(PolicyEnv& env, const vm::DaemonResult& r) override;
   void on_remap_suppressed(PolicyEnv& env) override;
 
-  bool thrashing() const { return kernel_.thrashing(); }
-  const BackoffKernel& kernel() const { return kernel_; }
+  bool thrashing() const { return thrashing_; }
 
- private:
-  /// Mirror the kernel's threshold/remap decision into the Policy base
-  /// fields the rest of the simulator reads.
-  void sync_from_kernel() {
-    threshold_ = kernel_.threshold();
-    relocation_enabled_ = kernel_.relocation_enabled();
+  State state() const {
+    return State{threshold_, relocation_enabled_, thrashing_, success_streak_};
+  }
+  void restore(const State& s) {
+    threshold_ = s.threshold;
+    relocation_enabled_ = s.relocation_enabled;
+    thrashing_ = s.thrashing;
+    success_streak_ = s.success_streak;
   }
 
-  BackoffKernel kernel_;
+ private:
+  /// Consecutive healthy daemon runs per relaxation step.
+  static constexpr std::uint32_t kRelaxStreak = 3;
+
+  void back_off(PolicyEnv& env);
+  void relax(PolicyEnv& env);
+
+  bool thrashing_ = false;
+  std::uint32_t success_streak_ = 0;
 };
 
 }  // namespace ascoma::arch

@@ -26,9 +26,8 @@ DaemonResult PageoutDaemon::run(PageCache& cache, PageTable& pt,
     if (pt.ref_bit(page)) {
       // Referenced since last consideration: clear and give a second chance.
       pt.clear_ref_bit(page);
-    } else {
-      ++result.cold_pages_seen;
-      if (handler.evict(page)) ++result.reclaimed;
+    } else if (handler.evict(page)) {
+      ++result.reclaimed;
     }
     if (result.scanned == pass)
       result.met_target = cache.free_frames() >= free_min_;

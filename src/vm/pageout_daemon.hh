@@ -36,9 +36,6 @@ struct DaemonResult {
   /// there were active pages at entry): the run found enough cold pages.
   /// Second-pass evictions of just-cleared pages do not count.
   bool met_target = false;
-  /// Cold pages seen this run (ref bit already clear) — the signal AS-COMA
-  /// uses to relax its back-off when a program phase change frees pages.
-  std::uint32_t cold_pages_seen = 0;
 };
 
 class PageoutDaemon {

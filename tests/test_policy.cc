@@ -231,7 +231,6 @@ TEST(AsComa, RecoversWhenColdPagesReappear) {
   vm::DaemonResult ok;
   ok.met_target = true;
   ok.reclaimed = 10;
-  ok.cold_pages_seen = 20;
   for (int i = 0; i < 20 && p.threshold() > f.cfg.refetch_threshold; ++i) {
     auto e = f.env(now);
     p.on_daemon_result(e, ok);

@@ -1,8 +1,9 @@
-// Regression tests for the AS-COMA policy checker (src/check/policy_model.*
-// + the BackoffKernel it drives).  Three claims are pinned down:
+// Regression tests for the AS-COMA policy checker (src/check/policy_model.*),
+// which steps the simulator's own arch::AsComaPolicy.  Three claims are
+// pinned down:
 //
 //   1. the pristine policy satisfies every checked property on the 2-node /
-//      <=4-page configurations the tool runs in CI;
+//      <=4-page configurations;
 //   2. every seeded policy mutation is caught, with a BFS-minimal
 //      counterexample of at most 8 steps;
 //   3. counterexample traces and state dumps speak in policy vocabulary
@@ -15,21 +16,15 @@
 #include <string>
 #include <vector>
 
-#include "arch/backoff_kernel.hh"
-#include "check/explore_core.hh"
+#include "arch/ascoma.hh"
 
 namespace ascoma::check {
 namespace {
 
-ExploreResult run(const PolicyCheckConfig& cfg) {
-  const PolicyModel model(cfg);
-  return explore_model(model, ExploreOptions{});
-}
-
 // ---- pristine ---------------------------------------------------------------
 
 TEST(PolicyCheck, PristinePassesDefaultConfig) {
-  const ExploreResult res = run(PolicyCheckConfig{});
+  const ExploreResult res = explore(PolicyCheckConfig{});
   EXPECT_TRUE(res.ok) << res.report();
   EXPECT_FALSE(res.truncated);
   EXPECT_GT(res.states, 1000u);  // the space is genuinely explored
@@ -42,7 +37,7 @@ TEST(PolicyCheck, PristinePassesFourPagesAndDeeperPool) {
   cfg.pages_per_node = 4;
   cfg.pool_frames = 2;
   cfg.touches = 6;
-  const ExploreResult res = run(cfg);
+  const ExploreResult res = explore(cfg);
   EXPECT_TRUE(res.ok) << res.report();
   EXPECT_FALSE(res.truncated);
 }
@@ -54,7 +49,7 @@ TEST(PolicyCheck, PristinePassesFullInterleaving) {
   cfg.touches = 2;
   cfg.daemon_runs = 3;
   cfg.ordered = false;
-  const ExploreResult res = run(cfg);
+  const ExploreResult res = explore(cfg);
   EXPECT_TRUE(res.ok) << res.report();
   EXPECT_FALSE(res.truncated);
 }
@@ -65,7 +60,7 @@ TEST(PolicyCheckMutations, EveryMutationCaughtWithShortTrace) {
   for (int i = 1; i < kNumPolicyMutations; ++i) {
     PolicyCheckConfig cfg;
     cfg.mutation = static_cast<PolicyMutation>(i);
-    const ExploreResult res = run(cfg);
+    const ExploreResult res = explore(cfg);
     EXPECT_FALSE(res.ok) << "mutation " << to_string(cfg.mutation)
                          << " was not caught";
     EXPECT_FALSE(res.violation.empty());
@@ -79,7 +74,7 @@ TEST(PolicyCheckMutations, EveryMutationCaughtWithShortTrace) {
 TEST(PolicyCheckMutations, UpgradeWhileDisabledNamesTheUpgrade) {
   PolicyCheckConfig cfg;
   cfg.mutation = PolicyMutation::kUpgradeWhileDisabled;
-  const ExploreResult res = run(cfg);
+  const ExploreResult res = explore(cfg);
   ASSERT_FALSE(res.ok);
   EXPECT_NE(res.violation.find("remapping is disabled"), std::string::npos);
   ASSERT_FALSE(res.trace.empty());
@@ -89,7 +84,7 @@ TEST(PolicyCheckMutations, UpgradeWhileDisabledNamesTheUpgrade) {
 TEST(PolicyCheckMutations, PoolOvercommitIsAStateInvariant) {
   PolicyCheckConfig cfg;
   cfg.mutation = PolicyMutation::kUpgradeIgnoresPool;
-  const ExploreResult res = run(cfg);
+  const ExploreResult res = explore(cfg);
   ASSERT_FALSE(res.ok);
   EXPECT_NE(res.violation.find("pool overcommitted"), std::string::npos);
 }
@@ -99,7 +94,7 @@ TEST(PolicyCheckMutations, TracesSpeakPolicyVocabulary) {
   // daemon verdicts — not bare enum ints.
   PolicyCheckConfig cfg;
   cfg.mutation = PolicyMutation::kThrashingSticky;
-  const ExploreResult res = run(cfg);
+  const ExploreResult res = explore(cfg);
   ASSERT_FALSE(res.ok);
   for (const std::string& step : res.trace) {
     EXPECT_TRUE(step.find("touches page") != std::string::npos ||
@@ -114,60 +109,67 @@ TEST(PolicyCheckMutations, TracesSpeakPolicyVocabulary) {
       << res.final_dump;
 }
 
-TEST(PolicyCheckMutations, NamesRoundTrip) {
-  for (int i = 0; i < kNumPolicyMutations; ++i) {
-    const auto m = static_cast<PolicyMutation>(i);
-    PolicyMutation parsed;
-    ASSERT_TRUE(parse_policy_mutation(to_string(m), &parsed)) << to_string(m);
-    EXPECT_EQ(parsed, m);
+// ---- the policy the checker steps, at the checker's machine -----------------
+
+struct TinyNode {
+  MachineConfig cfg = policy_check_machine();
+  arch::AsComaPolicy policy{cfg};
+  vm::PageCache cache{1};
+  KernelStats stats;
+  Cycle period = cfg.daemon_period;
+  arch::PolicyEnv env{cfg, NodeId{0}, cache, stats, period};
+
+  void fail() { policy.on_daemon_result(env, vm::DaemonResult{}); }
+  void ok() {
+    vm::DaemonResult r;
+    r.reclaimed = 1;
+    r.met_target = true;
+    policy.on_daemon_result(env, r);
   }
-  PolicyMutation parsed;
-  EXPECT_FALSE(parse_policy_mutation("not-a-mutation", &parsed));
+};
+
+TEST(AsComa, PressureEscalatesThenDisablesRemapping) {
+  TinyNode t;
+  t.fail();
+  EXPECT_EQ(t.stats.threshold_raises, 1u);
+  EXPECT_EQ(t.policy.threshold(), 2u);
+  EXPECT_TRUE(t.policy.relocation_enabled());
+  EXPECT_EQ(t.period, Cycle{8});
+  t.fail();
+  EXPECT_EQ(t.stats.threshold_raises, 2u);
+  EXPECT_FALSE(t.policy.relocation_enabled());  // converged to CC-NUMA
+  t.fail();
+  EXPECT_EQ(t.stats.threshold_raises, 2u);  // nothing left to escalate
+  EXPECT_EQ(t.period, Cycle{16});           // saturated at period_max
 }
 
-// ---- the kernel the model drives --------------------------------------------
-
-arch::BackoffSettings tiny() { return PolicyCheckConfig{}.settings(); }
-
-TEST(BackoffKernel, PressureEscalatesThenDisablesRemapping) {
-  arch::BackoffKernel k(tiny());
-  Cycle period = tiny().initial_period;
-  auto s1 = k.on_pressure(&period);
-  EXPECT_TRUE(s1.escalated);
-  EXPECT_EQ(k.threshold(), 2u);
-  EXPECT_TRUE(k.relocation_enabled());
-  EXPECT_EQ(period, Cycle{8});
-  auto s2 = k.on_pressure(&period);
-  EXPECT_TRUE(s2.escalated);
-  EXPECT_FALSE(k.relocation_enabled());  // converged to CC-NUMA
-  auto s3 = k.on_pressure(&period);
-  EXPECT_FALSE(s3.escalated);  // nothing left to escalate
-  EXPECT_EQ(period, Cycle{16});  // saturated at period_max
+TEST(AsComa, RecoveryIsHystereticAndClearsThrashing) {
+  TinyNode t;
+  t.fail();
+  EXPECT_TRUE(t.policy.thrashing());
+  t.ok();
+  t.ok();
+  EXPECT_EQ(t.policy.threshold(), 2u);  // streak 2 of 3
+  t.ok();
+  EXPECT_EQ(t.stats.threshold_drops, 1u);
+  EXPECT_EQ(t.policy.threshold(), t.cfg.refetch_threshold);
+  EXPECT_FALSE(t.policy.thrashing());  // full health reached
+  EXPECT_EQ(t.period, t.cfg.daemon_period);
 }
 
-TEST(BackoffKernel, RecoveryIsHystereticAndClearsThrashing) {
-  arch::BackoffKernel k(tiny());
-  Cycle period = tiny().initial_period;
-  k.on_pressure(&period);
-  EXPECT_TRUE(k.thrashing());
-  EXPECT_FALSE(k.on_healthy(true, &period).accepted);  // streak 1 of 2
-  auto s = k.on_healthy(true, &period);
-  EXPECT_TRUE(s.accepted);
-  EXPECT_TRUE(s.relaxed);
-  EXPECT_EQ(k.threshold(), tiny().initial_threshold);
-  EXPECT_FALSE(k.thrashing());  // full health reached
-  EXPECT_EQ(period, tiny().initial_period);
-}
-
-TEST(BackoffKernel, ColdEvidenceRequiredAndFailureResetsStreak) {
-  arch::BackoffKernel k(tiny());
-  Cycle period = tiny().initial_period;
-  k.on_pressure(&period);
-  EXPECT_FALSE(k.on_healthy(false, &period).accepted);  // no cold evidence
-  EXPECT_FALSE(k.on_healthy(true, &period).accepted);   // streak 1 of 2
-  k.on_pressure(&period);                               // a failure intervenes
-  EXPECT_FALSE(k.on_healthy(true, &period).accepted);   // back to 1 of 2
-  EXPECT_TRUE(k.on_healthy(true, &period).accepted);
+TEST(AsComa, FailureResetsRelaxationStreak) {
+  TinyNode t;
+  t.fail();
+  t.ok();
+  t.ok();    // streak 2 of 3
+  t.fail();  // a failure intervenes
+  t.ok();
+  t.ok();    // back to 2 of 3
+  EXPECT_EQ(t.stats.threshold_drops, 0u);
+  EXPECT_FALSE(t.policy.relocation_enabled());
+  t.ok();
+  EXPECT_EQ(t.stats.threshold_drops, 1u);
+  EXPECT_TRUE(t.policy.relocation_enabled());
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ INT_TYPE_RE = re.compile(
 # scaling math plus the machine-readable exporters.  Keep this list short —
 # a new entry needs a reason of the same kind.
 CAST_BOUNDARY_FILES = {
-    "src/arch/backoff_kernel.hh",  # geometric daemon-period scaling
+    "src/arch/ascoma.cc",          # geometric daemon-period scaling
     "src/mem/bus.cc",              # utilization ratio
     "src/common/stats.cc",         # time-bucket / miss-fraction ratios
     "src/common/types.hh",         # IdVector's size_t bridge
