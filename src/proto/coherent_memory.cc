@@ -59,25 +59,6 @@ std::uint64_t CoherentMemory::remote_pages_touched(NodeId n) const {
 // A shadow row of bit_ceil(nodes) bits must fit in one word.
 static_assert(MachineConfig::kMaxNodes <= 64);
 
-void CoherentMemory::shadow_commit_store(NodeId node, BlockId b) {
-  if (stale_copies_.empty()) return;
-  // Every node but the writer: the row's low `nodes` bits, less `node`.
-  const std::uint64_t all_nodes = ~std::uint64_t{0} >> (64 - cfg_.nodes);
-  const std::uint64_t row_bits =
-      ~std::uint64_t{0} >> (64 - (std::uint32_t{1} << shadow_row_log2_));
-  const std::uint64_t pos = shadow_row(b);
-  std::uint64_t& w = stale_copies_[pos >> 6];
-  const auto off = static_cast<std::uint32_t>(pos & 63);
-  w = (w & ~(row_bits << off)) |
-      ((all_nodes & ~(std::uint64_t{1} << node.value())) << off);
-}
-
-void CoherentMemory::shadow_fetch(NodeId node, BlockId b) {
-  if (stale_copies_.empty()) return;
-  const std::uint64_t pos = shadow_row(b) + node.value();
-  stale_copies_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
-}
-
 void CoherentMemory::fail_stale_copy(NodeId node, BlockId b,
                                      const char* where) const {
   std::ostringstream os;
@@ -121,29 +102,37 @@ int CoherentMemory::sibling_with_line(std::uint32_t proc,
   return -1;
 }
 
-
-Cycle CoherentMemory::use_bus(NodeId n, Cycle t) {
+// The timing steps are always inlined into access_impl: each is a few
+// instructions, so a call costs about as much as the step, and access_impl
+// is over gcc's inlining budget, so `inline` alone does not guarantee it.
+// prof_net stays a call; it is cold outside profiled runs.
+[[gnu::always_inline]] inline Cycle CoherentMemory::use_bus(NodeId n,
+                                                            Cycle t) {
   if (background_) return t + cfg_.bus_occupancy;
   const Cycle r = bus_[n]->transact(t);
   prof_add(prof::Component::kBus, t, r);
   return r;
 }
 
-Cycle CoherentMemory::use_bus_short(NodeId n, Cycle t) {
+[[gnu::always_inline]] inline Cycle CoherentMemory::use_bus_short(NodeId n,
+                                                                  Cycle t) {
   if (background_) return t + (cfg_.bus_occupancy + Cycle{1}) / 2;
   const Cycle r = bus_[n]->transact_short(t);
   prof_add(prof::Component::kBus, t, r);
   return r;
 }
 
-Cycle CoherentMemory::use_engine(NodeId n, Cycle t) {
+[[gnu::always_inline]] inline Cycle CoherentMemory::use_engine(NodeId n,
+                                                               Cycle t) {
   if (background_) return t + cfg_.dsm_engine_cycles;
   const Cycle r = engine_[n].acquire_until(t, cfg_.dsm_engine_cycles);
   prof_add(prof::Component::kEngine, t, r);
   return r;
 }
 
-Cycle CoherentMemory::use_dram(NodeId n, Cycle t, BlockId b) {
+[[gnu::always_inline]] inline Cycle CoherentMemory::use_dram(NodeId n,
+                                                             Cycle t,
+                                                             BlockId b) {
   if (background_) return t + cfg_.dram_access_cycles;
   const Cycle r = dram_[n]->access(t, b);
   prof_add(prof::Component::kDram, t, r);
@@ -162,7 +151,9 @@ void CoherentMemory::prof_net(Cycle t, Cycle arrival, NodeId src,
   if (delta > fabric) probe_->add(prof::Component::kNetQueue, delta - fabric);
 }
 
-Cycle CoherentMemory::use_net(Cycle t, NodeId src, NodeId dst) {
+[[gnu::always_inline]] inline Cycle CoherentMemory::use_net(Cycle t,
+                                                            NodeId src,
+                                                            NodeId dst) {
   if (background_) return src == dst ? t : t + net_.min_one_way_latency();
   const Cycle r = net_.deliver(t, src, dst);
   prof_net(t, r, src, dst);
@@ -215,19 +206,6 @@ void CoherentMemory::victim_writeback(std::uint32_t proc, LineId victim_line,
     dram_[home]->access(at_home, block);
     ++wb_remote_;
   }
-}
-
-CoherentMemory::Outcome CoherentMemory::access(std::uint32_t proc, Addr addr,
-                                               bool is_store, Cycle now,
-                                               bool background) {
-  background_ = background;
-  // Record attribution only for the probe-bracketed demand access in
-  // flight; store-buffer drains and unbracketed accesses (unit tests poking
-  // the memory system directly) leave the helpers on their null path.
-  prof_on_ = probe_ != nullptr && !background && probe_->in_access();
-  const Outcome o = access_impl(proc, addr, is_store, now);
-  prof_on_ = false;
-  return o;
 }
 
 CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
@@ -414,7 +392,7 @@ CoherentMemory::Outcome CoherentMemory::access_impl(std::uint32_t proc,
     Cycle t = use_bus(node, now);
     t = use_engine(node, t);
     t = use_net(t, node, home);  // request to the home
-  t = use_engine(home, t);
+    t = use_engine(home, t);
     t += cfg_.dir_lookup_cycles;
     prof_add(prof::Component::kDirectory, Cycle{0}, cfg_.dir_lookup_cycles);
     auto gx = dir_.getx(block, node);

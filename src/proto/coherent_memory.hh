@@ -76,11 +76,24 @@ class CoherentMemory {
   /// node id coincide.
   ///
   /// `background` models store-buffer drains (blocking_stores = false):
-  /// state transitions are identical, but the transaction uses uncontended
-  /// path latencies and reserves no foreground resources — approximating
-  /// hardware that prioritizes demand loads over buffered stores.
+  /// state transitions are identical, but the transaction's own path uses
+  /// uncontended latencies and reserves no bus, engine, DRAM bank or
+  /// network port — approximating hardware that prioritizes demand loads
+  /// over buffered stores.  One exception: when its L1 fill evicts a dirty
+  /// line, the victim writeback is charged as in the foreground (bus, DRAM
+  /// bank, and on a remote page a network port and a jitter draw).
   ASCOMA_HOT_PATH Outcome access(std::uint32_t proc, Addr addr, bool is_store,
-                                 Cycle now, bool background = false);
+                                 Cycle now, bool background = false) {
+    background_ = background;
+    // Record attribution only for the probe-bracketed demand access in
+    // flight; store-buffer drains and unbracketed accesses (unit tests
+    // poking the memory system directly) leave the helpers on their null
+    // path.
+    prof_on_ = probe_ != nullptr && !background && probe_->in_access();
+    const Outcome o = access_impl(proc, addr, is_store, now);
+    prof_on_ = false;
+    return o;
+  }
 
   struct FlushOutcome {
     std::uint32_t l1_valid_lines = 0;  ///< lines flushed across node L1s
@@ -206,12 +219,13 @@ class CoherentMemory {
   Outcome access_impl(std::uint32_t proc, Addr addr, bool is_store, Cycle now);
 
   // Timing steps that honour background mode (no reservations, minimum
-  // latencies) for store-buffer drains.
-  Cycle use_bus(NodeId n, Cycle t);
-  Cycle use_bus_short(NodeId n, Cycle t);
-  Cycle use_engine(NodeId n, Cycle t);
-  Cycle use_dram(NodeId n, Cycle t, BlockId b);
-  Cycle use_net(Cycle t, NodeId src, NodeId dst);
+  // latencies) for store-buffer drains.  Inline, and defined (always
+  // inlined) in coherent_memory.cc, their only caller.
+  inline Cycle use_bus(NodeId n, Cycle t);
+  inline Cycle use_bus_short(NodeId n, Cycle t);
+  inline Cycle use_engine(NodeId n, Cycle t);
+  inline Cycle use_dram(NodeId n, Cycle t, BlockId b);
+  inline Cycle use_net(Cycle t, NodeId src, NodeId dst);
 
   /// Emit a directory-traffic event for `block` on behalf of `requester`.
   void note_dir_event(obs::EventKind kind, Cycle cycle, NodeId requester,
@@ -270,8 +284,23 @@ class CoherentMemory {
   std::uint64_t shadow_row(BlockId b) const {
     return b.value() << shadow_row_log2_;
   }
-  void shadow_commit_store(NodeId node, BlockId b);
-  void shadow_fetch(NodeId node, BlockId b);
+  void shadow_commit_store(NodeId node, BlockId b) {
+    if (stale_copies_.empty()) return;
+    // Every node but the writer: the row's low `nodes` bits, less `node`.
+    const std::uint64_t all_nodes = ~std::uint64_t{0} >> (64 - cfg_.nodes);
+    const std::uint64_t row_bits =
+        ~std::uint64_t{0} >> (64 - (std::uint32_t{1} << shadow_row_log2_));
+    const std::uint64_t pos = shadow_row(b);
+    std::uint64_t& w = stale_copies_[pos >> 6];
+    const auto off = static_cast<std::uint32_t>(pos & 63);
+    w = (w & ~(row_bits << off)) |
+        ((all_nodes & ~(std::uint64_t{1} << node.value())) << off);
+  }
+  void shadow_fetch(NodeId node, BlockId b) {
+    if (stale_copies_.empty()) return;
+    const std::uint64_t pos = shadow_row(b) + node.value();
+    stale_copies_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+  }
   void shadow_check_local(NodeId node, BlockId b, const char* where) const {
     if (shadow_stale(node, b)) fail_stale_copy(node, b, where);
   }

@@ -24,6 +24,16 @@ for wp in barnes:70 radix:90 lu:90; do
   tail -n +2 "$tmp/${wp%%:*}.csv" >> "$tmp/run.csv"
 done
 
+# The other two branches of every timing step: store-buffer drains (the
+# background path) and jittered message delivery.
+"$bin" --workload radix --arch ascoma --pressure 70 --scale 0.1 \
+  --store-buffer 8 --seed 42 --threads 1 --csv "$tmp/sb.csv" > /dev/null
+tail -n +2 "$tmp/sb.csv" >> "$tmp/run.csv"
+"$bin" --workload barnes --arch ascoma --pressure 70 --scale 0.25 \
+  --fault-jitter 0.5 --fault-jitter-cycles 4 --fault-seed 1 \
+  --seed 42 --threads 1 --csv "$tmp/jitter.csv" > /dev/null
+tail -n +2 "$tmp/jitter.csv" >> "$tmp/run.csv"
+
 if ! diff -u "$baseline" "$tmp/run.csv"; then
   echo "golden_default_run: output diverged from $baseline" >&2
   exit 1

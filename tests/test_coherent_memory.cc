@@ -82,6 +82,36 @@ TEST_F(CoherentMemoryTest, RemoteCleanFetchCosts150Cycles) {
   EXPECT_EQ(o.source, MissSource::kCold);
 }
 
+// A store-buffer drain (background access) takes the uncontended path
+// latency and leaves every bus, engine, DRAM bank and network port free: a
+// fresh L1 has no dirty victim, so nothing is written back.
+TEST_F(CoherentMemoryTest, BackgroundAccessReservesNothing) {
+  pts_[0]->map_numa(VPageId{4});  // page 4 homed at node 1
+  pts_[2]->map_numa(VPageId{4});
+  const NodeId home{1};
+  std::vector<Cycle> bus_busy;
+  for (NodeId n{0}; n.value() < 4; ++n)
+    bus_busy.push_back(cm_->bus(n).busy_cycles());
+  const Cycle home_port = cm_->network().input_port(home).free_at();
+  const Cycle req_port = cm_->network().input_port(NodeId{0}).free_at();
+
+  const auto bg = cm_->access(0, addr(VPageId{4}, 0), false, Cycle{0},
+                              /*background=*/true);
+  EXPECT_EQ(bg.done, cfg_.min_remote_latency());
+  EXPECT_EQ(bg.done, Cycle{138});
+  EXPECT_TRUE(bg.remote);
+  for (NodeId n{0}; n.value() < 4; ++n)
+    EXPECT_EQ(cm_->bus(n).busy_cycles(), bus_busy[n.value()]) << "node " << n;
+  EXPECT_EQ(cm_->network().input_port(home).free_at(), home_port);
+  EXPECT_EQ(cm_->network().input_port(NodeId{0}).free_at(), req_port);
+
+  // A demand load of the same block by another node at the same cycle finds
+  // the home's engine, DRAM bank and input port free.
+  const auto fg = cm_->access(2, addr(VPageId{4}, 0), false, Cycle{0});
+  EXPECT_EQ(fg.done, Cycle{138});
+  EXPECT_EQ(fg.source, MissSource::kCold);
+}
+
 TEST_F(CoherentMemoryTest, RacHitCosts36Cycles) {
   pts_[0]->map_numa(VPageId{4});
   cm_->access(0, addr(VPageId{4}, 0), false, Cycle{0});  // fetches block, fills RAC + L1
